@@ -64,7 +64,7 @@ bench-kernels:
 	go test . -bench 'BenchmarkSimulatorThroughput'
 
 # Experiment-driver trajectory: sequential vs parallel vs memoized
-# sweeps and dense vs shape-only tree builds, recorded to
+# sweeps and dense, shape-only and CAPS tree builds, recorded to
 # BENCH_driver.json.
 bench-driver:
 	./scripts/bench_driver.sh

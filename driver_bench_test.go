@@ -91,10 +91,18 @@ func BenchmarkExecuteDistributed(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildTree isolates the shape-only build win: the dense
-// variant is the seed path (three n×n operands allocated and zeroed
-// just to describe the multiply), the shape variant is what
-// workload.BuildTree does now.
+// BenchmarkBuildTree measures tree construction at n = 2048, the cost
+// each simulated cell pays before the simulator runs:
+//
+//   - dense: strassen.Build over three freshly allocated n×n operands,
+//     the operand allocation included;
+//   - shape: workload.BuildTree for Strassen over shape-only operands,
+//     as every sweep cell builds it;
+//   - caps: workload.BuildTree for CAPS, the paper sweep's heaviest
+//     builder (staging copies and gathers on top of Strassen's leaves).
+//
+// The builders draw nodes, region lists and labels from a per-build
+// task.Arena, so allocs/op counts arena blocks, not leaves.
 func BenchmarkBuildTree(b *testing.B) {
 	m := hw.HaswellE31225()
 	const n = 2048
@@ -109,6 +117,12 @@ func BenchmarkBuildTree(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = workload.BuildTree(m, workload.AlgStrassen, n, 4)
+		}
+	})
+	b.Run("caps", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = workload.BuildTree(m, workload.AlgCAPS, n, 4)
 		}
 	})
 }

@@ -85,7 +85,9 @@ type builder struct {
 	m       *hw.Machine
 	opt     Options
 	workers int
-	regions task.Regions
+	// arena allocates the tree's nodes, region lists, labels and
+	// region IDs for this one build.
+	arena task.Arena
 	// bfsLevels is the effective number of BFS levels for this problem
 	// (cutoff depth clipped to the actual recursion depth).
 	bfsLevels int
@@ -128,9 +130,9 @@ func Build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options) *task
 	if padded != n {
 		return bd.paddedMul(c, a, b, n, padded)
 	}
-	ca := operand{region: bd.regions.New(), n: n}
-	cb := operand{region: bd.regions.New(), n: n}
-	cc := operand{region: bd.regions.New(), n: n}
+	ca := operand{region: bd.arena.New(), n: n}
+	cb := operand{region: bd.arena.New(), n: n}
+	cc := operand{region: bd.arena.New(), n: n}
 	if opt.WithMath {
 		ca.mat, cb.mat, cc.mat = a, b, c
 	}
@@ -146,34 +148,34 @@ func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) *task.Node {
 		pb = matrix.PadTo(b, padded, padded)
 		pc = matrix.New(padded, padded)
 	}
-	ca := operand{mat: pa, region: bd.regions.New(), n: padded}
-	cb := operand{mat: pb, region: bd.regions.New(), n: padded}
-	cc := operand{mat: pc, region: bd.regions.New(), n: padded}
+	ca := operand{mat: pa, region: bd.arena.New(), n: padded}
+	cb := operand{mat: pb, region: bd.arena.New(), n: padded}
+	cc := operand{mat: pc, region: bd.arena.New(), n: padded}
 
-	mkCopy := func(label string, read, write task.RegionID, run func()) *task.Node {
-		w := task.Work{
+	mkCopy := func(label string, read, write task.RegionID) *task.Node {
+		reads, writes := bd.arena.ReadsWrites([]task.RegionID{read}, write)
+		return bd.arena.Leaf(task.Work{
 			Label:       label,
 			Kind:        task.KindCopy,
 			DRAMBytes:   2 * kernel.Bytes(n, n),
-			Reads:       []task.RegionID{read},
-			Writes:      []task.RegionID{write},
+			Reads:       reads,
+			Writes:      writes,
 			RegionBytes: kernel.Bytes(n, n),
-		}
-		if bd.opt.WithMath {
-			w.Run = run
-		}
-		return task.Leaf(w)
+		})
 	}
-	srcA, srcB, dstC := bd.regions.New(), bd.regions.New(), bd.regions.New()
-	padIn := task.Par(
-		mkCopy(fmt.Sprintf("pad A %d->%d", n, padded), srcA, ca.region, func() {}),
-		mkCopy(fmt.Sprintf("pad B %d->%d", n, padded), srcB, cb.region, func() {}),
+	srcA, srcB, dstC := bd.arena.New(), bd.arena.New(), bd.arena.New()
+	// Padding happened at build time when math is on, so the pad-in
+	// leaves only carry the traffic accounting.
+	padIn := bd.arena.Par(
+		mkCopy(bd.arena.Label("pad A %d->%d", n, padded), srcA, ca.region),
+		mkCopy(bd.arena.Label("pad B %d->%d", n, padded), srcB, cb.region),
 	)
-	padOut := mkCopy(fmt.Sprintf("unpad C %d->%d", padded, n), cc.region, dstC, func() {
-		matrix.CopyTo(c, pc.View(0, 0, n, n))
-	})
+	padOut := mkCopy(bd.arena.Label("unpad C %d->%d", padded, n), cc.region, dstC)
+	if bd.opt.WithMath {
+		padOut.Work().Run = func() { matrix.CopyTo(c, pc.View(0, 0, n, n)) }
+	}
 	alloc := 3 * kernel.Bytes(padded, padded)
-	return task.Seq(padIn, bd.mul(cc, ca, cb, 0, 0), padOut).WithAlloc(alloc)
+	return bd.arena.Seq(padIn, bd.mul(cc, ca, cb, 0, 0), padOut).WithAlloc(alloc)
 }
 
 // ownerMask returns the worker mask owning the subtree at (depth, idx):
@@ -224,7 +226,7 @@ func (bd *builder) mul(c, a, b operand, depth, idx int) *task.Node {
 }
 
 func (bd *builder) temp(n int) operand {
-	t := operand{region: bd.regions.New(), n: n}
+	t := operand{region: bd.arena.New(), n: n}
 	if bd.opt.WithMath {
 		t.mat = matrix.New(n, n)
 	}
@@ -234,21 +236,20 @@ func (bd *builder) temp(n int) operand {
 // baseMul emits the dense solver. When the owning mask spans several
 // workers (pure-DFS configurations), the solver's row loop is
 // work-shared across them, as the paper's OpenMP work-sharing DFS does.
+// The row chunks share one region list: leaves never mutate theirs.
 func (bd *builder) baseMul(c, a, b operand, mask task.Mask) *task.Node {
 	n := a.n
-	owners := ownersOf(mask, bd.workers)
-	if owners > n {
-		owners = n
-	}
+	owners := min(ownersOf(mask, bd.workers), n)
+	reads, writes := bd.arena.ReadsWrites([]task.RegionID{a.region, b.region}, c.region)
 	mk := func(rowLo, rowHi int) *task.Node {
 		rows := rowHi - rowLo
 		traffic := kernel.Bytes(rows, n) + kernel.Bytes(n, n) + 2*kernel.Bytes(rows, n)
 		w := task.Work{
-			Label:       fmt.Sprintf("basemul n%d r%d", n, rowLo),
+			Label:       bd.arena.Label("basemul n%d r%d", n, rowLo),
 			Kind:        task.KindBaseMul,
 			Flops:       kernel.MulFlops(rows, n, n),
-			Reads:       []task.RegionID{a.region, b.region},
-			Writes:      []task.RegionID{c.region},
+			Reads:       reads,
+			Writes:      writes,
 			RegionBytes: kernel.Bytes(n, n),
 		}
 		if bd.m.LevelFor(traffic, bd.workers) == hw.LevelDRAM {
@@ -262,7 +263,7 @@ func (bd *builder) baseMul(c, a, b operand, mask task.Mask) *task.Node {
 			bm := b.mat
 			w.Run = func() { kernel.Mul(cm, am, bm) }
 		}
-		return task.Leaf(w)
+		return bd.arena.Leaf(w)
 	}
 	if owners <= 1 {
 		return mk(0, n).WithAffinityMask(mask)
@@ -275,26 +276,31 @@ func (bd *builder) baseMul(c, a, b operand, mask task.Mask) *task.Node {
 			chunks = append(chunks, mk(lo, hi))
 		}
 	}
-	return task.Par(chunks...).WithAffinityMask(mask)
+	return bd.arena.Par(chunks...).WithAffinityMask(mask)
 }
 
-// addLeaf emits dst = combination of srcs, pinned to mask, work-shared
-// into chunks when the mask spans several workers.
-func (bd *builder) addLeaf(label string, dst operand, addOps int, srcs []operand, mask task.Mask, run func()) *task.Node {
+// addLeaf emits dst = a combination of srcs (len(srcs)−1 additions per
+// element), pinned to mask, work-shared into chunks when the mask spans
+// several workers. It attaches run, built only when the build has math;
+// the chunks share one region list.
+func (bd *builder) addLeaf(label string, dst operand, mask task.Mask, run func(), srcs ...operand) *task.Node {
 	n := dst.n
 	owners := ownersOf(mask, bd.workers)
 	bytes := kernel.Bytes(n, n)
 	traffic := float64(len(srcs)+1) * bytes
+	var ids [4]task.RegionID
+	for i, s := range srcs {
+		ids[i] = s.region
+	}
+	reads, writes := bd.arena.ReadsWrites(ids[:len(srcs)], dst.region)
 	mkWork := func(frac float64) task.Work {
 		w := task.Work{
 			Label:       label,
 			Kind:        task.KindAdd,
-			Flops:       float64(addOps) * float64(n) * float64(n) * frac,
-			Writes:      []task.RegionID{dst.region},
+			Flops:       float64(len(srcs)-1) * float64(n) * float64(n) * frac,
+			Reads:       reads,
+			Writes:      writes,
 			RegionBytes: bytes * frac,
-		}
-		for _, s := range srcs {
-			w.Reads = append(w.Reads, s.region)
 		}
 		if bd.m.LevelFor(traffic, bd.workers) == hw.LevelDRAM {
 			w.DRAMBytes = traffic * frac
@@ -305,10 +311,8 @@ func (bd *builder) addLeaf(label string, dst operand, addOps int, srcs []operand
 	}
 	if owners <= 1 {
 		w := mkWork(1)
-		if bd.opt.WithMath {
-			w.Run = run
-		}
-		return task.Leaf(w).WithAffinityMask(mask)
+		w.Run = run
+		return bd.arena.Leaf(w).WithAffinityMask(mask)
 	}
 	// Work-shared: owners chunks; the real math (when on) runs whole in
 	// the first chunk — numerically identical, and the accounting stays
@@ -316,12 +320,12 @@ func (bd *builder) addLeaf(label string, dst operand, addOps int, srcs []operand
 	chunks := make([]*task.Node, owners)
 	for t := 0; t < owners; t++ {
 		w := mkWork(1 / float64(owners))
-		if t == 0 && bd.opt.WithMath {
+		if t == 0 {
 			w.Run = run
 		}
-		chunks[t] = task.Leaf(w)
+		chunks[t] = bd.arena.Leaf(w)
 	}
-	return task.Par(chunks...).WithAffinityMask(mask)
+	return bd.arena.Par(chunks...).WithAffinityMask(mask)
 }
 
 // copyLeaf stages src into a fresh local buffer owned by mask and
@@ -331,11 +335,12 @@ func (bd *builder) copyLeaf(label string, src operand, mask task.Mask) (operand,
 	dst := bd.temp(src.n)
 	bytes := kernel.Bytes(src.n, src.n)
 	traffic := 2 * bytes
+	reads, writes := bd.arena.ReadsWrites([]task.RegionID{src.region}, dst.region)
 	w := task.Work{
 		Label:       label,
 		Kind:        task.KindCopy,
-		Reads:       []task.RegionID{src.region},
-		Writes:      []task.RegionID{dst.region},
+		Reads:       reads,
+		Writes:      writes,
 		RegionBytes: bytes,
 	}
 	if bd.m.LevelFor(traffic, bd.workers) == hw.LevelDRAM {
@@ -347,7 +352,7 @@ func (bd *builder) copyLeaf(label string, src operand, mask task.Mask) (operand,
 		d, s := dst.mat, src.mat
 		w.Run = func() { kernel.Pack(d, s) }
 	}
-	return dst, task.Leaf(w).WithAffinityMask(mask)
+	return dst, bd.arena.Leaf(w).WithAffinityMask(mask)
 }
 
 // subproblem describes one of the seven Strassen products at a node.
@@ -378,18 +383,19 @@ func buildSubproblems(a, b operand) [7]subproblem {
 	}
 }
 
-// factor materializes one factor of a subproblem for a consumer owned
-// by mask: a sum/difference becomes an add into a local temp; a single
-// quadrant is staged by copy in BFS mode or used in place in DFS mode.
-func (bd *builder) factor(label string, lone bool, x, y operand, sub bool, mask task.Mask, stage bool) (operand, *task.Node) {
+// factor materializes factor k of a subproblem for a consumer owned by
+// mask: a sum/difference becomes an add into a local temp, labeled by
+// addFmt; a single quadrant is staged by a copy labeled by stageFmt
+// (BFS) or, with stageFmt empty, used in place (DFS).
+func (bd *builder) factor(addFmt, stageFmt string, k int, lone bool, x, y operand, sub bool, mask task.Mask) (operand, *task.Node) {
 	if lone {
-		if stage {
-			return bd.copyLeaf(label+" stage", x, mask)
+		if stageFmt != "" {
+			return bd.copyLeaf(bd.arena.Label(stageFmt, k, x.n), x, mask)
 		}
 		return x, nil
 	}
 	dst := bd.temp(x.n)
-	run := func() {}
+	var run func()
 	if bd.opt.WithMath {
 		dm, xm, ym := dst.mat, x.mat, y.mat
 		if sub {
@@ -398,7 +404,7 @@ func (bd *builder) factor(label string, lone bool, x, y operand, sub bool, mask 
 			run = func() { matrix.AddTo(dm, xm, ym) }
 		}
 	}
-	return dst, bd.addLeaf(label, dst, 1, []operand{x, y}, mask, run)
+	return dst, bd.addLeaf(bd.arena.Label(addFmt, k, x.n), dst, mask, run, x, y)
 }
 
 // bfsNode: the seven subproblems run concurrently on their owner
@@ -406,30 +412,21 @@ func (bd *builder) factor(label string, lone bool, x, y operand, sub bool, mask 
 func (bd *builder) bfsNode(c, a, b operand, depth, idx int) *task.Node {
 	half := a.n / 2
 	sub := buildSubproblems(a, b)
-	q := make([]operand, 7)
 
-	var prep []*task.Node
-	var recs []*task.Node
-	var gather []*task.Node
+	prep := make([]*task.Node, 0, 14)
+	var recs, gather [7]*task.Node
+	var gathered [7]operand
 	mask := bd.ownerMask(depth, idx)
-	gathered := make([]operand, 7)
 	for k := 0; k < 7; k++ {
-		q[k] = bd.temp(half)
+		q := bd.temp(half)
 		childMask := bd.ownerMask(depth+1, idx*7+k)
-		l, lNode := bd.factor(fmt.Sprintf("bfs l%d n%d", k, half), sub[k].lone, sub[k].lx, sub[k].ly, sub[k].lsub, childMask, true)
-		r, rNode := bd.factor(fmt.Sprintf("bfs r%d n%d", k, half), sub[k].rone, sub[k].rx, sub[k].ry, sub[k].rsub, childMask, true)
-		if lNode != nil {
-			prep = append(prep, lNode)
-		}
-		if rNode != nil {
-			prep = append(prep, rNode)
-		}
-		recs = append(recs, bd.mul(q[k], l, r, depth+1, idx*7+k))
+		l, lNode := bd.factor("bfs l%d n%d", "bfs l%d n%d stage", k, sub[k].lone, sub[k].lx, sub[k].ly, sub[k].lsub, childMask)
+		r, rNode := bd.factor("bfs r%d n%d", "bfs r%d n%d stage", k, sub[k].rone, sub[k].rx, sub[k].ry, sub[k].rsub, childMask)
+		prep = append(prep, nonNil(lNode, rNode)...)
+		recs[k] = bd.mul(q, l, r, depth+1, idx*7+k)
 		// The inverse-BFS communication step: each product computed in a
 		// child subset's buffers is gathered back for recombination.
-		g, gNode := bd.copyLeaf(fmt.Sprintf("bfs gather q%d n%d", k, half), q[k], mask)
-		gathered[k] = g
-		gather = append(gather, gNode)
+		gathered[k], gather[k] = bd.copyLeaf(bd.arena.Label("bfs gather q%d n%d", k, half), q, mask)
 	}
 
 	post := bd.recombine(c, gathered, mask)
@@ -437,7 +434,7 @@ func (bd *builder) bfsNode(c, a, b operand, depth, idx int) *task.Node {
 	// 7 products, their 7 gathered copies, and up to 14 staged/summed
 	// factors live concurrently.
 	alloc := 28 * kernel.Bytes(half, half)
-	return task.Seq(task.Par(prep...), task.Par(recs...), task.Par(gather...), post).WithAlloc(alloc)
+	return bd.arena.Seq(bd.arena.Par(prep...), bd.arena.Par(recs[:]...), bd.arena.Par(gather[:]...), post).WithAlloc(alloc)
 }
 
 // dfsNode: all owners compute the seven subproblems in sequence with
@@ -447,62 +444,66 @@ func (bd *builder) dfsNode(c, a, b operand, depth, idx int) *task.Node {
 	half := a.n / 2
 	sub := buildSubproblems(a, b)
 	mask := bd.ownerMask(depth, idx)
-	q := make([]operand, 7)
+	var q [7]operand
 
-	var steps []*task.Node
+	var steps [8]*task.Node
 	for k := 0; k < 7; k++ {
 		q[k] = bd.temp(half)
-		var pre []*task.Node
-		l, lNode := bd.factor(fmt.Sprintf("dfs l%d n%d", k, half), sub[k].lone, sub[k].lx, sub[k].ly, sub[k].lsub, mask, false)
-		r, rNode := bd.factor(fmt.Sprintf("dfs r%d n%d", k, half), sub[k].rone, sub[k].rx, sub[k].ry, sub[k].rsub, mask, false)
-		if lNode != nil {
-			pre = append(pre, lNode)
+		l, lNode := bd.factor("dfs l%d n%d", "", k, sub[k].lone, sub[k].lx, sub[k].ly, sub[k].lsub, mask)
+		r, rNode := bd.factor("dfs r%d n%d", "", k, sub[k].rone, sub[k].rx, sub[k].ry, sub[k].rsub, mask)
+		mul := bd.mul(q[k], l, r, depth+1, idx*7+k)
+		if pre := nonNil(lNode, rNode); len(pre) > 0 {
+			steps[k] = bd.arena.Seq(bd.arena.Par(pre...), mul)
+		} else {
+			steps[k] = bd.arena.Seq(mul)
 		}
-		if rNode != nil {
-			pre = append(pre, rNode)
-		}
-		step := []*task.Node{}
-		if len(pre) > 0 {
-			step = append(step, task.Par(pre...))
-		}
-		step = append(step, bd.mul(q[k], l, r, depth+1, idx*7+k))
-		steps = append(steps, task.Seq(step...))
 	}
-	steps = append(steps, bd.recombine(c, q, mask))
+	steps[7] = bd.recombine(c, q, mask)
 
 	// Seven products plus two reusable factor temps at a time.
 	alloc := 9 * kernel.Bytes(half, half)
-	return task.Seq(steps...).WithAlloc(alloc)
+	return bd.arena.Seq(steps[:]...).WithAlloc(alloc)
+}
+
+// nonNil compacts nodes in place, dropping the nil entries.
+func nonNil(nodes ...*task.Node) []*task.Node {
+	out := nodes[:0]
+	for _, n := range nodes {
+		if n != nil {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // recombine emits the four C-quadrant recombination adds of Eq. 7.
-func (bd *builder) recombine(c operand, q []operand, mask task.Mask) *task.Node {
+func (bd *builder) recombine(c operand, q [7]operand, mask task.Mask) *task.Node {
 	half := c.n / 2
 	c11, c12, c21, c22 := c.quad(0, 0), c.quad(0, 1), c.quad(1, 0), c.quad(1, 1)
-	mk := func(label string, dst operand, addOps int, srcs []operand, coeffs []float64) *task.Node {
-		run := func() {}
+	mk := func(label string, dst operand, coeffs []float64, srcs ...operand) *task.Node {
+		var run func()
 		if bd.opt.WithMath {
 			mats := make([]*matrix.Dense, len(srcs))
 			for i, s := range srcs {
 				mats[i] = s.mat
 			}
-			dm := dst.mat
-			run = func() { combine(dm, mats, coeffs) }
+			// The copy keeps the coefficient literals below off the heap
+			// in shape-only builds.
+			dm, cs := dst.mat, append([]float64(nil), coeffs...)
+			run = func() { combine(dm, mats, cs) }
 		}
-		return bd.addLeaf(label, dst, addOps, srcs, mask, run)
+		return bd.addLeaf(label, dst, mask, run, srcs...)
 	}
-	return task.Par(
-		mk(fmt.Sprintf("c11 n%d", half), c11, 3, []operand{q[0], q[3], q[4], q[6]}, []float64{1, 1, -1, 1}),
-		mk(fmt.Sprintf("c12 n%d", half), c12, 1, []operand{q[2], q[4]}, []float64{1, 1}),
-		mk(fmt.Sprintf("c21 n%d", half), c21, 1, []operand{q[1], q[3]}, []float64{1, 1}),
-		mk(fmt.Sprintf("c22 n%d", half), c22, 3, []operand{q[0], q[1], q[2], q[5]}, []float64{1, -1, 1, 1}),
+	return bd.arena.Par(
+		mk(bd.arena.Label("c11 n%d", half), c11, []float64{1, 1, -1, 1}, q[0], q[3], q[4], q[6]),
+		mk(bd.arena.Label("c12 n%d", half), c12, []float64{1, 1}, q[2], q[4]),
+		mk(bd.arena.Label("c21 n%d", half), c21, []float64{1, 1}, q[1], q[3]),
+		mk(bd.arena.Label("c22 n%d", half), c22, []float64{1, -1, 1, 1}, q[0], q[1], q[2], q[5]),
 	)
 }
 
+// combine stores Σ coeffs[i]·srcs[i] into dst.
 func combine(dst *matrix.Dense, srcs []*matrix.Dense, coeffs []float64) {
-	if dst == nil {
-		return
-	}
 	rows, cols := dst.Rows(), dst.Cols()
 	for i := 0; i < rows; i++ {
 		dr := dst.Row(i)

@@ -282,3 +282,17 @@ func TestCopyAccountingUsesKernelFormulas(t *testing.T) {
 		t.Fatalf("copy traffic %v want %v", total, want)
 	}
 }
+
+// A shape-only build draws its nodes, region lists and labels from a
+// per-build arena: at most one allocation per four leaves (a node, a
+// label and two region lists per leaf cost ~4.7 before the arena).
+func TestShapeBuildAllocationBudget(t *testing.T) {
+	m := machine()
+	const n = 1024
+	a, b, c := matrix.Shape(n, n), matrix.Shape(n, n), matrix.Shape(n, n)
+	leaves := task.Collect(Build(m, c, a, b, 4, Options{})).Leaves
+	allocs := testing.AllocsPerRun(3, func() { Build(m, c, a, b, 4, Options{}) })
+	if allocs > float64(leaves)/4 {
+		t.Errorf("%.0f allocations for %d leaves, budget %d", allocs, leaves, leaves/4)
+	}
+}

@@ -559,28 +559,6 @@ func (s *Server) startOrAttach(fp string, cfg workload.Config, body []byte) (*sw
 // finish.
 func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Lease) {
 	defer s.wg.Done()
-	defer func() {
-		// The release itself can panic under the fault filesystem's
-		// simulated power loss (in production the process would be dead
-		// here anyway); contain it so the in-memory bookkeeping below
-		// still runs.
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					fmt.Fprintf(os.Stderr, "serve: releasing lease for %s: %v\n", st.fp, p)
-				}
-			}()
-			if err := lease.Release(); err != nil {
-				fmt.Fprintf(os.Stderr, "serve: releasing lease for %s: %v\n", st.fp, err)
-			}
-		}()
-		s.mu.Lock()
-		delete(s.sweeps, st.fp)
-		s.active--
-		s.mu.Unlock()
-		mActive.Add(-1)
-	}()
-
 	cfg.CheckpointPath = s.store.Path(st.fp)
 	cfg.FS = s.cfg.FS
 	cfg.Lease = lease
@@ -607,6 +585,11 @@ func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Leas
 		mx = workload.Execute(cfg)
 		return nil
 	}()
+	// Retire the sweep before publishing its trailer, so a client acting
+	// on the trailer finds it finished: GET replays it instead of
+	// answering 409, and status no longer counts it active.
+	lost := lease.Lost()
+	s.retire(st.fp, lease)
 	switch {
 	case err != nil:
 		mFailed.Inc()
@@ -616,7 +599,7 @@ func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Leas
 		// boundary with everything completed safely journaled.
 		mInterrupted.Inc()
 		reason := "drain deadline"
-		if lease.Lost() {
+		if lost {
 			reason = "journal lease lost to another replica"
 		}
 		st.finishResumable(fmt.Sprintf("sweep interrupted (%s): %d of %d cells not executed; completed cells are stored — resume with ?from=",
@@ -625,6 +608,30 @@ func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Leas
 		mCompleted.Inc()
 		st.finish("")
 	}
+}
+
+// retire releases a finished sweep's lease and drops its in-flight
+// entry.
+func (s *Server) retire(fp string, lease *store.Lease) {
+	// The release itself can panic under the fault filesystem's
+	// simulated power loss (in production the process would be dead
+	// here anyway); contain it so the in-memory bookkeeping below still
+	// runs.
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				fmt.Fprintf(os.Stderr, "serve: releasing lease for %s: %v\n", fp, p)
+			}
+		}()
+		if err := lease.Release(); err != nil {
+			fmt.Fprintf(os.Stderr, "serve: releasing lease for %s: %v\n", fp, err)
+		}
+	}()
+	s.mu.Lock()
+	delete(s.sweeps, fp)
+	s.active--
+	s.mu.Unlock()
+	mActive.Add(-1)
 }
 
 // streamJournal streams record lines straight out of the store journal

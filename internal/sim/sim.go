@@ -282,9 +282,14 @@ type executor struct {
 
 	// Hot-loop scratch, reused across events so the steady-state
 	// scheduling loop performs no allocation: leafFree recycles
-	// runningLeaf records, and stateArena block-allocates nodeStates.
+	// runningLeaf records, stateFree recycles the nodeStates complete
+	// retires, and stateArena block-allocates the rest in blocks that
+	// double from 32 to 512 states. Per-run state is therefore bounded by
+	// the live frontier of the tree, not its size.
 	leafFree   []*runningLeaf
+	stateFree  []*nodeState
 	stateArena []nodeState
+	stateBlock int
 
 	liveAlloc float64
 	segCount  int
@@ -299,15 +304,22 @@ var (
 	simSegments = obs.GetCounter("sim.segments.produced")
 )
 
-// newState carves a nodeState out of the arena, amortizing one
-// allocation over a block of nodes.
+// newState reuses a retired nodeState or carves one out of the arena,
+// amortizing one allocation over a block of nodes.
 func (e *executor) newState(n *task.Node, parent *nodeState, mask task.Mask) *nodeState {
-	if len(e.stateArena) == 0 {
-		e.stateArena = make([]nodeState, 512)
+	var s *nodeState
+	if k := len(e.stateFree); k > 0 {
+		s = e.stateFree[k-1]
+		e.stateFree = e.stateFree[:k-1]
+	} else {
+		if len(e.stateArena) == 0 {
+			e.stateBlock = min(max(2*e.stateBlock, 32), 512)
+			e.stateArena = make([]nodeState, e.stateBlock)
+		}
+		s = &e.stateArena[0]
+		e.stateArena = e.stateArena[1:]
 	}
-	s := &e.stateArena[0]
-	e.stateArena = e.stateArena[1:]
-	s.n, s.parent, s.mask = n, parent, mask
+	*s = nodeState{n: n, parent: parent, mask: mask}
 	return s
 }
 
@@ -472,10 +484,18 @@ func (e *executor) startChild(parent *nodeState, idx int) {
 	e.startNode(cs)
 }
 
-// complete propagates a finished node up the tree.
+// complete propagates a finished node up the tree and retires its
+// state. Invariant: nothing references s once complete is called — the
+// leaf has left the ready queue, its pinned FIFO slot and the running
+// heap, and every child of an interior node has completed — so s goes
+// straight back to the free list.
 func (e *executor) complete(s *nodeState) {
 	e.liveAlloc -= s.n.AllocBytes()
 	p := s.parent
+	// Clearing the retired state drops its tree references and makes a
+	// use after retirement fail fast on the nil node.
+	*s = nodeState{}
+	e.stateFree = append(e.stateFree, s)
 	if p == nil {
 		return
 	}
@@ -516,6 +536,7 @@ func (e *executor) dispatch() {
 	for w := e.dispatchable.firstFrom(0); w >= 0; w = e.dispatchable.firstFrom(w + 1) {
 		ws := &e.workers[w]
 		s := ws.pinned[ws.pinnedHead]
+		ws.pinned[ws.pinnedHead] = nil
 		ws.pinnedHead++
 		if ws.pinnedHead > 64 && ws.pinnedHead > len(ws.pinned)/2 {
 			n := copy(ws.pinned, ws.pinned[ws.pinnedHead:])

@@ -480,3 +480,24 @@ func randomSimTree(rng *rand.Rand, depth int) *task.Node {
 	}
 	return task.Par(children...)
 }
+
+// complete recycles each node's state, so per-run state is bounded by
+// the live frontier: a Seq chain 50× longer must not cost one more
+// state block per 512 nodes, and allocations stay flat.
+func TestRunStateBoundedByFrontier(t *testing.T) {
+	m := machine()
+	chain := func(n int) *task.Node {
+		leaves := make([]*task.Node, n)
+		for i := range leaves {
+			leaves[i] = computeLeaf(1e3)
+		}
+		return task.Seq(leaves...)
+	}
+	short, long := chain(1000), chain(50000)
+	cfg := Config{Workers: 2}
+	base := testing.AllocsPerRun(3, func() { Run(m, short, cfg) })
+	got := testing.AllocsPerRun(3, func() { Run(m, long, cfg) })
+	if got > base+4 {
+		t.Fatalf("50000-leaf chain allocates %.0f times per run, 1000-leaf chain %.0f: node state grows with the tree", got, base)
+	}
+}

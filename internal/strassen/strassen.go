@@ -73,7 +73,9 @@ type builder struct {
 	m       *hw.Machine
 	opt     Options
 	workers int
-	regions task.Regions
+	// arena allocates the tree's nodes, region lists, labels and
+	// region IDs for this one build.
+	arena task.Arena
 	// pool, when non-nil, supplies the recursion temporaries; temps
 	// records every matrix drawn so BuildPooled's release function can
 	// recycle them.
@@ -123,9 +125,9 @@ func build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options, pool 
 	if padded := PaddedSize(n, opt.cutover()); padded != n {
 		root = bd.paddedMul(c, a, b, n, padded)
 	} else {
-		ca := operand{region: bd.regions.New(), n: n}
-		cb := operand{region: bd.regions.New(), n: n}
-		cc := operand{region: bd.regions.New(), n: n}
+		ca := operand{region: bd.arena.New(), n: n}
+		cb := operand{region: bd.arena.New(), n: n}
+		cc := operand{region: bd.arena.New(), n: n}
 		if opt.WithMath {
 			ca.mat, cb.mat, cc.mat = a, b, c
 		}
@@ -183,38 +185,38 @@ func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) *task.Node {
 		// reads it, so a pooled, non-zeroed buffer is safe.
 		pc = bd.scratch(padded, padded)
 	}
-	ca := operand{mat: pa, region: bd.regions.New(), n: padded}
-	cb := operand{mat: pb, region: bd.regions.New(), n: padded}
-	cc := operand{mat: pc, region: bd.regions.New(), n: padded}
+	ca := operand{mat: pa, region: bd.arena.New(), n: padded}
+	cb := operand{mat: pb, region: bd.arena.New(), n: padded}
+	cc := operand{mat: pc, region: bd.arena.New(), n: padded}
 
-	copyLeaf := func(label string, reads, writes task.RegionID, run func()) *task.Node {
-		w := task.Work{
-			Label:       label,
-			Kind:        task.KindCopy,
-			DRAMBytes:   2 * kernel.Bytes(n, n),
-			Reads:       []task.RegionID{reads},
-			Writes:      []task.RegionID{writes},
-			RegionBytes: kernel.Bytes(n, n),
-		}
-		if bd.opt.WithMath {
-			w.Run = run
-		}
-		return task.Leaf(w)
-	}
-	srcA := bd.regions.New()
-	srcB := bd.regions.New()
-	dstC := bd.regions.New()
+	srcA := bd.arena.New()
+	srcB := bd.arena.New()
+	dstC := bd.arena.New()
 	// Padding happened at build time when math is on, so the pad-in
-	// closures are no-ops; the leaves carry the traffic accounting.
-	padIn := task.Par(
-		copyLeaf(fmt.Sprintf("pad A %d->%d", n, padded), srcA, ca.region, func() {}),
-		copyLeaf(fmt.Sprintf("pad B %d->%d", n, padded), srcB, cb.region, func() {}),
+	// leaves only carry the traffic accounting.
+	padIn := bd.arena.Par(
+		bd.copyLeaf(bd.arena.Label("pad A %d->%d", n, padded), n, srcA, ca.region),
+		bd.copyLeaf(bd.arena.Label("pad B %d->%d", n, padded), n, srcB, cb.region),
 	)
-	padOut := copyLeaf(fmt.Sprintf("unpad C %d->%d", padded, n), cc.region, dstC, func() {
-		matrix.CopyTo(c, pc.View(0, 0, n, n))
-	})
+	padOut := bd.copyLeaf(bd.arena.Label("unpad C %d->%d", padded, n), n, cc.region, dstC)
+	if bd.opt.WithMath {
+		padOut.Work().Run = func() { matrix.CopyTo(c, pc.View(0, 0, n, n)) }
+	}
 	alloc := 3 * kernel.Bytes(padded, padded)
-	return task.Seq(padIn, bd.mul(cc, ca, cb, 0), padOut).WithAlloc(alloc)
+	return bd.arena.Seq(padIn, bd.mul(cc, ca, cb, 0), padOut).WithAlloc(alloc)
+}
+
+// copyLeaf is one n×n pad or unpad copy from region src to dst.
+func (bd *builder) copyLeaf(label string, n int, src, dst task.RegionID) *task.Node {
+	reads, writes := bd.arena.ReadsWrites([]task.RegionID{src}, dst)
+	return bd.arena.Leaf(task.Work{
+		Label:       label,
+		Kind:        task.KindCopy,
+		DRAMBytes:   2 * kernel.Bytes(n, n),
+		Reads:       reads,
+		Writes:      writes,
+		RegionBytes: kernel.Bytes(n, n),
+	})
 }
 
 // mul builds the subtree computing c = a·b for n×n operands.
@@ -234,7 +236,7 @@ func (bd *builder) mul(c, a, b operand, depth int) *task.Node {
 // zeroed: every temporary is fully written (operand sums by
 // AddTo/SubTo, products by kernel.Mul) before it is read.
 func (bd *builder) temp(n int) operand {
-	t := operand{region: bd.regions.New(), n: n}
+	t := operand{region: bd.arena.New(), n: n}
 	if bd.opt.WithMath {
 		t.mat = bd.scratch(n, n)
 	}
@@ -252,21 +254,25 @@ func (bd *builder) scratch(r, c int) *matrix.Dense {
 	return m
 }
 
-// addLeaf builds dst = f(srcs) where f is an element-wise combination
-// executed by run. addOps is the number of +/− per element.
-func (bd *builder) addLeaf(label string, dst operand, addOps int, srcs []operand, run func()) *task.Node {
+// addLeaf builds the accounting leaf for dst = an element-wise
+// combination of srcs: len(srcs)−1 additions per element. It attaches
+// no arithmetic; sumLeaf and combineLeaf do when the build has math.
+func (bd *builder) addLeaf(label string, dst operand, srcs ...operand) *task.Node {
 	n := dst.n
 	bytes := kernel.Bytes(n, n)
 	traffic := float64(len(srcs)+1) * bytes
+	var ids [4]task.RegionID
+	for i, s := range srcs {
+		ids[i] = s.region
+	}
+	reads, writes := bd.arena.ReadsWrites(ids[:len(srcs)], dst.region)
 	w := task.Work{
 		Label:       label,
 		Kind:        task.KindAdd,
-		Flops:       float64(addOps) * float64(n) * float64(n),
-		Writes:      []task.RegionID{dst.region},
+		Flops:       float64(len(srcs)-1) * float64(n) * float64(n),
+		Reads:       reads,
+		Writes:      writes,
 		RegionBytes: bytes,
-	}
-	for _, s := range srcs {
-		w.Reads = append(w.Reads, s.region)
 	}
 	// Large operands stream through DRAM; small ones live in the
 	// workers' share of the LLC.
@@ -275,24 +281,50 @@ func (bd *builder) addLeaf(label string, dst operand, addOps int, srcs []operand
 	} else {
 		w.L3Bytes = traffic
 	}
+	return bd.arena.Leaf(w)
+}
+
+// sumLeaf builds dst = x + y, or x − y when sub is set.
+func (bd *builder) sumLeaf(label string, dst, x, y operand, sub bool) *task.Node {
+	leaf := bd.addLeaf(label, dst, x, y)
 	if bd.opt.WithMath {
-		w.Run = run
-	} else {
-		w.Run = nil
+		dm, xm, ym := dst.mat, x.mat, y.mat
+		if sub {
+			leaf.Work().Run = func() { matrix.SubTo(dm, xm, ym) }
+		} else {
+			leaf.Work().Run = func() { matrix.AddTo(dm, xm, ym) }
+		}
 	}
-	return task.Leaf(w)
+	return leaf
+}
+
+// combineLeaf builds dst = Σ coeffs[i]·srcs[i].
+func (bd *builder) combineLeaf(label string, dst operand, coeffs []float64, srcs ...operand) *task.Node {
+	leaf := bd.addLeaf(label, dst, srcs...)
+	if bd.opt.WithMath {
+		mats := make([]*matrix.Dense, len(srcs))
+		for i, s := range srcs {
+			mats[i] = s.mat
+		}
+		// The copy keeps the callers' coefficient literals off the heap
+		// in shape-only builds.
+		dm, cs := dst.mat, append([]float64(nil), coeffs...)
+		leaf.Work().Run = func() { combine(dm, mats, cs) }
+	}
+	return leaf
 }
 
 // baseMul is the dense solver leaf below the cutover.
 func (bd *builder) baseMul(c, a, b operand) *task.Node {
 	n := a.n
 	traffic := kernel.MulTraffic(n, n, n)
+	reads, writes := bd.arena.ReadsWrites([]task.RegionID{a.region, b.region}, c.region)
 	w := task.Work{
-		Label:       fmt.Sprintf("basemul n%d", n),
+		Label:       bd.arena.Label("basemul n%d", n),
 		Kind:        task.KindBaseMul,
 		Flops:       kernel.MulFlops(n, n, n),
-		Reads:       []task.RegionID{a.region, b.region},
-		Writes:      []task.RegionID{c.region},
+		Reads:       reads,
+		Writes:      writes,
 		RegionBytes: kernel.Bytes(n, n),
 	}
 	if bd.m.LevelFor(traffic, bd.workers) == hw.LevelDRAM {
@@ -304,16 +336,23 @@ func (bd *builder) baseMul(c, a, b operand) *task.Node {
 		cm, am, bm := c.mat, a.mat, b.mat
 		w.Run = func() { kernel.Mul(cm, am, bm) }
 	}
-	return task.Leaf(w)
+	return bd.arena.Leaf(w)
 }
 
 // group wraps subproblem subtrees in Par (task-spawning, BOTS style) or
 // Seq when the task-creation depth limit has been passed.
 func (bd *builder) group(depth int, children ...*task.Node) *task.Node {
 	if bd.opt.TaskDepth > 0 && depth >= bd.opt.TaskDepth {
-		return task.Seq(children...)
+		return bd.arena.Seq(children...)
 	}
-	return task.Par(children...)
+	return bd.arena.Par(children...)
+}
+
+// sumSpec is one operand sum or difference of a recursion level.
+type sumSpec struct {
+	dst  operand
+	x, y operand
+	sub  bool
 }
 
 // classicNode builds one level of the paper's Eq. 7 recursion:
@@ -324,8 +363,8 @@ func (bd *builder) classicNode(c, a, b operand, depth int) *task.Node {
 	b11, b12, b21, b22 := b.quad(0, 0), b.quad(0, 1), b.quad(1, 0), b.quad(1, 1)
 	c11, c12, c21, c22 := c.quad(0, 0), c.quad(0, 1), c.quad(1, 0), c.quad(1, 1)
 
-	t := make([]operand, 10)
-	q := make([]operand, 7)
+	var t [10]operand
+	var q [7]operand
 	for i := range t {
 		t[i] = bd.temp(half)
 	}
@@ -333,12 +372,7 @@ func (bd *builder) classicNode(c, a, b operand, depth int) *task.Node {
 		q[i] = bd.temp(half)
 	}
 
-	type addSpec struct {
-		dst  operand
-		x, y operand
-		sub  bool
-	}
-	pre := []addSpec{
+	pre := [10]sumSpec{
 		{t[0], a11, a22, false}, // T1 = A11 + A22
 		{t[1], b11, b22, false}, // T2 = B11 + B22
 		{t[2], a21, a22, false}, // T3 = A21 + A22
@@ -350,21 +384,12 @@ func (bd *builder) classicNode(c, a, b operand, depth int) *task.Node {
 		{t[8], a12, a22, true},  // T9 = A12 − A22
 		{t[9], b21, b22, false}, // T10 = B21 + B22
 	}
-	preLeaves := make([]*task.Node, len(pre))
+	var preLeaves [10]*task.Node
 	for i, s := range pre {
-		s := s
-		run := func() {}
-		if bd.opt.WithMath {
-			if s.sub {
-				run = func() { matrix.SubTo(s.dst.mat, s.x.mat, s.y.mat) }
-			} else {
-				run = func() { matrix.AddTo(s.dst.mat, s.x.mat, s.y.mat) }
-			}
-		}
-		preLeaves[i] = bd.addLeaf(fmt.Sprintf("pre%d n%d", i, half), s.dst, 1, []operand{s.x, s.y}, run)
+		preLeaves[i] = bd.sumLeaf(bd.arena.Label("pre%d n%d", i, half), s.dst, s.x, s.y, s.sub)
 	}
 
-	muls := []*task.Node{
+	muls := [7]*task.Node{
 		bd.mul(q[0], t[0], t[1], depth+1), // Q1 = (A11+A22)(B11+B22)
 		bd.mul(q[1], t[2], b11, depth+1),  // Q2 = (A21+A22)·B11
 		bd.mul(q[2], a11, t[3], depth+1),  // Q3 = A11·(B12−B22)
@@ -374,34 +399,22 @@ func (bd *builder) classicNode(c, a, b operand, depth int) *task.Node {
 		bd.mul(q[6], t[8], t[9], depth+1), // Q7 = (A12−A22)(B21+B22)
 	}
 
-	post := []*task.Node{
+	post := [4]*task.Node{
 		// C11 = Q1 + Q4 − Q5 + Q7
-		bd.addLeaf(fmt.Sprintf("c11 n%d", half), c11, 3,
-			[]operand{q[0], q[3], q[4], q[6]}, func() {
-				combine(c11.mat, []*matrix.Dense{q[0].mat, q[3].mat, q[4].mat, q[6].mat}, []float64{1, 1, -1, 1})
-			}),
+		bd.combineLeaf(bd.arena.Label("c11 n%d", half), c11, []float64{1, 1, -1, 1}, q[0], q[3], q[4], q[6]),
 		// C12 = Q3 + Q5
-		bd.addLeaf(fmt.Sprintf("c12 n%d", half), c12, 1,
-			[]operand{q[2], q[4]}, func() {
-				combine(c12.mat, []*matrix.Dense{q[2].mat, q[4].mat}, []float64{1, 1})
-			}),
+		bd.combineLeaf(bd.arena.Label("c12 n%d", half), c12, []float64{1, 1}, q[2], q[4]),
 		// C21 = Q2 + Q4
-		bd.addLeaf(fmt.Sprintf("c21 n%d", half), c21, 1,
-			[]operand{q[1], q[3]}, func() {
-				combine(c21.mat, []*matrix.Dense{q[1].mat, q[3].mat}, []float64{1, 1})
-			}),
+		bd.combineLeaf(bd.arena.Label("c21 n%d", half), c21, []float64{1, 1}, q[1], q[3]),
 		// C22 = Q1 − Q2 + Q3 + Q6
-		bd.addLeaf(fmt.Sprintf("c22 n%d", half), c22, 3,
-			[]operand{q[0], q[1], q[2], q[5]}, func() {
-				combine(c22.mat, []*matrix.Dense{q[0].mat, q[1].mat, q[2].mat, q[5].mat}, []float64{1, -1, 1, 1})
-			}),
+		bd.combineLeaf(bd.arena.Label("c22 n%d", half), c22, []float64{1, -1, 1, 1}, q[0], q[1], q[2], q[5]),
 	}
 
 	alloc := 17 * kernel.Bytes(half, half) // T1..T10 + Q1..Q7
-	return task.Seq(
-		bd.group(depth, preLeaves...),
-		bd.group(depth, muls...),
-		bd.group(depth, post...),
+	return bd.arena.Seq(
+		bd.group(depth, preLeaves[:]...),
+		bd.group(depth, muls[:]...),
+		bd.group(depth, post[:]...),
 	).WithAlloc(alloc)
 }
 
@@ -413,8 +426,8 @@ func (bd *builder) winogradNode(c, a, b operand, depth int) *task.Node {
 	b11, b12, b21, b22 := b.quad(0, 0), b.quad(0, 1), b.quad(1, 0), b.quad(1, 1)
 	c11, c12, c21, c22 := c.quad(0, 0), c.quad(0, 1), c.quad(1, 0), c.quad(1, 1)
 
-	s := make([]operand, 8)
-	p := make([]operand, 7)
+	var s [8]operand
+	var p [7]operand
 	for i := range s {
 		s[i] = bd.temp(half)
 	}
@@ -422,12 +435,7 @@ func (bd *builder) winogradNode(c, a, b operand, depth int) *task.Node {
 		p[i] = bd.temp(half)
 	}
 
-	type addSpec struct {
-		dst  operand
-		x, y operand
-		sub  bool
-	}
-	pre := []addSpec{
+	pre := [8]sumSpec{
 		{s[0], a21, a22, false}, // S1 = A21 + A22
 		{s[1], s[0], a11, true}, // S2 = S1 − A11   (depends on S1)
 		{s[2], a11, a21, true},  // S3 = A11 − A21
@@ -439,26 +447,18 @@ func (bd *builder) winogradNode(c, a, b operand, depth int) *task.Node {
 	}
 	leaf := func(i int) *task.Node {
 		sp := pre[i]
-		run := func() {}
-		if bd.opt.WithMath {
-			if sp.sub {
-				run = func() { matrix.SubTo(sp.dst.mat, sp.x.mat, sp.y.mat) }
-			} else {
-				run = func() { matrix.AddTo(sp.dst.mat, sp.x.mat, sp.y.mat) }
-			}
-		}
-		return bd.addLeaf(fmt.Sprintf("wpre%d n%d", i, half), sp.dst, 1, []operand{sp.x, sp.y}, run)
+		return bd.sumLeaf(bd.arena.Label("wpre%d n%d", i, half), sp.dst, sp.x, sp.y, sp.sub)
 	}
 	// Chains respect the S-dependencies; independent chains run in
 	// parallel.
 	preTree := bd.group(depth,
-		task.Seq(leaf(0), leaf(1), leaf(3)), // S1 → S2 → S4
-		leaf(2),                             // S3
-		task.Seq(leaf(4), leaf(5), leaf(7)), // S5 → S6 → S8
-		leaf(6),                             // S7
+		bd.arena.Seq(leaf(0), leaf(1), leaf(3)), // S1 → S2 → S4
+		leaf(2),                                 // S3
+		bd.arena.Seq(leaf(4), leaf(5), leaf(7)), // S5 → S6 → S8
+		leaf(6),                                 // S7
 	)
 
-	muls := []*task.Node{
+	muls := [7]*task.Node{
 		bd.mul(p[0], s[1], s[5], depth+1), // M1 = S2·S6
 		bd.mul(p[1], a11, b11, depth+1),   // M2 = A11·B11
 		bd.mul(p[2], a12, b21, depth+1),   // M3 = A12·B21
@@ -472,43 +472,27 @@ func (bd *builder) winogradNode(c, a, b operand, depth int) *task.Node {
 	// C11 = M2+M3, C12 = V1+M5+M6, C21 = V2−M7, C22 = V2+M5.
 	v1 := bd.temp(half)
 	v2 := bd.temp(half)
-	postTree := task.Seq(
+	postTree := bd.arena.Seq(
 		bd.group(depth,
-			bd.addLeaf(fmt.Sprintf("wv1 n%d", half), v1, 1, []operand{p[0], p[1]}, func() {
-				combine(v1.mat, []*matrix.Dense{p[0].mat, p[1].mat}, []float64{1, 1})
-			}),
-			bd.addLeaf(fmt.Sprintf("wc11 n%d", half), c11, 1, []operand{p[1], p[2]}, func() {
-				combine(c11.mat, []*matrix.Dense{p[1].mat, p[2].mat}, []float64{1, 1})
-			}),
+			bd.combineLeaf(bd.arena.Label("wv1 n%d", half), v1, []float64{1, 1}, p[0], p[1]),
+			bd.combineLeaf(bd.arena.Label("wc11 n%d", half), c11, []float64{1, 1}, p[1], p[2]),
 		),
 		bd.group(depth,
-			bd.addLeaf(fmt.Sprintf("wv2 n%d", half), v2, 1, []operand{v1, p[3]}, func() {
-				combine(v2.mat, []*matrix.Dense{v1.mat, p[3].mat}, []float64{1, 1})
-			}),
-			bd.addLeaf(fmt.Sprintf("wc12 n%d", half), c12, 2, []operand{v1, p[4], p[5]}, func() {
-				combine(c12.mat, []*matrix.Dense{v1.mat, p[4].mat, p[5].mat}, []float64{1, 1, 1})
-			}),
+			bd.combineLeaf(bd.arena.Label("wv2 n%d", half), v2, []float64{1, 1}, v1, p[3]),
+			bd.combineLeaf(bd.arena.Label("wc12 n%d", half), c12, []float64{1, 1, 1}, v1, p[4], p[5]),
 		),
 		bd.group(depth,
-			bd.addLeaf(fmt.Sprintf("wc21 n%d", half), c21, 1, []operand{v2, p[6]}, func() {
-				combine(c21.mat, []*matrix.Dense{v2.mat, p[6].mat}, []float64{1, -1})
-			}),
-			bd.addLeaf(fmt.Sprintf("wc22 n%d", half), c22, 1, []operand{v2, p[4]}, func() {
-				combine(c22.mat, []*matrix.Dense{v2.mat, p[4].mat}, []float64{1, 1})
-			}),
+			bd.combineLeaf(bd.arena.Label("wc21 n%d", half), c21, []float64{1, -1}, v2, p[6]),
+			bd.combineLeaf(bd.arena.Label("wc22 n%d", half), c22, []float64{1, 1}, v2, p[4]),
 		),
 	)
 
 	alloc := 17 * kernel.Bytes(half, half) // S1..S8, M1..M7, V1, V2
-	return task.Seq(preTree, bd.group(depth, muls...), postTree).WithAlloc(alloc)
+	return bd.arena.Seq(preTree, bd.group(depth, muls[:]...), postTree).WithAlloc(alloc)
 }
 
-// combine stores Σ coeff[i]·src[i] into dst. It tolerates nil matrices
-// (accounting-only trees never call it).
+// combine stores Σ coeff[i]·src[i] into dst.
 func combine(dst *matrix.Dense, srcs []*matrix.Dense, coeffs []float64) {
-	if dst == nil {
-		return
-	}
 	rows, cols := dst.Rows(), dst.Cols()
 	for i := 0; i < rows; i++ {
 		dr := dst.Row(i)

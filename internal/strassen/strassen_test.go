@@ -288,3 +288,19 @@ func TestPropertyFlopClosedFormsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A shape-only build draws its nodes, region lists and labels from a
+// per-build arena: at most one allocation per four leaves (a node, a
+// label and two region lists per leaf cost ~4.7 before the arena).
+func TestShapeBuildAllocationBudget(t *testing.T) {
+	m := machine()
+	const n = 1024
+	a, b, c := matrix.Shape(n, n), matrix.Shape(n, n), matrix.Shape(n, n)
+	for _, opt := range []Options{{}, {Winograd: true}} {
+		leaves := task.Collect(Build(m, c, a, b, 4, opt)).Leaves
+		allocs := testing.AllocsPerRun(3, func() { Build(m, c, a, b, 4, opt) })
+		if allocs > float64(leaves)/4 {
+			t.Errorf("winograd=%t: %.0f allocations for %d leaves, budget %d", opt.Winograd, allocs, leaves, leaves/4)
+		}
+	}
+}

@@ -55,7 +55,8 @@ type RegionID uint32
 // *execution* is multi-threaded (internal/sched runs leaves on
 // persistent workers) it is tempting to build trees from inside leaf
 // closures; don't. New detects overlapping calls and panics rather
-// than silently issuing duplicate IDs.
+// than silently issuing duplicate IDs. Arena embeds Regions and puts
+// every one of its allocations behind the same detector.
 type Regions struct {
 	next RegionID
 	busy int32 // overlap detector; see New
@@ -66,14 +67,24 @@ type Regions struct {
 // is deliberately unsynchronized (builds are single-threaded by
 // contract), so an overlap would corrupt the ID sequence.
 func (r *Regions) New() RegionID {
-	if atomic.AddInt32(&r.busy, 1) != 1 {
-		panic("task: concurrent Regions.New — task trees must be built single-threaded")
-	}
+	r.enter("Regions.New")
 	r.next++
 	id := r.next
-	atomic.AddInt32(&r.busy, -1)
+	r.exit()
 	return id
 }
+
+// enter and exit bracket every mutation of a build's allocator state
+// (Regions and the Arena built on it). enter panics when another call
+// is already inside: the state is deliberately unsynchronized, so an
+// overlap would hand out duplicate IDs or the same arena slot twice.
+func (r *Regions) enter(op string) {
+	if atomic.AddInt32(&r.busy, 1) != 1 {
+		panic("task: concurrent " + op + " — task trees must be built single-threaded")
+	}
+}
+
+func (r *Regions) exit() { atomic.AddInt32(&r.busy, -1) }
 
 // Count returns how many regions have been issued.
 func (r *Regions) Count() int { return int(r.next) }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the experiment-driver benchmarks (BenchmarkExecuteMatrix's
 # sequential/parallel/memoized variants, BenchmarkBuildTree's
-# dense/shape variants, plus BenchmarkExecuteDistributed's cluster
+# dense/shape/caps variants, plus BenchmarkExecuteDistributed's cluster
 # sweep) and records ns/op, B/op and allocs/op in BENCH_driver.json so
 # the perf trajectory is comparable across PRs.
 set -euo pipefail

@@ -35,6 +35,10 @@ go run ./scripts/errcheck
 go build ./...
 go test ./...
 go test -race ./internal/sched/... ./internal/kernel/... ./internal/obs/...
+# The tree builders: a build is single-threaded by contract, but its
+# trees are executed and simulated concurrently, and the per-build
+# arena's overlap detector must itself stay race-free.
+go test -race ./internal/task/... ./internal/strassen/... ./internal/caps/...
 go test -race ./internal/rapl/... ./internal/papi/... ./internal/trace/... ./internal/monitor/... ./internal/faults/...
 # The distributed stack: the simulated MPI layer, the rank programs
 # and the comms/cluster model feed the same concurrent driver, so they
