@@ -8,11 +8,9 @@ check:
 test:
 	go test ./...
 
+# The race-detector pass check.sh runs (scripts/race.sh).
 race:
-	go test -race ./internal/sched/... ./internal/kernel/... ./internal/obs/...
-	go test -race ./internal/rapl/... ./internal/papi/... ./internal/trace/... ./internal/monitor/... ./internal/faults/...
-	go test -race ./internal/mpi/... ./internal/dmm/... ./internal/cluster/...
-	go test -race ./internal/serve/...
+	./scripts/race.sh
 
 # Run a small sweep through the powertrace CLI with -trace-out and
 # validate the emitted Perfetto trace structurally.
@@ -54,14 +52,16 @@ crash-smoke:
 errcheck:
 	go run ./scripts/errcheck
 
+# -run '^$' keeps the package's tests (here the Table II–IV repro
+# gates) out of benchmark runs.
 bench:
-	go test -bench=. -benchmem
+	go test -run '^$$' -bench=. -benchmem
 
 # The perf-trajectory benchmarks this repo tracks across PRs.
 bench-kernels:
-	go test ./internal/kernel/ -bench 'BenchmarkGemm' -benchmem
-	go test ./internal/sched/ -bench 'BenchmarkSchedDispatch' -benchmem
-	go test . -bench 'BenchmarkSimulatorThroughput'
+	go test ./internal/kernel/ -run '^$$' -bench 'BenchmarkGemm' -benchmem
+	go test ./internal/sched/ -run '^$$' -bench 'BenchmarkSchedDispatch' -benchmem
+	go test ./internal/sim/ -run '^$$' -bench 'BenchmarkSimulatorThroughput' -benchmem
 
 # Experiment-driver trajectory: sequential vs parallel vs memoized
 # sweeps and dense, shape-only and CAPS tree builds, recorded to
@@ -70,8 +70,9 @@ bench-driver:
 	./scripts/bench_driver.sh
 
 # Simulator-core trajectory: the event-driven scheduler's worker-count
-# sweep (4 → 262144), recorded to BENCH_sim.json. ns/leaf should stay
-# near-flat across the sweep.
+# sweep (4 → 262144) and its throughput on the paper's largest trees
+# (Strassen and CAPS at n=4096), recorded to BENCH_sim.json. ns/leaf
+# should stay near-flat across the worker sweep.
 bench-sim:
 	./scripts/bench_sim.sh
 

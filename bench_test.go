@@ -371,16 +371,3 @@ func BenchmarkAblationWinograd(b *testing.B) {
 		_ = run(2048, true)
 	}
 }
-
-// BenchmarkSimulatorThroughput measures the virtual-time executor
-// itself: leaves scheduled per second on the biggest tree of the
-// matrix (Strassen at 4096).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	m := hw.HaswellE31225()
-	root := workload.BuildTree(m, workload.AlgStrassen, 4096, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := sim.Run(m, root, sim.Config{Workers: 4})
-		b.ReportMetric(float64(res.Leaves), "leaves/op")
-	}
-}

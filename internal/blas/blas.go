@@ -86,7 +86,7 @@ func Build(m *hw.Machine, c, a, b *matrix.Dense, opt Options) *task.Node {
 		plan = PlanFor(m, M, K, N)
 	}
 
-	var regions task.Regions
+	var ar task.Arena
 	if opt.WithMath {
 		c.Zero()
 	}
@@ -97,30 +97,30 @@ func Build(m *hw.Machine, c, a, b *matrix.Dense, opt Options) *task.Node {
 	nJC := ceilDiv(N, plan.NC)
 	cRegion := make([]task.RegionID, nIC*nJC)
 	for i := range cRegion {
-		cRegion[i] = regions.New()
+		cRegion[i] = ar.New()
 	}
 
-	var stages []*task.Node
+	var stages []task.Ref
 	for jc := 0; jc < N; jc += plan.NC {
 		ncCur := min(plan.NC, N-jc)
 		for kc := 0; kc < K; kc += plan.KC {
 			kcCur := min(plan.KC, K-kc)
 			stages = append(stages,
-				packStage(m, b, jc, kc, ncCur, kcCur, opt),
-				computeStage(m, c, a, b, plan, jc, kc, ncCur, kcCur, cRegion, nJC, opt))
+				packStage(&ar, b, jc, kc, ncCur, kcCur, opt),
+				computeStage(&ar, c, a, b, plan, jc, kc, ncCur, kcCur, cRegion, nJC, opt))
 		}
 	}
-	return task.Seq(stages...)
+	return ar.Node(ar.Seq(stages...))
 }
 
 // packStage models packing the KC×NC panel of B into the shared cache,
 // split across workers by row chunks as OpenBLAS does.
-func packStage(m *hw.Machine, b *matrix.Dense, jc, kc, nc, kcCur int, opt Options) *task.Node {
+func packStage(ar *task.Arena, b *matrix.Dense, jc, kc, nc, kcCur int, opt Options) task.Ref {
 	chunks := opt.Workers
 	if chunks > kcCur {
 		chunks = kcCur
 	}
-	leaves := make([]*task.Node, 0, chunks)
+	leaves := make([]task.Ref, 0, chunks)
 	for t := 0; t < chunks; t++ {
 		lo := kcCur * t / chunks
 		hi := kcCur * (t + 1) / chunks
@@ -128,7 +128,7 @@ func packStage(m *hw.Machine, b *matrix.Dense, jc, kc, nc, kcCur int, opt Option
 		if rows == 0 {
 			continue
 		}
-		leaves = append(leaves, task.Leaf(task.Work{
+		leaves = append(leaves, ar.Leaf(task.Work{
 			Label: fmt.Sprintf("packB k%d j%d t%d", kc, jc, t),
 			Kind:  task.KindCopy,
 			// Read the panel rows from DRAM, deposit them in L3.
@@ -136,11 +136,11 @@ func packStage(m *hw.Machine, b *matrix.Dense, jc, kc, nc, kcCur int, opt Option
 			L3Bytes:   kernel.Bytes(rows, nc),
 		}))
 	}
-	return task.Par(leaves...)
+	return ar.Par(leaves...)
 }
 
 // computeStage is the M-partitioned rank-KC update of the C panel.
-func computeStage(m *hw.Machine, c, a, b *matrix.Dense, plan Plan, jc, kc, nc, kcCur int, cRegion []task.RegionID, nJC int, opt Options) *task.Node {
+func computeStage(ar *task.Arena, c, a, b *matrix.Dense, plan Plan, jc, kc, nc, kcCur int, cRegion []task.RegionID, nJC int, opt Options) task.Ref {
 	M := a.Rows()
 	type icBlock struct {
 		ic, mc int
@@ -152,9 +152,9 @@ func computeStage(m *hw.Machine, c, a, b *matrix.Dense, plan Plan, jc, kc, nc, k
 
 	// Static partition of ic blocks over workers, each worker's chain
 	// pinned to its core — OpenBLAS threads own fixed row bands.
-	chains := make([]*task.Node, 0, opt.Workers)
+	chains := make([]task.Ref, 0, opt.Workers)
 	for t := 0; t < opt.Workers; t++ {
-		var chain []*task.Node
+		var chain []task.Ref
 		for bi := t; bi < len(blocks); bi += opt.Workers {
 			blk := blocks[bi]
 			w := task.Work{
@@ -177,13 +177,13 @@ func computeStage(m *hw.Machine, c, a, b *matrix.Dense, plan Plan, jc, kc, nc, k
 				mc, kcP, ncP := plan.MC, plan.KC, plan.NC
 				w.Run = func() { kernel.GemmPacked(cBlk, aBlk, bBlk, mc, kcP, ncP) }
 			}
-			chain = append(chain, task.Leaf(w))
+			chain = append(chain, ar.Leaf(w))
 		}
 		if len(chain) > 0 {
-			chains = append(chains, task.Seq(chain...).WithAffinityMask(task.SingleWorker(t)))
+			chains = append(chains, ar.WithAffinityMask(ar.Seq(chain...), task.SingleWorker(t)))
 		}
 	}
-	return task.Par(chains...)
+	return ar.Par(chains...)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

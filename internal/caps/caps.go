@@ -85,8 +85,8 @@ type builder struct {
 	m       *hw.Machine
 	opt     Options
 	workers int
-	// arena allocates the tree's nodes, region lists, labels and
-	// region IDs for this one build.
+	// arena holds the tree's records, labels and region IDs for this
+	// one build.
 	arena task.Arena
 	// bfsLevels is the effective number of BFS levels for this problem
 	// (cutoff depth clipped to the actual recursion depth).
@@ -128,7 +128,7 @@ func Build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options) *task
 	}
 
 	if padded != n {
-		return bd.paddedMul(c, a, b, n, padded)
+		return bd.arena.Node(bd.paddedMul(c, a, b, n, padded))
 	}
 	ca := operand{region: bd.arena.New(), n: n}
 	cb := operand{region: bd.arena.New(), n: n}
@@ -136,12 +136,12 @@ func Build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options) *task
 	if opt.WithMath {
 		ca.mat, cb.mat, cc.mat = a, b, c
 	}
-	return bd.mul(cc, ca, cb, 0, 0)
+	return bd.arena.Node(bd.mul(cc, ca, cb, 0, 0))
 }
 
 // paddedMul wraps the recursion in pad-in/pad-out stages for sizes
 // that do not halve evenly to the cutover.
-func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) *task.Node {
+func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) task.Ref {
 	var pa, pb, pc *matrix.Dense
 	if bd.opt.WithMath {
 		pa = matrix.PadTo(a, padded, padded)
@@ -152,7 +152,7 @@ func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) *task.Node {
 	cb := operand{mat: pb, region: bd.arena.New(), n: padded}
 	cc := operand{mat: pc, region: bd.arena.New(), n: padded}
 
-	mkCopy := func(label string, read, write task.RegionID) *task.Node {
+	mkCopy := func(label string, read, write task.RegionID, run func()) task.Ref {
 		reads, writes := bd.arena.ReadsWrites([]task.RegionID{read}, write)
 		return bd.arena.Leaf(task.Work{
 			Label:       label,
@@ -161,21 +161,23 @@ func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) *task.Node {
 			Reads:       reads,
 			Writes:      writes,
 			RegionBytes: kernel.Bytes(n, n),
+			Run:         run,
 		})
 	}
 	srcA, srcB, dstC := bd.arena.New(), bd.arena.New(), bd.arena.New()
 	// Padding happened at build time when math is on, so the pad-in
 	// leaves only carry the traffic accounting.
 	padIn := bd.arena.Par(
-		mkCopy(bd.arena.Label("pad A %d->%d", n, padded), srcA, ca.region),
-		mkCopy(bd.arena.Label("pad B %d->%d", n, padded), srcB, cb.region),
+		mkCopy(bd.arena.Label("pad A %d->%d", n, padded), srcA, ca.region, nil),
+		mkCopy(bd.arena.Label("pad B %d->%d", n, padded), srcB, cb.region, nil),
 	)
-	padOut := mkCopy(bd.arena.Label("unpad C %d->%d", padded, n), cc.region, dstC)
+	var unpad func()
 	if bd.opt.WithMath {
-		padOut.Work().Run = func() { matrix.CopyTo(c, pc.View(0, 0, n, n)) }
+		unpad = func() { matrix.CopyTo(c, pc.View(0, 0, n, n)) }
 	}
+	padOut := mkCopy(bd.arena.Label("unpad C %d->%d", padded, n), cc.region, dstC, unpad)
 	alloc := 3 * kernel.Bytes(padded, padded)
-	return bd.arena.Seq(padIn, bd.mul(cc, ca, cb, 0, 0), padOut).WithAlloc(alloc)
+	return bd.arena.WithAlloc(bd.arena.Seq(padIn, bd.mul(cc, ca, cb, 0, 0), padOut), alloc)
 }
 
 // ownerMask returns the worker mask owning the subtree at (depth, idx):
@@ -213,7 +215,7 @@ func ownersOf(mask task.Mask, workers int) int {
 }
 
 // mul builds the subtree for c = a·b at the given recursion position.
-func (bd *builder) mul(c, a, b operand, depth, idx int) *task.Node {
+func (bd *builder) mul(c, a, b operand, depth, idx int) task.Ref {
 	n := a.n
 	mask := bd.ownerMask(depth, idx)
 	if n <= bd.opt.cutover() || n%2 != 0 {
@@ -237,11 +239,11 @@ func (bd *builder) temp(n int) operand {
 // workers (pure-DFS configurations), the solver's row loop is
 // work-shared across them, as the paper's OpenMP work-sharing DFS does.
 // The row chunks share one region list: leaves never mutate theirs.
-func (bd *builder) baseMul(c, a, b operand, mask task.Mask) *task.Node {
+func (bd *builder) baseMul(c, a, b operand, mask task.Mask) task.Ref {
 	n := a.n
 	owners := min(ownersOf(mask, bd.workers), n)
 	reads, writes := bd.arena.ReadsWrites([]task.RegionID{a.region, b.region}, c.region)
-	mk := func(rowLo, rowHi int) *task.Node {
+	mk := func(rowLo, rowHi int) task.Ref {
 		rows := rowHi - rowLo
 		traffic := kernel.Bytes(rows, n) + kernel.Bytes(n, n) + 2*kernel.Bytes(rows, n)
 		w := task.Work{
@@ -266,9 +268,9 @@ func (bd *builder) baseMul(c, a, b operand, mask task.Mask) *task.Node {
 		return bd.arena.Leaf(w)
 	}
 	if owners <= 1 {
-		return mk(0, n).WithAffinityMask(mask)
+		return bd.arena.WithAffinityMask(mk(0, n), mask)
 	}
-	chunks := make([]*task.Node, 0, owners)
+	chunks := make([]task.Ref, 0, owners)
 	for t := 0; t < owners; t++ {
 		lo := n * t / owners
 		hi := n * (t + 1) / owners
@@ -276,14 +278,14 @@ func (bd *builder) baseMul(c, a, b operand, mask task.Mask) *task.Node {
 			chunks = append(chunks, mk(lo, hi))
 		}
 	}
-	return bd.arena.Par(chunks...).WithAffinityMask(mask)
+	return bd.arena.WithAffinityMask(bd.arena.Par(chunks...), mask)
 }
 
 // addLeaf emits dst = a combination of srcs (len(srcs)−1 additions per
 // element), pinned to mask, work-shared into chunks when the mask spans
 // several workers. It attaches run, built only when the build has math;
 // the chunks share one region list.
-func (bd *builder) addLeaf(label string, dst operand, mask task.Mask, run func(), srcs ...operand) *task.Node {
+func (bd *builder) addLeaf(label string, dst operand, mask task.Mask, run func(), srcs ...operand) task.Ref {
 	n := dst.n
 	owners := ownersOf(mask, bd.workers)
 	bytes := kernel.Bytes(n, n)
@@ -312,12 +314,12 @@ func (bd *builder) addLeaf(label string, dst operand, mask task.Mask, run func()
 	if owners <= 1 {
 		w := mkWork(1)
 		w.Run = run
-		return bd.arena.Leaf(w).WithAffinityMask(mask)
+		return bd.arena.WithAffinityMask(bd.arena.Leaf(w), mask)
 	}
 	// Work-shared: owners chunks; the real math (when on) runs whole in
 	// the first chunk — numerically identical, and the accounting stays
 	// split.
-	chunks := make([]*task.Node, owners)
+	chunks := make([]task.Ref, owners)
 	for t := 0; t < owners; t++ {
 		w := mkWork(1 / float64(owners))
 		if t == 0 {
@@ -325,13 +327,13 @@ func (bd *builder) addLeaf(label string, dst operand, mask task.Mask, run func()
 		}
 		chunks[t] = bd.arena.Leaf(w)
 	}
-	return bd.arena.Par(chunks...).WithAffinityMask(mask)
+	return bd.arena.WithAffinityMask(bd.arena.Par(chunks...), mask)
 }
 
 // copyLeaf stages src into a fresh local buffer owned by mask and
 // returns the staged operand. This is the BFS redistribution cost: one
 // read of src, one write of dst.
-func (bd *builder) copyLeaf(label string, src operand, mask task.Mask) (operand, *task.Node) {
+func (bd *builder) copyLeaf(label string, src operand, mask task.Mask) (operand, task.Ref) {
 	dst := bd.temp(src.n)
 	bytes := kernel.Bytes(src.n, src.n)
 	traffic := 2 * bytes
@@ -352,7 +354,7 @@ func (bd *builder) copyLeaf(label string, src operand, mask task.Mask) (operand,
 		d, s := dst.mat, src.mat
 		w.Run = func() { kernel.Pack(d, s) }
 	}
-	return dst, bd.arena.Leaf(w).WithAffinityMask(mask)
+	return dst, bd.arena.WithAffinityMask(bd.arena.Leaf(w), mask)
 }
 
 // subproblem describes one of the seven Strassen products at a node.
@@ -386,13 +388,13 @@ func buildSubproblems(a, b operand) [7]subproblem {
 // factor materializes factor k of a subproblem for a consumer owned by
 // mask: a sum/difference becomes an add into a local temp, labeled by
 // addFmt; a single quadrant is staged by a copy labeled by stageFmt
-// (BFS) or, with stageFmt empty, used in place (DFS).
-func (bd *builder) factor(addFmt, stageFmt string, k int, lone bool, x, y operand, sub bool, mask task.Mask) (operand, *task.Node) {
+// (BFS) or, with stageFmt empty, used in place (DFS) with no node.
+func (bd *builder) factor(addFmt, stageFmt string, k int, lone bool, x, y operand, sub bool, mask task.Mask) (operand, task.Ref) {
 	if lone {
 		if stageFmt != "" {
 			return bd.copyLeaf(bd.arena.Label(stageFmt, k, x.n), x, mask)
 		}
-		return x, nil
+		return x, none
 	}
 	dst := bd.temp(x.n)
 	var run func()
@@ -409,12 +411,12 @@ func (bd *builder) factor(addFmt, stageFmt string, k int, lone bool, x, y operan
 
 // bfsNode: the seven subproblems run concurrently on their owner
 // subsets; operand sums and staged copies are pinned to the consumer.
-func (bd *builder) bfsNode(c, a, b operand, depth, idx int) *task.Node {
+func (bd *builder) bfsNode(c, a, b operand, depth, idx int) task.Ref {
 	half := a.n / 2
 	sub := buildSubproblems(a, b)
 
-	prep := make([]*task.Node, 0, 14)
-	var recs, gather [7]*task.Node
+	prep := make([]task.Ref, 0, 14)
+	var recs, gather [7]task.Ref
 	var gathered [7]operand
 	mask := bd.ownerMask(depth, idx)
 	for k := 0; k < 7; k++ {
@@ -422,7 +424,7 @@ func (bd *builder) bfsNode(c, a, b operand, depth, idx int) *task.Node {
 		childMask := bd.ownerMask(depth+1, idx*7+k)
 		l, lNode := bd.factor("bfs l%d n%d", "bfs l%d n%d stage", k, sub[k].lone, sub[k].lx, sub[k].ly, sub[k].lsub, childMask)
 		r, rNode := bd.factor("bfs r%d n%d", "bfs r%d n%d stage", k, sub[k].rone, sub[k].rx, sub[k].ry, sub[k].rsub, childMask)
-		prep = append(prep, nonNil(lNode, rNode)...)
+		prep = append(prep, present(lNode, rNode)...)
 		recs[k] = bd.mul(q, l, r, depth+1, idx*7+k)
 		// The inverse-BFS communication step: each product computed in a
 		// child subset's buffers is gathered back for recombination.
@@ -434,25 +436,25 @@ func (bd *builder) bfsNode(c, a, b operand, depth, idx int) *task.Node {
 	// 7 products, their 7 gathered copies, and up to 14 staged/summed
 	// factors live concurrently.
 	alloc := 28 * kernel.Bytes(half, half)
-	return bd.arena.Seq(bd.arena.Par(prep...), bd.arena.Par(recs[:]...), bd.arena.Par(gather[:]...), post).WithAlloc(alloc)
+	return bd.arena.WithAlloc(bd.arena.Seq(bd.arena.Par(prep...), bd.arena.Par(recs[:]...), bd.arena.Par(gather[:]...), post), alloc)
 }
 
 // dfsNode: all owners compute the seven subproblems in sequence with
 // work-shared additions; quadrant factors are used in place (no staging
 // memory).
-func (bd *builder) dfsNode(c, a, b operand, depth, idx int) *task.Node {
+func (bd *builder) dfsNode(c, a, b operand, depth, idx int) task.Ref {
 	half := a.n / 2
 	sub := buildSubproblems(a, b)
 	mask := bd.ownerMask(depth, idx)
 	var q [7]operand
 
-	var steps [8]*task.Node
+	var steps [8]task.Ref
 	for k := 0; k < 7; k++ {
 		q[k] = bd.temp(half)
 		l, lNode := bd.factor("dfs l%d n%d", "", k, sub[k].lone, sub[k].lx, sub[k].ly, sub[k].lsub, mask)
 		r, rNode := bd.factor("dfs r%d n%d", "", k, sub[k].rone, sub[k].rx, sub[k].ry, sub[k].rsub, mask)
 		mul := bd.mul(q[k], l, r, depth+1, idx*7+k)
-		if pre := nonNil(lNode, rNode); len(pre) > 0 {
+		if pre := present(lNode, rNode); len(pre) > 0 {
 			steps[k] = bd.arena.Seq(bd.arena.Par(pre...), mul)
 		} else {
 			steps[k] = bd.arena.Seq(mul)
@@ -462,14 +464,17 @@ func (bd *builder) dfsNode(c, a, b operand, depth, idx int) *task.Node {
 
 	// Seven products plus two reusable factor temps at a time.
 	alloc := 9 * kernel.Bytes(half, half)
-	return bd.arena.Seq(steps[:]...).WithAlloc(alloc)
+	return bd.arena.WithAlloc(bd.arena.Seq(steps[:]...), alloc)
 }
 
-// nonNil compacts nodes in place, dropping the nil entries.
-func nonNil(nodes ...*task.Node) []*task.Node {
+// none marks a factor that needs no node.
+const none task.Ref = -1
+
+// present compacts nodes in place, dropping the none entries.
+func present(nodes ...task.Ref) []task.Ref {
 	out := nodes[:0]
 	for _, n := range nodes {
-		if n != nil {
+		if n != none {
 			out = append(out, n)
 		}
 	}
@@ -477,10 +482,10 @@ func nonNil(nodes ...*task.Node) []*task.Node {
 }
 
 // recombine emits the four C-quadrant recombination adds of Eq. 7.
-func (bd *builder) recombine(c operand, q [7]operand, mask task.Mask) *task.Node {
+func (bd *builder) recombine(c operand, q [7]operand, mask task.Mask) task.Ref {
 	half := c.n / 2
 	c11, c12, c21, c22 := c.quad(0, 0), c.quad(0, 1), c.quad(1, 0), c.quad(1, 1)
-	mk := func(label string, dst operand, coeffs []float64, srcs ...operand) *task.Node {
+	mk := func(label string, dst operand, coeffs []float64, srcs ...operand) task.Ref {
 		var run func()
 		if bd.opt.WithMath {
 			mats := make([]*matrix.Dense, len(srcs))

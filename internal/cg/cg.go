@@ -115,22 +115,25 @@ func BuildEnergyTree(m *hw.Machine, a *sparse.CSR, format sparse.Format, workers
 		panic(fmt.Sprintf("cg: iterations %d", iterations))
 	}
 	n := a.RowsN
-	var iters []*task.Node
+	// Every iteration runs the same SpMV: its subtree is stored once and
+	// shared by all of them.
+	var ar task.Arena
+	spmv := ar.Import(sparse.BuildSpMV(m, a, format, sparse.Options{Workers: workers}).Root)
+	iters := make([]task.Ref, 0, iterations)
 	for it := 0; it < iterations; it++ {
-		spmv := sparse.BuildSpMV(m, a, format, sparse.Options{Workers: workers})
 		// Vector phase: 11n flops, all streaming, split across workers.
-		chunks := make([]*task.Node, 0, workers)
+		chunks := make([]task.Ref, 0, workers)
 		for w := 0; w < workers; w++ {
 			share := float64(n) / float64(workers)
-			chunks = append(chunks, task.Leaf(task.Work{
+			chunks = append(chunks, ar.WithAffinityMask(ar.Leaf(task.Work{
 				Label: fmt.Sprintf("cg vecops it%d w%d", it, w),
 				Kind:  task.KindAdd,
 				Flops: 11 * share,
 				// Five vector sweeps read+write ~2 vectors each.
 				DRAMBytes: 11 * 2 * 8 * share,
-			}).WithAffinityMask(task.SingleWorker(w)))
+			}), task.SingleWorker(w)))
 		}
-		iters = append(iters, task.Seq(spmv.Root, task.Par(chunks...)))
+		iters = append(iters, ar.Seq(spmv, ar.Par(chunks...)))
 	}
-	return task.Seq(iters...)
+	return ar.Node(ar.Seq(iters...))
 }

@@ -56,6 +56,12 @@ type LeafCost struct {
 // traffic also transits the shared cache, so it contributes to L3Rate
 // for the power model.
 func (m *Machine) CostLeaf(w *task.Work, c Contention, remoteBytes float64, stolen bool) LeafCost {
+	return m.Cost(w.Demand(), c, remoteBytes, stolen)
+}
+
+// Cost is CostLeaf on a leaf's cost-model inputs alone, as the
+// simulator reads them from a tree's records.
+func (m *Machine) Cost(w task.Demand, c Contention, remoteBytes float64, stolen bool) LeafCost {
 	computeT := 0.0
 	if w.Flops > 0 {
 		computeT = w.Flops / (m.PeakFlopsPerCore() * m.Eff(w.Kind))

@@ -74,9 +74,9 @@ func (m Metrics) Utilization() float64 {
 }
 
 // nodeState is the per-node join bookkeeping of the active run, the
-// executor-side mirror of the task tree.
+// executor-side mirror of node n of the run's tree.
 type nodeState struct {
-	n         *task.Node
+	n         task.Ref
 	parent    *nodeState
 	pending   int // outstanding children (Par)
 	nextChild int // next child index to start (Seq)
@@ -85,6 +85,7 @@ type nodeState struct {
 // runState collects the results of one Run. All fields are guarded by
 // the pool's mutex.
 type runState struct {
+	t        *task.Tree
 	leaves   int
 	busy     []time.Duration
 	byWorker []int64
@@ -153,6 +154,7 @@ func (p *Pool) Run(root *task.Node) Metrics {
 	}
 
 	st := &runState{
+		t:        root.Tree(),
 		busy:     make([]time.Duration, p.workers),
 		byWorker: make([]int64, p.workers),
 		done:     make(chan struct{}),
@@ -165,7 +167,7 @@ func (p *Pool) Run(root *task.Node) Metrics {
 		panic("sched: Run on closed pool")
 	}
 	p.st = st
-	p.startNode(&nodeState{n: root})
+	p.startNode(&nodeState{n: root.Ref()})
 	p.mu.Unlock()
 
 	<-st.done
@@ -199,34 +201,36 @@ func (p *Pool) Run(root *task.Node) Metrics {
 // expand per Seq/Par semantics. Empty interior nodes complete
 // immediately. Called with p.mu held.
 func (p *Pool) startNode(s *nodeState) {
+	t := p.st.t
 	switch {
-	case s.n.IsLeaf():
+	case t.IsLeaf(s.n):
 		p.deque = append(p.deque, s)
 		p.cond.Signal()
-	case s.n.IsSeq():
-		if len(s.n.Children()) == 0 {
+	case t.IsSeq(s.n):
+		if t.NumChildren(s.n) == 0 {
 			p.complete(s)
 			return
 		}
 		p.startChild(s, 0)
 	default: // Par
-		children := s.n.Children()
-		if len(children) == 0 {
+		k := t.NumChildren(s.n)
+		if k == 0 {
 			p.complete(s)
 			return
 		}
-		s.pending = len(children)
-		for i := range children {
+		s.pending = k
+		for i := 0; i < k; i++ {
 			p.startChild(s, i)
 		}
 	}
 }
 
 func (p *Pool) startChild(parent *nodeState, idx int) {
-	if parent.n.IsSeq() {
+	t := p.st.t
+	if t.IsSeq(parent.n) {
 		parent.nextChild = idx + 1
 	}
-	p.startNode(&nodeState{n: parent.n.Children()[idx], parent: parent})
+	p.startNode(&nodeState{n: t.Child(parent.n, idx), parent: parent})
 }
 
 // complete propagates a finished node up the tree, starting successor
@@ -241,8 +245,8 @@ func (p *Pool) complete(s *nodeState) {
 			close(p.st.done)
 			return
 		}
-		if par.n.IsSeq() {
-			if p.st.panicked == nil && par.nextChild < len(par.n.Children()) {
+		if t := p.st.t; t.IsSeq(par.n) {
+			if p.st.panicked == nil && par.nextChild < t.NumChildren(par.n) {
 				p.startChild(par, par.nextChild)
 				return
 			}
@@ -277,9 +281,10 @@ func (p *Pool) worker(id int) {
 		skip := st.panicked != nil
 		p.mu.Unlock()
 
-		w := s.n.Work()
+		d := st.t.Demand(s.n)
+		run := st.t.Run(s.n)
 		var busy time.Duration
-		if !skip && w.Run != nil {
+		if !skip && run != nil {
 			observed := obs.Enabled()
 			if observed {
 				schedBusyWorkers.Add(1)
@@ -295,7 +300,7 @@ func (p *Pool) worker(id int) {
 						p.mu.Unlock()
 					}
 				}()
-				w.Run()
+				run()
 			}()
 			busy = time.Since(t0)
 			if observed {
@@ -307,9 +312,9 @@ func (p *Pool) worker(id int) {
 		st.leaves++
 		st.byWorker[id]++
 		st.busy[id] += busy
-		st.flops += w.Flops
-		st.l3 += w.L3Bytes
-		st.dram += w.DRAMBytes
+		st.flops += d.Flops
+		st.l3 += d.L3Bytes
+		st.dram += d.DRAMBytes
 		p.complete(s)
 	}
 }

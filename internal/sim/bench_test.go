@@ -7,6 +7,7 @@ import (
 	"capscale/internal/hw"
 	"capscale/internal/sim"
 	"capscale/internal/task"
+	"capscale/internal/workload"
 )
 
 // benchTree builds one pinned 4-leaf Seq chain per worker under a Par
@@ -45,6 +46,31 @@ func BenchmarkSimRun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := sim.Run(m, root, cfg)
 				if res.Leaves != leaves {
+					b.Fatalf("leaves %d, want %d", res.Leaves, leaves)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*leaves), "ns/leaf")
+		})
+	}
+}
+
+// BenchmarkSimulatorThroughput measures the event loop on the paper's
+// largest trees: shape-only Strassen and CAPS at n=4096 on 4 workers,
+// built outside the timer. ns/leaf is what a paper-sweep cell pays per
+// scheduled leaf. BenchmarkSimRun's trees are 4 leaves per worker and
+// stay in L1, so they cannot show the cost of reading a tree of
+// several hundred thousand nodes.
+func BenchmarkSimulatorThroughput(b *testing.B) {
+	m := hw.HaswellE31225()
+	for _, alg := range []workload.Algorithm{workload.AlgStrassen, workload.AlgCAPS} {
+		b.Run(fmt.Sprintf("alg=%v", alg), func(b *testing.B) {
+			root := workload.BuildTree(m, alg, 4096, 4)
+			leaves := task.Collect(root).Leaves
+			cfg := sim.Config{Workers: 4}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := sim.Run(m, root, cfg); res.Leaves != leaves {
 					b.Fatalf("leaves %d, want %d", res.Leaves, leaves)
 				}
 			}

@@ -166,9 +166,10 @@ func safeDiv(a, b float64) float64 {
 	return a / b
 }
 
-// nodeState is per-node runtime bookkeeping.
+// nodeState is per-node runtime bookkeeping for node n of the run's
+// tree.
 type nodeState struct {
-	n         *task.Node
+	n         task.Ref
 	parent    *nodeState
 	pending   int       // outstanding children (Par) — Seq uses nextChild
 	nextChild int       // next child index to start (Seq)
@@ -230,6 +231,9 @@ func (k *ksum) value() float64 { return k.s + k.c }
 type executor struct {
 	m   *hw.Machine
 	cfg Config
+	// t is the tree being simulated; the executor reads its records in
+	// place, by the Refs its node states hold.
+	t *task.Tree
 
 	// ready is a FIFO of dispatchable leaves whose affinity permits
 	// more than one worker. Entries claimed out of order (affinity
@@ -306,7 +310,7 @@ var (
 
 // newState reuses a retired nodeState or carves one out of the arena,
 // amortizing one allocation over a block of nodes.
-func (e *executor) newState(n *task.Node, parent *nodeState, mask task.Mask) *nodeState {
+func (e *executor) newState(n task.Ref, parent *nodeState, mask task.Mask) *nodeState {
 	var s *nodeState
 	if k := len(e.stateFree); k > 0 {
 		s = e.stateFree[k-1]
@@ -359,6 +363,7 @@ func Run(m *hw.Machine, root *task.Node, cfg Config) *Result {
 	e := &executor{
 		m:            m,
 		cfg:          cfg,
+		t:            root.Tree(),
 		workers:      make([]workerState, cfg.Workers),
 		idle:         newHbitmap(cfg.Workers),
 		dispatchable: newHbitmap(cfg.Workers),
@@ -385,7 +390,7 @@ func Run(m *hw.Machine, root *task.Node, cfg Config) *Result {
 		sp.ArgInt("workers", cfg.Workers)
 	}
 
-	e.startNode(e.newState(root, nil, e.allMask()))
+	e.startNode(e.newState(root.Ref(), nil, e.allMask()))
 	e.dispatch()
 	for len(e.running) > 0 {
 		e.advance()
@@ -424,8 +429,8 @@ func (e *executor) allMask() task.Mask {
 // Intersect is called on the inherited mask so its containment fast
 // path inspects the node's (small) affinity rather than the
 // potentially huge inherited range.
-func (e *executor) effectiveMask(n *task.Node, inherited task.Mask) task.Mask {
-	a := n.Affinity()
+func (e *executor) effectiveMask(n task.Ref, inherited task.Mask) task.Mask {
+	a := e.t.Affinity(n)
 	if e.cfg.DisableAffinity || a.IsEmpty() {
 		return inherited
 	}
@@ -440,12 +445,13 @@ func (e *executor) effectiveMask(n *task.Node, inherited task.Mask) task.Mask {
 // nodes start their children per Seq/Par semantics. Empty interior
 // nodes complete immediately.
 func (e *executor) startNode(s *nodeState) {
-	e.liveAlloc += s.n.AllocBytes()
+	t := e.t
+	e.liveAlloc += t.AllocBytes(s.n)
 	if e.liveAlloc > e.res.AllocHighWater {
 		e.res.AllocHighWater = e.liveAlloc
 	}
 	switch {
-	case s.n.IsLeaf():
+	case t.IsLeaf(s.n):
 		if w := s.mask.Single(); w >= 0 && w < e.cfg.Workers {
 			ws := &e.workers[w]
 			ws.pinned = append(ws.pinned, s)
@@ -456,29 +462,29 @@ func (e *executor) startNode(s *nodeState) {
 			e.ready = append(e.ready, s)
 			e.readyLive++
 		}
-	case s.n.IsSeq():
-		if len(s.n.Children()) == 0 {
+	case t.IsSeq(s.n):
+		if t.NumChildren(s.n) == 0 {
 			e.complete(s)
 			return
 		}
 		e.startChild(s, 0)
 	default: // Par
-		children := s.n.Children()
-		if len(children) == 0 {
+		k := t.NumChildren(s.n)
+		if k == 0 {
 			e.complete(s)
 			return
 		}
-		s.pending = len(children)
-		for i := range children {
+		s.pending = k
+		for i := 0; i < k; i++ {
 			e.startChild(s, i)
 		}
 	}
 }
 
 func (e *executor) startChild(parent *nodeState, idx int) {
-	child := parent.n.Children()[idx]
+	child := e.t.Child(parent.n, idx)
 	cs := e.newState(child, parent, e.effectiveMask(child, parent.mask))
-	if parent.n.IsSeq() {
+	if e.t.IsSeq(parent.n) {
 		parent.nextChild = idx + 1
 	}
 	e.startNode(cs)
@@ -490,17 +496,18 @@ func (e *executor) startChild(parent *nodeState, idx int) {
 // heap, and every child of an interior node has completed — so s goes
 // straight back to the free list.
 func (e *executor) complete(s *nodeState) {
-	e.liveAlloc -= s.n.AllocBytes()
+	e.liveAlloc -= e.t.AllocBytes(s.n)
 	p := s.parent
-	// Clearing the retired state drops its tree references and makes a
-	// use after retirement fail fast on the nil node.
-	*s = nodeState{}
+	// Clearing the retired state drops its references (the parent, and
+	// a wide mask's words), and the invalid node index makes a use
+	// after retirement fail fast in the tree accessors.
+	*s = nodeState{n: -1}
 	e.stateFree = append(e.stateFree, s)
 	if p == nil {
 		return
 	}
-	if p.n.IsSeq() {
-		if p.nextChild < len(p.n.Children()) {
+	if e.t.IsSeq(p.n) {
+		if p.nextChild < e.t.NumChildren(p.n) {
 			e.startChild(p, p.nextChild)
 			return
 		}
@@ -513,10 +520,10 @@ func (e *executor) complete(s *nodeState) {
 	}
 }
 
-// preferredWorker returns the worker that produced the leaf's inputs,
-// or -1 when unknown.
-func (e *executor) preferredWorker(w *task.Work) int {
-	for _, r := range w.Reads {
+// preferredWorker returns the worker that produced a leaf's inputs
+// (its reads), or -1 when unknown.
+func (e *executor) preferredWorker(reads []task.RegionID) int {
+	for _, r := range reads {
 		if wr := e.writerOf(r); wr >= 0 {
 			return wr
 		}
@@ -602,9 +609,9 @@ func (e *executor) compactReady() {
 // pickWorker selects an idle worker permitted by the leaf's mask,
 // preferring the producer of its inputs; -1 when none is available.
 func (e *executor) pickWorker(s *nodeState) int {
-	w := s.n.Work()
 	if !e.cfg.DisableAffinity {
-		if pref := e.preferredWorker(w); pref >= 0 && pref < e.cfg.Workers &&
+		reads, _ := e.t.ReadsWrites(s.n)
+		if pref := e.preferredWorker(reads); pref >= 0 && pref < e.cfg.Workers &&
 			e.idle.has(pref) && s.mask.Has(pref) {
 			return pref
 		}
@@ -634,17 +641,20 @@ func (e *executor) firstIdleIn(mask task.Mask) int {
 
 // launch starts a leaf on a worker at e.now.
 func (e *executor) launch(s *nodeState, worker int) {
-	w := s.n.Work()
+	t := e.t
+	d := t.Demand(s.n)
+	reads, writes := t.ReadsWrites(s.n)
 
 	remoteBytes := 0.0
 	stolen := false
 	if !e.cfg.DisableAffinity {
-		for _, r := range w.Reads {
+		regionBytes := t.RegionBytes(s.n)
+		for _, r := range reads {
 			if wr := e.writerOf(r); wr >= 0 && wr != worker {
-				remoteBytes += w.RegionBytes
+				remoteBytes += regionBytes
 			}
 		}
-		if pref := e.preferredWorker(w); pref >= 0 && pref != worker {
+		if pref := e.preferredWorker(reads); pref >= 0 && pref != worker {
 			stolen = true
 		}
 	}
@@ -655,13 +665,15 @@ func (e *executor) launch(s *nodeState, worker int) {
 	} else {
 		cont = e.m.Shared(len(e.running) + 1)
 	}
-	cost := e.m.CostLeaf(w, cont, remoteBytes, stolen)
+	cost := e.m.Cost(d, cont, remoteBytes, stolen)
 
-	if e.cfg.VerifyNumerics && w.Run != nil {
-		w.Run()
+	if e.cfg.VerifyNumerics {
+		if run := t.Run(s.n); run != nil {
+			run()
+		}
 	}
 
-	for _, wr := range w.Writes {
+	for _, wr := range writes {
 		e.setWriter(wr, worker)
 	}
 
@@ -669,15 +681,15 @@ func (e *executor) launch(s *nodeState, worker int) {
 	e.dispatchable.clear(worker)
 	e.idleCount--
 	e.workers[worker].busyTotal += cost.Duration
-	e.res.BusyByKind[w.Kind] += cost.Duration
+	e.res.BusyByKind[d.Kind] += cost.Duration
 	e.res.Leaves++
 	if e.cfg.RecordSchedule {
 		e.res.Schedule = append(e.res.Schedule, LeafSpan{
 			Worker: worker,
 			Start:  e.now,
 			End:    e.now + cost.Duration,
-			Kind:   w.Kind,
-			Label:  w.Label,
+			Kind:   d.Kind,
+			Label:  t.Label(s.n),
 		})
 	}
 	e.res.RemoteBytes += remoteBytes

@@ -93,16 +93,16 @@ func BuildSpMV(m *hw.Machine, a *CSR, format Format, opt Options) *SpMV {
 
 	// Row chunks balanced by nnz, one chain per worker.
 	bounds := nnzBalancedBounds(a, opt.Workers)
-	var regions task.Regions
+	var ar task.Arena
 	yRegion := make([]task.RegionID, opt.Workers)
 	for i := range yRegion {
-		yRegion[i] = regions.New()
+		yRegion[i] = ar.New()
 	}
 	xLevel := m.LevelFor(8*float64(a.ColsN), opt.Workers)
 
-	iterNodes := make([]*task.Node, 0, iters)
+	iterNodes := make([]task.Ref, 0, iters)
 	for it := 0; it < iters; it++ {
-		chains := make([]*task.Node, 0, opt.Workers)
+		chains := make([]task.Ref, 0, opt.Workers)
 		for w := 0; w < opt.Workers; w++ {
 			lo, hi := bounds[w], bounds[w+1]
 			if lo == hi {
@@ -113,11 +113,11 @@ func BuildSpMV(m *hw.Machine, a *CSR, format Format, opt Options) *SpMV {
 			if opt.WithMath {
 				leafWork.Run = chunkRun(a, coo, ell, format, out, lo, hi)
 			}
-			chains = append(chains, task.Leaf(leafWork).WithAffinityMask(task.SingleWorker(w)))
+			chains = append(chains, ar.WithAffinityMask(ar.Leaf(leafWork), task.SingleWorker(w)))
 		}
-		iterNodes = append(iterNodes, task.Par(chains...))
+		iterNodes = append(iterNodes, ar.Par(chains...))
 	}
-	out.Root = task.Seq(iterNodes...)
+	out.Root = ar.Node(ar.Seq(iterNodes...))
 	return out
 }
 

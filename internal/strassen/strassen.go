@@ -73,8 +73,8 @@ type builder struct {
 	m       *hw.Machine
 	opt     Options
 	workers int
-	// arena allocates the tree's nodes, region lists, labels and
-	// region IDs for this one build.
+	// arena holds the tree's records, labels and region IDs for this
+	// one build.
 	arena task.Arena
 	// pool, when non-nil, supplies the recursion temporaries; temps
 	// records every matrix drawn so BuildPooled's release function can
@@ -121,7 +121,7 @@ func build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options, pool 
 	// once, up front, to the nearest c·2^k with c ≤ cutover — at most
 	// a few percent of extra work for awkward n, instead of collapsing
 	// to one dense n³ solve.
-	var root *task.Node
+	var root task.Ref
 	if padded := PaddedSize(n, opt.cutover()); padded != n {
 		root = bd.paddedMul(c, a, b, n, padded)
 	} else {
@@ -133,7 +133,7 @@ func build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options, pool 
 		}
 		root = bd.mul(cc, ca, cb, 0)
 	}
-	return root, bd.release
+	return bd.arena.Node(root), bd.release
 }
 
 // release recycles every temporary the build drew from its pool. It is
@@ -176,7 +176,7 @@ func (bd *builder) padCopy(m *matrix.Dense, padded int) *matrix.Dense {
 }
 
 // paddedMul wraps the recursion in pad-in/pad-out stages.
-func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) *task.Node {
+func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) task.Ref {
 	var pa, pb, pc *matrix.Dense
 	if bd.opt.WithMath {
 		pa = bd.padCopy(a, padded)
@@ -195,19 +195,20 @@ func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) *task.Node {
 	// Padding happened at build time when math is on, so the pad-in
 	// leaves only carry the traffic accounting.
 	padIn := bd.arena.Par(
-		bd.copyLeaf(bd.arena.Label("pad A %d->%d", n, padded), n, srcA, ca.region),
-		bd.copyLeaf(bd.arena.Label("pad B %d->%d", n, padded), n, srcB, cb.region),
+		bd.copyLeaf(bd.arena.Label("pad A %d->%d", n, padded), n, srcA, ca.region, nil),
+		bd.copyLeaf(bd.arena.Label("pad B %d->%d", n, padded), n, srcB, cb.region, nil),
 	)
-	padOut := bd.copyLeaf(bd.arena.Label("unpad C %d->%d", padded, n), n, cc.region, dstC)
+	var unpad func()
 	if bd.opt.WithMath {
-		padOut.Work().Run = func() { matrix.CopyTo(c, pc.View(0, 0, n, n)) }
+		unpad = func() { matrix.CopyTo(c, pc.View(0, 0, n, n)) }
 	}
+	padOut := bd.copyLeaf(bd.arena.Label("unpad C %d->%d", padded, n), n, cc.region, dstC, unpad)
 	alloc := 3 * kernel.Bytes(padded, padded)
-	return bd.arena.Seq(padIn, bd.mul(cc, ca, cb, 0), padOut).WithAlloc(alloc)
+	return bd.arena.WithAlloc(bd.arena.Seq(padIn, bd.mul(cc, ca, cb, 0), padOut), alloc)
 }
 
 // copyLeaf is one n×n pad or unpad copy from region src to dst.
-func (bd *builder) copyLeaf(label string, n int, src, dst task.RegionID) *task.Node {
+func (bd *builder) copyLeaf(label string, n int, src, dst task.RegionID, run func()) task.Ref {
 	reads, writes := bd.arena.ReadsWrites([]task.RegionID{src}, dst)
 	return bd.arena.Leaf(task.Work{
 		Label:       label,
@@ -216,11 +217,12 @@ func (bd *builder) copyLeaf(label string, n int, src, dst task.RegionID) *task.N
 		Reads:       reads,
 		Writes:      writes,
 		RegionBytes: kernel.Bytes(n, n),
+		Run:         run,
 	})
 }
 
 // mul builds the subtree computing c = a·b for n×n operands.
-func (bd *builder) mul(c, a, b operand, depth int) *task.Node {
+func (bd *builder) mul(c, a, b operand, depth int) task.Ref {
 	n := a.n
 	if n <= bd.opt.cutover() || n%2 != 0 {
 		return bd.baseMul(c, a, b)
@@ -254,10 +256,10 @@ func (bd *builder) scratch(r, c int) *matrix.Dense {
 	return m
 }
 
-// addLeaf builds the accounting leaf for dst = an element-wise
-// combination of srcs: len(srcs)−1 additions per element. It attaches
-// no arithmetic; sumLeaf and combineLeaf do when the build has math.
-func (bd *builder) addLeaf(label string, dst operand, srcs ...operand) *task.Node {
+// addLeaf builds the leaf for dst = an element-wise combination of
+// srcs: len(srcs)−1 additions per element, with run attached (nil
+// unless the build has math; sumLeaf and combineLeaf build it).
+func (bd *builder) addLeaf(label string, dst operand, run func(), srcs ...operand) task.Ref {
 	n := dst.n
 	bytes := kernel.Bytes(n, n)
 	traffic := float64(len(srcs)+1) * bytes
@@ -273,6 +275,7 @@ func (bd *builder) addLeaf(label string, dst operand, srcs ...operand) *task.Nod
 		Reads:       reads,
 		Writes:      writes,
 		RegionBytes: bytes,
+		Run:         run,
 	}
 	// Large operands stream through DRAM; small ones live in the
 	// workers' share of the LLC.
@@ -285,22 +288,22 @@ func (bd *builder) addLeaf(label string, dst operand, srcs ...operand) *task.Nod
 }
 
 // sumLeaf builds dst = x + y, or x − y when sub is set.
-func (bd *builder) sumLeaf(label string, dst, x, y operand, sub bool) *task.Node {
-	leaf := bd.addLeaf(label, dst, x, y)
+func (bd *builder) sumLeaf(label string, dst, x, y operand, sub bool) task.Ref {
+	var run func()
 	if bd.opt.WithMath {
 		dm, xm, ym := dst.mat, x.mat, y.mat
 		if sub {
-			leaf.Work().Run = func() { matrix.SubTo(dm, xm, ym) }
+			run = func() { matrix.SubTo(dm, xm, ym) }
 		} else {
-			leaf.Work().Run = func() { matrix.AddTo(dm, xm, ym) }
+			run = func() { matrix.AddTo(dm, xm, ym) }
 		}
 	}
-	return leaf
+	return bd.addLeaf(label, dst, run, x, y)
 }
 
 // combineLeaf builds dst = Σ coeffs[i]·srcs[i].
-func (bd *builder) combineLeaf(label string, dst operand, coeffs []float64, srcs ...operand) *task.Node {
-	leaf := bd.addLeaf(label, dst, srcs...)
+func (bd *builder) combineLeaf(label string, dst operand, coeffs []float64, srcs ...operand) task.Ref {
+	var run func()
 	if bd.opt.WithMath {
 		mats := make([]*matrix.Dense, len(srcs))
 		for i, s := range srcs {
@@ -309,13 +312,13 @@ func (bd *builder) combineLeaf(label string, dst operand, coeffs []float64, srcs
 		// The copy keeps the callers' coefficient literals off the heap
 		// in shape-only builds.
 		dm, cs := dst.mat, append([]float64(nil), coeffs...)
-		leaf.Work().Run = func() { combine(dm, mats, cs) }
+		run = func() { combine(dm, mats, cs) }
 	}
-	return leaf
+	return bd.addLeaf(label, dst, run, srcs...)
 }
 
 // baseMul is the dense solver leaf below the cutover.
-func (bd *builder) baseMul(c, a, b operand) *task.Node {
+func (bd *builder) baseMul(c, a, b operand) task.Ref {
 	n := a.n
 	traffic := kernel.MulTraffic(n, n, n)
 	reads, writes := bd.arena.ReadsWrites([]task.RegionID{a.region, b.region}, c.region)
@@ -341,7 +344,7 @@ func (bd *builder) baseMul(c, a, b operand) *task.Node {
 
 // group wraps subproblem subtrees in Par (task-spawning, BOTS style) or
 // Seq when the task-creation depth limit has been passed.
-func (bd *builder) group(depth int, children ...*task.Node) *task.Node {
+func (bd *builder) group(depth int, children ...task.Ref) task.Ref {
 	if bd.opt.TaskDepth > 0 && depth >= bd.opt.TaskDepth {
 		return bd.arena.Seq(children...)
 	}
@@ -357,7 +360,7 @@ type sumSpec struct {
 
 // classicNode builds one level of the paper's Eq. 7 recursion:
 // 10 operand additions, 7 recursive products, 8 recombination adds.
-func (bd *builder) classicNode(c, a, b operand, depth int) *task.Node {
+func (bd *builder) classicNode(c, a, b operand, depth int) task.Ref {
 	half := a.n / 2
 	a11, a12, a21, a22 := a.quad(0, 0), a.quad(0, 1), a.quad(1, 0), a.quad(1, 1)
 	b11, b12, b21, b22 := b.quad(0, 0), b.quad(0, 1), b.quad(1, 0), b.quad(1, 1)
@@ -384,12 +387,12 @@ func (bd *builder) classicNode(c, a, b operand, depth int) *task.Node {
 		{t[8], a12, a22, true},  // T9 = A12 − A22
 		{t[9], b21, b22, false}, // T10 = B21 + B22
 	}
-	var preLeaves [10]*task.Node
+	var preLeaves [10]task.Ref
 	for i, s := range pre {
 		preLeaves[i] = bd.sumLeaf(bd.arena.Label("pre%d n%d", i, half), s.dst, s.x, s.y, s.sub)
 	}
 
-	muls := [7]*task.Node{
+	muls := [7]task.Ref{
 		bd.mul(q[0], t[0], t[1], depth+1), // Q1 = (A11+A22)(B11+B22)
 		bd.mul(q[1], t[2], b11, depth+1),  // Q2 = (A21+A22)·B11
 		bd.mul(q[2], a11, t[3], depth+1),  // Q3 = A11·(B12−B22)
@@ -399,7 +402,7 @@ func (bd *builder) classicNode(c, a, b operand, depth int) *task.Node {
 		bd.mul(q[6], t[8], t[9], depth+1), // Q7 = (A12−A22)(B21+B22)
 	}
 
-	post := [4]*task.Node{
+	post := [4]task.Ref{
 		// C11 = Q1 + Q4 − Q5 + Q7
 		bd.combineLeaf(bd.arena.Label("c11 n%d", half), c11, []float64{1, 1, -1, 1}, q[0], q[3], q[4], q[6]),
 		// C12 = Q3 + Q5
@@ -411,16 +414,16 @@ func (bd *builder) classicNode(c, a, b operand, depth int) *task.Node {
 	}
 
 	alloc := 17 * kernel.Bytes(half, half) // T1..T10 + Q1..Q7
-	return bd.arena.Seq(
+	return bd.arena.WithAlloc(bd.arena.Seq(
 		bd.group(depth, preLeaves[:]...),
 		bd.group(depth, muls[:]...),
 		bd.group(depth, post[:]...),
-	).WithAlloc(alloc)
+	), alloc)
 }
 
 // winogradNode builds one level of the Strassen-Winograd recursion
 // (8 operand additions, 7 products, 7 recombination adds).
-func (bd *builder) winogradNode(c, a, b operand, depth int) *task.Node {
+func (bd *builder) winogradNode(c, a, b operand, depth int) task.Ref {
 	half := a.n / 2
 	a11, a12, a21, a22 := a.quad(0, 0), a.quad(0, 1), a.quad(1, 0), a.quad(1, 1)
 	b11, b12, b21, b22 := b.quad(0, 0), b.quad(0, 1), b.quad(1, 0), b.quad(1, 1)
@@ -445,7 +448,7 @@ func (bd *builder) winogradNode(c, a, b operand, depth int) *task.Node {
 		{s[6], b22, b12, true},  // S7 = B22 − B12
 		{s[7], s[5], b21, true}, // S8 = S6 − B21   (depends on S6)
 	}
-	leaf := func(i int) *task.Node {
+	leaf := func(i int) task.Ref {
 		sp := pre[i]
 		return bd.sumLeaf(bd.arena.Label("wpre%d n%d", i, half), sp.dst, sp.x, sp.y, sp.sub)
 	}
@@ -458,7 +461,7 @@ func (bd *builder) winogradNode(c, a, b operand, depth int) *task.Node {
 		leaf(6),                                 // S7
 	)
 
-	muls := [7]*task.Node{
+	muls := [7]task.Ref{
 		bd.mul(p[0], s[1], s[5], depth+1), // M1 = S2·S6
 		bd.mul(p[1], a11, b11, depth+1),   // M2 = A11·B11
 		bd.mul(p[2], a12, b21, depth+1),   // M3 = A12·B21
@@ -488,7 +491,7 @@ func (bd *builder) winogradNode(c, a, b operand, depth int) *task.Node {
 	)
 
 	alloc := 17 * kernel.Bytes(half, half) // S1..S8, M1..M7, V1, V2
-	return bd.arena.Seq(preTree, bd.group(depth, muls[:]...), postTree).WithAlloc(alloc)
+	return bd.arena.WithAlloc(bd.arena.Seq(preTree, bd.group(depth, muls[:]...), postTree), alloc)
 }
 
 // combine stores Σ coeff[i]·src[i] into dst.

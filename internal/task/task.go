@@ -7,6 +7,9 @@
 // power; the real executor (internal/sched) runs the leaves' closures on
 // goroutines. Keeping one IR guarantees the two engines execute the same
 // algorithmic structure.
+//
+// A built tree is stored as flat, pointer-free records (see Tree); a
+// *Node is a handle on one of its nodes.
 package task
 
 import (
@@ -118,96 +121,112 @@ type Work struct {
 	Run func()
 }
 
-type nodeKind int
-
-const (
-	leafNode nodeKind = iota
-	seqNode
-	parNode
-)
-
-// Node is a node of the fork-join tree. Nodes are immutable after
-// construction except for the affinity and buffer annotations set by
-// the With* methods during tree building.
-type Node struct {
-	kind     nodeKind
-	work     Work
-	children []*Node
-	// affinity, if non-empty, is the set of workers permitted to run
-	// this subtree. Masks intersect down the tree.
-	affinity Mask
-	// allocBytes is temporary-buffer memory that is live while this
-	// subtree executes; the simulator tracks the high-water mark, which
-	// reproduces the paper's "Strassen needs intermediate buffers,
-	// so 4096 was the largest feasible size" observation.
-	allocBytes float64
+// Demand is the part of a leaf's Work the cost model reads.
+type Demand struct {
+	Kind      Kind
+	Flops     float64
+	L3Bytes   float64
+	DRAMBytes float64
 }
 
-// Leaf returns a leaf node performing w.
-func Leaf(w Work) *Node { return &Node{kind: leafNode, work: w} }
+// Demand returns w's cost-model inputs.
+func (w *Work) Demand() Demand {
+	return Demand{Kind: w.Kind, Flops: w.Flops, L3Bytes: w.L3Bytes, DRAMBytes: w.DRAMBytes}
+}
 
-// Seq returns a node whose children execute one after another.
-// Seq() with no children is a legal empty node.
-func Seq(children ...*Node) *Node { return &Node{kind: seqNode, children: children} }
+// Node is a handle on one node of a built Tree: what builders return
+// and the engines take. Nodes are immutable after construction except
+// for the affinity and buffer annotations set by the With* methods
+// during tree building. Its read methods are a convenience view that
+// allocates (Children and Work build fresh values); the engines read
+// the Tree by Ref instead.
+type Node struct {
+	t *Tree
+	r Ref
+}
 
-// Par returns a node whose children may execute concurrently.
-func Par(children ...*Node) *Node { return &Node{kind: parNode, children: children} }
+// Tree returns the storage n lives in.
+func (n *Node) Tree() *Tree { return n.t }
+
+// Ref returns n's index in its Tree.
+func (n *Node) Ref() Ref { return n.r }
 
 // WithAffinity restricts the subtree to the workers in mask (bit i set
 // means worker i may execute leaves of this subtree). A zero mask means
 // unrestricted. The uint64 form only reaches workers 0..63; use
 // WithAffinityMask for larger machines.
-func (n *Node) WithAffinity(mask uint64) *Node {
-	n.affinity = MaskOfBits(mask)
-	return n
-}
+func (n *Node) WithAffinity(mask uint64) *Node { return n.WithAffinityMask(MaskOfBits(mask)) }
 
 // WithAffinityMask restricts the subtree to the workers in m. An empty
 // mask means unrestricted. It returns n for chaining.
 func (n *Node) WithAffinityMask(m Mask) *Node {
-	n.affinity = m
+	n.t.setAffinity(n.r, m)
 	return n
 }
 
 // WithAlloc records that allocBytes of temporary buffer are live while
 // this subtree executes. It returns n for chaining.
 func (n *Node) WithAlloc(bytes float64) *Node {
-	n.allocBytes = bytes
+	n.t.node(n.r).alloc = bytes
 	return n
 }
 
 // IsLeaf reports whether n is a leaf.
-func (n *Node) IsLeaf() bool { return n.kind == leafNode }
+func (n *Node) IsLeaf() bool { return n.t.IsLeaf(n.r) }
 
 // IsSeq reports whether n is a sequential composition.
-func (n *Node) IsSeq() bool { return n.kind == seqNode }
+func (n *Node) IsSeq() bool { return n.t.IsSeq(n.r) }
 
 // IsPar reports whether n is a parallel composition.
-func (n *Node) IsPar() bool { return n.kind == parNode }
+func (n *Node) IsPar() bool { return n.t.node(n.r).kind == parNode }
 
-// Work returns the leaf's work descriptor; it panics for non-leaves.
+// Work returns a copy of the leaf's work descriptor; it panics for
+// non-leaves. Reads and Writes share the tree's storage; setting the
+// copy's fields does not change the tree.
 func (n *Node) Work() *Work {
-	if n.kind != leafNode {
+	t := n.t
+	if !t.IsLeaf(n.r) {
 		panic("task: Work() on non-leaf node")
 	}
-	return &n.work
+	d := t.Demand(n.r)
+	reads, writes := t.ReadsWrites(n.r)
+	return &Work{
+		Label:       t.Label(n.r),
+		Kind:        d.Kind,
+		Flops:       d.Flops,
+		L3Bytes:     d.L3Bytes,
+		DRAMBytes:   d.DRAMBytes,
+		Reads:       reads,
+		Writes:      writes,
+		RegionBytes: t.RegionBytes(n.r),
+		Run:         t.Run(n.r),
+	}
 }
 
-// Children returns the node's children (nil for leaves).
-func (n *Node) Children() []*Node { return n.children }
+// Children returns handles on the node's children (nil for leaves).
+func (n *Node) Children() []*Node {
+	k := n.t.NumChildren(n.r)
+	if k == 0 {
+		return nil
+	}
+	hs := make([]Node, k)
+	out := make([]*Node, k)
+	for i := range hs {
+		hs[i] = Node{t: n.t, r: n.t.Child(n.r, i)}
+		out[i] = &hs[i]
+	}
+	return out
+}
 
 // Affinity returns the node's worker mask (empty = unrestricted).
-func (n *Node) Affinity() Mask { return n.affinity }
+func (n *Node) Affinity() Mask { return n.t.Affinity(n.r) }
 
 // AllocBytes returns the temporary-buffer annotation.
-func (n *Node) AllocBytes() float64 { return n.allocBytes }
+func (n *Node) AllocBytes() float64 { return n.t.AllocBytes(n.r) }
 
 // Walk visits every node in depth-first order, parents before children.
 func (n *Node) Walk(visit func(*Node)) {
-	visit(n)
-	for _, c := range n.children {
-		c.Walk(visit)
-	}
+	n.t.walk(n.r, func(r Ref) { visit(&Node{t: n.t, r: r}) })
 }
 
 // Leaves returns the tree's leaves in deterministic depth-first order.
@@ -219,6 +238,14 @@ func (n *Node) Leaves() []*Node {
 		}
 	})
 	return out
+}
+
+// walk visits the subtree at r depth-first, parents before children.
+func (t *Tree) walk(r Ref, visit func(Ref)) {
+	visit(r)
+	for i, k := 0, t.NumChildren(r); i < k; i++ {
+		t.walk(t.Child(r, i), visit)
+	}
 }
 
 // Stats aggregates structural and resource totals over a tree.
@@ -239,31 +266,34 @@ type Stats struct {
 // (sum). The simulator separately reports the *scheduled* high-water,
 // which can be lower when the executor runs Par children sequentially.
 func Collect(n *Node) Stats {
+	t := n.t
 	s := Stats{FlopsByKind: make(map[Kind]float64)}
-	var rec func(node *Node, depth int) float64 // returns live-alloc bound
-	rec = func(node *Node, depth int) float64 {
+	var rec func(r Ref, depth int) float64 // returns live-alloc bound
+	rec = func(r Ref, depth int) float64 {
 		if depth > s.Depth {
 			s.Depth = depth
 		}
-		live := node.allocBytes
-		switch node.kind {
+		nd := t.node(r)
+		live := nd.alloc
+		switch nd.kind {
 		case leafNode:
+			d := t.Demand(r)
 			s.Leaves++
-			s.Flops += node.work.Flops
-			s.L3Bytes += node.work.L3Bytes
-			s.DRAMBytes += node.work.DRAMBytes
-			s.FlopsByKind[node.work.Kind] += node.work.Flops
+			s.Flops += d.Flops
+			s.L3Bytes += d.L3Bytes
+			s.DRAMBytes += d.DRAMBytes
+			s.FlopsByKind[d.Kind] += d.Flops
 		case seqNode:
 			maxChild := 0.0
-			for _, c := range node.children {
-				if v := rec(c, depth+1); v > maxChild {
+			for i := 0; i < int(nd.n); i++ {
+				if v := rec(t.Child(r, i), depth+1); v > maxChild {
 					maxChild = v
 				}
 			}
 			live += maxChild
 		case parNode:
-			for _, c := range node.children {
-				live += rec(c, depth+1)
+			for i := 0; i < int(nd.n); i++ {
+				live += rec(t.Child(r, i), depth+1)
 			}
 		}
 		if live > s.AllocPeak {
@@ -271,7 +301,7 @@ func Collect(n *Node) Stats {
 		}
 		return live
 	}
-	rec(n, 1)
+	rec(n.r, 1)
 	return s
 }
 
@@ -279,9 +309,11 @@ func Collect(n *Node) Stats {
 // the calling goroutine. It is the simplest correct executor and the
 // oracle the concurrent engines are tested against.
 func RunSerial(n *Node) {
-	n.Walk(func(m *Node) {
-		if m.IsLeaf() && m.work.Run != nil {
-			m.work.Run()
+	n.t.walk(n.r, func(r Ref) {
+		if n.t.IsLeaf(r) {
+			if run := n.t.Run(r); run != nil {
+				run()
+			}
 		}
 	})
 }

@@ -81,7 +81,7 @@ func TestWalkOrder(t *testing.T) {
 	if len(order) != 5 {
 		t.Fatalf("visited %d nodes", len(order))
 	}
-	if order[1] != a || order[3] != b || order[4] != c {
+	if order[1].Work().Flops != 1 || !order[2].IsPar() || order[3].Work().Flops != 2 || order[4].Work().Flops != 3 {
 		t.Fatal("walk order not depth-first")
 	}
 }
@@ -90,7 +90,7 @@ func TestLeaves(t *testing.T) {
 	a, b, c := leaf(1), leaf(2), leaf(3)
 	root := Par(Seq(a, b), c)
 	ls := root.Leaves()
-	if len(ls) != 3 || ls[0] != a || ls[1] != b || ls[2] != c {
+	if len(ls) != 3 || ls[0].Work().Flops != 1 || ls[1].Work().Flops != 2 || ls[2].Work().Flops != 3 {
 		t.Fatal("leaves wrong")
 	}
 }

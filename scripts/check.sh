@@ -33,38 +33,16 @@ go vet -copylocks ./...
 # a clean shutdown (scripts/errcheck/main.go).
 go run ./scripts/errcheck
 go build ./...
+# The benchmark module (bench/) compiles against internal/task, sim and
+# workload but is its own module, outside ./...: vet it so an API
+# break shows here rather than when the benchmark runs.
+(cd bench && go vet ./...)
 go test ./...
-go test -race ./internal/sched/... ./internal/kernel/... ./internal/obs/...
-# The tree builders: a build is single-threaded by contract, but its
-# trees are executed and simulated concurrently, and the per-build
-# arena's overlap detector must itself stay race-free.
-go test -race ./internal/task/... ./internal/strassen/... ./internal/caps/...
-go test -race ./internal/rapl/... ./internal/papi/... ./internal/trace/... ./internal/monitor/... ./internal/faults/...
-# The distributed stack: the simulated MPI layer, the rank programs
-# and the comms/cluster model feed the same concurrent driver, so they
-# get the same race pass.
-go test -race ./internal/mpi/... ./internal/dmm/... ./internal/cluster/...
-# The sweep server: concurrent HTTP subscribers, sweep-level
-# single-flight and the drain path all live on shared state — and the
-# store it persists to: journals, leases and lock files are mutated by
-# racing replicas by design.
-go test -race ./internal/serve/... ./internal/store/...
-# The event-driven simulator core: concurrent Runs must be race-free
-# (-short skips the 48-cell bit-identicality pin, which the plain
-# `go test ./...` line above already ran in full).
-go test -race -short ./internal/sim/...
+# The race-detector pass, shared with `make race`.
+./scripts/race.sh
 # Scalability smoke: a 1024-node (4096-core) shape-only sweep across
 # the paper's algorithms must finish inside its wall-clock budget.
 go test -run 'TestSimScalabilitySmoke1024Nodes' -count=1 ./internal/workload/
-# The parallel experiment driver: the concurrent sweep must be race-free
-# and bit-identical to the sequential one, including under cache churn
-# and live metric/span reads from the observability layer — and the
-# chaos sweep (fault injection + containment + checkpoint) must hold
-# its determinism invariants under the race detector too.
-go test -race -run 'TestExecuteParallelBitIdenticalToSequential|TestConcurrentExecuteResetAndMetricsRace|TestChaosSweepInvariants|TestCheckpointResume|TestGuidedSweepDeterminism' -count=1 ./internal/workload/
-# The energy-complexity model the guided planner fits is pure math,
-# but it rides the concurrent driver: keep its own tests in the gate.
-go test -race ./internal/model/
 go test -run 'TestReplayReconcilesAtSaneInterval|TestReplayFlagsInjectedWrapLoss|TestReplaySameRunReconciledWhenSampledFastEnough' -count=1 ./internal/monitor/
 # Trace export smoke: the real powertrace binary must emit a
 # structurally valid Perfetto trace.
