@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -199,10 +200,12 @@ func ParseSpec(s string) (Spec, error) {
 	if at := strings.LastIndex(body, "@"); at >= 0 {
 		mem := strings.TrimSuffix(strings.TrimSpace(body[at+1:]), "GiB")
 		gib, err := strconv.ParseFloat(mem, 64)
-		if err != nil || gib <= 0 {
+		spec.MemPerNode = gib * (1 << 30)
+		// !(x > 0) also rejects NaN; the Inf check runs after scaling so
+		// a finite GiB count that overflows in bytes fails too.
+		if err != nil || !(spec.MemPerNode > 0) || math.IsInf(spec.MemPerNode, 1) {
 			return Spec{}, fmt.Errorf("cluster: bad memory in spec %q (want e.g. @8GiB)", s)
 		}
-		spec.MemPerNode = gib * (1 << 30)
 		body = body[:at]
 	}
 	i := strings.IndexAny(body, "xX")

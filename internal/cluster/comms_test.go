@@ -122,11 +122,40 @@ func TestParseSpec(t *testing.T) {
 	if got := s.String(); got != "49xFDR@16GiB" {
 		t.Fatalf("round trip %q", got)
 	}
-	for _, bad := range []string{"", "x1GbE", "0x1GbE", "-4x1GbE", "4xWiFi", "4x1GbE@zeroGiB", "4x1GbE@-2GiB"} {
+	for _, bad := range []string{"", "x1GbE", "0x1GbE", "-4x1GbE", "4xWiFi", "4x1GbE@zeroGiB", "4x1GbE@-2GiB",
+		// Non-finite memory: NaN passes every `<= 0` check, and 1e308
+		// GiB overflows to +Inf bytes.
+		"16x1GbE@NaN", "16x1GbE@nanGiB", "16x1GbE@Inf", "16x1GbE@1e308"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		} else if !strings.Contains(err.Error(), "cluster:") {
 			t.Errorf("spec %q: undiagnostic error %v", bad, err)
 		}
 	}
+}
+
+// FuzzParseSpec: no input panics the parser, and every accepted spec
+// has a positive node count and finite positive memory, and survives a
+// String round trip unchanged.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{"16x1GbE", "49xFDR@16GiB", "4xib@0.5", " 7 X gige @ 2GiB ",
+		"16x1GbE@NaN", "16x1GbE@Inf", "16x1GbE@1e308", "4x1GbE@5e-324GiB", "x@", "@"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		if spec.Nodes <= 0 || !(spec.MemPerNode > 0) || math.IsInf(spec.MemPerNode, 0) {
+			t.Fatalf("ParseSpec(%q) accepted %+v", s, spec)
+		}
+		again, err := ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q).String() = %q does not parse: %v", s, spec.String(), err)
+		}
+		if again != spec {
+			t.Fatalf("ParseSpec(%q) = %+v, but its String %q parses to %+v", s, spec, spec.String(), again)
+		}
+	})
 }

@@ -7,14 +7,23 @@
 // integrated alongside, giving the "multifaceted model of algorithmic
 // energy performance scaling" the paper's future work calls for.
 //
-// Determinism: message matching is FIFO per (source, destination,
-// tag) and receives always name their source, so results are
-// independent of goroutine interleaving.
+// Determinism: ranks are goroutines, but they run one at a time. A
+// rank holds the baton until it returns, panics, or receives from an
+// empty (destination, source, tag) queue; it then hands the baton to
+// the longest-runnable rank and suspends. A send to a rank suspended
+// on exactly that queue makes it runnable. Message matching is FIFO
+// per queue and receives always name their source, so every rank sees
+// the same messages in the same order under any schedule, and the
+// results do not depend on it. When no rank is runnable but one has
+// not returned, the run is deadlocked. Traced runs merge the ranks'
+// power logs in (time, rank, emission) order, so the timeline does not
+// depend on the schedule either.
 package mpi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"capscale/internal/cluster"
@@ -83,21 +92,100 @@ type message struct {
 	arrive float64
 }
 
-// world is the shared state of one Run.
+// world is the shared state of one Run. Only the rank holding the
+// baton touches it; the channel hand-off that passes the baton orders
+// every access.
 type world struct {
-	c  *cluster.Cluster
-	mu sync.Mutex
-	cv *sync.Cond
+	c    *cluster.Cluster
+	prog func(*Rank)
+	rs   []*Rank
 	// queues holds in-flight messages.
 	queues map[msgKey][]message
-	// waiting records what each blocked rank is waiting for; alive
-	// counts unfinished ranks. Every live rank waiting with no
-	// deliverable message anywhere is a deadlock.
-	waiting map[int]msgKey
-	alive   int
+	// runq is the FIFO ring of runnable ranks: n of them from head.
+	// No rank runnable while one is suspended is a deadlock.
+	runq    []*Rank
+	head, n int
+	// panicked is the first rank panic; once set, the run unwinds.
+	panicked any
+	// done receives once every rank goroutine has returned or unwound.
+	done chan struct{}
 	// record arms per-rank power-event collection so the run can be
 	// rendered as a cluster power timeline (RunTraced).
 	record bool
+}
+
+// unwinding is the private panic value that unwinds a suspended
+// rank's goroutine after another rank panicked. It never escapes Run.
+type unwinding struct{}
+
+func (w *world) push(r *Rank) {
+	w.runq[(w.head+w.n)%len(w.runq)] = r
+	w.n++
+}
+
+// pop returns the longest-runnable rank, or nil if none is.
+func (w *world) pop() *Rank {
+	if w.n == 0 {
+		return nil
+	}
+	r := w.runq[w.head]
+	w.head = (w.head + 1) % len(w.runq)
+	w.n--
+	return r
+}
+
+// resume hands the baton to r: it starts r's goroutine the first time
+// and wakes it from its suspended Recv after that. The caller must not
+// touch the world afterwards.
+func (w *world) resume(r *Rank) {
+	if !r.started {
+		r.started = true
+		go w.main(r)
+		return
+	}
+	r.wake <- struct{}{}
+}
+
+// main is a rank goroutine: it runs the program, then passes the
+// baton on from its deferred exit.
+func (w *world) main(r *Rank) {
+	defer func() { w.exit(r, recover()) }()
+	w.prog(r)
+}
+
+// exit retires a rank whose program returned (v == nil) or panicked,
+// and hands the baton on: to the next runnable rank, or, once the run
+// is over, back to Run. A panic — or a deadlock, found here when the
+// last runnable rank returns while another is suspended — unwinds the
+// suspended ranks one at a time before Run gets the baton back.
+func (w *world) exit(r *Rank, v any) {
+	r.done = true
+	// Ranks unwind only after panicked is set, so the first panic
+	// recorded is never the sentinel.
+	if v != nil && w.panicked == nil {
+		w.panicked = v
+	}
+	if w.panicked == nil {
+		if next := w.pop(); next != nil {
+			w.resume(next)
+			return
+		}
+		for _, s := range w.rs {
+			if s.suspended {
+				w.panicked = s.deadlock()
+				break
+			}
+		}
+	}
+	if w.panicked != nil {
+		for _, s := range w.rs {
+			if s.started && !s.done {
+				s.wake <- struct{}{}
+				return
+			}
+		}
+	}
+	w.done <- struct{}{}
 }
 
 // powerEvent is a signed plane-power delta at one instant of virtual
@@ -107,17 +195,6 @@ type world struct {
 type powerEvent struct {
 	t  float64
 	pw hw.PlanePower
-}
-
-// anyDeliverable reports whether any blocked rank's awaited queue has
-// a message (a transient state: that rank will wake and drain it).
-func (w *world) anyDeliverable() bool {
-	for _, k := range w.waiting {
-		if len(w.queues[k]) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Rank is one process of the distributed program. Methods must only be
@@ -140,6 +217,12 @@ type Rank struct {
 
 	// Power-event log (RunTraced only).
 	events []powerEvent
+
+	// Scheduling state. wake carries the baton to a suspended rank;
+	// waitKey is the queue its Recv waits on.
+	wake                     chan struct{}
+	waitKey                  msgKey
+	started, suspended, done bool
 }
 
 // emit records one constant-power contribution over [start, end).
@@ -219,11 +302,12 @@ func (r *Rank) Send(to, tag int, bytes float64) {
 	}
 
 	w := r.w
-	w.mu.Lock()
 	key := msgKey{dst: to, src: r.id, tag: tag}
 	w.queues[key] = append(w.queues[key], message{bytes: bytes, arrive: arrive})
-	w.cv.Broadcast()
-	w.mu.Unlock()
+	if d := w.rs[to]; d.suspended && d.waitKey == key {
+		d.suspended = false
+		w.push(d)
+	}
 }
 
 // Recv blocks until the next message from `from` under `tag` arrives,
@@ -239,20 +323,17 @@ func (r *Rank) Recv(from, tag int) float64 {
 	}
 	w := r.w
 	key := msgKey{dst: r.id, src: from, tag: tag}
-	w.mu.Lock()
 	for len(w.queues[key]) == 0 {
-		w.waiting[r.id] = key
-		if len(w.waiting) == w.alive && !w.anyDeliverable() {
-			delete(w.waiting, r.id)
-			w.mu.Unlock()
-			panic(fmt.Sprintf("mpi: deadlock — every live rank is waiting (rank %d on src %d tag %d)", r.id, from, tag))
-		}
-		w.cv.Wait()
-		delete(w.waiting, r.id)
+		r.suspend(key)
 	}
-	msg := w.queues[key][0]
-	w.queues[key] = w.queues[key][1:]
-	w.mu.Unlock()
+	q := w.queues[key]
+	msg := q[0]
+	if len(q) == 1 {
+		// An emptied queue keeps its array for the key's next send.
+		w.queues[key] = q[:0]
+	} else {
+		w.queues[key] = q[1:]
+	}
 
 	if msg.arrive > r.now {
 		// The wire is on the rank's critical path: an exposed α (plus
@@ -264,6 +345,34 @@ func (r *Rank) Recv(from, tag int) float64 {
 	r.chargeOverhead()
 	r.nicJ += w.c.Fabric.NICPerGBs * msg.bytes / 1e9
 	return msg.bytes
+}
+
+// suspend parks the rank until a send to key makes it runnable,
+// handing the baton to the longest-runnable rank meanwhile. With no
+// rank runnable the run is deadlocked; once another rank has panicked,
+// the rank unwinds instead of waiting.
+func (r *Rank) suspend(key msgKey) {
+	w := r.w
+	r.waitKey = key
+	if w.panicked != nil {
+		panic(unwinding{})
+	}
+	next := w.pop()
+	if next == nil {
+		panic(r.deadlock())
+	}
+	r.suspended = true
+	w.resume(next)
+	<-r.wake
+	if w.panicked != nil {
+		panic(unwinding{})
+	}
+}
+
+// deadlock is the diagnosis naming a rank that waits on waitKey with
+// no rank left to send to it.
+func (r *Rank) deadlock() string {
+	return fmt.Sprintf("mpi: deadlock — every live rank is waiting (rank %d on src %d tag %d)", r.id, r.waitKey.src, r.waitKey.tag)
 }
 
 // SendRecv exchanges messages with a partner (both directions, same
@@ -306,55 +415,52 @@ func Run(c *cluster.Cluster, ranks int, prog func(*Rank)) *Result {
 // (rapl.Device.Advance per segment) and reconcile against the run.
 func RunTraced(c *cluster.Cluster, ranks int, prog func(*Rank)) (*Result, []sim.Segment) {
 	res, rs := run(c, ranks, prog, true)
-	return res, mergeTimeline(c, rs, res.Makespan)
+	segs := mergeTimeline(c, rs, res.Makespan)
+	for _, r := range rs {
+		log := r.events[:0]
+		logPool.Put(&log)
+	}
+	return res, segs
 }
+
+// logPool recycles the ranks' power-event logs from one traced run to
+// the next. A DStrassen rank logs thousands of events; growing every
+// rank's log afresh in each run made allocation, garbage collection
+// and the page faults of memory handed back to the OS the bulk of a
+// traced run's cost, and its most host-dependent part.
+var logPool = sync.Pool{New: func() any { return new([]powerEvent) }}
 
 func run(c *cluster.Cluster, ranks int, prog func(*Rank), record bool) (*Result, []*Rank) {
 	if ranks <= 0 || ranks > c.Nodes {
 		panic(fmt.Sprintf("mpi: %d ranks on %d nodes", ranks, c.Nodes))
 	}
-	w := &world{c: c, queues: make(map[msgKey][]message), waiting: make(map[int]msgKey), alive: ranks, record: record}
-	w.cv = sync.NewCond(&w.mu)
-
-	rs := make([]*Rank, ranks)
-	for i := range rs {
-		rs[i] = &Rank{w: w, id: i, size: ranks}
+	w := &world{
+		c:      c,
+		prog:   prog,
+		rs:     make([]*Rank, ranks),
+		queues: make(map[msgKey][]message),
+		runq:   make([]*Rank, ranks),
+		done:   make(chan struct{}),
+		record: record,
 	}
-
-	var wg sync.WaitGroup
-	var panicMu sync.Mutex
-	var panicked any
-	for _, r := range rs {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = v
-					}
-					panicMu.Unlock()
-				}
-				w.mu.Lock()
-				w.alive--
-				w.cv.Broadcast()
-				w.mu.Unlock()
-			}()
-			prog(r)
-		}()
+	for i := range w.rs {
+		w.rs[i] = &Rank{w: w, id: i, size: ranks, wake: make(chan struct{})}
+		if record {
+			w.rs[i].events = *logPool.Get().(*[]powerEvent)
+		}
+		w.push(w.rs[i])
 	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	w.resume(w.pop())
+	<-w.done
+	if w.panicked != nil {
+		panic(w.panicked)
 	}
 
 	res := &Result{
 		RankFinish: make([]float64, ranks),
 		RankBusy:   make([]float64, ranks),
 	}
-	for i, r := range rs {
+	for i, r := range w.rs {
 		res.RankFinish[i] = r.now
 		res.RankBusy[i] = r.busy
 		res.ComputeJoules += r.energyJ
@@ -372,14 +478,18 @@ func run(c *cluster.Cluster, ranks int, prog func(*Rank), record bool) (*Result,
 		}
 	}
 	res.IdleJoules = c.IdlePowerFor(ranks) * res.Makespan
-	return res, rs
+	return res, w.rs
 }
 
 // mergeTimeline folds every rank's signed power deltas, plus the
 // cluster idle baseline over [0, makespan), into a piecewise-constant
-// per-plane timeline. Events are concatenated in rank order and
-// stable-sorted by time, so equal-time deltas apply in a fixed order
-// and the timeline is deterministic.
+// per-plane timeline. Deltas apply in (time, rank, emission) order, so
+// equal-time deltas add in a fixed order and the timeline is
+// deterministic. That is the order of a stable time sort over the
+// rank-ordered concatenation of the logs, built cheaper: each rank's
+// log is nearly sorted already (its clock only moves forward; only
+// wire-window ends run ahead), so it is stable-sorted on its own, and
+// a heap of the ranks' heads merges them, ties going to the lower rank.
 func mergeTimeline(c *cluster.Cluster, rs []*Rank, makespan float64) []sim.Segment {
 	if makespan <= 0 {
 		return nil
@@ -393,28 +503,69 @@ func mergeTimeline(c *cluster.Cluster, rs []*Rank, makespan float64) []sim.Segme
 		NIC:    c.Fabric.NICIdleWatts * n,
 		Switch: c.Fabric.SwitchIdleWatts,
 	}
-	var events []powerEvent
-	for _, r := range rs {
-		events = append(events, r.events...)
+	m := rankMerge{logs: make([][]powerEvent, len(rs))}
+	for i, r := range rs {
+		slices.SortStableFunc(r.events, func(a, b powerEvent) int { return cmp.Compare(a.t, b.t) })
+		m.logs[i] = r.events
+		if len(r.events) > 0 {
+			m.heap = append(m.heap, i)
+		}
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].t < events[j].t })
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
 
 	var segs []sim.Segment
 	cur := base
 	prev := 0.0
-	for i := 0; i < len(events); {
-		t := events[i].t
-		if t > prev {
-			segs = append(segs, sim.Segment{Start: prev, End: t, Power: cur})
-			prev = t
+	for len(m.heap) > 0 {
+		top := m.heap[0]
+		e := m.logs[top][0]
+		if e.t > prev {
+			segs = append(segs, sim.Segment{Start: prev, End: e.t, Power: cur})
+			prev = e.t
 		}
-		for i < len(events) && events[i].t == t {
-			cur = cur.Add(events[i].pw)
-			i++
+		cur = cur.Add(e.pw)
+		if m.logs[top] = m.logs[top][1:]; len(m.logs[top]) == 0 {
+			last := len(m.heap) - 1
+			m.heap[0] = m.heap[last]
+			m.heap = m.heap[:last]
 		}
+		m.down(0)
 	}
 	if makespan > prev {
 		segs = append(segs, sim.Segment{Start: prev, End: makespan, Power: cur})
 	}
 	return segs
+}
+
+// rankMerge is a binary min-heap of the ranks whose sorted logs still
+// hold events, keyed by (head event time, rank).
+type rankMerge struct {
+	logs [][]powerEvent
+	heap []int
+}
+
+func (m *rankMerge) less(a, b int) bool {
+	ta, tb := m.logs[a][0].t, m.logs[b][0].t
+	return ta < tb || ta == tb && a < b
+}
+
+// down restores the heap order below slot i.
+func (m *rankMerge) down(i int) {
+	h := m.heap
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && m.less(h[l], h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && m.less(h[r], h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }

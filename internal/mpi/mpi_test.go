@@ -2,7 +2,10 @@ package mpi
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"capscale/internal/cluster"
 	"capscale/internal/task"
@@ -336,5 +339,102 @@ func TestSendValidation(t *testing.T) {
 				}
 			})
 		}()
+	}
+}
+
+// runPanic runs prog and returns the value Run panicked with, or nil.
+func runPanic(ranks int, prog func(*Rank)) (v any) {
+	defer func() { v = recover() }()
+	Run(testCluster(ranks), ranks, prog)
+	return nil
+}
+
+// goroutinesBackTo polls briefly until the goroutine count falls back
+// to want, and returns the last count seen. It may end below want: the
+// last rank goroutine of an earlier Run can still be exiting when a
+// test takes its starting count.
+func goroutinesBackTo(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// A rank waiting on one that has already returned is deadlocked even
+// though not every rank is waiting. The diagnosis names the waiting
+// rank whether it is found as that rank suspends or as the last
+// runnable rank returns.
+func TestPartialDeadlockNamesWaitingRank(t *testing.T) {
+	cases := []struct {
+		name  string
+		ranks int
+		prog  func(*Rank)
+		want  string
+	}{
+		{"on suspend", 2, func(r *Rank) {
+			if r.ID() == 1 {
+				r.Recv(0, 0)
+			}
+		}, "mpi: deadlock — every live rank is waiting (rank 1 on src 0 tag 0)"},
+		{"on exit", 3, func(r *Rank) {
+			switch r.ID() {
+			case 0:
+				r.Recv(2, 0)
+			case 1:
+				r.Recv(0, 5)
+			case 2:
+				r.Send(0, 0, 1)
+			}
+		}, "mpi: deadlock — every live rank is waiting (rank 1 on src 0 tag 5)"},
+	}
+	for _, tc := range cases {
+		start := runtime.NumGoroutine()
+		if v := runPanic(tc.ranks, tc.prog); v != tc.want {
+			t.Errorf("%s: recovered %v, want %q", tc.name, v, tc.want)
+		}
+		if n := goroutinesBackTo(start); n > start {
+			t.Errorf("%s: %d goroutines after Run, %d before", tc.name, n, start)
+		}
+	}
+}
+
+func TestRingDeadlockDetected(t *testing.T) {
+	const size = 64
+	start := runtime.NumGoroutine()
+	v := runPanic(size, func(r *Rank) {
+		r.Recv((r.ID()+size-1)%size, 0)
+		r.Send((r.ID()+1)%size, 0, 1)
+	})
+	if s, ok := v.(string); !ok || !strings.HasPrefix(s, "mpi: deadlock") {
+		t.Fatalf("recovered %v, want a deadlock diagnosis", v)
+	}
+	if n := goroutinesBackTo(start); n > start {
+		t.Fatalf("%d goroutines after Run, %d before", n, start)
+	}
+}
+
+// A rank panic while the other ranks are suspended is re-raised by Run
+// only after every suspended rank has unwound through its deferred
+// calls, and no goroutine outlives the run.
+func TestRankPanicUnwindsSuspendedRanks(t *testing.T) {
+	const size = 8
+	start := runtime.NumGoroutine()
+	unwound := 0
+	v := runPanic(size, func(r *Rank) {
+		if r.ID() == size-1 {
+			panic("boom")
+		}
+		defer func() { unwound++ }()
+		r.Recv(size-1, 0)
+	})
+	if v != "boom" {
+		t.Fatalf("recovered %v, want the rank's own panic", v)
+	}
+	if unwound != size-1 {
+		t.Fatalf("%d of %d suspended ranks unwound before Run panicked", unwound, size-1)
+	}
+	if n := goroutinesBackTo(start); n > start {
+		t.Fatalf("%d goroutines after Run, %d before", n, start)
 	}
 }

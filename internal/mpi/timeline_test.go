@@ -2,11 +2,16 @@ package mpi
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"capscale/internal/cluster"
+	"capscale/internal/hw"
 	"capscale/internal/monitor"
 	"capscale/internal/rapl"
+	"capscale/internal/sim"
 	"capscale/internal/task"
 )
 
@@ -136,5 +141,85 @@ func TestCriticalPathMetrics(t *testing.T) {
 	}
 	if res.CritCommSeconds <= 0 || res.CritCommSeconds > res.Makespan {
 		t.Fatalf("CritCommSeconds %v outside (0, %v]", res.CritCommSeconds, res.Makespan)
+	}
+}
+
+// stableSortTimeline is the reference merge: every rank's deltas
+// concatenated in rank order and stable-sorted by time, then swept into
+// segments. mergeTimeline must reproduce it bit for bit.
+func stableSortTimeline(c *cluster.Cluster, rs []*Rank, makespan float64) []sim.Segment {
+	if makespan <= 0 {
+		return nil
+	}
+	idle := c.Node.IdlePower()
+	n := float64(len(rs))
+	base := hw.PlanePower{
+		PKG:    idle.PKG * n,
+		PP0:    idle.PP0 * n,
+		DRAM:   idle.DRAM * n,
+		NIC:    c.Fabric.NICIdleWatts * n,
+		Switch: c.Fabric.SwitchIdleWatts,
+	}
+	var events []powerEvent
+	for _, r := range rs {
+		events = append(events, r.events...)
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].t < events[j].t })
+
+	var segs []sim.Segment
+	cur := base
+	prev := 0.0
+	for i := 0; i < len(events); {
+		t := events[i].t
+		if t > prev {
+			segs = append(segs, sim.Segment{Start: prev, End: t, Power: cur})
+			prev = t
+		}
+		for i < len(events) && events[i].t == t {
+			cur = cur.Add(events[i].pw)
+			i++
+		}
+	}
+	if makespan > prev {
+		segs = append(segs, sim.Segment{Start: prev, End: makespan, Power: cur})
+	}
+	return segs
+}
+
+// TestMergeTimelineMatchesStableSort checks the per-rank sort plus
+// k-way merge against the stable sort of the concatenated logs, on
+// random logs shaped the way emit writes them: start times never
+// decrease within a rank, wire-window ends run ahead of later starts,
+// and times come from a small grid so deltas tie within and across
+// ranks. Powers are arbitrary floats, so any change in the order the
+// deltas are added shows in the bits.
+func TestMergeTimelineMatchesStableSort(t *testing.T) {
+	c := testCluster(70)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 80; trial++ {
+		ranks := 1 + rng.Intn(70)
+		rs := make([]*Rank, ranks)
+		makespan := 0.0
+		for i := range rs {
+			r := &Rank{id: i, size: ranks}
+			now := 0.0
+			for pairs := rng.Intn(251); pairs > 0; pairs-- {
+				now += 0.25 * float64(rng.Intn(3))
+				end := now + 0.25*float64(1+rng.Intn(8))
+				pw := hw.PlanePower{PKG: rng.Float64() * 40, PP0: rng.Float64() * 30, DRAM: rng.Float64(), NIC: rng.Float64() * 5}
+				r.events = append(r.events, powerEvent{t: now, pw: pw}, powerEvent{t: end, pw: hw.PlanePower{}.Sub(pw)})
+				makespan = math.Max(makespan, end)
+				if rng.Intn(2) == 0 { // a compute phase: the clock follows it
+					now = end
+				}
+			}
+			rs[i] = r
+		}
+		makespan += 0.25 * float64(rng.Intn(2))
+		want := stableSortTimeline(c, rs, makespan)
+		if got := mergeTimeline(c, rs, makespan); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d ranks): merged timeline differs from the stable sort (%d vs %d segments)",
+				trial, ranks, len(got), len(want))
+		}
 	}
 }

@@ -442,6 +442,7 @@ func TestSweepRequestValidation(t *testing.T) {
 		{"unknown machine", `{"machine":"Cray-1"}`, "unknown machine"},
 		{"unknown plan", `{"plan":"psychic"}`, "unknown plan"},
 		{"distributed without clusters", `{"algorithms":["SUMMA"]}`, "cluster"},
+		{"non-finite cluster memory", `{"algorithms":["SUMMA"],"clusters":["16x1GbE@NaN"]}`, "bad memory"},
 	}
 	// An over-the-cell-limit matrix (3 algorithms × 400 sizes × 4
 	// threads) is refused before executing anything.

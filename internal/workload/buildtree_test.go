@@ -11,8 +11,12 @@ import (
 	"testing"
 
 	"capscale/internal/caps"
+	"capscale/internal/cluster"
 	"capscale/internal/hw"
 	"capscale/internal/matrix"
+	"capscale/internal/mpi"
+	"capscale/internal/obs"
+	"capscale/internal/sim"
 	"capscale/internal/strassen"
 	"capscale/internal/task"
 )
@@ -125,6 +129,128 @@ func TestBuildTreeDigestsStable(t *testing.T) {
 		}
 		if got := treeDigest(root); got != tc.tree {
 			t.Errorf("%s: tree digest %s, want %s", tc.name, got, tc.tree)
+		}
+	}
+}
+
+// runDigest hashes everything mpi.RunTraced returns for one cell: every
+// Result field and every timeline segment, with floats by bit pattern.
+func runDigest(res *mpi.Result, segs []sim.Segment) string {
+	h := sha256.New()
+	bits := func(xs ...float64) {
+		for _, x := range xs {
+			fmt.Fprintf(h, "%x ", math.Float64bits(x))
+		}
+		io.WriteString(h, "\n")
+	}
+	bits(res.Makespan, res.ComputeJoules, res.NICJoules, res.IdleJoules, res.BytesSent, res.CritCommSeconds)
+	fmt.Fprintf(h, "%d %d\n", res.Messages, res.CritAlphaTerms)
+	bits(res.RankFinish...)
+	bits(res.RankBusy...)
+	for _, s := range segs {
+		bits(s.Start, s.End, s.Power.PKG, s.Power.PP0, s.Power.DRAM, s.Power.NIC, s.Power.Switch)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The distributed counterpart of TestBuildTreeDigestsStable: the mpi
+// layer must produce the same runs, to the bit, however it schedules
+// its ranks and merges their power logs. The cells are scale-sweep's
+// distributed half. Each pins the sha256 of mpi.RunTraced's Result and
+// timeline, and of the cell's MarshalRunRecord line. The digests were
+// recorded from the goroutine-per-rank scheduler with its stable-sorted
+// timeline merge.
+func TestDistributedDigestsStable(t *testing.T) {
+	want := map[string][2]string{
+		"SUMMA/1024/0@16x1GbE": {
+			"abbcd38f9a5d36130a810e56a98a0bec7090ff6538864dc96269e924f2b54203",
+			"28f87bbda7af28c739ded914e54f86eb5c62ab08cb29f97d5231062ea20ddddc"},
+		"SUMMA/1024/0@64xFDR": {
+			"c8d0bd4abb295ee1dc6d51add68e7159708177a5b00dc91455067607cf363cf4",
+			"855c4972097f1174149835f778eac7972648e14b60604ef5b30244b91b051780"},
+		"SUMMA/2048/0@16x1GbE": {
+			"a684019cba8fc8c92b186a74d8d86e00750f5d88ed14d6dd10efc0a18f2bb2ce",
+			"8eeed4ff1affa1b37d58490e8c6531a7eabd1826e6423dc9b48fae0cdeadfec6"},
+		"SUMMA/2048/0@64xFDR": {
+			"66273a82e1fe4d0ae8fceb910835f1956a613deaa29aac83f4c511bdfedf482d",
+			"f44f7027047c0c88e14bf4d98665cdedc17c9dc76638dabb7a50c02844447c16"},
+		"2.5D/1024/0@16x1GbE": {
+			"abbcd38f9a5d36130a810e56a98a0bec7090ff6538864dc96269e924f2b54203",
+			"3b88001d22cdf851e3525c98be9ac502406b208d2f5f5efdb684e7517147e5f1"},
+		"2.5D/1024/0@64xFDR": {
+			"fb29583fa34bed286968e6f3ae7115086cfe5747d132f172738c824553c739a1",
+			"e5f44ee1ee8e45da43d22de43fe34d05d2d06cd031948ac6afbbd7fc2f96584f"},
+		"2.5D/2048/0@16x1GbE": {
+			"a684019cba8fc8c92b186a74d8d86e00750f5d88ed14d6dd10efc0a18f2bb2ce",
+			"9a9068931245e097ccabdece2f16f435a060432318f174b87210e3ecb9aaa367"},
+		"2.5D/2048/0@64xFDR": {
+			"345a3449311ce264ca06ef1ff35ff34b266017c8e5ca0de4ebeca1ca66282279",
+			"d47b75c319bac99899854ea5e6a59c76f6faacc4f1865989bf6d743649c5bbe2"},
+		"DStrassen/1024/0@16x1GbE": {
+			"4457f1266a52734f71b958d5919c6126091ecaaaf1620567f26b43682244ff33",
+			"03cc648be9cf7e69d74a1515d65041125bc1623fa67c152a91e0736959174953"},
+		"DStrassen/1024/0@64xFDR": {
+			"e2618039da5674da4ced0ce24a7fc170a6625c2419aaaa897bbc19388cf104e6",
+			"487274412eba4d611c8ade586de9ce44fc8e6a38892d0d829930734a1a7c094a"},
+		"DStrassen/2048/0@16x1GbE": {
+			"f375b70e6474ffcc679d98c25923a633ae348ac278fa2e1d0ac4ecbb5a813637",
+			"162f7d2dc45b989201ae6c9c085ac34ebe4c564ad34c90ad098c6224307859e5"},
+		"DStrassen/2048/0@64xFDR": {
+			"1734946876253fea361ded4bd40d4ec2205820a6fa419453ee9c920abffaff6c",
+			"ab43c06b2558a350ce1ceb17b733aa2a4b0c4be734d3276450eb0ea2e79cf50b"},
+		"dCAPS/1024/0@16x1GbE": {
+			"61b02e9bb17b13db24e2df9dcdb54466a5733c6e5b1de030d6991a6da299227d",
+			"96ee9009a8644a316ce8dd1ea9deaf3c99a982887749b2d08450fbaad7c73474"},
+		"dCAPS/1024/0@64xFDR": {
+			"e66709a77b5eec645fa4212586e76fd072e596f7da1bc2084a884c05a1c7772a",
+			"3a1743b61d2ef7314a861df85b26a7db1dd76c83da7755b77ad163027d84f4bc"},
+		"dCAPS/2048/0@16x1GbE": {
+			"b1e4a34de5da3d77b01f9b0fe7e8cf54fb144a883eb3872ad998aaf270cce30d",
+			"930e299849b0e8860b8c197a59a29775b202215a7f7b0371e54dfc7307489415"},
+		"dCAPS/2048/0@64xFDR": {
+			"dddb7742bb70fbc958fd7c872a25697f627b82d1f41b72822bf0148854823627",
+			"69c01e52cb3a9d4b43a5f8f6e0d3a5a9edc55f445f3d6a071c97da5226826870"},
+	}
+	cfg := Config{
+		Machine:    hw.HaswellE31225(),
+		Algorithms: DistributedAlgorithms(),
+		Sizes:      []int{1024, 2048},
+		Threads:    []int{4},
+		NoCache:    true,
+	}
+	for _, s := range []string{"16x1GbE", "64xFDR"} {
+		spec, err := cluster.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Clusters = append(cfg.Clusters, spec)
+	}
+	cells := cfg.cells()
+	if len(cells) != 16 {
+		t.Fatalf("%d cells, want 16", len(cells))
+	}
+	for _, c := range cells {
+		key := cfg.cellKey(c)
+		spec := cfg.clusterOf(c)
+		ranks, replication := fitRanks(c.alg, c.n, spec)
+		fabric, err := spec.Comms.Fabric()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cluster.New(cfg.Machine, spec.Nodes, fabric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, segs := mpi.RunTraced(cl, ranks, distProgram(c.alg, c.n, replication))
+		run := executeCell(cfg, c, nil, obs.Track{})
+		line, err := MarshalRunRecord(key, &run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(line)
+		got := [2]string{runDigest(res, segs), hex.EncodeToString(sum[:])}
+		if got != want[key] {
+			t.Errorf("%s: digests {%q, %q}, want {%q, %q}", key, got[0], got[1], want[key][0], want[key][1])
 		}
 	}
 }

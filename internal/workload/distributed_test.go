@@ -144,3 +144,18 @@ func TestValidateRejectsDistributedWithoutClusters(t *testing.T) {
 		t.Fatal("distributed algorithms without clusters accepted")
 	}
 }
+
+// Validate is the backstop for specs built without ParseSpec: NaN
+// memory passes a `<= 0` check and would leave the 2.5D fit unbounded.
+func TestValidateRejectsNonFiniteMemory(t *testing.T) {
+	cfg := distConfig(t, "4x1GbE")
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mem := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		cfg.Clusters[0].MemPerNode = mem
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("memory %v per node accepted", mem)
+		}
+	}
+}

@@ -308,8 +308,8 @@ func (cfg *Config) Validate() error {
 		if spec.Nodes <= 0 {
 			return fmt.Errorf("workload: cluster spec %q: non-positive node count", spec)
 		}
-		if spec.MemPerNode <= 0 {
-			return fmt.Errorf("workload: cluster spec %q: non-positive memory", spec)
+		if !(spec.MemPerNode > 0) || math.IsInf(spec.MemPerNode, 1) {
+			return fmt.Errorf("workload: cluster spec %q: non-positive or non-finite memory", spec)
 		}
 		if err := spec.Comms.Validate(); err != nil {
 			return err

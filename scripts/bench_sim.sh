@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Runs the event-driven simulator core benchmarks and records ns/op,
-# ns/leaf, B/op and allocs/op in BENCH_sim.json so the scheduler's perf
-# trajectory is comparable across changes:
+# Runs the simulator core benchmarks and the traced MPI layer's, and
+# records them in BENCH_sim.json so their perf trajectory is comparable
+# across changes:
 #
 #   - BenchmarkSimRun, the worker-count sweep (4 → 262144). ns/leaf is
 #     the per-event dispatch figure: it should stay near-flat across the
@@ -9,6 +9,10 @@
 #   - BenchmarkSimulatorThroughput, shape-only Strassen and CAPS at
 #     n=4096 on 4 workers: ns/leaf on trees of several hundred thousand
 #     nodes, which is what a paper-sweep cell pays.
+#   - BenchmarkRunTraced, mpi.RunTraced on DStrassen (64 ranks) and
+#     dCAPS (49 ranks) at n=2048 on a 64-node FDR cluster: ns/message is
+#     what a distributed cell pays per message to schedule its ranks and
+#     merge their power logs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,18 +20,23 @@ out=BENCH_sim.json
 # -run '^$' matches no tests ('XXX' was a substring match that still
 # ran any test whose name contains it).
 raw=$(go test ./internal/sim/ -run '^$' -bench 'BenchmarkSimRun|BenchmarkSimulatorThroughput' -benchmem "$@")
+raw+=$'\n'$(go test ./internal/dmm/ -run '^$' -bench 'BenchmarkRunTraced' -benchmem "$@")
 echo "$raw"
 
 echo "$raw" | awk '
 BEGIN { print "{"; first = 1 }
-/^Benchmark(SimRun|SimulatorThroughput)\// {
+/^Benchmark(SimRun|SimulatorThroughput|RunTraced)\// {
     name = $1
     sub(/-[0-9]+$/, "", name)
     sub(/^Benchmark/, "", name)
     if (!first) printf ",\n"
     first = 0
-    printf "  \"%s\": {\"iters\": %s, \"ns_per_op\": %s, \"ns_per_leaf\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
-        name, $2, $3, $5, $7, $9
+    # Fields 5 and 6 are the per-unit metric and its unit (ns/leaf or
+    # ns/message), which names the JSON key.
+    unit = $6
+    gsub(/\//, "_per_", unit)
+    printf "  \"%s\": {\"iters\": %s, \"ns_per_op\": %s, \"%s\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
+        name, $2, $3, unit, $5, $7, $9
 }
 END { print "\n}" }
 ' > "$out"
