@@ -452,6 +452,26 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+func (h *memHandle) Seek(offset int64, whence int) (int64, error) {
+	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
+	mf, err := h.file()
+	if err != nil {
+		return 0, err
+	}
+	switch whence {
+	case io.SeekCurrent:
+		offset += int64(h.pos)
+	case io.SeekEnd:
+		offset += int64(len(mf.data))
+	}
+	if offset < 0 || whence < io.SeekStart || whence > io.SeekEnd {
+		return 0, &os.PathError{Op: "seek", Path: h.name, Err: os.ErrInvalid}
+	}
+	h.pos = int(offset)
+	return offset, nil
+}
+
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()

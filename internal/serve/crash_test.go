@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"syscall"
 	"testing"
 	"time"
@@ -316,6 +317,18 @@ func TestResumeTokenExactContinuation(t *testing.T) {
 	fullLines := bytes.SplitAfter(bytes.TrimSuffix(full, []byte("\n")), []byte("\n"))
 	if len(fullLines) != cells {
 		t.Fatalf("replay has %d lines, want %d", len(fullLines), cells)
+	}
+
+	// Every 200 GET carries the stored record count in X-Next-From.
+	for _, query := range []string{"", "?from=0"} {
+		resp, err := http.Get(ts.URL + "/v1/result/" + fp + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if got := resp.Header.Get("X-Next-From"); resp.StatusCode != http.StatusOK || got != strconv.Itoa(cells) {
+			t.Fatalf("GET %q: status %d, X-Next-From %q, want %d", query, resp.StatusCode, got, cells)
+		}
 	}
 
 	// GET with ?from=1 returns the tail plus the exact next token.

@@ -12,30 +12,25 @@
 // Endpoints:
 //
 //	POST /v1/sweep        a workload.Config subset (see SweepRequest)
-//	                      → NDJSON stream of cell records as they
-//	                      finish, then one trailer object. Requests
-//	                      with equal fingerprints attach to one
-//	                      in-flight execution (single-flight): each
-//	                      cell is executed at most once no matter how
-//	                      many clients ask for it. When a request
-//	                      attaches to a sweep already under way, the
-//	                      already-known cells are flushed immediately,
-//	                      Predicted cells first (they are the cheap,
-//	                      model-answered majority of a guided sweep).
-//	                      With ?from=N (or a Last-Cell: N header) the
-//	                      stream is journal-backed instead: record
-//	                      lines are tailed straight out of the store
-//	                      journal starting at record index N, and the
-//	                      trailer's "next_from" is an exact resume
-//	                      token — a client cut off mid-stream re-POSTs
-//	                      with ?from=<next_from> and receives each
-//	                      record exactly once, even across a replica
-//	                      death.
+//	                      → NDJSON stream of cell records, then one
+//	                      trailer object. Requests with equal
+//	                      fingerprints attach to one in-flight
+//	                      execution (single-flight): each cell is
+//	                      executed at most once no matter how many
+//	                      clients ask for it. Records arrive in journal
+//	                      order, each once its journal append has
+//	                      returned, and the trailer's "next_from" is
+//	                      the exact journal index after the last record
+//	                      sent. With ?from=N (or a Last-Cell: N header)
+//	                      the stream starts at record index N: a client
+//	                      cut off mid-stream re-POSTs with
+//	                      ?from=<next_from> and receives each record
+//	                      exactly once, even across a replica death.
 //	GET  /v1/result/{fp}  replay a completed sweep's records from the
 //	                      persistent store, byte-identical to the
 //	                      lines streamed while it ran. ?from=N skips
-//	                      the first N records (X-Next-From carries the
-//	                      full count).
+//	                      the first N records; X-Next-From carries the
+//	                      full count either way.
 //	GET  /v1/status       service snapshot (uptime, replica ID,
 //	                      in-flight sweeps, stored results, dedup and
 //	                      recovery counters).
@@ -56,6 +51,16 @@
 // Recover salvages torn journals (quarantining ones whose header is
 // unreadable) and resumes any incomplete sweep whose request sidecar
 // is on disk and whose lease is free.
+//
+// One read path: the journal is the stream. Every record a client
+// receives — on the POST that started a sweep, an attached or
+// following POST, a ?from= resume, or a GET — is read out of the store
+// journal by one incremental store.JournalReader, so all of them see
+// the same bytes in the same order. Subscribers of a sweep this
+// replica executes wake on the executor's per-cell announcement
+// (workload.Config.OnRun, which fires after the cell's journal append
+// has returned); only followers of another replica's sweep poll the
+// journal, every FollowPoll.
 //
 // Client retry contract: bounded retries with jittered exponential
 // backoff. On 429/503, honor Retry-After (add ±50% jitter); on a cut
@@ -85,6 +90,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -93,7 +99,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -135,8 +140,9 @@ type Config struct {
 	// 0 selects store.DefaultLeaseTTL. Lower values speed up takeover
 	// of a crashed replica's sweeps at the cost of more lease I/O.
 	LeaseTTL time.Duration
-	// FollowPoll is how often a read-only follower re-scans a journal
+	// FollowPoll is how often a read-only follower polls a journal
 	// another replica is writing; 0 selects DefaultFollowPoll.
+	// Subscribers of a sweep this replica executes never poll.
 	FollowPoll time.Duration
 }
 
@@ -154,8 +160,7 @@ const (
 // before exit.
 type Server struct {
 	cfg   Config
-	store *Store
-	fsys  store.FS
+	store *store.Store
 	cache *workload.RunCache
 	start time.Time
 
@@ -214,14 +219,16 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.ReplicaID = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	st, err := OpenStore(cfg.StoreDir, cfg.FS)
+	if cfg.StoreDir == "" {
+		return nil, fmt.Errorf("serve: empty store directory")
+	}
+	st, err := store.Open(cfg.StoreDir, cfg.FS)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: creating store: %w", err)
 	}
 	return &Server{
 		cfg:     cfg,
 		store:   st,
-		fsys:    store.Resolve(cfg.FS),
 		cache:   workload.NewRunCache(cfg.CacheCap),
 		start:   time.Now(),
 		sweeps:  make(map[string]*sweepState),
@@ -255,19 +262,16 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 	// Union of journals and request sidecars: a crash between the
 	// sidecar save and the journal's first rename leaves a sidecar with
 	// no journal, and that sweep restarts from scratch.
+	// An unlistable store directory has nothing to recover.
+	journals, _ := s.store.Fingerprints()
+	requests, _ := s.store.RequestFingerprints()
 	seen := make(map[string]bool)
-	var fps []string
-	for _, fp := range s.store.Fingerprints() {
-		seen[fp] = true
-		fps = append(fps, fp)
-	}
-	for _, fp := range s.store.RequestFingerprints() {
-		if !seen[fp] {
-			fps = append(fps, fp)
+	for _, fp := range append(journals, requests...) {
+		if seen[fp] {
+			continue
 		}
-	}
-	for _, fp := range fps {
-		if changed, err := workload.SalvageJournal(s.fsys, s.store.Path(fp)); err != nil {
+		seen[fp] = true
+		if changed, err := store.SalvageJournal(s.store.FS(), s.store.Path(fp), store.MaxRecord); err != nil {
 			logf("recover %s: salvage: %v", fp, err)
 			continue
 		} else if changed {
@@ -289,15 +293,15 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 			logf("recover %s: request sidecar does not reproduce the fingerprint; skipping", fp)
 			continue
 		}
-		snap, err := workload.SnapshotJournal(s.fsys, s.store.Path(fp))
+		stored, err := s.storedCells(fp)
 		if err != nil {
 			logf("recover %s: %v", fp, err)
 			continue
 		}
-		if snap.Unique >= cfg.CellCount() {
+		if stored >= cfg.CellCount() {
 			continue // complete: replayable, nothing to resume
 		}
-		if info, live := store.ReadLeaseInfo(s.fsys, s.store.LeasePath(fp), time.Now()); live {
+		if info, live := store.ReadLeaseInfo(s.store.FS(), s.store.LeasePath(fp), time.Now()); live {
 			logf("recover %s: leased by %q; leaving it to them", fp, info.Owner)
 			continue
 		}
@@ -306,10 +310,22 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 		} else if !attached {
 			resumed++
 			mRecovered.Inc()
-			logf("recover %s: resuming (%d/%d cells stored)", fp, snap.Unique, cfg.CellCount())
+			logf("recover %s: resuming (%d/%d cells stored)", fp, stored, cfg.CellCount())
 		}
 	}
 	return resumed, salvaged
+}
+
+// storedCells counts the distinct cells fp's journal holds.
+func (s *Server) storedCells(fp string) (int, error) {
+	seen := make(map[string]bool)
+	err := store.NewJournalReader(s.store.FS(), s.store.Path(fp), store.MaxRecord).Next(false, func(line []byte) {
+		seen[recordKey(line)] = true
+	})
+	if store.IsNotExist(err) {
+		err = nil
+	}
+	return len(seen), err
 }
 
 // Drain stops admitting requests and waits up to timeout for in-flight
@@ -340,7 +356,7 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	// cut the streams loose with a resumable trailer.
 	s.stopSweeps.Store(true)
 	for _, st := range states {
-		st.finishResumable("server draining; completed cells are stored — resume with ?from=")
+		st.finish("server draining; completed cells are stored — resume with ?from=", true)
 	}
 	grace := timeout / 2
 	if grace > 2*time.Second {
@@ -403,21 +419,21 @@ func (s *Server) release(client string) {
 // resumeToken parses the cell-granularity resume token: ?from=N query
 // parameter, else a Last-Cell: N header. N is the number of record
 // lines the client already holds (equivalently: the next record index
-// it wants) — exactly the "next_from" a journal-backed trailer
-// carries.
-func resumeToken(r *http.Request) (from int, ok bool, err error) {
+// it wants) — exactly the "next_from" every trailer carries. Absent,
+// it is 0.
+func resumeToken(r *http.Request) (int, error) {
 	v := r.URL.Query().Get("from")
 	if v == "" {
 		v = r.Header.Get("Last-Cell")
 	}
 	if v == "" {
-		return 0, false, nil
+		return 0, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
-		return 0, false, fmt.Errorf("bad resume token %q (want a non-negative record index)", v)
+		return 0, fmt.Errorf("bad resume token %q (want a non-negative record index)", v)
 	}
-	return n, true, nil
+	return n, nil
 }
 
 // handleSweep executes (or attaches to, or follows) a sweep and
@@ -450,58 +466,31 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := cfg.Fingerprint()
-	from, hasFrom, err := resumeToken(r)
+	from, err := resumeToken(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
-	if hasFrom {
-		// Journal-backed stream: exact resume tokens, served whether
-		// this replica executes the sweep, follows another replica's
-		// journal, or replays a finished one. Make sure somebody is
-		// executing it if it is incomplete.
-		_, _, err := s.startOrAttach(fp, cfg, body)
-		if err != nil && !errors.Is(err, store.ErrLeaseHeld) && !s.store.Has(fp) {
-			mShedBusy.Inc()
-			w.Header().Set("Retry-After", "5")
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Sweep-Fingerprint", fp)
-		w.WriteHeader(http.StatusOK)
-		s.streamJournal(r.Context(), w, fp, cfg, from)
-		return
-	}
-
 	st, attached, err := s.startOrAttach(fp, cfg, body)
-	if err != nil {
-		var held *store.HeldError
-		if errors.As(err, &held) {
-			// Another replica is executing this sweep: follow its
-			// journal read-only, streaming cells as they land.
-			mFollowed.Inc()
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Header().Set("X-Sweep-Fingerprint", fp)
-			w.Header().Set("X-Sweep-Leaseholder", held.Info.Owner)
-			w.WriteHeader(http.StatusOK)
-			s.streamJournal(r.Context(), w, fp, cfg, 0)
-			return
-		}
+	var held *store.HeldError
+	switch {
+	case err == nil && attached:
+		mAttached.Inc()
+	case errors.As(err, &held):
+		// Another replica is executing this sweep: follow its journal.
+		mFollowed.Inc()
+		w.Header().Set("X-Sweep-Leaseholder", held.Info.Owner)
+	case err != nil && !s.store.Has(fp):
 		mShedBusy.Inc()
 		w.Header().Set("Retry-After", "5")
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 		return
 	}
-	if attached {
-		mAttached.Inc()
-	}
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-Fingerprint", fp)
 	w.WriteHeader(http.StatusOK)
-	st.stream(r.Context(), w)
+	s.stream(r.Context(), w, fp, cfg, from, st)
 }
 
 // startOrAttach returns the in-flight sweep state for fp, launching
@@ -529,7 +518,7 @@ func (s *Server) startOrAttach(fp string, cfg workload.Config, body []byte) (*sw
 	s.mu.Unlock()
 	mActive.Add(1)
 
-	lease, err := store.AcquireLease(s.fsys, s.store.LeasePath(fp), s.cfg.ReplicaID, s.cfg.LeaseTTL, nil)
+	lease, err := store.AcquireLease(s.store.FS(), s.store.LeasePath(fp), s.cfg.ReplicaID, s.cfg.LeaseTTL, nil)
 	if err != nil {
 		s.mu.Lock()
 		delete(s.sweeps, fp)
@@ -538,7 +527,7 @@ func (s *Server) startOrAttach(fp string, cfg workload.Config, body []byte) (*sw
 		mActive.Add(-1)
 		// Anyone who attached to the placeholder in the window gets a
 		// resumable trailer pointing at the follower path.
-		st.finishResumable("sweep not started here: " + err.Error() + " — re-POST to follow the holder's journal")
+		st.finish("sweep not started here: "+err.Error()+" — re-POST to follow the holder's journal", true)
 		return nil, false, err
 	}
 	if len(body) > 0 {
@@ -554,9 +543,8 @@ func (s *Server) startOrAttach(fp string, cfg workload.Config, body []byte) (*sw
 	return st, false, nil
 }
 
-// runSweep executes one sweep, feeding completed cells into the state
-// (and, via the checkpoint journal, the persistent store) as they
-// finish.
+// runSweep executes one sweep into the store journal, announcing each
+// cell to the state's subscribers once it has resolved.
 func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Lease) {
 	defer s.wg.Done()
 	cfg.CheckpointPath = s.store.Path(st.fp)
@@ -566,14 +554,7 @@ func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Leas
 	cfg.Stop = func() bool { return s.stopSweeps.Load() }
 	cfg.Cache = s.cache
 	cfg.Parallelism = s.cfg.Parallelism
-	cfg.OnRun = func(key string, r *workload.Run) {
-		line, err := workload.MarshalRunRecord(key, r)
-		if err != nil {
-			return
-		}
-		mCellsSent.Inc()
-		st.append(line, r.Predicted)
-	}
+	cfg.OnRun = func(key string, _ *workload.Run) { st.announce(key) }
 
 	var mx *workload.Matrix
 	err := func() (err error) {
@@ -593,7 +574,7 @@ func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Leas
 	switch {
 	case err != nil:
 		mFailed.Inc()
-		st.finish(err.Error())
+		st.finish(err.Error(), false)
 	case len(mx.InterruptedRuns()) > 0:
 		// Drain deadline or lost lease: the sweep stopped at a cell
 		// boundary with everything completed safely journaled.
@@ -602,11 +583,11 @@ func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Leas
 		if lost {
 			reason = "journal lease lost to another replica"
 		}
-		st.finishResumable(fmt.Sprintf("sweep interrupted (%s): %d of %d cells not executed; completed cells are stored — resume with ?from=",
-			reason, len(mx.InterruptedRuns()), st.cells))
+		st.finish(fmt.Sprintf("sweep interrupted (%s): %d of %d cells not executed; completed cells are stored — resume with ?from=",
+			reason, len(mx.InterruptedRuns()), st.cells), true)
 	default:
 		mCompleted.Inc()
-		st.finish("")
+		st.finish("", true)
 	}
 }
 
@@ -634,98 +615,107 @@ func (s *Server) retire(fp string, lease *store.Lease) {
 	mActive.Add(-1)
 }
 
-// streamJournal streams record lines straight out of the store journal
-// for fp, starting at record index from — the journal-backed stream
-// whose indexes are exact resume tokens. It serves three cases with
-// one loop: tailing a journal this replica is executing, following one
-// another replica holds the lease on, and replaying a finished one.
-// While the sweep is incomplete and nobody holds the lease, it
-// triggers a takeover so the stream makes progress past a dead
-// replica.
-func (s *Server) streamJournal(ctx context.Context, w io.Writer, fp string, cfg workload.Config, from int) {
+// stream writes fp's journal to w as NDJSON from record index from,
+// then a trailer whose "next_from" is the journal index after the last
+// record it covers. It is the one read path behind every POST. With st
+// set this replica executes the sweep: the stream wakes on the
+// executor's announcements and passes a record only once its cell has
+// been announced, that is once the cell's journal append has returned.
+// With st nil another replica executes the sweep, or nobody does: the
+// stream polls the journal every FollowPoll and takes the sweep over
+// when it is incomplete and its lease is free.
+func (s *Server) stream(ctx context.Context, w io.Writer, fp string, cfg workload.Config, from int, st *sweepState) {
 	flush := func() {}
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	path := s.store.Path(fp)
+	jr := store.NewJournalReader(s.store.FS(), s.store.Path(fp), store.MaxRecord)
 	cells := cfg.CellCount()
-	next, streamed := from, 0
-	complete, resumable := false, true
-	var errMsg string
-
-loop:
+	var held [][]byte             // records read but not yet announced
+	var keys []string             // their cell keys
+	seen := make(map[string]bool) // distinct cells among the records passed
+	pos, streamed := 0, 0         // journal index of the next record; records sent
+	tr := trailer{Done: true, Fingerprint: fp, Cells: cells, Resumable: true}
 	for {
-		snap, err := workload.SnapshotJournal(s.fsys, path)
-		if err != nil {
-			errMsg = "journal read: " + err.Error()
-			break
+		var changed <-chan struct{}
+		started, done := true, false
+		if st != nil {
+			changed, started, done = st.watch()
 		}
-		if snap.Fingerprint != "" && snap.Fingerprint != fp {
-			errMsg = "stored journal belongs to a different configuration"
-			resumable = false
-			break
+		if started {
+			err := jr.Next(false, func(line []byte) {
+				held = append(held, line)
+				keys = append(keys, recordKey(line))
+			})
+			if err != nil && !store.IsNotExist(err) {
+				tr.Error = "journal read: " + err.Error()
+				break
+			}
+			if jr.HeaderOK && jr.Header.Fingerprint != fp {
+				tr.Error, tr.Resumable = "stored journal belongs to a different configuration", false
+				break
+			}
 		}
-		if next > len(snap.Records) {
-			errMsg = fmt.Sprintf("resume token %d beyond the journal (%d records; it may have been salvaged) — restart from 0", next, len(snap.Records))
-			break
+		n := len(held)
+		if st != nil {
+			n = st.released(keys)
 		}
-		wrote := false
-		for ; next < len(snap.Records); next++ {
-			if _, err := fmt.Fprintf(w, "%s\n", snap.Records[next]); err != nil {
+		for i, line := range held[:n] {
+			seen[keys[i]] = true
+			if pos++; pos <= from {
+				continue
+			}
+			if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
 				return // client gone; nothing more to say
 			}
 			streamed++
 			mCellsSent.Inc()
-			wrote = true
 		}
-		if wrote {
+		held, keys = held[n:], keys[n:]
+		if n > 0 {
 			flush()
 		}
-		if snap.Unique >= cells && cells > 0 {
-			complete, resumable = true, false
+		if st != nil {
+			if done {
+				tr.Error, tr.Resumable = st.errMsg, st.resumable
+				break
+			}
+			select {
+			case <-changed:
+			case <-ctx.Done():
+				return
+			}
+			continue
+		}
+		if len(seen) >= cells {
 			break
 		}
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		s.mu.Lock()
-		_, inflight := s.sweeps[fp]
-		draining := s.draining
-		s.mu.Unlock()
-		if draining && !inflight {
-			errMsg = "server draining; resume against another replica"
-			break
-		}
-		if !inflight {
-			// Incomplete, and this replica is not executing it: take
-			// over if the lease is free (the holder died), otherwise
-			// keep following the holder's appends.
-			if _, live := store.ReadLeaseInfo(s.fsys, s.store.LeasePath(fp), time.Now()); !live {
-				if _, attached, err := s.startOrAttach(fp, cfg, nil); err == nil && !attached {
-					mTakeovers.Inc()
-				}
+		if st = s.adopt(fp, cfg); st == nil {
+			s.mu.Lock()
+			draining := s.draining
+			s.mu.Unlock()
+			if draining {
+				tr.Error = "server draining; resume against another replica"
+				break
+			}
+			t := time.NewTimer(s.cfg.FollowPoll)
+			select {
+			case <-ctx.Done():
+				t.Stop()
+				return
+			case <-t.C:
 			}
 		}
-		t := time.NewTimer(s.cfg.FollowPoll)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return
-		case <-t.C:
-		}
-		continue loop
 	}
-	tr := trailer{
-		Done:        true,
-		Fingerprint: fp,
-		Cells:       cells,
-		Streamed:    streamed,
-		Complete:    complete,
-		Error:       errMsg,
-		Resumable:   resumable && !complete,
-		NextFrom:    next,
+	tr.Streamed, tr.NextFrom = streamed, max(pos, from)
+	tr.Complete = len(seen) >= cells && from <= pos
+	switch {
+	case tr.Complete:
+		tr.Error, tr.Resumable = "", false
+	case len(seen) >= cells:
+		tr.Error = fmt.Sprintf("resume token %d beyond the journal (%d records; it may have been salvaged) — restart from 0", from, pos)
+	case tr.Error == "":
+		tr.Error = fmt.Sprintf("the journal holds %d of %d cells; re-POST to execute the rest", len(seen), cells)
 	}
 	line, _ := json.Marshal(tr)
 	if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
@@ -734,9 +724,46 @@ loop:
 	flush()
 }
 
+// adopt returns this replica's execution of fp for a stream following
+// the journal: the one in flight, or a takeover started when no live
+// lease guards the sweep. Nil while another replica executes it, or
+// while this one drains.
+func (s *Server) adopt(fp string, cfg workload.Config) *sweepState {
+	s.mu.Lock()
+	st, draining := s.sweeps[fp], s.draining
+	s.mu.Unlock()
+	if st != nil || draining {
+		return st
+	}
+	if _, live := store.ReadLeaseInfo(s.store.FS(), s.store.LeasePath(fp), time.Now()); live {
+		return nil
+	}
+	st, attached, err := s.startOrAttach(fp, cfg, nil)
+	if err == nil && !attached {
+		mTakeovers.Inc()
+	}
+	return st
+}
+
+// recordKey returns a journal record's cell key. Records are written
+// as {"key":"...",...} with a plain key, so a prefix cut finds it;
+// anything else takes a JSON parse.
+func recordKey(line []byte) string {
+	if rest, ok := bytes.CutPrefix(line, []byte(`{"key":"`)); ok {
+		if key, _, ok := bytes.Cut(rest, []byte{'"'}); ok && bytes.IndexByte(key, '\\') < 0 {
+			return string(key)
+		}
+	}
+	var rec struct {
+		Key string `json:"key"`
+	}
+	_ = json.Unmarshal(line, &rec) // a line that is no record has no key
+	return rec.Key
+}
+
 // handleResult replays a completed sweep's journal from the store,
 // byte-identical across replays (and to the record lines streamed by
-// the POST that produced it). ?from=N skips the first N records;
+// the POSTs that produced it). ?from=N skips the first N records;
 // X-Next-From carries the stored record count either way.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
@@ -748,11 +775,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	defer s.release(client)
 
 	fp := r.PathValue("fp")
-	if !validFingerprint(fp) {
+	if !store.ValidFingerprint(fp) {
 		http.Error(w, "malformed fingerprint", http.StatusBadRequest)
 		return
 	}
-	from, hasFrom, err := resumeToken(r)
+	from, err := resumeToken(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -767,36 +794,31 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "sweep still executing; POST /v1/sweep to stream it", http.StatusConflict)
 		return
 	}
-	if !s.store.Has(fp) {
+	var lines [][]byte
+	jr := store.NewJournalReader(s.store.FS(), s.store.Path(fp), store.MaxRecord)
+	err = jr.Next(false, func(line []byte) { lines = append(lines, line) })
+	switch {
+	case store.IsNotExist(err):
 		http.Error(w, "no stored result for fingerprint "+fp, http.StatusNotFound)
 		return
+	case err == nil && !jr.HeaderOK:
+		err = fmt.Errorf("stored journal for %s has no readable header", fp)
 	}
-	if hasFrom {
-		snap, err := workload.SnapshotJournal(s.fsys, s.store.Path(fp))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if from > len(snap.Records) {
-			http.Error(w, fmt.Sprintf("resume token %d beyond the %d stored records", from, len(snap.Records)),
-				http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Next-From", strconv.Itoa(len(snap.Records)))
-		for _, line := range snap.Records[from:] {
-			if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
-				return
-			}
-		}
-		mReplayed.Inc()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if from > len(lines) {
+		http.Error(w, fmt.Sprintf("resume token %d beyond the %d stored records", from, len(lines)),
+			http.StatusBadRequest)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	n, err := s.store.Replay(fp, w)
-	if err != nil && n == 0 {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	w.Header().Set("X-Next-From", strconv.Itoa(len(lines)))
+	for _, line := range lines[from:] {
+		if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
+			return
+		}
 	}
 	mReplayed.Inc()
 }
@@ -828,13 +850,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	active, draining := s.active, s.draining
 	s.mu.Unlock()
+	stored, _ := s.store.Fingerprints() // an unlistable store reports none
 	doc := statusJSON{
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		ReplicaID:        s.cfg.ReplicaID,
 		Draining:         draining,
 		ActiveSweeps:     active,
 		OpenRequests:     mOpenReqs.Value(),
-		StoredResults:    len(s.store.Fingerprints()),
+		StoredResults:    len(stored),
 		SweepsStarted:    mStarted.Value(),
 		SweepsAttached:   mAttached.Value(),
 		SweepsCompleted:  mCompleted.Value(),
@@ -855,77 +878,74 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sweepState is one in-flight (or draining) sweep's fan-out buffer:
-// record lines accumulate in completion order and every subscriber
-// streams them at its own pace.
+// sweepState is one sweep this replica executes. It holds no records
+// — subscribers read those from the journal — only which cells the
+// executor has announced and how the sweep ended.
 type sweepState struct {
 	fp    string
 	cells int
 
 	mu        sync.Mutex
-	cond      *sync.Cond
-	lines     []recLine
+	changed   chan struct{}   // closed and replaced by every announce and by finish
+	announced map[string]bool // cells resolved: journaled, restored or failed
 	done      bool
-	errMsg    string
+	errMsg    string // fixed once done
 	resumable bool
 }
 
-type recLine struct {
-	data      []byte
-	predicted bool
-}
-
 func newSweepState(fp string, cells int) *sweepState {
-	st := &sweepState{fp: fp, cells: cells}
-	st.cond = sync.NewCond(&st.mu)
-	return st
+	return &sweepState{fp: fp, cells: cells, changed: make(chan struct{}), announced: make(map[string]bool)}
 }
 
-// append publishes one completed cell's record line to every
+// announce records that key's cell has resolved — its journal append
+// has returned, it was restored, or it failed — and wakes every
 // subscriber.
-func (st *sweepState) append(line []byte, predicted bool) {
+func (st *sweepState) announce(key string) {
 	st.mu.Lock()
-	if !st.done {
-		st.lines = append(st.lines, recLine{data: line, predicted: predicted})
-	}
+	st.announced[key] = true
+	close(st.changed)
+	st.changed = make(chan struct{})
 	st.mu.Unlock()
-	st.cond.Broadcast()
 }
 
-// finish marks the sweep complete (errMsg "" on success). Idempotent;
-// the first call wins.
-func (st *sweepState) finish(errMsg string) {
+// finish marks the sweep ended (errMsg "" on success); resumable tells
+// clients a re-POST (with ?from=) picks up where the sweep stopped.
+// Idempotent; the first call wins.
+func (st *sweepState) finish(errMsg string, resumable bool) {
 	st.mu.Lock()
 	if !st.done {
-		st.done = true
-		st.errMsg = errMsg
+		st.done, st.errMsg, st.resumable = true, errMsg, resumable
+		close(st.changed)
+		st.changed = make(chan struct{})
 	}
 	st.mu.Unlock()
-	st.cond.Broadcast()
 }
 
-// finishResumable is finish for interrupted-but-journaled sweeps: the
-// trailer additionally carries "resumable":true, telling clients a
-// re-POST (with ?from= for exact tokens) will pick up where the sweep
-// stopped.
-func (st *sweepState) finishResumable(errMsg string) {
+// watch returns a channel the next announce or finish closes, whether
+// any cell has been announced yet (until then the file at the journal
+// path may predate the executor's compaction), and whether the sweep
+// has finished.
+func (st *sweepState) watch() (changed <-chan struct{}, started, done bool) {
 	st.mu.Lock()
-	if !st.done {
-		st.done = true
-		st.errMsg = errMsg
-		st.resumable = true
+	defer st.mu.Unlock()
+	return st.changed, len(st.announced) > 0, st.done
+}
+
+// released counts the leading keys whose cells have been announced.
+func (st *sweepState) released(keys []string) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n := 0
+	for n < len(keys) && st.announced[keys[n]] {
+		n++
 	}
-	st.mu.Unlock()
-	st.cond.Broadcast()
+	return n
 }
 
 // trailer is the final NDJSON object of a sweep stream. Its "done"
 // field distinguishes it from cell records (which carry "key").
-// NextFrom is an exact resume token on journal-backed streams (?from=
-// requests); on fan-out streams it is -1, because their completion-
-// order lines do not map to journal indexes — resume those with
-// ?from=0 (the journal replay dedups nothing, but restored cells cost
-// no re-execution) or with the count of distinct records held.
+// NextFrom is the journal index after the last record the stream
+// covers: the exact resume token for ?from=.
 type trailer struct {
 	Done        bool   `json:"done"`
 	Fingerprint string `json:"fingerprint"`
@@ -935,92 +955,4 @@ type trailer struct {
 	Error       string `json:"error,omitempty"`
 	Resumable   bool   `json:"resumable,omitempty"`
 	NextFrom    int    `json:"next_from"`
-}
-
-// stream writes the sweep to w as NDJSON: the cells already known at
-// attach time first (Predicted ones leading — the cheap, model-
-// answered majority of a guided sweep), then live cells in completion
-// order, then the trailer. Returns when the sweep finishes, the
-// client disconnects, or ctx is canceled.
-func (st *sweepState) stream(ctx interface{ Done() <-chan struct{} }, w io.Writer) {
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	// Wake the cond waiter when the client goes away.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			st.cond.Broadcast()
-		case <-stop:
-		}
-	}()
-	canceled := func() bool {
-		select {
-		case <-ctx.Done():
-			return true
-		default:
-			return false
-		}
-	}
-
-	st.mu.Lock()
-	snapshot := append([]recLine(nil), st.lines...)
-	st.mu.Unlock()
-	sort.SliceStable(snapshot, func(i, j int) bool {
-		return snapshot[i].predicted && !snapshot[j].predicted
-	})
-	streamed := 0
-	for _, l := range snapshot {
-		if _, err := fmt.Fprintf(w, "%s\n", l.data); err != nil {
-			return
-		}
-		streamed++
-	}
-	flush()
-
-	next := len(snapshot)
-	for {
-		st.mu.Lock()
-		for next >= len(st.lines) && !st.done && !canceled() {
-			st.cond.Wait()
-		}
-		batch := append([]recLine(nil), st.lines[next:]...)
-		done, errMsg, resumable := st.done, st.errMsg, st.resumable
-		st.mu.Unlock()
-
-		for _, l := range batch {
-			if _, err := fmt.Fprintf(w, "%s\n", l.data); err != nil {
-				return
-			}
-			streamed++
-			next++
-		}
-		if len(batch) > 0 {
-			flush()
-		}
-		if canceled() {
-			return
-		}
-		if done {
-			tr := trailer{
-				Done:        true,
-				Fingerprint: st.fp,
-				Cells:       st.cells,
-				Streamed:    streamed,
-				Complete:    errMsg == "" && streamed >= st.cells,
-				Error:       errMsg,
-				Resumable:   resumable,
-				NextFrom:    -1,
-			}
-			line, _ := json.Marshal(tr)
-			if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
-				return
-			}
-			flush()
-			return
-		}
-	}
 }

@@ -2,14 +2,12 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -17,8 +15,12 @@ import (
 	"time"
 
 	"capscale/internal/obs"
+	"capscale/internal/store"
 	"capscale/internal/workload"
 )
+
+// storeExt is the journal filename extension in a store directory.
+const storeExt = store.Ext
 
 // testServer returns a Server over a fresh temp store plus an
 // httptest front end.
@@ -224,52 +226,6 @@ func TestConcurrentSweepsSingleFlight(t *testing.T) {
 	}
 }
 
-// TestAttachStreamsKnownCellsFirst pins the attach path at the
-// fan-out layer: a subscriber joining mid-sweep first receives the
-// already-known lines with Predicted cells leading, then live lines,
-// then the trailer.
-func TestAttachStreamsKnownCellsFirst(t *testing.T) {
-	st := newSweepState("00000000000000ab", 4)
-	st.append([]byte(`{"key":"measured-1"}`), false)
-	st.append([]byte(`{"key":"predicted-1"}`), true)
-	st.append([]byte(`{"key":"predicted-2"}`), true)
-
-	var buf bytes.Buffer
-	done := make(chan struct{})
-	go func() {
-		st.stream(context.Background(), &buf)
-		close(done)
-	}()
-	// The live phase appends one more cell, then the sweep finishes.
-	time.Sleep(10 * time.Millisecond)
-	st.append([]byte(`{"key":"measured-2"}`), false)
-	st.finish("")
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("stream did not terminate")
-	}
-
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	keys := make([]string, 0, len(lines))
-	for _, l := range lines {
-		var probe struct {
-			Key  string `json:"key"`
-			Done bool   `json:"done"`
-		}
-		if err := json.Unmarshal([]byte(l), &probe); err != nil {
-			t.Fatal(err)
-		}
-		if !probe.Done {
-			keys = append(keys, probe.Key)
-		}
-	}
-	want := []string{"predicted-1", "predicted-2", "measured-1", "measured-2"}
-	if strings.Join(keys, ",") != strings.Join(want, ",") {
-		t.Fatalf("stream order %v, want %v (predicted first, then live)", keys, want)
-	}
-}
-
 // TestAttachDoesNotExecute: requests arriving while a sweep with the
 // same fingerprint is in flight attach to it instead of executing —
 // even when the executor slot limit is exhausted.
@@ -282,7 +238,12 @@ func TestAttachDoesNotExecute(t *testing.T) {
 	}
 	fp := cfg.Fingerprint()
 
-	// Plant an in-flight sweep so the POST below must attach.
+	// Plant an in-flight sweep so the POST below must attach: its
+	// state, and the journal its executor would have written.
+	header := fmt.Sprintf(`{"version":1,"fingerprint":%q}`, fp)
+	if err := os.WriteFile(srv.store.Path(fp), []byte(header+"\n"+`{"key":"planted"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	st := newSweepState(fp, cfg.CellCount())
 	srv.mu.Lock()
 	srv.sweeps[fp] = st
@@ -310,8 +271,8 @@ func TestAttachDoesNotExecute(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	st.append([]byte(`{"key":"planted"}`), false)
-	st.finish("")
+	st.announce("planted")
+	st.finish("", true)
 
 	res := <-resc
 	if res.status != http.StatusOK || len(res.records) != 1 || string(res.records[0]) != `{"key":"planted"}` {
@@ -512,29 +473,5 @@ func TestStatusAndVars(t *testing.T) {
 		if !strings.Contains(string(vars), key) {
 			t.Errorf("/debug/vars misses %s", key)
 		}
-	}
-}
-
-// TestStoreFingerprints: only well-formed journal names are listed.
-func TestStoreFingerprints(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{
-		"0123456789abcdef" + storeExt, // valid
-		"fedcba9876543210" + storeExt, // valid
-		"README.md",                   // foreign file
-		"short" + storeExt,            // malformed fingerprint
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("x\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := st.Fingerprints()
-	want := []string{"0123456789abcdef", "fedcba9876543210"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("Fingerprints() = %v, want %v", got, want)
 	}
 }

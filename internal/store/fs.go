@@ -24,11 +24,13 @@ import (
 	"sync/atomic"
 )
 
-// File is the subset of *os.File the store writes through. Sync is the
-// durability barrier: data written but not yet synced is exactly what a
-// crash may lose (or tear).
+// File is the subset of *os.File the store reads and writes through.
+// Sync is the durability barrier: data written but not yet synced is
+// exactly what a crash may lose (or tear). Seek lets a JournalReader
+// resume where its last read stopped.
 type File interface {
 	Read(p []byte) (int, error)
+	Seek(offset int64, whence int) (int64, error)
 	Write(p []byte) (int, error)
 	Close() error
 	Sync() error

@@ -21,85 +21,141 @@ type Header struct {
 // ErrJournalClosed is returned by Append after Close.
 var ErrJournalClosed = errors.New("store: journal closed")
 
-// Scan is the parse of one journal file: what is restorable, and what
-// damage (if any) the file carries. Records are the raw lines without
-// their trailing newline, in journal order.
-type Scan struct {
-	HeaderLine   []byte // raw header line, newline stripped
-	Header       Header
-	HeaderOK     bool // header line parsed as JSON
-	Records      [][]byte
-	Torn         bool // invalid bytes found after the last good record
-	Unterminated bool // final record parsed but lacked its newline
-	Oversized    int  // records over maxRecord, skipped
+// MaxRecord bounds one journal line: 64 MiB holds any traced record
+// the pipeline produces while keeping a corrupt (newline-less) journal
+// from ballooning memory on read.
+const MaxRecord = 64 << 20
+
+// ErrJournalRewritten is returned by JournalReader.Next when the file
+// at the reader's path no longer has a line boundary where the reader
+// stopped: it was replaced by one whose lines moved.
+var ErrJournalRewritten = errors.New("store: journal rewritten under its reader")
+
+// JournalReader reads one journal incrementally, and is the only way
+// a journal is read: ScanJournal is one whole-file pass of it, and a
+// subscriber streaming a live sweep calls Next on every wake. Each
+// call reopens the file by path, so an atomic compaction rename is
+// seen, seeks to the end of the last whole line it consumed, and
+// parses only what was appended since, so a reader parses each record
+// once. Compaction rewrites the restorable records byte for byte in
+// order, so a reader's offset survives it.
+type JournalReader struct {
+	fsys      FS
+	path      string
+	maxRecord int
+	off       int64         // end of the last whole line consumed
+	br        *bufio.Reader // reused across calls
+
+	HeaderLine []byte // raw header line, newline stripped
+	Header     Header
+	HeaderOK   bool // header line parsed as JSON
+	// Torn: the last Next stopped at bytes that are not a record.
+	Torn bool
+	// Unterminated: the last Next kept a final line that had no
+	// newline (only when called with final set).
+	Unterminated bool
+	Oversized    int // records over maxRecord, skipped
 }
 
-// Clean reports whether the file needs no salvage.
-func (s *Scan) Clean() bool {
-	return s.HeaderOK && !s.Torn && !s.Unterminated && s.Oversized == 0
+// NewJournalReader returns a reader positioned before the header of
+// the journal at path. Nothing is read until Next.
+func NewJournalReader(fsys FS, path string, maxRecord int) *JournalReader {
+	return &JournalReader{fsys: Resolve(fsys), path: path, maxRecord: maxRecord}
 }
 
-// ScanJournal reads the journal at path through fsys, tolerating every
-// kind of tail damage a crash can leave: a torn (non-JSON) tail stops
-// the scan with everything before it intact, an oversized record is
-// skipped with scanning continuing at the next line, and a final
-// unterminated-but-valid record is kept. Returns the underlying error
-// (e.g. os.ErrNotExist) if the file cannot be opened.
-func ScanJournal(fsys FS, path string, maxRecord int) (*Scan, error) {
-	fsys = Resolve(fsys)
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+// Clean reports whether the journal needs no salvage.
+func (r *JournalReader) Clean() bool {
+	return r.HeaderOK && !r.Torn && !r.Unterminated && r.Oversized == 0
+}
+
+// Next hands fn, in journal order, every record line appended since
+// the previous call (newline stripped; fn may keep it). It tolerates
+// every kind of damage a crash can leave: an oversized record is
+// skipped and counted, and a whole line that is not JSON stops the
+// read with Torn set and everything before it consumed. A final line
+// without its newline is an append still in progress and is left for
+// a later call, unless final declares the file complete: then it is
+// kept when it parses (a crash cut the newline alone) and is Torn
+// otherwise. Returns the error opening the file (os.ErrNotExist before
+// the journal exists).
+func (r *JournalReader) Next(final bool, fn func(line []byte)) error {
+	f, err := r.fsys.OpenFile(r.path, os.O_RDONLY, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer func() { _ = f.Close() }()
-
-	sc := &Scan{}
-	br := bufio.NewReaderSize(f, 64*1024)
-	line, tooLong, err := readJournalLine(br, maxRecord)
-	if err != nil && len(line) == 0 {
-		return sc, nil // empty file: no header, nothing restorable
+	if r.br == nil {
+		r.br = bufio.NewReaderSize(f, 64*1024)
 	}
-	if tooLong || json.Unmarshal(line, &sc.Header) != nil {
-		sc.Torn = true
-		return sc, nil
+	br := r.br
+	br.Reset(f)
+	if r.off > 0 {
+		// Resume on the newline that ended the last consumed line.
+		if _, err := f.Seek(r.off-1, io.SeekStart); err != nil {
+			return err
+		}
+		if b, err := br.ReadByte(); err != nil || b != '\n' {
+			return ErrJournalRewritten
+		}
 	}
-	sc.HeaderLine = line
-	sc.HeaderOK = true
-	if err != nil {
-		sc.Unterminated = true // header without newline: no records yet
-		return sc, nil
-	}
+	r.Torn, r.Unterminated = false, false
 	for {
-		line, tooLong, err := readJournalLine(br, maxRecord)
-		if tooLong {
-			sc.Oversized++
-			continue
+		line, n, tooLong, err := readJournalLine(br, r.maxRecord)
+		if n == 0 || (err != nil && !final) {
+			return nil // end of journal, or a line still being appended
 		}
-		if len(line) == 0 && err != nil {
-			break // end of journal
-		}
-		if !json.Valid(line) {
+		switch {
+		case !r.HeaderOK:
+			if tooLong || json.Unmarshal(line, &r.Header) != nil {
+				r.Torn = true
+				return nil
+			}
+			r.HeaderLine, r.HeaderOK = line, true
+			r.Unterminated = err != nil
+		case tooLong:
+			r.Oversized++
+		case !json.Valid(line):
 			// A record cut mid-write by a crash; everything before it
 			// is intact and restorable.
-			sc.Torn = true
-			break
+			r.Torn = true
+			return nil
+		default:
+			fn(line)
+			r.Unterminated = err != nil
 		}
-		sc.Records = append(sc.Records, line)
-		if err != nil {
-			sc.Unterminated = true // final line parsed but had no newline
-			break
-		}
+		r.off += int64(n)
+	}
+}
+
+// Scan is one whole-file pass of a JournalReader: what is restorable,
+// and what damage (if any) the file carries. Records are the raw lines
+// without their trailing newline, in journal order.
+type Scan struct {
+	JournalReader
+	Records [][]byte
+}
+
+// ScanJournal reads the whole journal at path through fsys as a file
+// nothing appends to any more (see JournalReader.Next with final set).
+// Returns the underlying error (e.g. os.ErrNotExist) if the file
+// cannot be opened.
+func ScanJournal(fsys FS, path string, maxRecord int) (*Scan, error) {
+	sc := &Scan{JournalReader: *NewJournalReader(fsys, path, maxRecord)}
+	if err := sc.Next(true, func(line []byte) { sc.Records = append(sc.Records, line) }); err != nil {
+		return nil, err
 	}
 	return sc, nil
 }
 
-// readJournalLine reads one newline-terminated line of at most
-// maxRecord bytes. Oversized lines are consumed to their newline and
-// reported as tooLong with no content, so the caller can keep scanning
-// from the next record.
-func readJournalLine(br *bufio.Reader, maxRecord int) (line []byte, tooLong bool, err error) {
+// readJournalLine reads one line of at most maxRecord bytes, returning
+// it without its newline plus the n bytes consumed. Oversized lines
+// are consumed to their newline and reported as tooLong with no
+// content, so the caller can keep reading from the next record. A nil
+// err means the line was whole (newline-terminated).
+func readJournalLine(br *bufio.Reader, maxRecord int) (line []byte, n int, tooLong bool, err error) {
 	for {
 		chunk, err := br.ReadSlice('\n')
+		n += len(chunk)
 		if !tooLong {
 			line = append(line, chunk...)
 			if len(line) > maxRecord {
@@ -114,11 +170,11 @@ func readJournalLine(br *bufio.Reader, maxRecord int) (line []byte, tooLong bool
 			if !tooLong {
 				line = line[:len(line)-1] // strip the newline
 			}
-			return line, tooLong, nil
+			return line, n, tooLong, nil
 		default:
 			// EOF (possibly with a final unterminated line) or a read
 			// error: hand back what accumulated.
-			return line, tooLong, err
+			return line, n, tooLong, err
 		}
 	}
 }

@@ -179,3 +179,63 @@ func TestJournalAppendDurableOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestJournalReaderReadsOnlyAppendedLines: each Next hands back only
+// the whole lines appended since the previous one, leaves a line still
+// being written for later, sees a compaction rename that keeps the
+// records' bytes, and reports a rewrite that moved them.
+func TestJournalReaderReadsOnlyAppendedLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	r := NewJournalReader(nil, path, 1<<20)
+	var got []string
+	next := func() error {
+		got = got[:0]
+		return r.Next(false, func(line []byte) { got = append(got, string(line)) })
+	}
+	if err := next(); !os.IsNotExist(err) {
+		t.Fatalf("Next before the journal exists = %v, want not-exist", err)
+	}
+
+	writeJournalFile(t, path, testHeader+"\n", `{"key":"a"}`+"\n", `{"key":"b"`)
+	if err := next(); err != nil || !r.HeaderOK || strings.Join(got, ",") != `{"key":"a"}` {
+		t.Fatalf("first read: err=%v headerOK=%v records=%q", err, r.HeaderOK, got)
+	}
+	appendJournalFile(t, path, `}`+"\n"+`{"key":"c"}`+"\n")
+	if err := next(); err != nil || strings.Join(got, ",") != `{"key":"b"},{"key":"c"}` {
+		t.Fatalf("second read: err=%v records=%q", err, got)
+	}
+	if err := next(); err != nil || len(got) != 0 {
+		t.Fatalf("read with nothing appended: err=%v records=%q", err, got)
+	}
+
+	// An atomic rewrite that keeps every record's bytes (compaction)
+	// is read on from where the reader stopped.
+	tmp := path + ".tmp"
+	writeJournalFile(t, tmp, testHeader+"\n", `{"key":"a"}`+"\n", `{"key":"b"}`+"\n", `{"key":"c"}`+"\n", `{"key":"d"}`+"\n")
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := next(); err != nil || strings.Join(got, ",") != `{"key":"d"}` {
+		t.Fatalf("read after compaction: err=%v records=%q", err, got)
+	}
+
+	// One that moved the line boundaries is reported, not misread.
+	writeJournalFile(t, path, testHeader+"\n", `{"key":"a","x":1}`+"\n", `{"key":"e"}`+"\n", `{"key":"f"}`+"\n", `{"key":"g"}`+"\n")
+	if err := next(); err != ErrJournalRewritten {
+		t.Fatalf("read after a rewrite = %v (records %q), want ErrJournalRewritten", err, got)
+	}
+}
+
+func appendJournalFile(t *testing.T, path, data string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -182,9 +182,8 @@ func (cfg Config) Fingerprint() string { return checkpointFingerprint(cfg) }
 
 // MarshalRunRecord serializes one completed cell in the checkpoint
 // journal's record format (one JSON object, no trailing newline) —
-// exactly the bytes record appends for an untraced sweep, so a
-// service streaming cells and replaying its journal later serves
-// byte-identical lines.
+// exactly the bytes record appends for an untraced sweep, and so the
+// line the sweep service streams and replays for the cell.
 func MarshalRunRecord(key string, r *Run) ([]byte, error) {
 	return json.Marshal(ckRecord{Key: key, Run: runToJSON(r)})
 }
@@ -274,11 +273,10 @@ func openCheckpoint(cfg Config) (*checkpoint, map[string]Run, error) {
 	return ck, restored, nil
 }
 
-// ckMaxRecordBytes bounds one journal line: 64 MiB holds any traced
-// record the pipeline produces while keeping a corrupt (newline-less)
-// journal from ballooning memory on load. A variable so tests can
-// exercise the oversized path without writing 64 MiB lines.
-var ckMaxRecordBytes = 64 * 1024 * 1024
+// ckMaxRecordBytes bounds one journal line (store.MaxRecord). A
+// variable so tests can exercise the oversized path without writing
+// 64 MiB lines.
+var ckMaxRecordBytes = store.MaxRecord
 
 // loadCheckpoint reads the resumable cells out of an existing journal:
 // the restored runs by key, plus the keys in first-journaled order
@@ -446,64 +444,6 @@ func (ck *checkpoint) close() {
 	releaseCheckpointPath(ck.path)
 }
 
-// SalvageJournal repairs the sweep journal at path in place: torn
-// tails and oversized interior junk are compacted away through the
-// same atomic rewrite the checkpoint open uses, and a journal whose
-// header no longer parses is quarantined aside as path+".corrupt".
-// Reports whether the file changed. The sweep server runs this over
-// its store on startup and on lease takeover.
-func SalvageJournal(fsys store.FS, path string) (bool, error) {
-	return store.SalvageJournal(store.Resolve(fsys), path, ckMaxRecordBytes)
-}
-
-// JournalSnapshot is one consistent read of a sweep journal: the raw
-// record lines (replay bytes), their cell keys in journal order, and
-// the distinct-cell count — what a read-only follower needs to stream
-// a journal another replica is executing.
-type JournalSnapshot struct {
-	Fingerprint string
-	Records     [][]byte
-	Keys        []string
-	Unique      int
-	Torn        bool
-}
-
-// SnapshotJournal scans the journal at path through fsys. A missing
-// file yields an empty snapshot, not an error; a torn tail yields the
-// intact prefix with Torn set.
-func SnapshotJournal(fsys store.FS, path string) (*JournalSnapshot, error) {
-	sc, err := store.ScanJournal(store.Resolve(fsys), path, ckMaxRecordBytes)
-	if err != nil {
-		if store.IsNotExist(err) {
-			return &JournalSnapshot{}, nil
-		}
-		return nil, err
-	}
-	if !sc.HeaderOK || sc.Header.Version != ckVersion {
-		return &JournalSnapshot{Torn: sc.Torn}, nil
-	}
-	snap := &JournalSnapshot{
-		Fingerprint: sc.Header.Fingerprint,
-		Records:     sc.Records,
-		Keys:        make([]string, len(sc.Records)),
-		Torn:        sc.Torn,
-	}
-	seen := make(map[string]bool, len(sc.Records))
-	for i, line := range sc.Records {
-		var rec struct {
-			Key string `json:"key"`
-		}
-		if json.Unmarshal(line, &rec) == nil {
-			snap.Keys[i] = rec.Key
-			if rec.Key != "" && !seen[rec.Key] {
-				seen[rec.Key] = true
-				snap.Unique++
-			}
-		}
-	}
-	return snap, nil
-}
-
 // ReplayJournal streams the record lines of a checkpoint/result
 // journal verbatim to w (header validated and skipped) and returns
 // how many records it wrote. Callers get the exact bytes record
@@ -511,12 +451,7 @@ func SnapshotJournal(fsys store.FS, path string) (*JournalSnapshot, error) {
 // the replay silently, matching loadCheckpoint; oversized records are
 // skipped with a count.
 func ReplayJournal(path string, w io.Writer) (int, error) {
-	return ReplayJournalFS(nil, path, w)
-}
-
-// ReplayJournalFS is ReplayJournal through an injectable filesystem.
-func ReplayJournalFS(fsys store.FS, path string, w io.Writer) (int, error) {
-	records, oversized, err := store.ReplayJournal(store.Resolve(fsys), path, ckVersion, ckMaxRecordBytes, w)
+	records, oversized, err := store.ReplayJournal(nil, path, ckVersion, ckMaxRecordBytes, w)
 	if oversized > 0 {
 		ckOversized.Add(int64(oversized))
 	}

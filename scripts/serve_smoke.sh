@@ -2,7 +2,8 @@
 # Sweep-server smoke: the service contract at the real binary boundary.
 # Boots epscaled on an ephemeral port, fires two overlapping identical
 # sweeps at it, and asserts what the HTTP layer promises:
-#   - both clients stream every cell record plus a complete trailer,
+#   - both clients stream every cell record plus a complete trailer
+#     whose "next_from" is the exact journal position (4),
 #   - the shared cells execute exactly once across the two requests
 #     (single-flight: the dedup counters in /v1/status prove it),
 #   - GET /v1/result/{fingerprint} replays the stored sweep
@@ -31,7 +32,8 @@ curl -sf "http://$addr/v1/status" > /dev/null \
 req='{"algorithms":["OpenBLAS","Strassen"],"sizes":[64,128],"threads":[1]}'
 
 # Two overlapping identical sweeps. Each must stream all 4 cell
-# records and a trailer with "complete":true.
+# records and a trailer with "complete":true and "next_from":4: every
+# stream is read from the journal, so its token is a journal position.
 curl -sf -X POST -H 'X-Client-ID: a' -d "$req" "http://$addr/v1/sweep" > "$tmp/a.ndjson" &
 curl -sf -X POST -H 'X-Client-ID: b' -d "$req" "http://$addr/v1/sweep" > "$tmp/b.ndjson" &
 wait %2 %3 2>/dev/null || wait
@@ -41,6 +43,8 @@ for c in a b; do
     [ "$n" -eq 4 ] || { echo "serve_smoke.sh: client $c streamed $n records, want 4" >&2; cat "$tmp/$c.ndjson" >&2; exit 1; }
     grep -q '"done":true' "$tmp/$c.ndjson" && grep -q '"complete":true' "$tmp/$c.ndjson" \
         || { echo "serve_smoke.sh: client $c got no complete trailer" >&2; cat "$tmp/$c.ndjson" >&2; exit 1; }
+    grep -q '"next_from":4' "$tmp/$c.ndjson" \
+        || { echo "serve_smoke.sh: client $c trailer lacks the exact resume token \"next_from\":4" >&2; tail -1 "$tmp/$c.ndjson" >&2; exit 1; }
 done
 
 # Single-flight: across both requests the 4 shared cells executed
