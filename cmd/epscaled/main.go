@@ -17,7 +17,9 @@
 // executing follows its journal read-only; if the leaseholder dies,
 // any replica takes the sweep over and resumes it. On startup the
 // store is recovered: torn journal tails are salvaged and incomplete
-// unleased sweeps with request sidecars resume automatically.
+// unleased sweeps resume automatically from the request their journal
+// header carries (or, in a store an older version wrote, the request
+// sidecar beside the journal).
 //
 // On SIGINT/SIGTERM the server stops admitting work and drains
 // in-flight sweeps up to -drain-timeout; at the deadline the sweeps

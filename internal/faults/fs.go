@@ -51,6 +51,7 @@ type FaultFS struct {
 	crashAt int64 // 0 = disarmed
 	crashed bool
 	written int64 // bytes accepted by Write, for the ENOSPC budget
+	lastID  store.FileID
 	stats   FSStats
 }
 
@@ -115,6 +116,10 @@ var ErrCrashed = &os.PathError{Op: "io", Path: "(faultfs)", Err: syscall.EIO}
 type memFile struct {
 	data   []byte
 	synced int // durable prefix length
+	// id is the file's identity (its inode number), reported through
+	// Stat so a reader can tell when a rename put another file at a
+	// path it holds open.
+	id store.FileID
 }
 
 // NewFaultFS returns a fault filesystem drawing every injection
@@ -238,7 +243,8 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (store.File,
 		}
 		if !exists {
 			f.step() // creating a directory entry mutates the disk
-			mf = &memFile{}
+			f.lastID++
+			mf = &memFile{id: f.lastID}
 			f.files[name] = mf
 			f.markDirs(name)
 			exists = true
@@ -327,7 +333,7 @@ func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
 	}
 	name = clean(name)
 	if mf, ok := f.files[name]; ok {
-		return fileInfo{name: filepath.Base(name), size: int64(len(mf.data))}, nil
+		return fileInfo{name: filepath.Base(name), size: int64(len(mf.data)), id: mf.id}, nil
 	}
 	if f.dirExists(name) {
 		return fileInfo{name: filepath.Base(name), dir: true}, nil
@@ -573,14 +579,26 @@ func (h *memHandle) Close() error {
 	return nil
 }
 
+// Stat reports the open file, its identity included.
+func (h *memHandle) Stat() (fs.FileInfo, error) {
+	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
+	mf, err := h.file()
+	if err != nil {
+		return nil, err
+	}
+	return fileInfo{name: filepath.Base(h.name), size: int64(len(mf.data)), id: mf.id}, nil
+}
+
 func (h *memHandle) Name() string { return h.name }
 
 // fileInfo / dirEntry implement fs.FileInfo / fs.DirEntry for Stat and
-// ReadDir.
+// ReadDir. A file's Sys is its store.FileID; a directory's is zero.
 type fileInfo struct {
 	name string
 	size int64
 	dir  bool
+	id   store.FileID
 }
 
 func (i fileInfo) Name() string { return i.name }
@@ -593,7 +611,7 @@ func (i fileInfo) Mode() fs.FileMode {
 }
 func (i fileInfo) ModTime() time.Time { return time.Time{} }
 func (i fileInfo) IsDir() bool        { return i.dir }
-func (i fileInfo) Sys() any           { return nil }
+func (i fileInfo) Sys() any           { return i.id }
 
 type dirEntry struct{ fi fileInfo }
 

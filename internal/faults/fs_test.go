@@ -277,3 +277,77 @@ func TestJournalCrashEveryOp(t *testing.T) {
 		}
 	}
 }
+
+// TestJournalSyncErrRollback: an append whose fsync fails is rolled
+// back whole, so the journal stays clean and holds, in order, exactly
+// the records of the appends that returned nil.
+func TestJournalSyncErrRollback(t *testing.T) {
+	header := []byte(`{"version":1,"fingerprint":"0123456789abcdef"}`)
+	ffs := NewFaultFS(FSProfile{}, 3)
+	j, err := store.CreateJournal(ffs, "sweep.jsonl", header, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.prof.SyncErrRate = 0.5
+	var want []string
+	for i := 0; i < 20; i++ {
+		batch := []string{fmt.Sprintf(`{"key":"cell-%d-a"}`, i), fmt.Sprintf(`{"key":"cell-%d-b"}`, i)}
+		switch err := j.Append([]byte(batch[0]), []byte(batch[1])); {
+		case err == nil:
+			want = append(want, batch...)
+		case !errors.Is(err, syscall.EIO):
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if len(want) == 0 || len(want) == 40 {
+		t.Fatalf("want some appends to commit and some to fail their sync; %d of 40 records committed", len(want))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := store.ScanJournal(ffs, "sweep.jsonl", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sc.Clean() || len(sc.Records) != len(want) {
+		t.Fatalf("journal clean=%v with %d records, want clean with the %d committed", sc.Clean(), len(sc.Records), len(want))
+	}
+	for i, rec := range sc.Records {
+		if string(rec) != want[i] {
+			t.Fatalf("record %d = %s, want %s", i, rec, want[i])
+		}
+	}
+}
+
+// TestFaultFSReportsFileIdentity: a path's Stat and an open handle's
+// Stat carry the same identity until a rename puts another file at the
+// path, as device and inode numbers do on a real filesystem.
+func TestFaultFSReportsFileIdentity(t *testing.T) {
+	ffs := NewFaultFS(FSProfile{}, 1)
+	create := func(name string) store.File {
+		f, err := ffs.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	identity := func(fi os.FileInfo, err error) any {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Sys()
+	}
+	held := create("journal")
+	if a, b := identity(ffs.Stat("journal")), identity(held.Stat()); a != b || a == store.FileID(0) {
+		t.Fatalf("path identity %v, handle identity %v; want one non-zero identity", a, b)
+	}
+	if err := create("journal.tmp").Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ffs.Rename("journal.tmp", "journal"); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := identity(ffs.Stat("journal")), identity(held.Stat()); a == b {
+		t.Fatalf("after a rename over the path, it still names the held file (identity %v)", a)
+	}
+}

@@ -486,3 +486,189 @@ func deadPID(t *testing.T) int {
 	t.Skip("no dead PID found")
 	return 0
 }
+
+// TestRecoverReadsRequestFromHeaderOrSidecar: the request rides in
+// the journal's header, and no sidecar is written. A resumed sweep's
+// compacted journal keeps the request, so a second crash still
+// resumes. A journal an older store wrote, with the request in a
+// sidecar beside it, resumes too, and so does a sidecar whose journal
+// was never created.
+func TestRecoverReadsRequestFromHeaderOrSidecar(t *testing.T) {
+	req := smokeRequest()
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := cfg.Fingerprint()
+	body, _ := json.Marshal(req)
+
+	dir := t.TempDir()
+	srv1, ts1 := testServer(t, Config{StoreDir: dir, Parallelism: 1})
+	if _, tr, status := postSweep(t, ts1, req, "c1"); status != http.StatusOK || !tr.Complete {
+		t.Fatalf("seed sweep: status %d trailer %+v", status, tr)
+	}
+	srv1.wg.Wait()
+	full := waitResult(t, ts1, fp, 5*time.Second)
+	if fps, err := srv1.store.RequestFingerprints(); err != nil || len(fps) != 0 {
+		t.Fatalf("request sidecars %v (err %v), want none", fps, err)
+	}
+	path := srv1.store.Path(fp)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	var hdr store.Header
+	if err := json.Unmarshal(lines[0], &hdr); err != nil || !bytes.Equal(hdr.Request, body) {
+		t.Fatalf("journal header %s (err %v), want the request %s in it", lines[0], err, body)
+	}
+	oldHeader, _ := json.Marshal(store.Header{Version: hdr.Version, Fingerprint: hdr.Fingerprint})
+
+	// resume starts a fresh replica on dir and wants it to resume the
+	// sweep by itself, complete it, and leave the request in the
+	// journal's header.
+	resume := func(name, dir string) {
+		t.Helper()
+		srv, err := New(Config{StoreDir: dir, Parallelism: 1, ReplicaID: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		if resumed, _ := srv.Recover(nil); resumed != 1 {
+			t.Fatalf("%s: Recover resumed %d sweeps, want 1", name, resumed)
+		}
+		srv.wg.Wait()
+		if got := waitResult(t, ts, fp, 5*time.Second); !bytes.Equal(got, full) {
+			t.Fatalf("%s: recovered result differs:\nwant %s\ngot  %s", name, full, got)
+		}
+		sc, err := store.ScanJournal(nil, srv.store.Path(fp), store.MaxRecord)
+		if err != nil || !bytes.Equal(sc.Header.Request, body) {
+			t.Fatalf("%s: the resumed journal's header is %s (err %v), want the request in it", name, sc.HeaderLine, err)
+		}
+	}
+	// A crash after the first cell, twice over: each time the journal
+	// holds the header and the first record alone.
+	for _, name := range []string{"first-recoverer", "second-recoverer"} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(raw, []byte("\n"))
+		if err := os.WriteFile(path, append(append([]byte(nil), lines[0]...), lines[1]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resume(name, dir)
+	}
+
+	// An older store's crash images: the same journal prefix with a
+	// header that has no request, and no journal at all; the request
+	// sits in a sidecar.
+	for name, journal := range map[string][]byte{
+		"sidecar-and-journal": append(append(oldHeader, '\n'), lines[1]...),
+		"sidecar-alone":       nil,
+	} {
+		dir := t.TempDir()
+		st, err := store.Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if journal != nil {
+			if err := os.WriteFile(st.Path(fp), journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.SaveRequest(fp, body); err != nil {
+			t.Fatal(err)
+		}
+		resume(name, dir)
+	}
+}
+
+// TestCrashEveryPointOfCachedSweepRecovers is the crash oracle for the
+// commit of run-cache hits: the sweep of
+// TestCrashEveryPointRecoversByteIdentical, POSTed to a server whose
+// warm-up sweep (another fingerprint, the same cells) left every cell
+// in its run cache, so all records are journaled with one write and
+// one fsync. Power is lost at every mutating op the POST performs,
+// torn tails enabled, and a recovering server must converge to the
+// uninterrupted run's replay.
+func TestCrashEveryPointOfCachedSweepRecovers(t *testing.T) {
+	const dir = "cached-crash-store"
+	prof := faults.FSProfile{CrashTornFrac: 0.4}
+	req := smokeRequest()
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := cfg.Fingerprint()
+	warm := req
+	warm.QuiesceSeconds = 2
+	body, _ := json.Marshal(req)
+	warmBody, _ := json.Marshal(warm)
+
+	post := func(ts *httptest.Server, body []byte) {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return // connection killed by a crash mid-handler: expected
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+	}
+	// start returns a warmed-up server on ffs.
+	start := func(ffs *faults.FaultFS, id string) (*Server, *httptest.Server) {
+		srv, err := New(Config{StoreDir: dir, FS: ffs, Parallelism: 1, ReplicaID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := silentServer(srv.Handler())
+		post(ts, warmBody)
+		srv.wg.Wait()
+		return srv, ts
+	}
+
+	ref := faults.NewFaultFS(prof, 1)
+	refSrv, refTS := start(ref, "ref")
+	base := ref.Ops()
+	exec := executedDelta()
+	post(refTS, body)
+	refSrv.wg.Wait()
+	if d := exec(); d != 0 {
+		t.Fatalf("the reference sweep simulated %d cells; its cells should all be cached", d)
+	}
+	want := waitResult(t, refTS, fp, 5*time.Second)
+	refTS.Close()
+	total := ref.Ops() - base
+	if len(want) == 0 || total < 10 {
+		t.Fatalf("implausible reference: %d bytes, %d ops", len(want), total)
+	}
+
+	for k := int64(1); k <= total; k++ {
+		t.Run(fmt.Sprintf("op%03d", k), func(t *testing.T) {
+			ffs := faults.NewFaultFS(prof, 2_000+k)
+			srv, ts := start(ffs, "victim")
+			ffs.CrashAt(k)
+			post(ts, body)
+			srv.wg.Wait()
+			ts.Close()
+			if ffs.Stats().Crashes != 1 {
+				t.Fatalf("crash-point %d did not fire (crashes=%d)", k, ffs.Stats().Crashes)
+			}
+			ffs.Reboot()
+			_ = ffs.Remove(dir + "/" + fp + storeExt + ".lease")
+
+			rec, err := New(Config{StoreDir: dir, FS: ffs, Parallelism: 1, ReplicaID: "recoverer"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recTS := silentServer(rec.Handler())
+			defer recTS.Close()
+			rec.Recover(nil)
+			post(recTS, body)
+			rec.wg.Wait()
+			if got := waitResult(t, recTS, fp, 10*time.Second); !bytes.Equal(got, want) {
+				t.Fatalf("crash at op %d: recovered replay differs from uninterrupted run:\nwant %s\ngot  %s", k, want, got)
+			}
+		})
+	}
+}

@@ -49,8 +49,18 @@
 // checkpoint-resume path; epoch fencing makes the dead replica's
 // late journal writes fail rather than interleave. On startup,
 // Recover salvages torn journals (quarantining ones whose header is
-// unreadable) and resumes any incomplete sweep whose request sidecar
-// is on disk and whose lease is free.
+// unreadable) and resumes any incomplete sweep whose lease is free.
+//
+// What a sweep makes durable: its lease, its journal, and each
+// record. The request lives in the journal's header (written by
+// workload.Config.Request), so the journal alone is enough to resume
+// the sweep; Recover still reads the request sidecars older versions
+// wrote beside the journal. A sweep journals the cells the run cache
+// already holds together, with one write and one fsync, before it
+// simulates any cell, and announces them only after that commit; each
+// simulated cell is appended and fsynced on its own as it completes.
+// A sweep whose every cell is cached therefore costs three fsyncs:
+// lease, journal creation and the commit.
 //
 // One read path: the journal is the stream. Every record a client
 // receives — on the POST that started a sweep, an attached or
@@ -251,7 +261,8 @@ func (s *Server) Handler() http.Handler {
 
 // Recover scans the store for interrupted work: torn journal tails
 // are salvaged (headerless journals quarantined aside), and every
-// incomplete sweep with a request sidecar and a free lease is resumed
+// incomplete sweep with a free lease and a stored request — in its
+// journal's header, or in a sidecar an older store wrote — is resumed
 // through the normal checkpoint path. Call it on startup, after
 // mounting nothing — it launches executor goroutines, not requests.
 // logf (nil for silent) receives one line per action taken.
@@ -259,10 +270,11 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	// Union of journals and request sidecars: a crash between the
-	// sidecar save and the journal's first rename leaves a sidecar with
-	// no journal, and that sweep restarts from scratch.
-	// An unlistable store directory has nothing to recover.
+	// Union of journals and request sidecars: a sweep's request rides
+	// in its journal's header, but older stores saved it in a sidecar
+	// first, and a crash before the journal's first rename left a
+	// sidecar with no journal; that sweep restarts from scratch. An
+	// unlistable store directory has nothing to recover.
 	journals, _ := s.store.Fingerprints()
 	requests, _ := s.store.RequestFingerprints()
 	seen := make(map[string]bool)
@@ -279,25 +291,28 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 			mSalvaged.Inc()
 			logf("recover %s: salvaged journal (torn tail or junk compacted away)", fp)
 		}
-		body, ok := s.store.LoadRequest(fp)
-		if !ok {
-			continue // nothing to reconstruct the sweep from
-		}
-		var req SweepRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			logf("recover %s: unreadable request sidecar: %v", fp, err)
-			continue
-		}
-		cfg, err := req.Config()
-		if err != nil || cfg.Fingerprint() != fp {
-			logf("recover %s: request sidecar does not reproduce the fingerprint; skipping", fp)
-			continue
-		}
-		stored, err := s.storedCells(fp)
+		stored, body, err := s.storedCells(fp)
 		if err != nil {
 			logf("recover %s: %v", fp, err)
 			continue
 		}
+		if len(body) == 0 {
+			var ok bool
+			if body, ok = s.store.LoadRequest(fp); !ok {
+				continue // nothing to reconstruct the sweep from
+			}
+		}
+		var req SweepRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			logf("recover %s: unreadable request: %v", fp, err)
+			continue
+		}
+		cfg, err := req.Config()
+		if err != nil || cfg.Fingerprint() != fp {
+			logf("recover %s: stored request does not reproduce the fingerprint; skipping", fp)
+			continue
+		}
+		cfg.Request = body
 		if stored >= cfg.CellCount() {
 			continue // complete: replayable, nothing to resume
 		}
@@ -305,7 +320,7 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 			logf("recover %s: leased by %q; leaving it to them", fp, info.Owner)
 			continue
 		}
-		if _, attached, err := s.startOrAttach(fp, cfg, nil); err != nil {
+		if _, attached, err := s.startOrAttach(fp, cfg); err != nil {
 			logf("recover %s: %v", fp, err)
 		} else if !attached {
 			resumed++
@@ -316,16 +331,20 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 	return resumed, salvaged
 }
 
-// storedCells counts the distinct cells fp's journal holds.
-func (s *Server) storedCells(fp string) (int, error) {
+// storedCells counts the distinct cells fp's journal holds and returns
+// the request its header carries (none when there is no journal).
+func (s *Server) storedCells(fp string) (int, []byte, error) {
 	seen := make(map[string]bool)
-	err := store.NewJournalReader(s.store.FS(), s.store.Path(fp), store.MaxRecord).Next(false, func(line []byte) {
+	jr := store.NewJournalReader(s.store.FS(), s.store.Path(fp), store.MaxRecord)
+	defer func() { _ = jr.Close() }()
+	err := jr.Next(false, func(line []byte) bool {
 		seen[recordKey(line)] = true
+		return true
 	})
 	if store.IsNotExist(err) {
 		err = nil
 	}
-	return len(seen), err
+	return len(seen), jr.Header.Request, err
 }
 
 // Drain stops admitting requests and waits up to timeout for in-flight
@@ -465,6 +484,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if len(body) > 0 {
+		cfg.Request = body // journaled in the header, for Recover
+	}
 	fp := cfg.Fingerprint()
 	from, err := resumeToken(r)
 	if err != nil {
@@ -472,7 +494,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st, attached, err := s.startOrAttach(fp, cfg, body)
+	st, attached, err := s.startOrAttach(fp, cfg)
 	var held *store.HeldError
 	switch {
 	case err == nil && attached:
@@ -497,9 +519,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // the execution when this request is the first to ask for it. The
 // launch claims the journal's on-disk lease; a *store.HeldError means
 // another replica holds it (callers fall back to following its
-// journal), any other error is executor backpressure. body, when
-// non-nil, is saved as the request sidecar recovery resumes from.
-func (s *Server) startOrAttach(fp string, cfg workload.Config, body []byte) (*sweepState, bool, error) {
+// journal), any other error is executor backpressure. cfg.Request,
+// the request recovery resumes from, goes into the journal's header.
+func (s *Server) startOrAttach(fp string, cfg workload.Config) (*sweepState, bool, error) {
 	s.mu.Lock()
 	if st, ok := s.sweeps[fp]; ok {
 		s.mu.Unlock()
@@ -529,13 +551,6 @@ func (s *Server) startOrAttach(fp string, cfg workload.Config, body []byte) (*sw
 		// resumable trailer pointing at the follower path.
 		st.finish("sweep not started here: "+err.Error()+" — re-POST to follow the holder's journal", true)
 		return nil, false, err
-	}
-	if len(body) > 0 {
-		if err := s.store.SaveRequest(fp, body); err != nil {
-			// The sweep can proceed; only crash recovery of this
-			// fingerprint is degraded. Worth a line on stderr.
-			fmt.Fprintf(os.Stderr, "serve: saving request sidecar for %s: %v\n", fp, err)
-		}
 	}
 	mStarted.Inc()
 	s.wg.Add(1)
@@ -619,8 +634,10 @@ func (s *Server) retire(fp string, lease *store.Lease) {
 // then a trailer whose "next_from" is the journal index after the last
 // record it covers. It is the one read path behind every POST. With st
 // set this replica executes the sweep: the stream wakes on the
-// executor's announcements and passes a record only once its cell has
-// been announced, that is once the cell's journal append has returned.
+// executor's announcements and passes a record only once its cell was
+// announced before the read began, that is once the fsync covering
+// the record has returned; an append that fails rolls its lines back
+// before its cells are announced, so the stream never passes them.
 // With st nil another replica executes the sweep, or nobody does: the
 // stream polls the journal every FollowPoll and takes the sweep over
 // when it is incomplete and its lease is free.
@@ -630,23 +647,44 @@ func (s *Server) stream(ctx context.Context, w io.Writer, fp string, cfg workloa
 		flush = f.Flush
 	}
 	jr := store.NewJournalReader(s.store.FS(), s.store.Path(fp), store.MaxRecord)
+	defer func() { _ = jr.Close() }()
 	cells := cfg.CellCount()
-	var held [][]byte             // records read but not yet announced
-	var keys []string             // their cell keys
 	seen := make(map[string]bool) // distinct cells among the records passed
 	pos, streamed := 0, 0         // journal index of the next record; records sent
 	tr := trailer{Done: true, Fingerprint: fp, Cells: cells, Resumable: true}
 	for {
 		var changed <-chan struct{}
-		started, done := true, false
+		seq, done := 0, false
 		if st != nil {
-			changed, started, done = st.watch()
+			changed, seq, done = st.watch()
 		}
-		if started {
-			err := jr.Next(false, func(line []byte) {
-				held = append(held, line)
-				keys = append(keys, recordKey(line))
+		// Until the first announcement the file at the journal path may
+		// predate the executor's compaction: leave it unread.
+		if st == nil || seq > 0 {
+			var werr error
+			before := pos
+			err := jr.Next(false, func(line []byte) bool {
+				key := recordKey(line)
+				if jr.Header.Fingerprint != fp || (st != nil && !st.announcedBy(key, seq)) {
+					return false
+				}
+				seen[key] = true
+				if pos++; pos <= from {
+					return true
+				}
+				if _, werr = fmt.Fprintf(w, "%s\n", line); werr != nil {
+					return false
+				}
+				streamed++
+				mCellsSent.Inc()
+				return true
 			})
+			if werr != nil {
+				return // client gone; nothing more to say
+			}
+			if pos > before {
+				flush()
+			}
 			if err != nil && !store.IsNotExist(err) {
 				tr.Error = "journal read: " + err.Error()
 				break
@@ -655,25 +693,6 @@ func (s *Server) stream(ctx context.Context, w io.Writer, fp string, cfg workloa
 				tr.Error, tr.Resumable = "stored journal belongs to a different configuration", false
 				break
 			}
-		}
-		n := len(held)
-		if st != nil {
-			n = st.released(keys)
-		}
-		for i, line := range held[:n] {
-			seen[keys[i]] = true
-			if pos++; pos <= from {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
-				return // client gone; nothing more to say
-			}
-			streamed++
-			mCellsSent.Inc()
-		}
-		held, keys = held[n:], keys[n:]
-		if n > 0 {
-			flush()
 		}
 		if st != nil {
 			if done {
@@ -738,7 +757,7 @@ func (s *Server) adopt(fp string, cfg workload.Config) *sweepState {
 	if _, live := store.ReadLeaseInfo(s.store.FS(), s.store.LeasePath(fp), time.Now()); live {
 		return nil
 	}
-	st, attached, err := s.startOrAttach(fp, cfg, nil)
+	st, attached, err := s.startOrAttach(fp, cfg)
 	if err == nil && !attached {
 		mTakeovers.Inc()
 	}
@@ -796,7 +815,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	var lines [][]byte
 	jr := store.NewJournalReader(s.store.FS(), s.store.Path(fp), store.MaxRecord)
-	err = jr.Next(false, func(line []byte) { lines = append(lines, line) })
+	err = jr.Next(false, func(line []byte) bool {
+		lines = append(lines, line)
+		return true
+	})
+	_ = jr.Close() // a read-only handle: nothing to lose
 	switch {
 	case store.IsNotExist(err):
 		http.Error(w, "no stored result for fingerprint "+fp, http.StatusNotFound)
@@ -886,15 +909,15 @@ type sweepState struct {
 	cells int
 
 	mu        sync.Mutex
-	changed   chan struct{}   // closed and replaced by every announce and by finish
-	announced map[string]bool // cells resolved: journaled, restored or failed
+	changed   chan struct{}  // closed and replaced by every announce and by finish
+	announced map[string]int // cells resolved (journaled, restored or failed), by announcement order from 1
 	done      bool
 	errMsg    string // fixed once done
 	resumable bool
 }
 
 func newSweepState(fp string, cells int) *sweepState {
-	return &sweepState{fp: fp, cells: cells, changed: make(chan struct{}), announced: make(map[string]bool)}
+	return &sweepState{fp: fp, cells: cells, changed: make(chan struct{}), announced: make(map[string]int)}
 }
 
 // announce records that key's cell has resolved — its journal append
@@ -902,7 +925,9 @@ func newSweepState(fp string, cells int) *sweepState {
 // subscriber.
 func (st *sweepState) announce(key string) {
 	st.mu.Lock()
-	st.announced[key] = true
+	if _, ok := st.announced[key]; !ok {
+		st.announced[key] = len(st.announced) + 1
+	}
 	close(st.changed)
 	st.changed = make(chan struct{})
 	st.mu.Unlock()
@@ -921,25 +946,22 @@ func (st *sweepState) finish(errMsg string, resumable bool) {
 	st.mu.Unlock()
 }
 
-// watch returns a channel the next announce or finish closes, whether
-// any cell has been announced yet (until then the file at the journal
-// path may predate the executor's compaction), and whether the sweep
-// has finished.
-func (st *sweepState) watch() (changed <-chan struct{}, started, done bool) {
+// watch returns a channel the next announce or finish closes, how
+// many cells have been announced so far, and whether the sweep has
+// finished.
+func (st *sweepState) watch() (changed <-chan struct{}, seq int, done bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.changed, len(st.announced) > 0, st.done
+	return st.changed, len(st.announced), st.done
 }
 
-// released counts the leading keys whose cells have been announced.
-func (st *sweepState) released(keys []string) int {
+// announcedBy reports whether key's cell was among the first seq
+// announced.
+func (st *sweepState) announcedBy(key string, seq int) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	n := 0
-	for n < len(keys) && st.announced[keys[n]] {
-		n++
-	}
-	return n
+	n, ok := st.announced[key]
+	return ok && n <= seq
 }
 
 // trailer is the final NDJSON object of a sweep stream. Its "done"

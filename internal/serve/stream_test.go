@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -24,11 +25,13 @@ import (
 // writes and fsyncs: the compaction temp file's, which the rename
 // makes the live journal. A hook sees the 1-based count of that kind
 // of journal operation; a write hook's error fails the write with
-// nothing applied.
+// nothing applied, and a sync-error hook's error fails the sync after
+// onSync has run, with the written bytes left unsynced.
 type journalFS struct {
 	store.FS
 	onWrite func(n int) error
 	onSync  func(n int)
+	syncErr func(n int) error
 
 	writes, syncs atomic.Int64
 }
@@ -56,8 +59,14 @@ func (j *journalFile) Write(p []byte) (int, error) {
 }
 
 func (j *journalFile) Sync() error {
-	if n := j.fs.syncs.Add(1); j.fs.onSync != nil {
+	n := j.fs.syncs.Add(1)
+	if j.fs.onSync != nil {
 		j.fs.onSync(int(n))
+	}
+	if j.fs.syncErr != nil {
+		if err := j.fs.syncErr(int(n)); err != nil {
+			return err
+		}
 	}
 	return j.File.Sync()
 }
@@ -73,31 +82,44 @@ func replayBody(records [][]byte) []byte {
 }
 
 // TestStreamNeverOutrunsTheStore: a cell whose journal append fails is
-// not streamed. The journal's third write (header, first record, then
-// the second record) fails with ENOSPC; the POST streams exactly what
-// GET replays, and its trailer says where the journal stops.
+// not streamed. Either the journal's third write (header, first
+// record, then the second record) fails with ENOSPC, or its second
+// sync (compaction, then the first record) fails with EIO and the
+// append is rolled back; the POST streams exactly what GET replays,
+// and its trailer says where the journal stops.
 func TestStreamNeverOutrunsTheStore(t *testing.T) {
-	fsys := &journalFS{FS: store.OS(), onWrite: func(n int) error {
-		if n == 3 {
-			return &os.PathError{Op: "write", Path: "journal", Err: syscall.ENOSPC}
-		}
-		return nil
-	}}
-	srv, ts := testServer(t, Config{FS: fsys, Parallelism: 1})
-	records, tr, status := postSweep(t, ts, smokeRequest(), "c1")
-	if status != http.StatusOK {
-		t.Fatalf("POST status %d", status)
-	}
-	srv.wg.Wait()
-	status, replay := getResult(t, ts, tr.Fingerprint, "")
-	if status != http.StatusOK {
-		t.Fatalf("GET status %d: %s", status, replay)
-	}
-	if got := replayBody(records); !bytes.Equal(got, replay) {
-		t.Fatalf("POST streamed what the store lacks:\nstreamed %s\nstored   %s", got, replay)
-	}
-	if len(records) != 1 || tr.Complete || !tr.Resumable || tr.NextFrom != 1 {
-		t.Fatalf("%d records, trailer %+v; want 1 record and complete:false, resumable:true, next_from:1", len(records), tr)
+	for name, fsys := range map[string]*journalFS{
+		"write_ENOSPC": {FS: store.OS(), onWrite: func(n int) error {
+			if n == 3 {
+				return &os.PathError{Op: "write", Path: "journal", Err: syscall.ENOSPC}
+			}
+			return nil
+		}},
+		"sync_EIO": {FS: store.OS(), syncErr: func(n int) error {
+			if n == 2 {
+				return &os.PathError{Op: "sync", Path: "journal", Err: syscall.EIO}
+			}
+			return nil
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, ts := testServer(t, Config{FS: fsys, Parallelism: 1})
+			records, tr, status := postSweep(t, ts, smokeRequest(), "c1")
+			if status != http.StatusOK {
+				t.Fatalf("POST status %d", status)
+			}
+			srv.wg.Wait()
+			status, replay := getResult(t, ts, tr.Fingerprint, "")
+			if status != http.StatusOK {
+				t.Fatalf("GET status %d: %s", status, replay)
+			}
+			if got := replayBody(records); !bytes.Equal(got, replay) {
+				t.Fatalf("POST streamed what the store lacks:\nstreamed %s\nstored   %s", got, replay)
+			}
+			if len(records) != 1 || tr.Complete || !tr.Resumable || tr.NextFrom != 1 {
+				t.Fatalf("%d records, trailer %+v; want 1 record and complete:false, resumable:true, next_from:1", len(records), tr)
+			}
+		})
 	}
 }
 
@@ -152,24 +174,33 @@ type tail struct {
 	done    chan struct{}
 }
 
+// tailSweep POSTs body in the background, since a stream's headers
+// reach the client only with its first record.
 func tailSweep(t *testing.T, ts *httptest.Server, body []byte) *tail {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = resp.Body.Close() })
 	c := &tail{done: make(chan struct{})}
 	go func() {
-		defer close(c.done)
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			if c.last = append([]byte(nil), sc.Bytes()...); bytes.HasPrefix(c.last, []byte(`{"key":`)) {
-				c.records.Add(1)
-			}
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			close(c.done)
+			return
 		}
+		defer resp.Body.Close()
+		c.read(resp.Body)
 	}()
 	return c
+}
+
+// read counts the stream's records as they arrive and keeps its last
+// line, then closes done.
+func (c *tail) read(body io.Reader) {
+	defer close(c.done)
+	sc := bufio.NewScanner(body)
+	for sc.Scan() {
+		if c.last = append([]byte(nil), sc.Bytes()...); bytes.HasPrefix(c.last, []byte(`{"key":`)) {
+			c.records.Add(1)
+		}
+	}
 }
 
 // streamSweep POSTs body (with query) and reads the NDJSON stream,
@@ -277,5 +308,111 @@ func TestStreamsFollowJournalOrder(t *testing.T) {
 				t.Errorf("client %d: trailer %+v, want complete with next_from %d", i, tr, cells)
 			}
 		}
+	}
+}
+
+// countFS counts the operations a sweep makes its work durable with:
+// file creations, renames and fsyncs.
+type countFS struct {
+	store.FS
+	creates, renames, syncs atomic.Int64
+}
+
+func (f *countFS) OpenFile(name string, flag int, perm os.FileMode) (store.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	if flag&os.O_CREATE != 0 {
+		f.creates.Add(1)
+	}
+	return &countFile{File: file, fs: f}, nil
+}
+
+func (f *countFS) Rename(oldpath, newpath string) error {
+	f.renames.Add(1)
+	return f.FS.Rename(oldpath, newpath)
+}
+
+type countFile struct {
+	store.File
+	fs *countFS
+}
+
+func (c *countFile) Sync() error {
+	c.fs.syncs.Add(1)
+	return c.File.Sync()
+}
+
+// TestCachedSweepCommitsOnce: on a warm server, an 8-cell POST whose
+// every cell is a run-cache hit makes its records durable with one
+// commit. The whole POST takes 3 fsyncs (lease, journal creation, the
+// commit), 4 file creations (three of them the lease's) and 2 renames
+// (lease and journal), and while the commit's fsync is held no
+// subscriber, starter or attacher, has received a record.
+func TestCachedSweepCommitsOnce(t *testing.T) {
+	var commit atomic.Int64 // the journal fsync to hold; 0 = none
+	holding, release := make(chan struct{}), make(chan struct{})
+	jfs := &journalFS{FS: store.OS(), onSync: func(n int) {
+		if int64(n) == commit.Load() {
+			close(holding)
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+			}
+		}
+	}}
+	fsys := &countFS{FS: jfs}
+	srv, ts := testServer(t, Config{FS: fsys, Parallelism: 2})
+	warm := SweepRequest{
+		Algorithms: []string{"OpenBLAS", "Strassen"},
+		Sizes:      []int{64, 96},
+		Threads:    []int{1, 2},
+	}
+	if _, tr, status := postSweep(t, ts, warm, "warm"); status != http.StatusOK || !tr.Complete || tr.Cells != 8 {
+		t.Fatalf("warm-up sweep: status %d trailer %+v", status, tr)
+	}
+	srv.wg.Wait()
+
+	// The same cells under a new fingerprint: every one a cache hit.
+	hot := warm
+	hot.QuiesceSeconds = 2
+	body, _ := json.Marshal(hot)
+	commit.Store(jfs.syncs.Load() + 2) // compaction, then the commit
+	creates, renames, syncs := fsys.creates.Load(), fsys.renames.Load(), fsys.syncs.Load()
+	exec := executedDelta()
+	starter := tailSweep(t, ts, body)
+	select {
+	case <-holding:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the commit's fsync never started")
+	}
+	attached := mAttached.Value()
+	attacher := tailSweep(t, ts, body)
+	for deadline := time.Now().Add(5 * time.Second); mAttached.Value() == attached && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond)
+	for name, c := range map[string]*tail{"starter": starter, "attacher": attacher} {
+		if n := c.records.Load(); n != 0 {
+			t.Errorf("%s: while the commit's fsync is held, the client has %d records, want 0", name, n)
+		}
+	}
+	close(release)
+	for name, c := range map[string]*tail{"starter": starter, "attacher": attacher} {
+		<-c.done
+		var tr trailer
+		if err := json.Unmarshal(c.last, &tr); err != nil || !tr.Complete || c.records.Load() != 8 {
+			t.Errorf("%s after the commit: %d records, trailer %s", name, c.records.Load(), c.last)
+		}
+	}
+	srv.wg.Wait()
+	if d := exec(); d != 0 {
+		t.Errorf("the cached sweep simulated %d cells, want 0", d)
+	}
+	got := [3]int64{fsys.syncs.Load() - syncs, fsys.creates.Load() - creates, fsys.renames.Load() - renames}
+	if want := [3]int64{3, 4, 2}; got != want {
+		t.Errorf("the cached POST made %d fsyncs, %d creations and %d renames; want %d, %d and %d",
+			got[0], got[1], got[2], want[0], want[1], want[2])
 	}
 }

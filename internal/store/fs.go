@@ -27,7 +27,8 @@ import (
 // File is the subset of *os.File the store reads and writes through.
 // Sync is the durability barrier: data written but not yet synced is
 // exactly what a crash may lose (or tear). Seek lets a JournalReader
-// resume where its last read stopped.
+// resume where its last read stopped, and Stat lets it tell whether
+// its path still names the file it holds open.
 type File interface {
 	Read(p []byte) (int, error)
 	Seek(offset int64, whence int) (int64, error)
@@ -35,6 +36,7 @@ type File interface {
 	Close() error
 	Sync() error
 	Truncate(size int64) error
+	Stat() (fs.FileInfo, error)
 	Name() string
 }
 
@@ -70,6 +72,24 @@ func (osFS) MkdirAll(path string, perm os.FileMode) error {
 }
 
 var theOS FS = osFS{}
+
+// FileID is the file identity an FS other than the real one reports
+// through fs.FileInfo.Sys: two FileInfos carrying the same non-zero
+// FileID describe one file, as equal device and inode numbers do on
+// the real filesystem.
+type FileID uint64
+
+// sameFile reports whether a and b describe one file, by the real
+// filesystem's device and inode or by an injected FS's FileID. Without
+// an identity to compare, files are never the same.
+func sameFile(a, b fs.FileInfo) bool {
+	if os.SameFile(a, b) {
+		return true
+	}
+	ia, oka := a.Sys().(FileID)
+	ib, okb := b.Sys().(FileID)
+	return oka && okb && ia != 0 && ia == ib
+}
 
 // OS returns the real filesystem.
 func OS() FS { return theOS }

@@ -6,16 +6,24 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 )
 
 // Header is the first line of every journal: the layout version plus
-// the configuration fingerprint of the results it holds. Field order
-// matches the original checkpoint header byte-for-byte.
+// the configuration fingerprint of the results it holds, and for a
+// served sweep the request it answers. Field order matches the
+// original checkpoint header byte-for-byte, and a journal without a
+// request (every one the CLIs write) still has exactly those bytes.
 type Header struct {
 	Version     int    `json:"version"`
 	Fingerprint string `json:"fingerprint"`
+	// Request is the raw JSON request of a served sweep: what lets a
+	// recovering replica rebuild and resume a sweep it never saw from
+	// the journal alone. It is durable with the header, which the
+	// journal's first rename publishes.
+	Request json.RawMessage `json:"request,omitempty"`
 }
 
 // ErrJournalClosed is returned by Append after Close.
@@ -33,16 +41,20 @@ var ErrJournalRewritten = errors.New("store: journal rewritten under its reader"
 
 // JournalReader reads one journal incrementally, and is the only way
 // a journal is read: ScanJournal is one whole-file pass of it, and a
-// subscriber streaming a live sweep calls Next on every wake. Each
-// call reopens the file by path, so an atomic compaction rename is
-// seen, seeks to the end of the last whole line it consumed, and
-// parses only what was appended since, so a reader parses each record
-// once. Compaction rewrites the restorable records byte for byte in
-// order, so a reader's offset survives it.
+// subscriber streaming a live sweep calls Next on every wake. The file
+// stays open between calls; each call checks that the path still
+// names it and reopens the path when it does not, so an atomic
+// compaction rename is seen. A call seeks to the end of the last whole
+// line consumed and parses only what was appended since, so a reader
+// parses each record once. Compaction rewrites the restorable records
+// byte for byte in order, so a reader's offset survives it. Close
+// releases the file.
 type JournalReader struct {
 	fsys      FS
 	path      string
 	maxRecord int
+	f         File          // the journal, kept open between calls
+	id        fs.FileInfo   // f's identity; nil when the FS reports none
 	off       int64         // end of the last whole line consumed
 	br        *bufio.Reader // reused across calls
 
@@ -69,31 +81,30 @@ func (r *JournalReader) Clean() bool {
 }
 
 // Next hands fn, in journal order, every record line appended since
-// the previous call (newline stripped; fn may keep it). It tolerates
-// every kind of damage a crash can leave: an oversized record is
-// skipped and counted, and a whole line that is not JSON stops the
-// read with Torn set and everything before it consumed. A final line
-// without its newline is an append still in progress and is left for
-// a later call, unless final declares the file complete: then it is
-// kept when it parses (a crash cut the newline alone) and is Torn
-// otherwise. Returns the error opening the file (os.ErrNotExist before
-// the journal exists).
-func (r *JournalReader) Next(final bool, fn func(line []byte)) error {
-	f, err := r.fsys.OpenFile(r.path, os.O_RDONLY, 0)
-	if err != nil {
+// the previous call (newline stripped; fn may keep it). fn returns
+// false to stop before a line: that line stays unconsumed, and the
+// next call starts at it. Next tolerates every kind of damage a crash
+// can leave: an oversized record is skipped and counted, and a whole
+// line that is not JSON stops the read with Torn set and everything
+// before it consumed. A final line without its newline is an append
+// still in progress and is left for a later call, unless final
+// declares the file complete: then it is kept when it parses (a crash
+// cut the newline alone) and is Torn otherwise. Returns the error
+// opening the file (os.ErrNotExist before the journal exists).
+func (r *JournalReader) Next(final bool, fn func(line []byte) bool) error {
+	if err := r.open(); err != nil {
 		return err
 	}
-	defer func() { _ = f.Close() }()
 	if r.br == nil {
-		r.br = bufio.NewReaderSize(f, 64*1024)
+		r.br = bufio.NewReaderSize(r.f, 64*1024)
 	}
 	br := r.br
-	br.Reset(f)
+	br.Reset(r.f)
+	// Resume on the newline that ended the last consumed line.
+	if _, err := r.f.Seek(max(r.off-1, 0), io.SeekStart); err != nil {
+		return err
+	}
 	if r.off > 0 {
-		// Resume on the newline that ended the last consumed line.
-		if _, err := f.Seek(r.off-1, io.SeekStart); err != nil {
-			return err
-		}
 		if b, err := br.ReadByte(); err != nil || b != '\n' {
 			return ErrJournalRewritten
 		}
@@ -120,11 +131,47 @@ func (r *JournalReader) Next(final bool, fn func(line []byte)) error {
 			r.Torn = true
 			return nil
 		default:
-			fn(line)
+			if !fn(line) {
+				return nil
+			}
 			r.Unterminated = err != nil
 		}
 		r.off += int64(n)
 	}
+}
+
+// open makes r.f the file at r.path: the one kept from the previous
+// call while the path still names it, else the path opened afresh —
+// on the first call, and after a compaction renamed a new journal
+// over the old one. An FS that reports no file identity is reopened
+// on every call.
+func (r *JournalReader) open() error {
+	if r.f != nil {
+		if fi, err := r.fsys.Stat(r.path); err == nil && r.id != nil && sameFile(fi, r.id) {
+			return nil
+		}
+		_ = r.Close() // a read-only handle: nothing to lose
+	}
+	f, err := r.fsys.OpenFile(r.path, os.O_RDONLY, 0)
+	if err != nil {
+		return err
+	}
+	r.f = f
+	if r.id, err = f.Stat(); err != nil {
+		r.id = nil
+	}
+	return nil
+}
+
+// Close releases the file the reader keeps open between calls. The
+// reader stays usable: a later Next opens the path again.
+func (r *JournalReader) Close() error {
+	if r.f == nil {
+		return nil
+	}
+	err := r.f.Close()
+	r.f, r.id = nil, nil
+	return err
 }
 
 // Scan is one whole-file pass of a JournalReader: what is restorable,
@@ -141,7 +188,12 @@ type Scan struct {
 // cannot be opened.
 func ScanJournal(fsys FS, path string, maxRecord int) (*Scan, error) {
 	sc := &Scan{JournalReader: *NewJournalReader(fsys, path, maxRecord)}
-	if err := sc.Next(true, func(line []byte) { sc.Records = append(sc.Records, line) }); err != nil {
+	err := sc.Next(true, func(line []byte) bool {
+		sc.Records = append(sc.Records, line)
+		return true
+	})
+	_ = sc.Close() // a read-only handle: nothing to lose
+	if err != nil {
 		return nil, err
 	}
 	return sc, nil
@@ -181,15 +233,15 @@ func readJournalLine(br *bufio.Reader, maxRecord int) (line []byte, n int, tooLo
 
 // Journal is an open, appendable journal file. Appends are fenced by
 // the lease (when one is attached), written as whole lines, synced
-// before returning, and rolled back on partial failure so the file
-// never holds a half-line in its interior.
+// before returning, and rolled back on failure so the file never holds
+// a half-line in its interior, nor a line whose sync failed.
 type Journal struct {
 	mu     sync.Mutex
 	fsys   FS
 	f      File
 	path   string
 	lease  *Lease
-	offset int64 // bytes of complete lines in the file
+	offset int64 // bytes of complete, synced lines in the file
 	broken bool  // a failed append could not be rolled back
 }
 
@@ -255,13 +307,15 @@ func (j *Journal) writeLine(line []byte) error {
 	return nil
 }
 
-// Append journals one record line (newline added) and syncs it, so the
-// record survives the process dying right afterwards. A failed or
-// short write is rolled back with Truncate so the journal's interior
-// stays parseable; if even the rollback fails the journal is marked
-// broken and refuses further appends rather than corrupting records
-// already on disk.
-func (j *Journal) Append(line []byte) error {
+// Append journals record lines, a newline added to each, with one
+// write and one sync: the lines are committed together and survive the
+// process dying right afterwards. A write or sync that fails is rolled
+// back with Truncate to the end of the last committed line, so no line
+// of a failed append stays in the file: none is read as durable, and a
+// resumed sweep recomputes its cells. If even the rollback fails the
+// journal is marked broken and refuses further appends rather than
+// corrupt records already on disk.
+func (j *Journal) Append(lines ...[]byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -275,28 +329,35 @@ func (j *Journal) Append(line []byte) error {
 			return err
 		}
 	}
-	buf := make([]byte, 0, len(line)+1)
-	buf = append(buf, line...)
-	buf = append(buf, '\n')
+	size := 0
+	for _, line := range lines {
+		size += len(line) + 1
+	}
+	buf := make([]byte, 0, size)
+	for _, line := range lines {
+		buf = append(buf, line...)
+		buf = append(buf, '\n')
+	}
 	n, err := j.f.Write(buf)
 	if err == nil && n != len(buf) {
 		err = io.ErrShortWrite
+	}
+	op := "append"
+	if err == nil {
+		// A failed sync leaves the lines' durability unknown: roll them
+		// back like a failed write.
+		op, err = "sync", j.f.Sync()
 	}
 	if err != nil {
 		if n > 0 {
 			if terr := j.f.Truncate(j.offset); terr != nil {
 				j.broken = true
-				return fmt.Errorf("store: journal %s: append failed (%v) and rollback failed (%v); journal disabled", j.path, err, terr)
+				return fmt.Errorf("store: journal %s: %s failed (%v) and rollback failed (%v); journal disabled", j.path, op, err, terr)
 			}
 		}
-		return fmt.Errorf("store: journal %s: append: %w", j.path, err)
+		return fmt.Errorf("store: journal %s: %s: %w", j.path, op, err)
 	}
 	j.offset += int64(n)
-	if err := j.f.Sync(); err != nil {
-		// The line is whole in the file (scanning still works); only
-		// its durability against power loss is in doubt.
-		return fmt.Errorf("store: journal %s: sync: %w", j.path, err)
-	}
 	return nil
 }
 

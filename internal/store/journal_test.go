@@ -190,7 +190,10 @@ func TestJournalReaderReadsOnlyAppendedLines(t *testing.T) {
 	var got []string
 	next := func() error {
 		got = got[:0]
-		return r.Next(false, func(line []byte) { got = append(got, string(line)) })
+		return r.Next(false, func(line []byte) bool {
+			got = append(got, string(line))
+			return true
+		})
 	}
 	if err := next(); !os.IsNotExist(err) {
 		t.Fatalf("Next before the journal exists = %v, want not-exist", err)

@@ -14,8 +14,9 @@ import (
 const Ext = ".jsonl"
 
 // reqExt is the request sidecar extension: the raw sweep request body
-// saved next to the journal, which is what lets a recovering replica
-// reconstruct and resume an interrupted sweep it never saw.
+// older stores saved next to the journal so a recovering replica could
+// reconstruct and resume a sweep it never saw. The request now rides
+// in the journal's header (Header.Request); sidecars are still read.
 const reqExt = ".req"
 
 // Store is a fingerprint-keyed directory of result journals shared by
@@ -78,9 +79,10 @@ func (s *Store) Fingerprints() ([]string, error) {
 }
 
 // RequestFingerprints lists the fingerprints with a saved request
-// sidecar, sorted — including ones whose journal does not exist yet (a
-// crash can land between the sidecar save and the journal's first
-// rename; recovery restarts those sweeps from the sidecar alone).
+// sidecar, sorted — including ones whose journal does not exist (an
+// older store's crash could land between the sidecar save and the
+// journal's first rename; recovery restarts those sweeps from the
+// sidecar alone).
 func (s *Store) RequestFingerprints() ([]string, error) {
 	entries, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
@@ -104,8 +106,9 @@ func (s *Store) RequestFingerprints() ([]string, error) {
 // reqPath returns the request sidecar path for a fingerprint.
 func (s *Store) reqPath(fp string) string { return filepath.Join(s.dir, fp+reqExt) }
 
-// SaveRequest persists the raw sweep request body for fp (atomically,
-// so recovery never parses a half-written request).
+// SaveRequest persists the raw sweep request body for fp as a sidecar
+// (atomically, so recovery never parses a half-written request), the
+// way older stores did. The sweep server no longer writes sidecars.
 func (s *Store) SaveRequest(fp string, body []byte) error {
 	tmp := tempPath(s.reqPath(fp))
 	f, err := s.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -111,16 +111,38 @@ type runKey struct {
 	recordSchedule    bool
 }
 
-// cacheKey derives the memoization key for one cell under cfg. The
-// poll interval is normalized (unset selects DefaultPollInterval) so
+// sweepCache is one sweep's view of its run cache: the cache, and the
+// machine fingerprint every key of the sweep shares, hashed once per
+// sweep instead of once per cell.
+type sweepCache struct {
+	rc      *RunCache
+	machine uint64
+}
+
+// sweepCache returns the cache cells of cfg memoize through (Cache,
+// else the process default), or nil when they bypass memoization:
+// NoCache, or an armed fault schedule.
+func (cfg *Config) sweepCache() *sweepCache {
+	if cfg.NoCache || cfg.Faults != nil {
+		return nil
+	}
+	rc := cfg.Cache
+	if rc == nil {
+		rc = defaultRunCache
+	}
+	return &sweepCache{rc: rc, machine: machineFingerprint(cfg.Machine)}
+}
+
+// key derives the memoization key for one cell under cfg. The poll
+// interval is normalized (unset selects DefaultPollInterval) so
 // explicit and defaulted configurations share entries.
-func cacheKey(cfg Config, c cell) runKey {
+func (sc *sweepCache) key(cfg *Config, c cell) runKey {
 	interval := cfg.PollInterval
 	if interval <= 0 {
 		interval = DefaultPollInterval
 	}
 	key := runKey{
-		machine:           machineFingerprint(cfg.Machine),
+		machine:           sc.machine,
 		alg:               c.alg,
 		n:                 c.n,
 		threads:           c.threads,
@@ -194,14 +216,14 @@ func (rc *RunCache) Do(key runKey, compute func() Run) Run {
 	return run
 }
 
-// load returns a private copy of the memoized run for key, counting
-// the hit or miss (test hook; Do is the execution path).
+// load returns a private copy of the memoized run for key, counting a
+// hit. A miss is not counted: the caller goes on to Do, which counts
+// it, or waits for a concurrent compute of the key.
 func (rc *RunCache) load(key runKey) (Run, bool) {
 	rc.mu.Lock()
 	r, ok := rc.entries[key]
 	rc.mu.Unlock()
 	if !ok {
-		cacheMisses.Inc()
 		return Run{}, false
 	}
 	cacheHits.Inc()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,9 +23,11 @@ import (
 // journals every completed cell to a JSONL file as it finishes, and a
 // later Execute with the same configuration restores those cells
 // instead of re-simulating them. The journal survives a killed or
-// crashed sweep because records are appended (and fsynced) one cell
-// at a time — exactly the cells that completed are exactly the cells
-// restored.
+// crashed sweep because every record is fsynced before its cell is
+// announced (Config.OnRun): a simulated cell is appended as it
+// completes, and the cells the sweep finds in the run cache are
+// appended together, under one fsync, before any cell is simulated —
+// exactly the cells that completed are exactly the cells restored.
 //
 // File format: one JSON object per line. The first line is a header
 // carrying a fingerprint of everything that determines cell results —
@@ -244,10 +247,16 @@ func openCheckpoint(cfg Config) (*checkpoint, map[string]Run, error) {
 	}
 
 	fp := checkpointFingerprint(cfg)
-	keys, restored := loadCheckpoint(fsys, cfg, fp)
+	keys, restored, request := loadCheckpoint(fsys, cfg, fp)
+	// The header keeps the request an existing journal carries, so a
+	// takeover that was not given one still leaves a resumable journal
+	// and the header's bytes do not move under a follower's reader.
+	if len(request) == 0 {
+		request = cfg.Request
+	}
 
 	ck := &checkpoint{path: cfg.CheckpointPath, keep: cfg.RecordTraces, lease: lease, ownLease: ownLease}
-	hdr, err := json.Marshal(store.Header{Version: ckVersion, Fingerprint: fp})
+	hdr, err := json.Marshal(store.Header{Version: ckVersion, Fingerprint: fp, Request: request})
 	if err != nil {
 		return nil, nil, fmt.Errorf("workload: checkpoint: %w", err)
 	}
@@ -281,23 +290,24 @@ var ckMaxRecordBytes = store.MaxRecord
 // loadCheckpoint reads the resumable cells out of an existing journal:
 // the restored runs by key, plus the keys in first-journaled order
 // (duplicate keys keep the last record but the first position) so the
-// compaction rewrite preserves the journal's replay order. Nil when
-// there is no journal or it belongs to a different configuration.
-func loadCheckpoint(fsys store.FS, cfg Config, fingerprint string) ([]string, map[string]Run) {
+// compaction rewrite preserves the journal's replay order, plus the
+// request its header carries. Nil when there is no journal or it
+// belongs to a different configuration.
+func loadCheckpoint(fsys store.FS, cfg Config, fingerprint string) (keys []string, restored map[string]Run, request []byte) {
 	sc, err := store.ScanJournal(fsys, cfg.CheckpointPath, ckMaxRecordBytes)
 	if err != nil || !sc.HeaderOK {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if sc.Header.Version != ckVersion || sc.Header.Fingerprint != fingerprint {
-		return nil, nil
+		return nil, nil, nil
 	}
+	request = sc.Header.Request
 	if sc.Oversized > 0 {
 		ckOversized.Add(int64(sc.Oversized))
 		fmt.Fprintf(os.Stderr, "workload: checkpoint %s: skipped %d oversized record(s) (> %d bytes); later records still restored\n",
 			cfg.CheckpointPath, sc.Oversized, ckMaxRecordBytes)
 	}
-	var keys []string
-	restored := make(map[string]Run)
+	restored = make(map[string]Run)
 	for _, line := range sc.Records {
 		var rec ckRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
@@ -320,9 +330,9 @@ func loadCheckpoint(fsys store.FS, cfg Config, fingerprint string) ([]string, ma
 		restored[rec.Key] = run
 	}
 	if len(restored) == 0 {
-		return nil, nil
+		return nil, nil, request
 	}
-	return keys, restored
+	return keys, restored, request
 }
 
 // marshalRecord serializes one cell record under the journal's trace
@@ -386,14 +396,27 @@ func (ck *checkpoint) interrupted() bool {
 	return ck != nil && ck.lost.Load()
 }
 
-// record journals one completed cell and fsyncs it, so the record
-// survives the process dying right afterwards. Failures are counted
-// and warned about — the cell simply is not resumable — except a lost
-// lease, which additionally fences the rest of the sweep.
+// record journals one completed cell; see commit.
 func (ck *checkpoint) record(key string, r *Run) {
-	line, err := ck.marshalRecord(key, r)
-	if err != nil {
-		return // unserializable cells are simply not resumable
+	ck.commit([]string{key}, []*Run{r})
+}
+
+// commit journals completed cells with one append, one write and one
+// fsync for all of them, so every record survives the process dying
+// once commit returns. Failures are counted and warned about — the
+// cells simply are not resumable — except a lost lease, which
+// additionally fences the rest of the sweep.
+func (ck *checkpoint) commit(keys []string, runs []*Run) {
+	lines := make([][]byte, 0, len(runs))
+	for i, r := range runs {
+		line, err := ck.marshalRecord(keys[i], r)
+		if err != nil {
+			continue // unserializable cells are simply not resumable
+		}
+		lines = append(lines, line)
+	}
+	if len(lines) == 0 {
+		return
 	}
 	ck.mu.Lock()
 	j := ck.j
@@ -401,11 +424,11 @@ func (ck *checkpoint) record(key string, r *Run) {
 	if j == nil {
 		return
 	}
-	if err := j.Append(line); err != nil {
+	if err := j.Append(lines...); err != nil {
 		if errors.Is(err, store.ErrLeaseLost) {
 			if !ck.lost.Swap(true) {
 				ckLeaseLost.Inc()
-				fmt.Fprintf(os.Stderr, "workload: checkpoint %s: lease lost; cell %s not journaled and remaining cells will not start\n", ck.path, key)
+				fmt.Fprintf(os.Stderr, "workload: checkpoint %s: lease lost; cells %s not journaled and remaining cells will not start\n", ck.path, strings.Join(keys, ", "))
 			}
 			return
 		}

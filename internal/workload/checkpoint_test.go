@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"capscale/internal/obs"
+	"capscale/internal/store"
 )
 
 // ckTestConfig is a 4-cell sweep small enough to journal repeatedly.
@@ -211,5 +212,196 @@ func TestRunRecordRoundTrip(t *testing.T) {
 		if key := cfg.cellKey(cell{alg: r.Alg, n: r.N, threads: r.Threads, spec: -1}); !keys[key] {
 			t.Fatalf("journal replay misses cell %s", key)
 		}
+	}
+}
+
+// commitFS is the real filesystem recording, per checkpoint journal,
+// the payload of every write and the number of fsyncs.
+type commitFS struct {
+	store.FS
+	mu     sync.Mutex
+	writes map[string][][]byte // by journal path
+	syncs  map[string]int
+}
+
+func (f *commitFS) OpenFile(name string, flag int, perm os.FileMode) (store.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	journal, _, isTemp := strings.Cut(name, store.Ext+".tmp-")
+	if err != nil || !isTemp {
+		return file, err
+	}
+	return &commitFile{File: file, fs: f, journal: journal + store.Ext}, nil
+}
+
+type commitFile struct {
+	store.File
+	fs      *commitFS
+	journal string
+}
+
+func (c *commitFile) Write(p []byte) (int, error) {
+	c.fs.mu.Lock()
+	c.fs.writes[c.journal] = append(c.fs.writes[c.journal], append([]byte(nil), p...))
+	c.fs.mu.Unlock()
+	return c.File.Write(p)
+}
+
+func (c *commitFile) Sync() error {
+	c.fs.mu.Lock()
+	c.fs.syncs[c.journal]++
+	c.fs.mu.Unlock()
+	return c.File.Sync()
+}
+
+// TestConcurrentSweepsCommitHitsTogether: two sweeps under different
+// fingerprints run concurrently over one run cache, journaling into
+// one store directory. Each journals the cells it finds in the cache
+// with one write and one fsync, before its pool starts; the cells
+// neither finds are simulated once between them; and both journals
+// hold byte-identical records.
+func TestConcurrentSweepsCommitHitsTogether(t *testing.T) {
+	cache := NewRunCache(64)
+	base := SmokeConfig()
+	base.Algorithms = []Algorithm{AlgOpenBLAS, AlgStrassen}
+	base.Sizes = []int{64}
+	base.Threads = []int{1}
+	base.Cache = cache
+	Execute(base) // warms OpenBLAS/64/1 and Strassen/64/1
+
+	fsys := &commitFS{FS: store.OS(), writes: map[string][][]byte{}, syncs: map[string]int{}}
+	st, err := store.Open(t.TempDir(), fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitKeys := []string{"OpenBLAS/64/1", "Strassen/64/1"}
+	// Neither pool starts before both sweeps have committed their hits,
+	// so both see the same two hits and race on the same two misses.
+	var committed sync.WaitGroup
+	committed.Add(2)
+	cfgs := make([]Config, 2)
+	for i := range cfgs {
+		cfg := base
+		cfg.Sizes = []int{64, 96}
+		cfg.QuiesceSeconds = float64(i + 1)
+		cfg.Parallelism = 1
+		cfg.FS = fsys
+		cfg.CheckpointPath = st.Path(cfg.Fingerprint())
+		var once sync.Once
+		cfg.OnRun = func(key string, _ *Run) {
+			if key == hitKeys[0] {
+				once.Do(func() {
+					committed.Done()
+					committed.Wait()
+				})
+			}
+		}
+		cfgs[i] = cfg
+	}
+	executed := cellsExecuted.Value()
+	hits, misses, waits := cacheHits.Value(), cacheMisses.Value(), cacheDedups.Value()
+	var wg sync.WaitGroup
+	for _, cfg := range cfgs {
+		wg.Add(1)
+		go func(cfg Config) {
+			defer wg.Done()
+			Execute(cfg)
+		}(cfg)
+	}
+	wg.Wait()
+
+	if d := cellsExecuted.Value() - executed; d != 2 {
+		t.Errorf("the two sweeps simulated %d cells, want 2 (each missed cell once)", d)
+	}
+	// Each cell counts once: a hit, a miss, or a wait on the other
+	// sweep's compute.
+	if d := cacheMisses.Value() - misses; d != 2 {
+		t.Errorf("the two sweeps counted %d cache misses, want 2", d)
+	}
+	if d := cacheHits.Value() - hits + cacheDedups.Value() - waits; d != 6 {
+		t.Errorf("the two sweeps counted %d cache hits and single-flight waits, want 6", d)
+	}
+	var records [2][]byte
+	for i, cfg := range cfgs {
+		writes, syncs := fsys.writes[cfg.CheckpointPath], fsys.syncs[cfg.CheckpointPath]
+		// Compaction (header only), the commit of both hits, then one
+		// append per simulated cell.
+		if len(writes) != 4 || syncs != 4 {
+			t.Fatalf("sweep %d: %d journal writes and %d fsyncs, want 4 and 4", i, len(writes), syncs)
+		}
+		var keys []string
+		for _, line := range bytes.SplitAfter(bytes.TrimSuffix(writes[1], []byte("\n")), []byte("\n")) {
+			key, _, err := UnmarshalRunRecord(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, key)
+		}
+		if strings.Join(keys, ",") != strings.Join(hitKeys, ",") {
+			t.Errorf("sweep %d committed %v together, want the hits %v", i, keys, hitKeys)
+		}
+		raw, err := os.ReadFile(cfg.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, records[i], _ = bytes.Cut(raw, []byte("\n"))
+	}
+	if !bytes.Equal(records[0], records[1]) {
+		t.Errorf("the journals' records differ:\n%s\n%s", records[0], records[1])
+	}
+}
+
+// TestStoppedSweepCommitsNoHits: a sweep stopped before it starts
+// looks up no cache hits: every cell resolves interrupted, nothing is
+// journaled past the header and nothing is announced.
+func TestStoppedSweepCommitsNoHits(t *testing.T) {
+	cfg := ckTestConfig(filepath.Join(t.TempDir(), "sweep.ck"))
+	cfg.NoCache = false
+	cfg.Cache = NewRunCache(64)
+	Execute(func() Config { c := cfg; c.CheckpointPath = ""; return c }())
+
+	announced := 0
+	cfg.OnRun = func(string, *Run) { announced++ }
+	cfg.Stop = func() bool { return true }
+	mx := Execute(cfg)
+	if n := len(mx.InterruptedRuns()); n != len(mx.Runs) || announced != 0 {
+		t.Fatalf("%d of %d cells interrupted and %d announced; want all interrupted, none announced", n, len(mx.Runs), announced)
+	}
+	raw, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte("\n")); n != 1 {
+		t.Fatalf("the stopped sweep's journal has %d lines, want the header alone", n)
+	}
+}
+
+// TestCheckpointHeaderKeepsRequest: a CLI sweep's header carries no
+// request; a sweep given one writes it into the header; and
+// compaction by a sweep given none keeps it.
+func TestCheckpointHeaderKeepsRequest(t *testing.T) {
+	cfg := ckTestConfig(filepath.Join(t.TempDir(), "sweep.ck"))
+	header := func() string {
+		raw, err := os.ReadFile(cfg.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, _, _ := bytes.Cut(raw, []byte("\n"))
+		return string(line)
+	}
+	Execute(cfg)
+	plain := fmt.Sprintf(`{"version":1,"fingerprint":"%s"}`, cfg.Fingerprint())
+	if got := header(); got != plain {
+		t.Fatalf("CLI header %s, want %s", got, plain)
+	}
+	cfg.Request = []byte(`{"sizes": [64, 128]}`)
+	Execute(cfg)
+	withRequest := strings.TrimSuffix(plain, "}") + `,"request":{"sizes":[64,128]}}`
+	if got := header(); got != withRequest {
+		t.Fatalf("header %s, want %s", got, withRequest)
+	}
+	cfg.Request = nil
+	Execute(cfg)
+	if got := header(); got != withRequest {
+		t.Fatalf("after compaction without a request the header is %s, want %s", got, withRequest)
 	}
 }

@@ -90,13 +90,14 @@ type guided struct {
 	mx       *Matrix
 	measured []bool
 	ck       *checkpoint
+	cache    *sweepCache
 	restored map[string]Run // measured checkpoint records
 	predRest map[string]Run // predicted checkpoint records, tag-gated
 }
 
 // executeGuided runs the guided plan: seed → fit → refine → predict.
 func executeGuided(cfg Config) *Matrix {
-	g := &guided{cfg: cfg, cells: cfg.cells()}
+	g := &guided{cfg: cfg, cells: cfg.cells(), cache: cfg.sweepCache()}
 	g.mx = &Matrix{Cfg: cfg, Runs: make([]Run, len(g.cells))}
 	g.measured = make([]bool, len(g.cells))
 	g.terms = make([]model.Terms, len(g.cells))
@@ -257,7 +258,7 @@ func (g *guided) measure(idx []int) {
 			g.mx.Runs[i] = interruptedRun(&g.cfg, c)
 			return
 		} else {
-			run := executeOne(g.cfg, c, tr)
+			run := executeOne(g.cfg, c, g.cache, tr)
 			if g.ck != nil && !run.Failed() {
 				g.ck.record(key, &run)
 			}

@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -192,8 +193,10 @@ type Config struct {
 	// prediction — with the cell's stable key and its final Run. It is
 	// called concurrently from the driver's workers, in completion
 	// order (not the matrix nesting order); the callback must be safe
-	// for concurrent use and must not retain r past the call. The
-	// sweep server streams partial results through this hook.
+	// for concurrent use and must not retain r past the call. With a
+	// checkpoint journal a cell is announced only after the fsync that
+	// covers its record has returned. The sweep server streams partial
+	// results through this hook.
 	OnRun func(key string, r *Run)
 
 	// Faults, when non-nil, arms the deterministic fault schedule: each
@@ -236,6 +239,13 @@ type Config struct {
 	// launching sweeps). Nil with CheckpointPath set means Execute
 	// acquires and releases its own lease.
 	Lease *store.Lease
+	// Request is the raw JSON request a served sweep answers. It rides
+	// in the checkpoint journal's header (store.Header.Request), so a
+	// replica recovering the store can rebuild and resume the sweep
+	// from the journal alone. It is not part of the fingerprint. Nil
+	// keeps the request an existing journal's header carries, or
+	// writes the header the CLIs always have.
+	Request []byte
 	// Stop, when non-nil, is polled before each cell starts. Once it
 	// returns true the remaining cells resolve as interrupted
 	// (Run.Interrupted) instead of executing, and the sweep returns
@@ -324,6 +334,9 @@ func (cfg *Config) Validate() error {
 		if p <= 0 || p > cfg.Machine.Cores {
 			return fmt.Errorf("workload: thread count %d outside [1,%d]", p, cfg.Machine.Cores)
 		}
+	}
+	if len(cfg.Request) > 0 && !json.Valid(cfg.Request) {
+		return fmt.Errorf("workload: request is not valid JSON")
 	}
 	if cfg.QuiesceSeconds < 0 {
 		return fmt.Errorf("workload: negative quiesce %v", cfg.QuiesceSeconds)
@@ -717,7 +730,7 @@ var (
 // poll interval (see cache.go); set Config.NoCache to force
 // re-simulation. Cached calls return an independent deep copy.
 func ExecuteOne(cfg Config, alg Algorithm, n, threads int) Run {
-	return executeOne(cfg, cell{alg: alg, n: n, threads: threads, spec: -1}, obs.Track{})
+	return executeOne(cfg, cell{alg: alg, n: n, threads: threads, spec: -1}, cfg.sweepCache(), obs.Track{})
 }
 
 // ExecuteOneCluster runs a single distributed configuration on one
@@ -728,12 +741,14 @@ func ExecuteOneCluster(cfg Config, alg Algorithm, n int, spec cluster.Spec) Run 
 		panic(fmt.Sprintf("workload: %v is not a distributed algorithm", alg))
 	}
 	cfg.Clusters = []cluster.Spec{spec}
-	return executeOne(cfg, cell{alg: alg, n: n, spec: 0}, obs.Track{})
+	return executeOne(cfg, cell{alg: alg, n: n, spec: 0}, cfg.sweepCache(), obs.Track{})
 }
 
 // executeOne is the cell dispatcher on an explicit span track (the
-// driver pool gives each of its workers one).
-func executeOne(cfg Config, c cell, tr obs.Track) Run {
+// driver pool gives each of its workers one). cache is the sweep's
+// view of its run cache (Config.sweepCache), nil when the sweep does
+// not memoize.
+func executeOne(cfg Config, c cell, cache *sweepCache, tr obs.Track) Run {
 	var sp obs.Span
 	if obs.Enabled() {
 		sp = obs.StartOn(tr, "cell")
@@ -752,18 +767,14 @@ func executeOne(cfg Config, c cell, tr obs.Track) Run {
 		sp.Arg("faults", "armed")
 		return executeContained(cfg, c, tr)
 	}
-	if cfg.NoCache {
+	if cache == nil {
 		return executeCell(cfg, c, nil, tr)
-	}
-	rc := cfg.Cache
-	if rc == nil {
-		rc = defaultRunCache
 	}
 	// Do memoizes and single-flights: when a concurrent sweep sharing
 	// this cache is already simulating the same cell, this call waits
 	// for that result instead of duplicating the work.
 	computed := false
-	run := rc.Do(cacheKey(cfg, c), func() Run {
+	run := cache.rc.Do(cache.key(&cfg, c), func() Run {
 		computed = true
 		return executeCell(cfg, c, nil, tr)
 	})
@@ -1007,7 +1018,11 @@ func (cfg *Config) CellCount() int {
 // tree, RAPL device and event set — so the concurrent sweep is
 // bit-identical to the sequential one, with Matrix.Runs in the paper's
 // nesting order (algorithm, then size, then thread count) either way.
-// It panics on invalid configurations (Validate reports the reason).
+// A journaled sweep (CheckpointPath) first resolves the cells that
+// need no simulation, in cell order: restored ones, and run-cache hits,
+// which it journals with one commit before announcing them; the pool
+// runs the rest. It panics on invalid configurations (Validate reports
+// the reason).
 func Execute(cfg Config) *Matrix {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
@@ -1027,35 +1042,25 @@ func Execute(cfg Config) *Matrix {
 		}
 		defer ck.close()
 	}
-	// runCell resolves one cell: restored from the checkpoint when the
-	// journal has it, executed otherwise, and journaled when it
-	// completes (failed cells are left out so a resumed sweep retries
-	// them). A stopped sweep — bounded drain, or the journal lease lost
-	// to another replica — resolves remaining cells as interrupted
-	// instead of executing them; they are neither journaled nor
-	// streamed, so a resume runs exactly those cells.
+	cache := cfg.sweepCache()
+	stopped := func() bool { return (cfg.Stop != nil && cfg.Stop()) || ck.interrupted() }
+	// runCell executes one cell and journals it when it completes
+	// (failed cells are left out so a resumed sweep retries them). A
+	// stopped sweep — bounded drain, or the journal lease lost to
+	// another replica — resolves remaining cells as interrupted instead
+	// of executing them; they are neither journaled nor streamed, so a
+	// resume runs exactly those cells.
 	runCell := func(c cell, tr obs.Track) Run {
-		key := cfg.cellKey(c)
-		if r, ok := restored[key]; ok {
-			r.Restored = true
-			cellsRestored.Inc()
-			mx.addRestored()
-			if cfg.OnRun != nil {
-				cfg.OnRun(key, &r)
-			}
-			return r
-		}
-		if (cfg.Stop != nil && cfg.Stop()) || ck.interrupted() {
+		if stopped() {
 			cellsSkipped.Inc()
 			return interruptedRun(&cfg, c)
 		}
-		run := executeOne(cfg, c, tr)
+		key := cfg.cellKey(c)
+		run := executeOne(cfg, c, cache, tr)
 		if ck != nil && !run.Failed() {
 			ck.record(key, &run)
 		}
-		if cfg.OnRun != nil {
-			cfg.OnRun(key, &run)
-		}
+		cfg.announce(key, &run)
 		return run
 	}
 
@@ -1068,10 +1073,63 @@ func Execute(cfg Config) *Matrix {
 	}
 	sweepsExecuted.Inc()
 
-	runPool(cfg.poolWorkers(len(cells)), len(cells), func(i int, tr obs.Track) {
-		mx.Runs[i] = runCell(cells[i], tr)
+	var todo []int // indices of the cells the pool runs
+	if ck != nil {
+		todo = cfg.resolveKnown(mx, cells, ck, restored, cache, stopped)
+	} else {
+		todo = make([]int, len(cells))
+		for i := range todo {
+			todo[i] = i
+		}
+	}
+	runPool(cfg.poolWorkers(len(todo)), len(todo), func(i int, tr obs.Track) {
+		mx.Runs[todo[i]] = runCell(cells[todo[i]], tr)
 	})
 	return mx
+}
+
+// resolveKnown resolves, in cell order and before the pool starts, the
+// cells of a journaled sweep that need no simulation, and returns the
+// indices of the cells left for the pool. Restored cells are already
+// durable in the compacted journal. Run-cache hits are journaled
+// together, with one write and one fsync for all of them, and
+// announced only once that commit has returned. A stopped sweep looks
+// up no more hits; the pool resolves those cells as interrupted.
+func (cfg *Config) resolveKnown(mx *Matrix, cells []cell, ck *checkpoint, restored map[string]Run, cache *sweepCache, stopped func() bool) []int {
+	todo := make([]int, 0, len(cells))
+	var keys []string
+	var hits []*Run
+	for i, c := range cells {
+		key := cfg.cellKey(c)
+		if r, ok := restored[key]; ok {
+			r.Restored = true
+			cellsRestored.Inc()
+			mx.addRestored()
+			mx.Runs[i] = r
+			cfg.announce(key, &mx.Runs[i])
+			continue
+		}
+		if cache != nil && !stopped() {
+			if r, ok := cache.rc.load(cache.key(cfg, c)); ok {
+				mx.Runs[i] = r
+				keys, hits = append(keys, key), append(hits, &mx.Runs[i])
+				continue
+			}
+		}
+		todo = append(todo, i)
+	}
+	ck.commit(keys, hits)
+	for i, key := range keys {
+		cfg.announce(key, hits[i])
+	}
+	return todo
+}
+
+// announce hands a resolved cell to OnRun, when set.
+func (cfg *Config) announce(key string, r *Run) {
+	if cfg.OnRun != nil {
+		cfg.OnRun(key, r)
+	}
 }
 
 // poolWorkers resolves the driver pool width for n cells.

@@ -33,8 +33,10 @@ go test -race -short ./internal/sim/...
 # and bit-identical to the sequential one, including under cache churn
 # and live metric/span reads from the observability layer — and the
 # chaos sweep (fault injection + containment + checkpoint) must hold
-# its determinism invariants under the race detector too.
-go test -race -run 'TestExecuteParallelBitIdenticalToSequential|TestConcurrentExecuteResetAndMetricsRace|TestChaosSweepInvariants|TestCheckpointResume|TestGuidedSweepDeterminism' -count=1 ./internal/workload/
+# its determinism invariants under the race detector too, as must two
+# journaled sweeps sharing one run cache, each committing its cache
+# hits together while they single-flight the cells neither has.
+go test -race -run 'TestExecuteParallelBitIdenticalToSequential|TestConcurrentExecuteResetAndMetricsRace|TestChaosSweepInvariants|TestCheckpointResume|TestGuidedSweepDeterminism|TestConcurrentSweepsCommitHitsTogether' -count=1 ./internal/workload/
 # The energy-complexity model the guided planner fits is pure math,
 # but it rides the concurrent driver: keep its own tests in the gate.
 go test -race ./internal/model/
