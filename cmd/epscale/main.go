@@ -12,6 +12,7 @@
 //	epscale -trace-out sweep.json -metrics   # Perfetto trace + metrics
 //	epscale -plan guided -what model         # model-guided sweep + fit report
 //	epscale -algs SpMV,CG -what measurement  # sparse workloads only
+//	epscale -what future-dmm -cluster 1xFDR,7xFDR,49xFDR  # distributed study
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 
 	"capscale/internal/caps"
 	"capscale/internal/cluster"
-	"capscale/internal/dmm"
 	"capscale/internal/faults"
 	"capscale/internal/hw"
 	"capscale/internal/matrix"
@@ -114,12 +114,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	// Study artifacts that do not need the 48-run matrix.
-	if tbl := studyArtifact(*what, stderr); tbl != nil {
+	if tbl := studyArtifact(*what, *jobs, stderr); tbl != nil {
 		return emit(tbl, *csv, stdout, stderr)
 	}
 	if *what == "fig2" {
 		printFigure2(stdout)
 		return 0
+	}
+	// Matrix artifacts that need a cluster axis fill the axes the user
+	// left unset.
+	if *load == "" {
+		switch *what {
+		case "comm":
+			if *clusters == "" {
+				*clusters = "16x1GbE"
+			}
+		case "future-dmm":
+			// The distributed study: dCAPS at 8192² on 1, 7 and 49 of
+			// the paper's nodes over gigabit Ethernet.
+			if *algs == "" {
+				*algs = "dCAPS"
+			}
+			if *sizes == "" {
+				*sizes = "8192"
+			}
+			if *clusters == "" {
+				*clusters = "1x1GbE,7x1GbE,49x1GbE"
+			}
+		}
 	}
 
 	cfg := workload.PaperConfig()
@@ -149,9 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				maxOf(cfg.Threads), max, cfg.Machine.Name)
 			return 2
 		}
-	}
-	if *what == "comm" && *clusters == "" && *load == "" {
-		*clusters = "16x1GbE" // the comm artifact needs a cluster axis
 	}
 	if *algs != "" {
 		if cfg.Algorithms, err = parseAlgorithms(*algs); err != nil {
@@ -233,6 +252,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		cfg = mx.Cfg
 	} else {
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintf(stderr, "epscale: %v\n", err)
+			return 2
+		}
 		fmt.Fprintf(stderr, "epscale: running %d configurations on %q...\n",
 			cfg.CellCount(), cfg.Machine.Name)
 		mx = workload.Execute(cfg)
@@ -293,6 +316,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		},
 		"measurement": func() *report.Table { return report.MeasurementTable(mx) },
 		"comm":        func() *report.Table { return report.CommTable(mx) },
+		"future-dmm":  func() *report.Table { return report.DistributedStudyTable(mx) },
 	}
 
 	if *chart {
@@ -402,14 +426,12 @@ func printFigure2(w io.Writer) {
 	}
 }
 
-// studyArtifact produces the future-work and platform artifacts, which
-// run their own experiments instead of the paper matrix.
-func studyArtifact(what string, stderr io.Writer) *report.Table {
+// studyArtifact produces the artifacts that are not one matrix: the
+// sparse storage-format study, which runs its own experiment, and the
+// platform sweep, one matrix per zoo machine, its cells fanned across
+// jobs workers.
+func studyArtifact(what string, jobs int, stderr io.Writer) *report.Table {
 	switch what {
-	case "future-dmm":
-		c := cluster.TS140Cluster(49)
-		fmt.Fprintln(stderr, "epscale: running distributed CAPS study (8192², up to 49 ranks)...")
-		return report.DistributedStudyTable("CAPS", dmm.Study(c, "CAPS", 8192, 64, []int{1, 7, 49}))
 	case "future-sparse":
 		fmt.Fprintln(stderr, "epscale: running SpMV storage study (power-law 8192²)...")
 		m := hw.HaswellE31225()
@@ -417,7 +439,13 @@ func studyArtifact(what string, stderr io.Writer) *report.Table {
 		return report.SparseStudyTable(sparse.EnergyStudy(m, a, []int{1, 2, 3, 4}, 50))
 	case "platforms":
 		fmt.Fprintln(stderr, "epscale: running cross-platform sweep (2048²)...")
-		return report.PlatformTable(workload.CrossPlatform(hw.Zoo(), 2048))
+		var mxs []*workload.Matrix
+		for _, m := range hw.Zoo() {
+			cfg := workload.PlatformConfig(m, 2048)
+			cfg.Parallelism = jobs
+			mxs = append(mxs, workload.Execute(cfg))
+		}
+		return report.PlatformTable(mxs)
 	default:
 		return nil
 	}

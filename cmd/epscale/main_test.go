@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -34,6 +37,8 @@ func TestFlagValidation(t *testing.T) {
 		{"guided rejects faults", []string{"-plan", "guided", "-faults", "7"}, "drop -faults"},
 		{"unknown algorithm", []string{"-algs", "openblas,nope"}, "unknown algorithm"},
 		{"algorithm error lists names", []string{"-algs", "nope"}, "SpMV"},
+		{"distributed without cluster", []string{"-algs", "SUMMA", "-sizes", "256", "-what", "table3"}, "cluster spec"},
+		{"repeated size", []string{"-sizes", "64,64", "-threads", "1"}, "repeated"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,6 +125,97 @@ func TestMetricsFlagPrintsTable(t *testing.T) {
 	for _, want := range []string{"Pipeline metrics", "workload.cache", "sim.leaves.executed"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Fatalf("stderr lacks %q:\n%s", want, stderr.String())
+		}
+	}
+}
+
+// TestStudyArtifacts runs the three study artifacts through the CLI
+// entry point in CSV: future-dmm prints the values the distributed
+// study always has, platforms its rows in order with their Eq. 9
+// crossovers, future-sparse its formats, and future-dmm takes
+// explicit axes.
+func TestStudyArtifacts(t *testing.T) {
+	table := func(args ...string) [][]string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, "-csv"), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d; stderr:\n%s", args, code, stderr.String())
+		}
+		rows, err := csv.NewReader(&stdout).ReadAll()
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return rows
+	}
+	join := func(rows [][]string) string {
+		var lines []string
+		for _, r := range rows {
+			lines = append(lines, strings.Join(r, ","))
+		}
+		return strings.Join(lines, "\n")
+	}
+
+	// The distributed study: dCAPS at 8192² on 1, 7 and 49 nodes over
+	// gigabit Ethernet, every value as the study has always printed it.
+	if got, want := join(table("-what", "future-dmm")), strings.Join([]string{
+		"algorithm,n,cluster,ranks,time (s),watts,energy (J),comm (MB),speedup,S (Eq.5)",
+		"dCAPS,8192,1x1GbE,1,57.3353,35.69,2046,0.00,1.00,1.00",
+		"dCAPS,8192,7x1GbE,7,8.6784,198.00,1718,2415.92,6.61,36.65",
+		"dCAPS,8192,49x1GbE,49,1.3620,1297.49,1767,6643.78,42.10,1530.35",
+	}, "\n"); got != want {
+		t.Errorf("future-dmm printed\n%s\nwant\n%s", got, want)
+	}
+	if rows := table("-what", "future-dmm", "-algs", "SUMMA", "-sizes", "1024", "-cluster", "1x1GbE,4x1GbE"); len(rows) != 3 {
+		t.Errorf("explicit future-dmm printed %d rows, want a header and 2:\n%s", len(rows), join(rows))
+	}
+
+	// The platform sweep: machines in zoo order, the paper algorithms
+	// within each; time and crossover exact, the measured watts, EP and
+	// EDP within 1e-4 of the simulator's ground truth.
+	want := [][]string{
+		{"Intel E3-1225 v3 (Haswell), TARGET=SANDYBRIDGE", "OpenBLAS", "0.1858", "48.84", "262.81", "1.69", "4111"},
+		{"Intel E3-1225 v3 (Haswell), TARGET=SANDYBRIDGE", "Strassen", "0.6996", "30.57", "43.69", "14.96", "4111"},
+		{"Intel E3-1225 v3 (Haswell), TARGET=SANDYBRIDGE", "CAPS", "0.6379", "32.11", "50.34", "13.07", "4111"},
+		{"Intel Xeon E5-2690 v3 (Haswell-EP, 12c)", "OpenBLAS", "0.0437", "125.43", "2868.67", "0.24", "3478"},
+		{"Intel Xeon E5-2690 v3 (Haswell-EP, 12c)", "Strassen", "0.1467", "82.44", "561.83", "1.77", "3478"},
+		{"Intel Xeon E5-2690 v3 (Haswell-EP, 12c)", "CAPS", "0.1356", "86.52", "638.16", "1.59", "3478"},
+		{"Skylake desktop (4c, DDR4-2400 dual channel)", "OpenBLAS", "0.0848", "57.53", "678.09", "0.41", "3297"},
+		{"Skylake desktop (4c, DDR4-2400 dual channel)", "Strassen", "0.3277", "32.42", "98.93", "3.48", "3297"},
+		{"Skylake desktop (4c, DDR4-2400 dual channel)", "CAPS", "0.2937", "34.75", "118.32", "3.00", "3297"},
+		{"hypothetical HBM node (8c, 400 GB/s)", "OpenBLAS", "0.1527", "82.17", "538.20", "1.92", "135"},
+		{"hypothetical HBM node (8c, 400 GB/s)", "Strassen", "0.2716", "75.89", "279.40", "5.60", "135"},
+		{"hypothetical HBM node (8c, 400 GB/s)", "CAPS", "0.2572", "78.23", "304.11", "5.18", "135"},
+	}
+	rows := table("-what", "platforms")
+	if len(rows) != len(want)+1 || rows[0][len(rows[0])-1] != "Eq.9 crossover" {
+		t.Fatalf("platforms printed\n%s", join(rows))
+	}
+	for i, w := range want {
+		got := rows[i+1]
+		for _, c := range []int{0, 1, 2, 6} {
+			if got[c] != w[c] {
+				t.Errorf("platforms row %d column %q: %s, want %s", i+1, rows[0][c], got[c], w[c])
+			}
+		}
+		for _, c := range []int{3, 4, 5} {
+			g, _ := strconv.ParseFloat(got[c], 64)
+			x, _ := strconv.ParseFloat(w[c], 64)
+			if math.Abs(g-x) > 1e-4*x {
+				t.Errorf("platforms row %d column %q: %s, want %s", i+1, rows[0][c], got[c], w[c])
+			}
+		}
+	}
+
+	// The sparse storage-format study: four thread counts per format.
+	rows = table("-what", "future-sparse")
+	if len(rows) != 13 {
+		t.Fatalf("future-sparse printed\n%s", join(rows))
+	}
+	for i, format := range []string{"CSR", "COO", "ELL"} {
+		for k := 1; k <= 4; k++ {
+			if r := rows[4*i+k]; r[0] != format || r[1] != strconv.Itoa(k) {
+				t.Errorf("future-sparse row %d is %v, want %s on %d threads", 4*i+k, r, format, k)
+			}
 		}
 	}
 }

@@ -47,7 +47,7 @@ func BenchmarkExecuteMatrix(b *testing.B) {
 	})
 	b.Run("memoized", func(b *testing.B) {
 		cfg := base
-		workload.ResetRunCache()
+		cfg.Cache = workload.NewRunCache(workload.DefaultRunCacheCap)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = workload.Execute(cfg)

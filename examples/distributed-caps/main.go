@@ -2,40 +2,50 @@
 // energy-performance scaling methodology applied to a simulated
 // cluster of the paper's Haswell nodes, with the interconnect's
 // transfer power in the account. Compares distributed CAPS against a
-// classic SUMMA baseline on two fabrics.
+// classic SUMMA baseline and distributed classic Strassen on two
+// fabrics, each cell an ordinary measured sweep cell on the cluster
+// axis.
 package main
 
 import (
 	"fmt"
 
 	"capscale/internal/cluster"
-	"capscale/internal/dmm"
+	"capscale/internal/hw"
+	"capscale/internal/report"
+	"capscale/internal/workload"
 )
 
 func main() {
 	const n = 8192
 	fmt.Printf("distributed %dx%d multiply on clusters of the paper's TS140 node\n\n", n, n)
 
-	for _, fabric := range []cluster.Interconnect{cluster.GigE(), cluster.InfiniBandFDR()} {
-		c, err := cluster.New(cluster.TS140Cluster(1).Node, 49, fabric)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("fabric: %s (%.0f MB/s, %.1f µs latency)\n",
-			fabric.Name, fabric.Bandwidth/1e6, fabric.LatencySec*1e6)
-		fmt.Printf("  %-6s %6s %12s %10s %12s %10s %8s\n",
-			"alg", "ranks", "time (s)", "watts", "energy (J)", "comm (MB)", "S")
-		for _, alg := range []string{"SUMMA", "Strassen", "CAPS"} {
-			ranks := []int{1, 4, 16}
-			if alg == "CAPS" || alg == "Strassen" {
-				ranks = []int{1, 7, 49}
+	// SUMMA runs on square process grids; distributed Strassen and
+	// CAPS on 7^k ranks.
+	groups := []struct {
+		algs  []workload.Algorithm
+		nodes []int
+	}{
+		{[]workload.Algorithm{workload.AlgSUMMA}, []int{1, 4, 16}},
+		{[]workload.Algorithm{workload.AlgDStrassen, workload.AlgDistCAPS}, []int{1, 7, 49}},
+	}
+	for _, fabric := range []string{"1GbE", "FDR"} {
+		for _, g := range groups {
+			cfg := workload.Config{
+				Machine:    hw.HaswellE31225(),
+				Algorithms: g.algs,
+				Sizes:      []int{n},
+				Threads:    []int{1},
 			}
-			for _, pt := range dmm.Study(c, alg, n, 64, ranks) {
-				fmt.Printf("  %-6s %6d %12.3f %10.1f %12.0f %10.1f %8.2f\n",
-					alg, pt.Ranks, pt.Seconds, pt.Watts, pt.Joules, pt.CommMB, pt.ScalingS)
+			for _, nodes := range g.nodes {
+				spec, err := cluster.ParseSpec(fmt.Sprintf("%dx%s", nodes, fabric))
+				if err != nil {
+					panic(err)
+				}
+				cfg.Clusters = append(cfg.Clusters, spec)
 			}
+			fmt.Println(report.DistributedStudyTable(workload.Execute(cfg)))
 		}
-		fmt.Println()
 	}
 	fmt.Println("CAPS's per-rank communication falls like P^(-0.71) versus SUMMA's")
 	fmt.Println("P^(-0.5): on the slow fabric that difference decides whether adding")

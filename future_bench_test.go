@@ -3,65 +3,84 @@ package capscale
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"capscale/internal/cluster"
-	"capscale/internal/dmm"
 	"capscale/internal/hw"
+	"capscale/internal/report"
 	"capscale/internal/sparse"
 	"capscale/internal/workload"
 )
 
-// Benches for the paper's Section VIII future work, implemented in
-// internal/dmm (distributed memory with interconnect power) and
-// internal/sparse (storage-format energy scaling).
+// Benches for the paper's Section VIII future work: the distributed
+// study runs on the sweep's cluster axis (workload.Execute), the
+// sparse one in internal/sparse (storage-format energy scaling).
 
-// BenchmarkFutureDistributedCAPS runs the distributed CAPS
-// energy-performance scaling study across node counts, with
-// interconnect transfer power included — the paper's proposed MPI
-// follow-up.
+// BenchmarkFutureDistributedCAPS runs the distributed energy-performance
+// scaling study across node counts, with interconnect transfer power
+// included — the paper's proposed MPI follow-up — and times distributed
+// CAPS on 49 nodes.
 func BenchmarkFutureDistributedCAPS(b *testing.B) {
-	c := cluster.TS140Cluster(49)
 	n := 8192
+	cfg := workload.Config{Machine: hw.HaswellE31225(), Sizes: []int{n}, Threads: []int{1}}
 	if _, loaded := printGates.LoadOrStore("future-dmm", true); !loaded {
-		fmt.Printf("\nFuture work — distributed energy scaling, n=%d on TS140 nodes + 1GbE:\n", n)
-		fmt.Printf("%-6s %6s %12s %10s %12s %10s %10s\n",
-			"alg", "ranks", "time (s)", "watts", "energy (J)", "comm (MB)", "S (Eq.5)")
-		for _, alg := range []string{"SUMMA", "Strassen", "CAPS"} {
-			ranks := []int{1, 4, 16}
-			if alg == "CAPS" || alg == "Strassen" {
-				ranks = []int{1, 7, 49}
-			}
-			for _, pt := range dmm.Study(c, alg, n, 64, ranks) {
-				fmt.Printf("%-6s %6d %12.3f %10.1f %12.0f %10.1f %10.2f\n",
-					alg, pt.Ranks, pt.Seconds, pt.Watts, pt.Joules, pt.CommMB, pt.ScalingS)
-			}
+		// SUMMA runs on square process grids; distributed Strassen and
+		// CAPS on 7^k ranks.
+		for _, g := range []struct {
+			algs  []workload.Algorithm
+			specs string
+		}{
+			{[]workload.Algorithm{workload.AlgSUMMA}, "1x1GbE,4x1GbE,16x1GbE"},
+			{[]workload.Algorithm{workload.AlgDStrassen, workload.AlgDistCAPS}, "1x1GbE,7x1GbE,49x1GbE"},
+		} {
+			study := cfg
+			study.Algorithms = g.algs
+			study.Clusters = clusterSpecs(b, g.specs)
+			fmt.Println()
+			fmt.Print(report.DistributedStudyTable(workload.Execute(study)))
 		}
 	}
+	spec := clusterSpecs(b, "49x1GbE")[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := dmm.RunCAPS(c, n, 64, 49)
-		b.ReportMetric(res.Makespan, "sim-makespan-s")
+		run := workload.ExecuteOneCluster(cfg, workload.AlgDistCAPS, n, spec)
+		b.ReportMetric(run.Seconds, "sim-makespan-s")
 	}
+}
+
+// clusterSpecs parses comma-separated cluster specs.
+func clusterSpecs(b *testing.B, specs string) []cluster.Spec {
+	var out []cluster.Spec
+	for _, s := range strings.Split(specs, ",") {
+		spec, err := cluster.ParseSpec(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out = append(out, spec)
+	}
+	return out
 }
 
 // BenchmarkPlatformSweep applies the model across the machine zoo —
 // the paper's "arbitrary computing platforms" ambition: per platform,
-// how each algorithm fares and where Eq. 9 puts the crossover.
+// how each algorithm fares and where Eq. 9 puts the crossover. Each
+// machine's cells are one measured sweep.
 func BenchmarkPlatformSweep(b *testing.B) {
-	n := 2048
-	if _, loaded := printGates.LoadOrStore("platform-sweep", true); !loaded {
-		fmt.Printf("\nCross-platform sweep at n=%d (full threads per machine):\n", n)
-		fmt.Printf("%-44s %-9s %10s %8s %10s %12s\n",
-			"machine", "algorithm", "time (s)", "watts", "EDP (J·s)", "Eq.9 cross")
-		for _, pt := range workload.CrossPlatform(hw.Zoo(), n) {
-			fmt.Printf("%-44s %-9v %10.4f %8.1f %10.2f %12.0f\n",
-				pt.Machine, pt.Algorithm, pt.Seconds, pt.Watts, pt.EDP, pt.CrossoverN)
+	sweep := func(n int) []*workload.Matrix {
+		var mxs []*workload.Matrix
+		for _, m := range hw.Zoo() {
+			mxs = append(mxs, workload.Execute(workload.PlatformConfig(m, n)))
 		}
+		return mxs
+	}
+	if _, loaded := printGates.LoadOrStore("platform-sweep", true); !loaded {
+		fmt.Println()
+		fmt.Print(report.PlatformTable(sweep(2048)))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = workload.CrossPlatform(hw.Zoo(), 512)
+		_ = sweep(512)
 	}
 }
 

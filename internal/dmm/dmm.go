@@ -31,11 +31,6 @@ type Result struct {
 	Ranks     int
 }
 
-// EP returns the run's Eq. 1 energy-performance ratio with the
-// cluster-wide average power (all planes, NICs and switch included) as
-// EAvg — the distributed extension of the paper's metric.
-func (r *Result) EP() float64 { return r.AvgWatts() / r.Makespan }
-
 // tag bases; each round offsets from these so concurrent phases don't
 // collide.
 const (
@@ -227,55 +222,4 @@ func RunSUMMA(c *cluster.Cluster, n, ranks int) *Result {
 func RunCAPS(c *cluster.Cluster, n, cutover, ranks int) *Result {
 	res := mpi.Run(c, ranks, CAPS(n, cutover))
 	return &Result{Result: res, Algorithm: "CAPS", N: n, Ranks: ranks}
-}
-
-// ScalingPoint is one row of a distributed energy-scaling study.
-type ScalingPoint struct {
-	Ranks    int
-	Seconds  float64
-	Watts    float64
-	Joules   float64
-	CommMB   float64
-	EP       float64
-	Speedup  float64 // vs the study's first point
-	PowerUp  float64 // watts growth vs the first point
-	ScalingS float64 // Eq. 5 against the first point
-}
-
-// Study runs one algorithm across rank counts and derives the Eq. 5
-// scaling series, treating the first rank count as the baseline.
-func Study(c *cluster.Cluster, algorithm string, n, cutover int, rankCounts []int) []ScalingPoint {
-	if len(rankCounts) == 0 {
-		panic("dmm: empty rank counts")
-	}
-	points := make([]ScalingPoint, 0, len(rankCounts))
-	var base *Result
-	for _, p := range rankCounts {
-		var res *Result
-		switch algorithm {
-		case "SUMMA":
-			res = RunSUMMA(c, n, p)
-		case "CAPS":
-			res = RunCAPS(c, n, cutover, p)
-		case "Strassen":
-			res = RunStrassen(c, n, cutover, p)
-		default:
-			panic(fmt.Sprintf("dmm: unknown algorithm %q", algorithm))
-		}
-		if base == nil {
-			base = res
-		}
-		points = append(points, ScalingPoint{
-			Ranks:    p,
-			Seconds:  res.Makespan,
-			Watts:    res.AvgWatts(),
-			Joules:   res.TotalJoules(),
-			CommMB:   res.BytesSent / 1e6,
-			EP:       res.EP(),
-			Speedup:  base.Makespan / res.Makespan,
-			PowerUp:  res.AvgWatts() / base.AvgWatts(),
-			ScalingS: res.EP() / base.EP(),
-		})
-	}
-	return points
 }

@@ -162,35 +162,6 @@ func TestEnergyIncludesInterconnect(t *testing.T) {
 	}
 }
 
-func TestStudyShape(t *testing.T) {
-	c := cluster.TS140Cluster(49)
-	pts := Study(c, "CAPS", 4096, 64, []int{1, 7, 49})
-	if len(pts) != 3 {
-		t.Fatalf("points %d", len(pts))
-	}
-	if pts[0].Speedup != 1 || pts[0].ScalingS != 1 {
-		t.Fatalf("baseline not normalized: %+v", pts[0])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Speedup <= pts[i-1].Speedup {
-			t.Fatalf("speedup not increasing: %+v", pts)
-		}
-		if pts[i].Watts <= pts[i-1].Watts {
-			t.Fatalf("cluster power should grow with nodes: %+v", pts)
-		}
-	}
-}
-
-func TestStudyValidation(t *testing.T) {
-	c := cluster.TS140Cluster(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown algorithm accepted")
-		}
-	}()
-	Study(c, "MAGIC", 1024, 64, []int{1})
-}
-
 func TestDistributedDeterminism(t *testing.T) {
 	c := cluster.TS140Cluster(7)
 	a := RunCAPS(c, 2048, 64, 7)

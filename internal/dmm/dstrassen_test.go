@@ -77,19 +77,3 @@ func TestDistributedStrassenFabricDecidesScaling(t *testing.T) {
 		t.Fatalf("DFS Strassen speedup %v too low even on InfiniBand", ibSpeedup)
 	}
 }
-
-func TestStudySupportsStrassen(t *testing.T) {
-	c := cluster.TS140Cluster(4)
-	pts := Study(c, "Strassen", 2048, 64, []int{1, 4})
-	if len(pts) != 2 {
-		t.Fatalf("points %d", len(pts))
-	}
-	for _, p := range pts {
-		if p.Seconds <= 0 || p.Watts <= 0 || p.EP <= 0 {
-			t.Fatalf("degenerate point %+v", p)
-		}
-	}
-	if pts[1].CommMB <= 0 {
-		t.Fatal("no communication recorded at 4 ranks")
-	}
-}

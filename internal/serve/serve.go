@@ -565,7 +565,6 @@ func (s *Server) runSweep(st *sweepState, cfg workload.Config, lease *store.Leas
 	cfg.CheckpointPath = s.store.Path(st.fp)
 	cfg.FS = s.cfg.FS
 	cfg.Lease = lease
-	cfg.LeaseOwner = s.cfg.ReplicaID
 	cfg.Stop = func() bool { return s.stopSweeps.Load() }
 	cfg.Cache = s.cache
 	cfg.Parallelism = s.cfg.Parallelism

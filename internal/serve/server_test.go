@@ -404,6 +404,14 @@ func TestSweepRequestValidation(t *testing.T) {
 		{"unknown plan", `{"plan":"psychic"}`, "unknown plan"},
 		{"distributed without clusters", `{"algorithms":["SUMMA"]}`, "cluster"},
 		{"non-finite cluster memory", `{"algorithms":["SUMMA"],"clusters":["16x1GbE@NaN"]}`, "bad memory"},
+		// A repeated value names one cell twice: the sweep would count
+		// it twice, journal it once and never report complete.
+		{"repeated size", repeatedSizeBody, "repeated"},
+		{"repeated cluster spec", `{"algorithms":["SUMMA"],"clusters":["4x1GbE","4x1GbE@8GiB"]}`, "repeated"},
+		// Bodies under the read limit whose matrices once ran the
+		// process out of memory while their cells were counted.
+		{"40,000 repeated sizes and threads", string(repeatedAxesBody()), "repeated"},
+		{"20,000 sizes × 20,000 cluster specs", string(distinctAxesBody()), "split the sweep"},
 	}
 	// An over-the-cell-limit matrix (3 algorithms × 400 sizes × 4
 	// threads) is refused before executing anything.

@@ -23,14 +23,12 @@ import (
 // free. The cache holds private deep copies — callers can mutate what
 // they get back without poisoning later hits.
 //
-// The cache is an instance (RunCache): every Execute uses the cache
-// the configuration names (Config.Cache), falling back to a shared
-// process default. Instance scoping is what lets a long-running
-// server give concurrent sweeps one coherent cache whose cap and
-// lifetime it owns, while a test (or a second embedded pipeline) uses
-// its own without racing the server semantically — the old
-// package-global cache made SetRunCacheCap/ResetRunCache act at a
-// distance on every in-flight sweep in the process.
+// The cache is an instance (RunCache) the embedder owns: a sweep
+// memoizes through the cache its configuration names (Config.Cache),
+// and through none when that is nil. There is no process default, so
+// nothing acts at a distance: a long-running server gives its
+// concurrent sweeps one coherent cache whose cap and lifetime it
+// owns, and a test (or a second embedded pipeline) builds its own.
 //
 // Each cache is also a single-flight group: when two concurrent
 // sweeps reach the same not-yet-cached cell, one simulates it and the
@@ -89,10 +87,6 @@ func NewRunCache(cap int) *RunCache {
 	}
 }
 
-// defaultRunCache backs the package-level wrappers and every Config
-// that does not name its own cache.
-var defaultRunCache = NewRunCache(DefaultRunCacheCap)
-
 // runKey identifies one memoizable cell. Machines are folded to a
 // fingerprint hash of every model-relevant field, so two distinct
 // *hw.Machine values describing the same platform share entries while
@@ -119,18 +113,14 @@ type sweepCache struct {
 	machine uint64
 }
 
-// sweepCache returns the cache cells of cfg memoize through (Cache,
-// else the process default), or nil when they bypass memoization:
-// NoCache, or an armed fault schedule.
+// sweepCache returns the cache cells of cfg memoize through, or nil
+// when they bypass memoization: no Cache, NoCache, or an armed fault
+// schedule.
 func (cfg *Config) sweepCache() *sweepCache {
-	if cfg.NoCache || cfg.Faults != nil {
+	if cfg.Cache == nil || cfg.NoCache || cfg.Faults != nil {
 		return nil
 	}
-	rc := cfg.Cache
-	if rc == nil {
-		rc = defaultRunCache
-	}
-	return &sweepCache{rc: rc, machine: machineFingerprint(cfg.Machine)}
+	return &sweepCache{rc: cfg.Cache, machine: machineFingerprint(cfg.Machine)}
 }
 
 // key derives the memoization key for one cell under cfg. The poll
@@ -295,21 +285,6 @@ func (rc *RunCache) Len() int {
 	defer rc.mu.Unlock()
 	return len(rc.entries)
 }
-
-// SetRunCacheCap bounds the process-default memoization cache to at
-// most n entries, evicting oldest entries immediately if the cache is
-// over the new cap, and returns the previous cap. A non-positive n
-// disables caching. Tests use small caps to exercise eviction.
-// Sweeps with their own Config.Cache are unaffected.
-func SetRunCacheCap(n int) int { return defaultRunCache.SetCap(n) }
-
-// ResetRunCache empties the process-default run memoization cache.
-// Tests use it to force re-simulation; long-lived processes can use
-// it to release memory after sweeping many distinct configurations.
-func ResetRunCache() { defaultRunCache.Reset() }
-
-// runCacheLen counts cells in the default cache (test hook).
-func runCacheLen() int { return defaultRunCache.Len() }
 
 // machineFingerprint hashes every field of the machine that feeds the
 // cost or power model. The KernelEff map is folded in sorted-kind

@@ -14,16 +14,15 @@ import (
 // more than 2 distinct cells must evict oldest entries instead of
 // growing without limit, and the eviction counter must advance.
 func TestRunCacheIsBounded(t *testing.T) {
-	ResetRunCache()
-	prev := SetRunCacheCap(2)
-	defer func() { SetRunCacheCap(prev); ResetRunCache() }()
+	rc := NewRunCache(2)
 
 	evicted0 := obs.GetCounter("workload.cache.evictions").Value()
 	cfg := SmokeConfig()
+	cfg.Cache = rc
 	for _, n := range []int{64, 128, 256} {
 		ExecuteOne(cfg, AlgOpenBLAS, n, 1)
 	}
-	if got := runCacheLen(); got != 2 {
+	if got := rc.Len(); got != 2 {
 		t.Fatalf("cache holds %d entries under cap 2", got)
 	}
 	evictions := obs.GetCounter("workload.cache.evictions").Value() - evicted0
@@ -48,32 +47,30 @@ func TestRunCacheIsBounded(t *testing.T) {
 // TestRunCacheShrinksWhenCapLowered: lowering the cap below the live
 // entry count evicts immediately.
 func TestRunCacheShrinksWhenCapLowered(t *testing.T) {
-	ResetRunCache()
-	prev := SetRunCacheCap(8)
-	defer func() { SetRunCacheCap(prev); ResetRunCache() }()
+	rc := NewRunCache(8)
 
 	cfg := SmokeConfig()
+	cfg.Cache = rc
 	for _, n := range []int{64, 128, 256} {
 		ExecuteOne(cfg, AlgOpenBLAS, n, 1)
 	}
-	if got := runCacheLen(); got != 3 {
+	if got := rc.Len(); got != 3 {
 		t.Fatalf("cache holds %d entries, want 3", got)
 	}
-	SetRunCacheCap(1)
-	if got := runCacheLen(); got != 1 {
+	rc.SetCap(1)
+	if got := rc.Len(); got != 1 {
 		t.Fatalf("cache holds %d entries after cap 1, want 1", got)
 	}
 }
 
 // TestRunCacheDisabledByNonPositiveCap: cap 0 stores nothing.
 func TestRunCacheDisabledByNonPositiveCap(t *testing.T) {
-	ResetRunCache()
-	prev := SetRunCacheCap(0)
-	defer func() { SetRunCacheCap(prev); ResetRunCache() }()
+	rc := NewRunCache(0)
 
 	cfg := SmokeConfig()
+	cfg.Cache = rc
 	ExecuteOne(cfg, AlgOpenBLAS, 64, 1)
-	if got := runCacheLen(); got != 0 {
+	if got := rc.Len(); got != 0 {
 		t.Fatalf("cap 0 cached %d entries", got)
 	}
 }
@@ -81,9 +78,8 @@ func TestRunCacheDisabledByNonPositiveCap(t *testing.T) {
 // TestRunCacheCountsHitsAndMisses: the registry sees exactly one miss
 // for the first execution and one hit for the repeat.
 func TestRunCacheCountsHitsAndMisses(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
 	cfg := SmokeConfig()
+	cfg.Cache = NewRunCache(DefaultRunCacheCap)
 	hits0 := obs.GetCounter("workload.cache.hits").Value()
 	misses0 := obs.GetCounter("workload.cache.misses").Value()
 	ExecuteOne(cfg, AlgOpenBLAS, 64, 1)
@@ -97,12 +93,11 @@ func TestRunCacheCountsHitsAndMisses(t *testing.T) {
 }
 
 // TestRunCacheInstancesAreIndependent: a sweep with its own
-// Config.Cache must not populate (or be served by) the process
-// default, and resetting the default must not touch the instance —
-// the semantic isolation a long-running server needs.
+// Config.Cache must not populate (or be served by) another instance,
+// and resetting the other must not touch it — the semantic isolation
+// a long-running server needs.
 func TestRunCacheInstancesAreIndependent(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
+	other := NewRunCache(DefaultRunCacheCap)
 
 	own := NewRunCache(DefaultRunCacheCap)
 	cfg := SmokeConfig()
@@ -111,12 +106,12 @@ func TestRunCacheInstancesAreIndependent(t *testing.T) {
 	if got := own.Len(); got != 1 {
 		t.Fatalf("instance cache holds %d entries, want 1", got)
 	}
-	if got := runCacheLen(); got != 0 {
-		t.Fatalf("default cache holds %d entries after instance-scoped run", got)
+	if got := other.Len(); got != 0 {
+		t.Fatalf("other cache holds %d entries after instance-scoped run", got)
 	}
-	ResetRunCache()
+	other.Reset()
 	if got := own.Len(); got != 1 {
-		t.Fatalf("ResetRunCache emptied an unrelated instance (len %d)", got)
+		t.Fatalf("Reset emptied an unrelated instance (len %d)", got)
 	}
 	own.Reset()
 	if got := own.Len(); got != 0 {
@@ -193,11 +188,12 @@ func TestRunCacheSingleFlightLeaderPanic(t *testing.T) {
 // observability layer itself must be race-free. It runs under -race in
 // scripts/check.sh.
 func TestConcurrentExecuteResetAndMetricsRace(t *testing.T) {
-	ResetRunCache()
-	defer func() { obs.Disable(); ResetRunCache() }()
+	defer obs.Disable()
 	col := obs.Enable()
 
+	rc := NewRunCache(DefaultRunCacheCap)
 	cfg := SmokeConfig()
+	cfg.Cache = rc
 	cfg.Sizes = []int{64, 128}
 	cfg.Threads = []int{1, 2}
 	cfg.Algorithms = []Algorithm{AlgOpenBLAS}
@@ -218,10 +214,10 @@ func TestConcurrentExecuteResetAndMetricsRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			ResetRunCache()
-			SetRunCacheCap(1 + i%4)
+			rc.Reset()
+			rc.SetCap(1 + i%4)
 		}
-		SetRunCacheCap(DefaultRunCacheCap)
+		rc.SetCap(DefaultRunCacheCap)
 	}()
 	wg.Add(1)
 	go func() {
@@ -235,7 +231,7 @@ func TestConcurrentExecuteResetAndMetricsRace(t *testing.T) {
 	wg.Wait()
 
 	// The sweeps must still be deterministic under all that churn.
-	ResetRunCache()
+	rc.Reset()
 	a := Execute(cfg)
 	b := Execute(cfg)
 	if !reflect.DeepEqual(a.Runs, b.Runs) {

@@ -271,23 +271,24 @@ func stripRestored(runs []Run) []Run {
 
 // The run cache must never serve or store fault-armed cells.
 func TestFaultsBypassRunCache(t *testing.T) {
-	ResetRunCache()
+	rc := NewRunCache(DefaultRunCacheCap)
 	cfg := SmokeConfig()
+	cfg.Cache = rc
 	cfg.Sizes = []int{128}
 	cfg.Threads = []int{1}
 	cfg.Algorithms = []Algorithm{AlgOpenBLAS}
 	Execute(cfg) // populates the cache
-	if runCacheLen() == 0 {
+	if rc.Len() == 0 {
 		t.Fatal("clean sweep did not populate the cache")
 	}
-	before := runCacheLen()
+	before := rc.Len()
 
 	faulted := cfg
 	faulted.Faults = faults.DefaultSchedule(1)
 	faulted.Faults.CellFraction = 1
 	Execute(faulted)
-	if runCacheLen() != before {
-		t.Fatalf("faulted sweep changed the cache: %d -> %d", before, runCacheLen())
+	if rc.Len() != before {
+		t.Fatalf("faulted sweep changed the cache: %d -> %d", before, rc.Len())
 	}
 }
 

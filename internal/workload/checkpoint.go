@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,9 +24,11 @@ import (
 // instead of re-simulating them. The journal survives a killed or
 // crashed sweep because every record is fsynced before its cell is
 // announced (Config.OnRun): a simulated cell is appended as it
-// completes, and the cells the sweep finds in the run cache are
-// appended together, under one fsync, before any cell is simulated —
-// exactly the cells that completed are exactly the cells restored.
+// completes, the cells the sweep finds in the run cache are appended
+// together, under one fsync, before any of them is simulated, and a
+// guided sweep's predictions are appended together once its last fit
+// is done — exactly the cells that completed are exactly the cells
+// restored.
 //
 // File format: one JSON object per line. The first line is a header
 // carrying a fingerprint of everything that determines cell results —
@@ -55,17 +56,19 @@ import (
 // complete journal or the new complete one, never a truncated
 // in-between.
 //
-// Exclusivity is enforced at two levels. Inside one process, a journal
-// path is claimed while open, so a second Execute on the same path
-// fails with a descriptive error instead of interleaving torn records.
-// Across processes and replicas, an on-disk lease file
-// (store.AcquireLease) claims the journal: it is renewed in the
-// background while the sweep runs, a crashed holder's lease expires
-// (or is broken immediately when its process is verifiably dead on
-// this host), and every append is epoch-fenced so a zombie holder's
-// late writes are rejected once its lease has been stolen. All journal
-// I/O goes through Config.FS (nil = the real filesystem), which is how
-// the crash and torn-write tests drive these paths.
+// Exclusivity is one mechanism: an on-disk lease file
+// (store.AcquireLease) claims the journal, so a second sweep on the
+// same path — in another process or replica, or in this one, whose
+// PID the lease also refuses — fails with a descriptive error instead
+// of interleaving torn records. The lease is renewed in the background
+// while the sweep runs, a crashed holder's lease expires (or is broken
+// immediately when its process is verifiably dead on this host), and
+// every append is epoch-fenced so a zombie holder's late writes are
+// rejected once its lease has been stolen. A sweep given a pre-held
+// Config.Lease claims nothing itself: its caller holds the lease for
+// exactly one sweep. All journal I/O goes through Config.FS (nil = the
+// real filesystem), which is how the crash and torn-write tests drive
+// these paths.
 
 // ckVersion guards the journal layout.
 const ckVersion = 1
@@ -81,8 +84,8 @@ type ckRecord struct {
 type checkpoint struct {
 	mu   sync.Mutex
 	j    *store.Journal
-	path string // cleaned path, claimed in ckActive until close
-	keep bool   // RecordTraces: records must carry traces
+	path string
+	keep bool // RecordTraces: records must carry traces
 
 	lease     *store.Lease
 	ownLease  bool // acquired here (vs. supplied pre-held by the caller)
@@ -92,13 +95,6 @@ type checkpoint struct {
 	lost   atomic.Bool // lease lost: journal fenced off, sweep should stop
 	warned atomic.Bool // one append warning per sweep is enough
 }
-
-// ckActive registers the journal paths open in this process, so two
-// concurrent sweeps cannot interleave writes into one file.
-var (
-	ckActiveMu sync.Mutex
-	ckActive   = map[string]bool{}
-)
 
 // ckRewriteCrash is a test hook invoked between writing the compacted
 // temp journal and renaming it over the live one — the crash window
@@ -112,34 +108,6 @@ var (
 	ckAppendErrs = obs.GetCounter("workload.checkpoint.appenderrors")
 	ckLeaseLost  = obs.GetCounter("workload.checkpoint.leaselost")
 )
-
-// ckPath canonicalizes a journal path for the exclusivity registry.
-func ckPath(path string) string {
-	if abs, err := filepath.Abs(path); err == nil {
-		return abs
-	}
-	return filepath.Clean(path)
-}
-
-// claimCheckpointPath registers path as in use, failing when another
-// open sweep in this process already journals there.
-func claimCheckpointPath(path string) error {
-	key := ckPath(path)
-	ckActiveMu.Lock()
-	defer ckActiveMu.Unlock()
-	if ckActive[key] {
-		return fmt.Errorf("workload: checkpoint journal %s is already in use by a concurrent sweep (give each sweep its own CheckpointPath, or serialize them)", path)
-	}
-	ckActive[key] = true
-	return nil
-}
-
-// releaseCheckpointPath undoes claimCheckpointPath.
-func releaseCheckpointPath(path string) {
-	ckActiveMu.Lock()
-	delete(ckActive, ckPath(path))
-	ckActiveMu.Unlock()
-}
 
 // checkpointFingerprint folds every result-determining configuration
 // field into the header fingerprint.
@@ -212,33 +180,22 @@ func UnmarshalRunRecord(line []byte) (key string, run Run, err error) {
 // the crash and fencing contracts.
 func openCheckpoint(cfg Config) (*checkpoint, map[string]Run, error) {
 	fsys := store.Resolve(cfg.FS)
-	if err := claimCheckpointPath(cfg.CheckpointPath); err != nil {
-		return nil, nil, err
-	}
 	lease := cfg.Lease
 	ownLease := false
 	ok := false
 	defer func() {
-		if ok {
-			return
-		}
-		if ownLease {
+		if !ok && ownLease {
 			_ = lease.Release()
 		}
-		releaseCheckpointPath(cfg.CheckpointPath)
 	}()
 
 	if lease == nil {
-		owner := cfg.LeaseOwner
-		if owner == "" {
-			owner = fmt.Sprintf("pid-%d", os.Getpid())
-		}
 		var err error
-		lease, err = store.AcquireLease(fsys, store.LeasePath(cfg.CheckpointPath), owner, cfg.LeaseTTL, nil)
+		lease, err = store.AcquireLease(fsys, store.LeasePath(cfg.CheckpointPath), fmt.Sprintf("pid-%d", os.Getpid()), 0, nil)
 		if err != nil {
 			var held *store.HeldError
 			if errors.As(err, &held) {
-				return nil, nil, fmt.Errorf("workload: checkpoint journal %s is leased by replica %q (epoch %d) — another process may be executing this sweep; retry after its lease expires: %w",
+				return nil, nil, fmt.Errorf("workload: checkpoint journal %s is already in use: leased by %q (epoch %d), which may be executing this sweep — give each sweep its own CheckpointPath, or retry after the lease expires: %w",
 					cfg.CheckpointPath, held.Info.Owner, held.Info.Epoch, err)
 			}
 			return nil, nil, fmt.Errorf("workload: checkpoint: %w", err)
@@ -396,11 +353,6 @@ func (ck *checkpoint) interrupted() bool {
 	return ck != nil && ck.lost.Load()
 }
 
-// record journals one completed cell; see commit.
-func (ck *checkpoint) record(key string, r *Run) {
-	ck.commit([]string{key}, []*Run{r})
-}
-
 // commit journals completed cells with one append, one write and one
 // fsync for all of them, so every record survives the process dying
 // once commit returns. Failures are counted and warned about — the
@@ -440,10 +392,14 @@ func (ck *checkpoint) commit(keys []string, runs []*Run) {
 }
 
 // close closes the journal file, stops the lease renewer and releases
-// the claims; records after close are dropped. Close and release
-// failures are warned about, not swallowed: each is a torn-journal or
-// stuck-lease risk the operator should see.
+// the lease it acquired; records after close are dropped, and closing
+// no journal (nil) does nothing. Close and release failures are warned
+// about, not swallowed: each is a torn-journal or stuck-lease risk the
+// operator should see.
 func (ck *checkpoint) close() {
+	if ck == nil {
+		return
+	}
 	ck.mu.Lock()
 	j := ck.j
 	ck.j = nil
@@ -464,7 +420,6 @@ func (ck *checkpoint) close() {
 			fmt.Fprintf(os.Stderr, "workload: checkpoint %s: lease release failed: %v (holders must wait out the TTL)\n", ck.path, err)
 		}
 	}
-	releaseCheckpointPath(ck.path)
 }
 
 // ReplayJournal streams the record lines of a checkpoint/result

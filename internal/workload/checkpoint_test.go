@@ -405,3 +405,37 @@ func TestCheckpointHeaderKeepsRequest(t *testing.T) {
 		t.Fatalf("after compaction without a request the header is %s, want %s", got, withRequest)
 	}
 }
+
+// TestGuidedSweepCommitsPredictionsTogether: a journaled guided sweep
+// commits each measured cell as it completes and all of its
+// predictions, known at once after the last fit, with one append; and
+// no prediction is announced before the commit covering it returned.
+func TestGuidedSweepCommitsPredictionsTogether(t *testing.T) {
+	fsys := &commitFS{FS: store.OS(), writes: map[string][][]byte{}, syncs: map[string]int{}}
+	cfg := guidedConfig()
+	cfg.FS = fsys
+	path := filepath.Join(t.TempDir(), "guided"+store.Ext)
+	cfg.CheckpointPath = path
+	var early []string
+	cfg.OnRun = func(key string, r *Run) {
+		if !r.Predicted {
+			return
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil || !bytes.Contains(raw, []byte(`{"key":"`+key+`"`)) {
+			early = append(early, key)
+		}
+	}
+	mx := Execute(cfg)
+	if p := mx.Planner; len(mx.Runs) != 48 || p.MeasuredCells != 16 || p.PredictedCells != 32 {
+		t.Fatalf("%d cells, planner %+v; want 48 cells, 16 measured and 32 predicted", len(mx.Runs), p)
+	}
+	// The compaction, one append per measured cell, one for every
+	// prediction.
+	if got := fsys.syncs[path]; got != 18 {
+		t.Fatalf("the guided sweep fsynced its journal %d times, want 18", got)
+	}
+	if len(early) > 0 {
+		t.Fatalf("predictions %v announced before their commit returned", early)
+	}
+}

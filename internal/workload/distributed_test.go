@@ -79,7 +79,7 @@ func TestDistributedCellsThroughDriver(t *testing.T) {
 
 func TestDistributedDeterministicAndCached(t *testing.T) {
 	cfg := distConfig(t, "4x1GbE")
-	ResetRunCache()
+	cfg.Cache = NewRunCache(DefaultRunCacheCap)
 	mx1 := Execute(cfg)
 	mx2 := Execute(cfg) // second sweep should be served from cache
 	for i := range mx1.Runs {

@@ -119,18 +119,18 @@ func TestBuildTreeAllocatesNoOperandStorage(t *testing.T) {
 }
 
 func TestRunMemoizationHitsAndIsolation(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
+	rc := NewRunCache(DefaultRunCacheCap)
 	cfg := SmokeConfig()
+	cfg.Cache = rc
 	cfg.RecordTraces = true
 	cfg.TraceSampleInterval = 1e-4
 
 	r1 := ExecuteOne(cfg, AlgOpenBLAS, 128, 1)
-	if got := runCacheLen(); got != 1 {
+	if got := rc.Len(); got != 1 {
 		t.Fatalf("cache holds %d entries after one cell, want 1", got)
 	}
 	r2 := ExecuteOne(cfg, AlgOpenBLAS, 128, 1)
-	if got := runCacheLen(); got != 1 {
+	if got := rc.Len(); got != 1 {
 		t.Fatalf("cache holds %d entries after a repeat, want 1", got)
 	}
 	if !reflect.DeepEqual(r1, r2) {
@@ -150,20 +150,20 @@ func TestRunMemoizationHitsAndIsolation(t *testing.T) {
 }
 
 func TestRunMemoizationNoCacheBypasses(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
+	rc := NewRunCache(DefaultRunCacheCap)
 	cfg := SmokeConfig()
+	cfg.Cache = rc
 	cfg.NoCache = true
 	ExecuteOne(cfg, AlgOpenBLAS, 128, 1)
-	if got := runCacheLen(); got != 0 {
+	if got := rc.Len(); got != 0 {
 		t.Fatalf("NoCache run populated the cache (%d entries)", got)
 	}
 }
 
 func TestRunMemoizationKeysOnMachineAndSettings(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
+	rc := NewRunCache(DefaultRunCacheCap)
 	cfg := SmokeConfig()
+	cfg.Cache = rc
 	base := ExecuteOne(cfg, AlgOpenBLAS, 128, 1)
 
 	// A tweaked power coefficient is a different platform: the cache
@@ -173,7 +173,7 @@ func TestRunMemoizationKeysOnMachineAndSettings(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Machine = &tweaked
 	hot := ExecuteOne(cfg2, AlgOpenBLAS, 128, 1)
-	if got := runCacheLen(); got != 2 {
+	if got := rc.Len(); got != 2 {
 		t.Fatalf("cache holds %d entries across two machines, want 2", got)
 	}
 	if hot.PKGJoules <= base.PKGJoules {
@@ -184,7 +184,7 @@ func TestRunMemoizationKeysOnMachineAndSettings(t *testing.T) {
 	cfg3 := cfg
 	cfg3.PollInterval = DefaultPollInterval / 2
 	ExecuteOne(cfg3, AlgOpenBLAS, 128, 1)
-	if got := runCacheLen(); got != 3 {
+	if got := rc.Len(); got != 3 {
 		t.Fatalf("cache holds %d entries across two poll intervals, want 3", got)
 	}
 
@@ -192,7 +192,7 @@ func TestRunMemoizationKeysOnMachineAndSettings(t *testing.T) {
 	cfg4 := cfg
 	cfg4.PollInterval = DefaultPollInterval
 	ExecuteOne(cfg4, AlgOpenBLAS, 128, 1)
-	if got := runCacheLen(); got != 3 {
+	if got := rc.Len(); got != 3 {
 		t.Fatalf("explicit default interval added an entry (%d total)", got)
 	}
 }

@@ -25,8 +25,7 @@ func traceStatsFor(t *testing.T, buf *bytes.Buffer) *obs.TraceStats {
 // counter track per RAPL plane, and per-track monotone timestamps
 // (enforced inside ValidateChromeTrace).
 func TestRunChromeTraceStructure(t *testing.T) {
-	ResetRunCache()
-	defer func() { obs.Disable(); ResetRunCache() }()
+	defer obs.Disable()
 	col := obs.Enable()
 
 	cfg := SmokeConfig()
@@ -80,8 +79,6 @@ func TestRunChromeTraceStructure(t *testing.T) {
 // TestRunChromeTraceRequiresRecording: exporting a bare run is a
 // usage error, not an empty file.
 func TestRunChromeTraceRequiresRecording(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
 	run := ExecuteOne(SmokeConfig(), AlgOpenBLAS, 64, 1)
 	var buf bytes.Buffer
 	if err := WriteRunChromeTrace(&buf, &run, nil); err == nil {
@@ -93,8 +90,6 @@ func TestRunChromeTraceRequiresRecording(t *testing.T) {
 // track with one span per cell and concatenated RAPL counter tracks
 // spanning the whole session.
 func TestMatrixChromeTraceStructure(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
 
 	cfg := SmokeConfig()
 	cfg.RecordTraces = true
@@ -127,8 +122,6 @@ func TestMatrixChromeTraceStructure(t *testing.T) {
 // TestMatrixChromeTraceRequiresTraces: a sweep executed without
 // RecordTraces cannot be exported as a session.
 func TestMatrixChromeTraceRequiresTraces(t *testing.T) {
-	ResetRunCache()
-	defer ResetRunCache()
 	mx := Execute(SmokeConfig())
 	var buf bytes.Buffer
 	if err := WriteMatrixChromeTrace(&buf, mx, nil); err == nil {

@@ -82,48 +82,38 @@ type PlannerStats struct {
 	Rounds int
 }
 
-// guided carries one guided sweep's working state.
+// guided carries one guided sweep's working state on top of the
+// sweep every plan shares.
 type guided struct {
-	cfg      Config
-	cells    []cell
+	*sweep
 	terms    []model.Terms
-	mx       *Matrix
 	measured []bool
-	ck       *checkpoint
-	cache    *sweepCache
-	restored map[string]Run // measured checkpoint records
 	predRest map[string]Run // predicted checkpoint records, tag-gated
 }
 
 // executeGuided runs the guided plan: seed → fit → refine → predict.
-func executeGuided(cfg Config) *Matrix {
-	g := &guided{cfg: cfg, cells: cfg.cells(), cache: cfg.sweepCache()}
-	g.mx = &Matrix{Cfg: cfg, Runs: make([]Run, len(g.cells))}
+// Measured cells resolve through the sweep like any exhaustive cell;
+// the predictions, all known once the last fit is done, are journaled
+// with one commit.
+func (s *sweep) executeGuided() {
+	g := &guided{sweep: s}
 	g.measured = make([]bool, len(g.cells))
 	g.terms = make([]model.Terms, len(g.cells))
 	for i, c := range g.cells {
-		t, err := cellTerms(&cfg, c)
+		t, err := cellTerms(&g.cfg, c)
 		if err != nil {
 			panic(err.Error())
 		}
 		g.terms[i] = t
 	}
-
-	if cfg.CheckpointPath != "" {
-		var err error
-		if g.ck, g.restored, err = openCheckpoint(cfg); err != nil {
-			panic(err.Error())
-		}
-		defer g.ck.close()
-		// Predicted records only stand in for a prediction when the
-		// refitted model still carries the same tag; they never count
-		// as measurements.
-		g.predRest = make(map[string]Run)
-		for k, r := range g.restored {
-			if r.Predicted {
-				g.predRest[k] = r
-				delete(g.restored, k)
-			}
+	// Predicted records only stand in for a prediction when the refitted
+	// model still carries the same tag; they never count as
+	// measurements.
+	g.predRest = make(map[string]Run)
+	for k, r := range g.restored {
+		if r.Predicted {
+			g.predRest[k] = r
+			delete(g.restored, k)
 		}
 	}
 
@@ -133,18 +123,17 @@ func executeGuided(cfg Config) *Matrix {
 		sweepSp.ArgInt("cells", len(g.cells))
 		defer sweepSp.End()
 	}
-	sweepsExecuted.Inc()
 
-	seedFrac := cfg.SeedFraction
+	seedFrac := g.cfg.SeedFraction
 	if seedFrac <= 0 {
 		seedFrac = DefaultSeedFraction
 	}
-	conf := cfg.Confidence
+	conf := g.cfg.Confidence
 	if conf <= 0 {
 		conf = DefaultConfidence
 	}
 
-	g.measure(seedIndices(&cfg, g.cells, seedFrac))
+	g.measure(seedIndices(&g.cfg, g.cells, seedFrac))
 	g.mx.Planner.SeededCells = g.measuredCount()
 
 	budget := int(math.Floor(maxMeasureFraction * float64(len(g.cells))))
@@ -175,16 +164,12 @@ func executeGuided(cfg Config) *Matrix {
 	if mo == nil {
 		// The model never became fittable (degenerate matrices):
 		// degrade gracefully to an exhaustive sweep.
-		all := make([]int, len(g.cells))
-		for i := range all {
-			all[i] = i
-		}
-		g.measure(all)
+		g.measure(indices(len(g.cells)))
 	}
 
-	// Emit the remainder as predictions; any cell the final model
-	// cannot answer is measured instead.
-	var fallback []int
+	// Emit the remainder as predictions, journaled with one commit; any
+	// cell the final model cannot answer is measured instead.
+	var predicted, fallback []int
 	for i := range g.cells {
 		if g.measured[i] {
 			continue
@@ -194,29 +179,20 @@ func executeGuided(cfg Config) *Matrix {
 			fallback = append(fallback, i)
 			continue
 		}
+		g.mx.Planner.PredictedCells++
 		key := g.cfg.cellKey(g.cells[i])
 		if r, ok := g.predRest[key]; ok && r.ModelTag == mo.Tag() {
-			r.Restored = true
-			cellsRestored.Inc()
-			g.mx.addRestored()
-			g.mx.Runs[i] = r
-		} else {
-			run := predictedRun(&g.cfg, g.cells[i], g.terms[i], p, mo.Tag())
-			if g.ck != nil {
-				g.ck.record(key, &run)
-			}
-			g.mx.Runs[i] = run
+			g.restore(i, key, r)
+			continue
 		}
-		if g.cfg.OnRun != nil {
-			g.cfg.OnRun(key, &g.mx.Runs[i])
-		}
-		g.mx.Planner.PredictedCells++
+		g.mx.Runs[i] = predictedRun(&g.cfg, g.cells[i], g.terms[i], p, mo.Tag())
+		predicted = append(predicted, i)
 	}
+	g.commit(predicted...)
 	g.measure(fallback)
 
 	g.mx.Planner.MeasuredCells = g.measuredCount()
 	g.mx.Model = mo
-	return g.mx
 }
 
 func (g *guided) measuredCount() int {
@@ -229,8 +205,8 @@ func (g *guided) measuredCount() int {
 	return n
 }
 
-// measure executes (or restores) the given cell indices across the
-// driver pool, skipping ones already measured.
+// measure resolves the given cell indices through the sweep, skipping
+// ones already measured.
 func (g *guided) measure(idx []int) {
 	var todo []int
 	for _, i := range idx {
@@ -239,35 +215,7 @@ func (g *guided) measure(idx []int) {
 			g.measured[i] = true
 		}
 	}
-	if len(todo) == 0 {
-		return
-	}
-	runPool(g.cfg.poolWorkers(len(todo)), len(todo), func(j int, tr obs.Track) {
-		i := todo[j]
-		c := g.cells[i]
-		key := g.cfg.cellKey(c)
-		if r, ok := g.restored[key]; ok {
-			r.Restored = true
-			cellsRestored.Inc()
-			g.mx.addRestored()
-			g.mx.Runs[i] = r
-		} else if (g.cfg.Stop != nil && g.cfg.Stop()) || g.ck.interrupted() {
-			// Stopped sweep (drain or lost lease): leave the cell
-			// interrupted and unstreamed so a resume executes it.
-			cellsSkipped.Inc()
-			g.mx.Runs[i] = interruptedRun(&g.cfg, c)
-			return
-		} else {
-			run := executeOne(g.cfg, c, g.cache, tr)
-			if g.ck != nil && !run.Failed() {
-				g.ck.record(key, &run)
-			}
-			g.mx.Runs[i] = run
-		}
-		if g.cfg.OnRun != nil {
-			g.cfg.OnRun(key, &g.mx.Runs[i])
-		}
-	})
+	g.resolve(todo)
 }
 
 // fit builds the model from every measured, completed cell. Returns

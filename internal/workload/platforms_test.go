@@ -1,53 +1,78 @@
-package workload
+package workload_test
 
 import (
+	"fmt"
 	"testing"
 
+	"capscale/internal/energy"
 	"capscale/internal/hw"
+	"capscale/internal/report"
+	"capscale/internal/workload"
 )
 
+// platformSweep runs the cross-platform study the way epscale does:
+// one Execute per machine, rendered by report.PlatformTable, whose
+// last column is each row's Eq. 9 crossover.
+func platformSweep(machines []*hw.Machine, n int) ([]*workload.Matrix, *report.Table) {
+	var mxs []*workload.Matrix
+	for _, m := range machines {
+		mxs = append(mxs, workload.Execute(workload.PlatformConfig(m, n)))
+	}
+	return mxs, report.PlatformTable(mxs)
+}
+
+// crossovers collects a platform table's crossover column by machine.
+func crossovers(tbl *report.Table) map[string][]string {
+	out := map[string][]string{}
+	for _, row := range tbl.Rows {
+		out[row[0]] = append(out[row[0]], row[len(row)-1])
+	}
+	return out
+}
+
 func TestCrossPlatformShape(t *testing.T) {
-	pts := CrossPlatform(hw.Zoo(), 1024)
-	if len(pts) != len(hw.Zoo())*3 {
-		t.Fatalf("points %d", len(pts))
+	mxs, tbl := platformSweep(hw.Zoo(), 1024)
+	if len(tbl.Rows) != len(hw.Zoo())*3 {
+		t.Fatalf("points %d", len(tbl.Rows))
 	}
-	byMachine := map[string][]PlatformPoint{}
-	for _, p := range pts {
-		if p.Seconds <= 0 || p.Watts <= 0 || p.EP <= 0 || p.EDP <= 0 {
-			t.Fatalf("degenerate point %+v", p)
-		}
-		byMachine[p.Machine] = append(byMachine[p.Machine], p)
-	}
-	for name, rows := range byMachine {
+	cross := crossovers(tbl)
+	for _, mx := range mxs {
+		name := mx.Cfg.Machine.Name
+		rows := mx.Runs
 		if len(rows) != 3 {
 			t.Fatalf("%s has %d rows", name, len(rows))
 		}
+		for i := range rows {
+			r := &rows[i]
+			if r.Seconds <= 0 || r.WattsTotal() <= 0 || r.EP() <= 0 || energy.EDP(r.PKGJoules+r.DRAMJoules, r.Seconds) <= 0 {
+				t.Fatalf("degenerate point %+v", r)
+			}
+		}
 		// Crossover identical across a machine's rows.
-		for _, r := range rows[1:] {
-			if r.CrossoverN != rows[0].CrossoverN {
+		for _, c := range cross[name][1:] {
+			if c != cross[name][0] {
 				t.Fatalf("%s crossover varies per algorithm", name)
 			}
 		}
 		// OpenBLAS fastest on every platform at these sizes.
-		var blasT float64
-		for _, r := range rows {
-			if r.Algorithm == AlgOpenBLAS {
-				blasT = r.Seconds
-			}
-		}
-		for _, r := range rows {
-			if r.Algorithm != AlgOpenBLAS && r.Seconds <= blasT {
-				t.Errorf("%s: %v not slower than OpenBLAS", name, r.Algorithm)
+		blasT := mx.Get(workload.AlgOpenBLAS, 1024, mx.Cfg.Machine.Cores).Seconds
+		for i := range rows {
+			if r := &rows[i]; r.Alg != workload.AlgOpenBLAS && r.Seconds <= blasT {
+				t.Errorf("%s: %v not slower than OpenBLAS", name, r.Alg)
 			}
 		}
 	}
 }
 
 func TestCrossPlatformCrossoverTracksBalance(t *testing.T) {
-	pts := CrossPlatform(hw.Zoo(), 512)
+	_, tbl := platformSweep(hw.Zoo(), 512)
 	cross := map[string]float64{}
-	for _, p := range pts {
-		cross[p.Machine] = p.CrossoverN
+	for name, c := range crossovers(tbl) {
+		var v float64
+		if _, err := fmt.Sscan(c[0], &v); err != nil {
+			t.Fatal(err)
+		}
+		cross[name] = v
 	}
 	hbm := cross[hw.BandwidthRichNode().Name]
 	paper := cross[hw.HaswellE31225().Name]
@@ -61,78 +86,10 @@ func TestCrossPlatformCrossoverTracksBalance(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	good := SmokeConfig()
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string]func(*Config){
-		"nil machine":    func(c *Config) { c.Machine = nil },
-		"no sizes":       func(c *Config) { c.Sizes = nil },
-		"no threads":     func(c *Config) { c.Threads = nil },
-		"no algorithms":  func(c *Config) { c.Algorithms = nil },
-		"bad size":       func(c *Config) { c.Sizes = []int{0} },
-		"threads > core": func(c *Config) { c.Threads = []int{99} },
-		"neg quiesce":    func(c *Config) { c.QuiesceSeconds = -1 },
-	}
-	for name, mutate := range cases {
-		cfg := SmokeConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-func TestExecutePanicsOnInvalidConfig(t *testing.T) {
-	cfg := SmokeConfig()
-	cfg.Threads = []int{0}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Execute(cfg)
-}
-
-// The whole pipeline on a 12-core machine: exercises the scheduler,
-// the CAPS ownership partition and the static BLAS split well past the
-// paper's 4 threads.
-func TestTwelveCoreMachineMatrix(t *testing.T) {
-	cfg := Config{
-		Machine:    hw.XeonE52690v3(),
-		Algorithms: PaperAlgorithms(),
-		Sizes:      []int{512},
-		Threads:    []int{1, 6, 12},
-	}
-	mx := Execute(cfg)
-	for _, alg := range cfg.Algorithms {
-		t1 := mx.Get(alg, 512, 1).Seconds
-		t12 := mx.Get(alg, 512, 12).Seconds
-		if t12 >= t1 {
-			t.Errorf("%v did not speed up on 12 cores: %v -> %v", alg, t1, t12)
-		}
-	}
-	// Power grows with threads on the big part too.
-	if mx.Get(AlgOpenBLAS, 512, 12).WattsTotal() <= mx.Get(AlgOpenBLAS, 512, 1).WattsTotal() {
-		t.Error("12-thread power not above 1-thread")
-	}
-}
-
 func TestCrossPlatformFasterMachineFasterRun(t *testing.T) {
-	pts := CrossPlatform([]*hw.Machine{hw.HaswellE31225(), hw.XeonE52690v3()}, 2048)
-	var paper, xeon float64
-	for _, p := range pts {
-		if p.Algorithm != AlgOpenBLAS {
-			continue
-		}
-		switch p.Machine {
-		case hw.HaswellE31225().Name:
-			paper = p.Seconds
-		case hw.XeonE52690v3().Name:
-			xeon = p.Seconds
-		}
-	}
+	mxs, _ := platformSweep([]*hw.Machine{hw.HaswellE31225(), hw.XeonE52690v3()}, 2048)
+	paper := mxs[0].Get(workload.AlgOpenBLAS, 2048, mxs[0].Cfg.Machine.Cores).Seconds
+	xeon := mxs[1].Get(workload.AlgOpenBLAS, 2048, mxs[1].Cfg.Machine.Cores).Seconds
 	if xeon >= paper {
 		t.Fatalf("12-core FMA Xeon (%v) not faster than the paper node (%v)", xeon, paper)
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -176,17 +177,15 @@ type Config struct {
 	// bit-identical to a sequential sweep. Zero selects GOMAXPROCS;
 	// negative is rejected by Validate.
 	Parallelism int
-	// NoCache bypasses the in-process run memoization cache: every cell
-	// is re-simulated even when an identical configuration has already
-	// been executed. Benchmarks and determinism tests use it.
+	// NoCache bypasses the run memoization cache: every cell is
+	// re-simulated even when Cache holds it. Benchmarks and determinism
+	// tests use it.
 	NoCache bool
-	// Cache selects the run memoization cache instance this sweep
-	// loads from and stores into; nil selects the shared process
-	// default. A long-running embedder (the sweep server) gives its
-	// sweeps a cache it owns, so its cap and reset decisions cannot
-	// race other pipelines in the process. The cache also single-
-	// flights concurrent computes of one cell across every sweep
-	// sharing it.
+	// Cache is the run memoization cache this sweep loads from and
+	// stores into; nil means no memoization. The embedder owns it — its
+	// cap, its lifetime and which sweeps share it (the sweep server
+	// gives all of its sweeps one). The cache also single-flights
+	// concurrent computes of one cell across every sweep sharing it.
 	Cache *RunCache
 	// OnRun, when non-nil, is invoked once per cell as it resolves —
 	// executed, restored from a checkpoint, or emitted as a model
@@ -224,20 +223,13 @@ type Config struct {
 	// faults.FaultFS here. Nil selects the real OS filesystem with zero
 	// added overhead, matching the fault injector's contract.
 	FS store.FS
-	// LeaseOwner names this process on the journal's on-disk lease
-	// (store.AcquireLease); empty selects "pid-<pid>". Replicas sharing
-	// a store directory should use stable distinct IDs so lease
-	// diagnostics identify the holder.
-	LeaseOwner string
-	// LeaseTTL is how long the journal lease stays valid between
-	// background renewals; non-positive selects store.DefaultLeaseTTL.
-	LeaseTTL time.Duration
 	// Lease, when non-nil, is a pre-acquired claim on the checkpoint
 	// journal: Execute fences every journal append with it and renews
 	// it while the sweep runs, but does not release it — the caller
 	// owns its lifecycle (the sweep server acquires leases before
 	// launching sweeps). Nil with CheckpointPath set means Execute
-	// acquires and releases its own lease.
+	// acquires and releases its own lease, owned by "pid-<pid>" with
+	// the default TTL.
 	Lease *store.Lease
 	// Request is the raw JSON request a served sweep answers. It rides
 	// in the checkpoint journal's header (store.Header.Request), so a
@@ -294,6 +286,20 @@ func SmokeConfig() Config {
 	}
 }
 
+// PlatformConfig returns the cross-platform sweep's matrix for one
+// machine: the paper's algorithms at size n, on all of its cores. One
+// Execute per hw.Zoo machine is the platforms study, and
+// report.PlatformTable renders the matrices with each machine's Eq. 9
+// crossover.
+func PlatformConfig(m *hw.Machine, n int) Config {
+	return Config{
+		Machine:    m,
+		Algorithms: PaperAlgorithms(),
+		Sizes:      []int{n},
+		Threads:    []int{m.Cores},
+	}
+}
+
 // Validate reports a descriptive error for unusable configurations.
 func (cfg *Config) Validate() error {
 	if cfg.Machine == nil {
@@ -335,6 +341,22 @@ func (cfg *Config) Validate() error {
 			return fmt.Errorf("workload: thread count %d outside [1,%d]", p, cfg.Machine.Cores)
 		}
 	}
+	// Cells are keyed by their coordinates, so a value repeated on an
+	// axis would name one cell twice: the sweep would count it twice
+	// and journal it once. The axes can come from outside the program,
+	// long, so the check is a set, not a scan.
+	if err := distinct("algorithm", cfg.Algorithms, Algorithm.String); err != nil {
+		return err
+	}
+	if err := distinct("size", cfg.Sizes, strconv.Itoa); err != nil {
+		return err
+	}
+	if err := distinct("thread count", cfg.Threads, strconv.Itoa); err != nil {
+		return err
+	}
+	if err := distinct("cluster spec", cfg.Clusters, cluster.Spec.String); err != nil {
+		return err
+	}
 	if len(cfg.Request) > 0 && !json.Valid(cfg.Request) {
 		return fmt.Errorf("workload: request is not valid JSON")
 	}
@@ -371,6 +393,20 @@ func (cfg *Config) Validate() error {
 		case cfg.Faults != nil:
 			return fmt.Errorf("workload: guided plan cannot run under fault injection")
 		}
+	}
+	return nil
+}
+
+// distinct rejects an axis that repeats a value, comparing values by
+// the key cells are named with.
+func distinct[T any](axis string, values []T, key func(T) string) error {
+	seen := make(map[string]bool, len(values))
+	for _, v := range values {
+		k := key(v)
+		if seen[k] {
+			return fmt.Errorf("workload: %s %s repeated (each axis value must be distinct)", axis, k)
+		}
+		seen[k] = true
 	}
 	return nil
 }
@@ -725,10 +761,10 @@ var (
 )
 
 // ExecuteOne runs a single configuration through the simulator and the
-// RAPL/PAPI measurement stack. Results are memoized in-process keyed
-// by machine fingerprint × algorithm × size × threads × ablations ×
-// poll interval (see cache.go); set Config.NoCache to force
-// re-simulation. Cached calls return an independent deep copy.
+// RAPL/PAPI measurement stack. With Config.Cache set, results are
+// memoized there keyed by machine fingerprint × algorithm × size ×
+// threads × ablations × poll interval (see cache.go); cached calls
+// return an independent deep copy.
 func ExecuteOne(cfg Config, alg Algorithm, n, threads int) Run {
 	return executeOne(cfg, cell{alg: alg, n: n, threads: threads, spec: -1}, cfg.sweepCache(), obs.Track{})
 }
@@ -988,7 +1024,7 @@ func (cfg *Config) clusterOf(c cell) *cluster.Spec {
 // (algorithm, then size, then thread count — or cluster spec on the
 // distributed axis).
 func (cfg *Config) cells() []cell {
-	out := make([]cell, 0, len(cfg.Algorithms)*len(cfg.Sizes)*len(cfg.Threads))
+	out := make([]cell, 0, cfg.CellCount())
 	for _, alg := range cfg.Algorithms {
 		for _, n := range cfg.Sizes {
 			if alg.Distributed() {
@@ -1007,9 +1043,18 @@ func (cfg *Config) cells() []cell {
 
 // CellCount returns how many cells the configuration sweeps — the
 // single-node algorithm×size×thread cross plus the distributed
-// algorithm×size×cluster cross. CLIs use it for their progress line.
+// algorithm×size×cluster cross — without building them. CLIs use it
+// for their progress line, the sweep server to bound a request.
 func (cfg *Config) CellCount() int {
-	return len(cfg.cells())
+	n := 0
+	for _, alg := range cfg.Algorithms {
+		if alg.Distributed() {
+			n += len(cfg.Sizes) * len(cfg.Clusters)
+		} else {
+			n += len(cfg.Sizes) * len(cfg.Threads)
+		}
+	}
+	return n
 }
 
 // Execute runs the whole matrix, fanning independent cells across a
@@ -1018,111 +1063,158 @@ func (cfg *Config) CellCount() int {
 // tree, RAPL device and event set — so the concurrent sweep is
 // bit-identical to the sequential one, with Matrix.Runs in the paper's
 // nesting order (algorithm, then size, then thread count) either way.
-// A journaled sweep (CheckpointPath) first resolves the cells that
-// need no simulation, in cell order: restored ones, and run-cache hits,
-// which it journals with one commit before announcing them; the pool
-// runs the rest. It panics on invalid configurations (Validate reports
-// the reason).
+// Both plans resolve their cells through one sweep (sweep.resolve);
+// the guided plan chooses which cells to measure and predicts the
+// rest (plan.go). It panics on invalid configurations (Validate
+// reports the reason).
 func Execute(cfg Config) *Matrix {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if cfg.Plan == PlanGuided {
-		return executeGuided(cfg)
-	}
-	cells := cfg.cells()
-	mx := &Matrix{Cfg: cfg, Runs: make([]Run, len(cells))}
-
-	var ck *checkpoint
-	var restored map[string]Run
-	if cfg.CheckpointPath != "" {
-		var err error
-		if ck, restored, err = openCheckpoint(cfg); err != nil {
-			panic(err.Error())
-		}
-		defer ck.close()
-	}
-	cache := cfg.sweepCache()
-	stopped := func() bool { return (cfg.Stop != nil && cfg.Stop()) || ck.interrupted() }
-	// runCell executes one cell and journals it when it completes
-	// (failed cells are left out so a resumed sweep retries them). A
-	// stopped sweep — bounded drain, or the journal lease lost to
-	// another replica — resolves remaining cells as interrupted instead
-	// of executing them; they are neither journaled nor streamed, so a
-	// resume runs exactly those cells.
-	runCell := func(c cell, tr obs.Track) Run {
-		if stopped() {
-			cellsSkipped.Inc()
-			return interruptedRun(&cfg, c)
-		}
-		key := cfg.cellKey(c)
-		run := executeOne(cfg, c, cache, tr)
-		if ck != nil && !run.Failed() {
-			ck.record(key, &run)
-		}
-		cfg.announce(key, &run)
-		return run
-	}
-
-	var sweepSp obs.Span
-	if obs.Enabled() {
-		sweepSp = obs.StartOn(obs.Track{}, "workload.sweep")
-		sweepSp.ArgInt("cells", len(cells))
-		sweepSp.ArgInt("workers", cfg.poolWorkers(len(cells)))
-		defer sweepSp.End()
-	}
+	s := openSweep(cfg)
+	defer s.ck.close()
 	sweepsExecuted.Inc()
-
-	var todo []int // indices of the cells the pool runs
-	if ck != nil {
-		todo = cfg.resolveKnown(mx, cells, ck, restored, cache, stopped)
-	} else {
-		todo = make([]int, len(cells))
-		for i := range todo {
-			todo[i] = i
-		}
+	if cfg.Plan == PlanGuided {
+		s.executeGuided()
+		return s.mx
 	}
-	runPool(cfg.poolWorkers(len(todo)), len(todo), func(i int, tr obs.Track) {
-		mx.Runs[todo[i]] = runCell(cells[todo[i]], tr)
-	})
-	return mx
+	if obs.Enabled() {
+		sp := obs.StartOn(obs.Track{}, "workload.sweep")
+		sp.ArgInt("cells", len(s.cells))
+		sp.ArgInt("workers", cfg.poolWorkers(len(s.cells)))
+		defer sp.End()
+	}
+	s.resolve(indices(len(s.cells)))
+	return s.mx
 }
 
-// resolveKnown resolves, in cell order and before the pool starts, the
-// cells of a journaled sweep that need no simulation, and returns the
-// indices of the cells left for the pool. Restored cells are already
-// durable in the compacted journal. Run-cache hits are journaled
-// together, with one write and one fsync for all of them, and
-// announced only once that commit has returned. A stopped sweep looks
+// sweep is one Execute's working state, whichever the plan: the matrix
+// being filled, the checkpoint journal and the cells restored from it,
+// and the run cache.
+type sweep struct {
+	cfg      Config
+	cells    []cell
+	mx       *Matrix
+	ck       *checkpoint    // nil unless journaled (CheckpointPath)
+	restored map[string]Run // journaled cells by key
+	cache    *sweepCache    // nil unless memoized
+}
+
+// openSweep prepares cfg's sweep, opening (and compacting) its
+// checkpoint journal when it has one.
+func openSweep(cfg Config) *sweep {
+	cells := cfg.cells()
+	s := &sweep{
+		cfg:   cfg,
+		cells: cells,
+		mx:    &Matrix{Cfg: cfg, Runs: make([]Run, len(cells))},
+		cache: cfg.sweepCache(),
+	}
+	if cfg.CheckpointPath != "" {
+		var err error
+		if s.ck, s.restored, err = openCheckpoint(cfg); err != nil {
+			panic(err.Error())
+		}
+	}
+	return s
+}
+
+// stopped reports whether the sweep must start no more cells: a
+// bounded drain (Config.Stop), or the journal lease lost to another
+// replica.
+func (s *sweep) stopped() bool {
+	return (s.cfg.Stop != nil && s.cfg.Stop()) || s.ck.interrupted()
+}
+
+// indices returns 0..n-1.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// resolve resolves the cells at idx. A journaled sweep first resolves,
+// in idx order and before its pool starts, the cells that need no
+// simulation (resolveKnown). The pool simulates the rest, committing
+// each as it completes. Once the sweep is stopped, the cells it has
+// not started resolve as interrupted: neither journaled nor announced,
+// so a resume runs exactly those.
+func (s *sweep) resolve(idx []int) {
+	if s.ck != nil {
+		idx = s.resolveKnown(idx)
+	}
+	runPool(s.cfg.poolWorkers(len(idx)), len(idx), func(j int, tr obs.Track) {
+		i := idx[j]
+		if s.stopped() {
+			cellsSkipped.Inc()
+			s.mx.Runs[i] = interruptedRun(&s.cfg, s.cells[i])
+			return
+		}
+		s.mx.Runs[i] = executeOne(s.cfg, s.cells[i], s.cache, tr)
+		s.commit(i)
+	})
+}
+
+// resolveKnown resolves the cells at idx that a journaled sweep needs
+// not simulate, and returns the indices of the rest. Restored cells
+// are already durable in the compacted journal and are announced at
+// once. Run-cache hits are committed together. A stopped sweep looks
 // up no more hits; the pool resolves those cells as interrupted.
-func (cfg *Config) resolveKnown(mx *Matrix, cells []cell, ck *checkpoint, restored map[string]Run, cache *sweepCache, stopped func() bool) []int {
-	todo := make([]int, 0, len(cells))
-	var keys []string
-	var hits []*Run
-	for i, c := range cells {
-		key := cfg.cellKey(c)
-		if r, ok := restored[key]; ok {
-			r.Restored = true
-			cellsRestored.Inc()
-			mx.addRestored()
-			mx.Runs[i] = r
-			cfg.announce(key, &mx.Runs[i])
+func (s *sweep) resolveKnown(idx []int) []int {
+	todo := make([]int, 0, len(idx))
+	var hits []int
+	for _, i := range idx {
+		c := s.cells[i]
+		key := s.cfg.cellKey(c)
+		if r, ok := s.restored[key]; ok {
+			s.restore(i, key, r)
 			continue
 		}
-		if cache != nil && !stopped() {
-			if r, ok := cache.rc.load(cache.key(cfg, c)); ok {
-				mx.Runs[i] = r
-				keys, hits = append(keys, key), append(hits, &mx.Runs[i])
+		if s.cache != nil && !s.stopped() {
+			if r, ok := s.cache.rc.load(s.cache.key(&s.cfg, c)); ok {
+				s.mx.Runs[i] = r
+				hits = append(hits, i)
 				continue
 			}
 		}
 		todo = append(todo, i)
 	}
-	ck.commit(keys, hits)
-	for i, key := range keys {
-		cfg.announce(key, hits[i])
-	}
+	s.commit(hits...)
 	return todo
+}
+
+// restore resolves cell i from its journaled record, which is already
+// durable, and announces it.
+func (s *sweep) restore(i int, key string, r Run) {
+	r.Restored = true
+	cellsRestored.Inc()
+	s.mx.addRestored()
+	s.mx.Runs[i] = r
+	s.cfg.announce(key, &s.mx.Runs[i])
+}
+
+// commit journals the resolved cells at idx with one append, one write
+// and one fsync for all of them, then announces each: no cell reaches
+// OnRun before the commit that covers it has returned. Failed cells
+// are announced but not journaled, so a resumed sweep retries them.
+func (s *sweep) commit(idx ...int) {
+	keys := make([]string, len(idx))
+	var journal []string
+	var runs []*Run
+	for n, i := range idx {
+		keys[n] = s.cfg.cellKey(s.cells[i])
+		if r := &s.mx.Runs[i]; s.ck != nil && !r.Failed() {
+			journal, runs = append(journal, keys[n]), append(runs, r)
+		}
+	}
+	if len(runs) > 0 {
+		s.ck.commit(journal, runs)
+	}
+	for n, i := range idx {
+		s.cfg.announce(keys[n], &s.mx.Runs[i])
+	}
 }
 
 // announce hands a resolved cell to OnRun, when set.

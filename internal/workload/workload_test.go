@@ -2,9 +2,12 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"capscale/internal/cluster"
 	"capscale/internal/energy"
+	"capscale/internal/hw"
 )
 
 // smoke is computed once; the full matrix of the smoke config is still
@@ -230,5 +233,79 @@ func TestWinogradVariantRuns(t *testing.T) {
 	rs := ExecuteOne(cfg, AlgStrassen, 256, 1)
 	if r.Seconds >= rs.Seconds {
 		t.Fatalf("Winograd (%v) not faster than classic (%v) at one thread", r.Seconds, rs.Seconds)
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	good := SmokeConfig()
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func(*Config){
+		"nil machine":      func(c *Config) { c.Machine = nil },
+		"no sizes":         func(c *Config) { c.Sizes = nil },
+		"no threads":       func(c *Config) { c.Threads = nil },
+		"no algorithms":    func(c *Config) { c.Algorithms = nil },
+		"bad size":         func(c *Config) { c.Sizes = []int{0} },
+		"threads > core":   func(c *Config) { c.Threads = []int{99} },
+		"neg quiesce":      func(c *Config) { c.QuiesceSeconds = -1 },
+		"repeated size":    func(c *Config) { c.Sizes = []int{64, 128, 64} },
+		"repeated threads": func(c *Config) { c.Threads = []int{2, 2} },
+		"repeated algorithm": func(c *Config) {
+			c.Algorithms = []Algorithm{AlgCAPS, AlgOpenBLAS, AlgCAPS}
+		},
+		"repeated cluster spec": func(c *Config) {
+			// Specs are compared by the string that keys their cells:
+			// the default memory spelled out is the same spec.
+			a, _ := cluster.ParseSpec("4x1GbE")
+			b, _ := cluster.ParseSpec("4x1GbE@8GiB")
+			c.Algorithms = []Algorithm{AlgSUMMA}
+			c.Clusters = []cluster.Spec{a, b}
+		},
+	}
+	for name, mutate := range cases {
+		cfg := SmokeConfig()
+		mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		} else if strings.HasPrefix(name, "repeated") && !strings.Contains(err.Error(), "repeated") {
+			t.Errorf("%s refused for another reason: %v", name, err)
+		}
+	}
+}
+
+func TestExecutePanicsOnInvalidConfig(t *testing.T) {
+	cfg := SmokeConfig()
+	cfg.Threads = []int{0}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	Execute(cfg)
+}
+
+// The whole pipeline on a 12-core machine: exercises the scheduler,
+// the CAPS ownership partition and the static BLAS split well past the
+// paper's 4 threads.
+func TestTwelveCoreMachineMatrix(t *testing.T) {
+	cfg := Config{
+		Machine:    hw.XeonE52690v3(),
+		Algorithms: PaperAlgorithms(),
+		Sizes:      []int{512},
+		Threads:    []int{1, 6, 12},
+	}
+	mx := Execute(cfg)
+	for _, alg := range cfg.Algorithms {
+		t1 := mx.Get(alg, 512, 1).Seconds
+		t12 := mx.Get(alg, 512, 12).Seconds
+		if t12 >= t1 {
+			t.Errorf("%v did not speed up on 12 cores: %v -> %v", alg, t1, t12)
+		}
+	}
+	// Power grows with threads on the big part too.
+	if mx.Get(AlgOpenBLAS, 512, 12).WattsTotal() <= mx.Get(AlgOpenBLAS, 512, 1).WattsTotal() {
+		t.Error("12-thread power not above 1-thread")
 	}
 }

@@ -38,6 +38,10 @@ go build ./...
 # break shows here rather than when the benchmark runs.
 (cd bench && go vet ./...)
 go test ./...
+# The root study benches (the distributed and platform sweeps, the
+# sparse storage study) run once, so a broken bench shows here rather
+# than on its next benchmark run.
+go test -run '^$' -bench 'Future|PlatformSweep' -benchtime 1x .
 # The race-detector pass, shared with `make race`.
 ./scripts/race.sh
 # Scalability smoke: a 1024-node (4096-core) shape-only sweep across

@@ -35,8 +35,11 @@ go test -race -short ./internal/sim/...
 # chaos sweep (fault injection + containment + checkpoint) must hold
 # its determinism invariants under the race detector too, as must two
 # journaled sweeps sharing one run cache, each committing its cache
-# hits together while they single-flight the cells neither has.
-go test -race -run 'TestExecuteParallelBitIdenticalToSequential|TestConcurrentExecuteResetAndMetricsRace|TestChaosSweepInvariants|TestCheckpointResume|TestGuidedSweepDeterminism|TestConcurrentSweepsCommitHitsTogether' -count=1 ./internal/workload/
+# hits together while they single-flight the cells neither has. Two
+# sweeps on one journal path are kept apart by its lease alone, and a
+# journaled guided sweep commits through the same path as an
+# exhaustive one: both stay in the race pass.
+go test -race -run 'TestExecuteParallelBitIdenticalToSequential|TestConcurrentExecuteResetAndMetricsRace|TestChaosSweepInvariants|TestCheckpointResume|TestGuidedSweepDeterminism|TestConcurrentSweepsCommitHitsTogether|TestConcurrentExecuteSharedCheckpointPath|TestGuidedCheckpointPredictions' -count=1 ./internal/workload/
 # The energy-complexity model the guided planner fits is pure math,
 # but it rides the concurrent driver: keep its own tests in the gate.
 go test -race ./internal/model/
