@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"math"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -78,6 +79,23 @@ func TestNodesRaisesThreadCeiling(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "Table III") {
 		t.Fatalf("stdout lacks Table III:\n%s", stdout.String())
+	}
+}
+
+// TestNodesMatrixSavesAndLoads: a matrix swept on a -nodes flat
+// cluster loads back by its machine's name and renders the table the
+// sweep printed.
+func TestNodesMatrixSavesAndLoads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	var swept, loaded, stderr bytes.Buffer
+	if code := run([]string{"-nodes", "2", "-sizes", "128", "-threads", "1", "-what", "table3", "-save", path}, &swept, &stderr); code != 0 {
+		t.Fatalf("save: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if code := run([]string{"-load", path, "-what", "table3"}, &loaded, &stderr); code != 0 {
+		t.Fatalf("load: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if loaded.String() != swept.String() {
+		t.Fatalf("loaded matrix renders\n%s\nthe sweep rendered\n%s", loaded.String(), swept.String())
 	}
 }
 

@@ -16,20 +16,11 @@ import (
 	"fmt"
 	"math"
 
-	"capscale/internal/cluster"
 	"capscale/internal/kernel"
 	"capscale/internal/mpi"
 	"capscale/internal/strassen"
 	"capscale/internal/task"
 )
-
-// Result augments an mpi run with the problem description.
-type Result struct {
-	*mpi.Result
-	Algorithm string
-	N         int
-	Ranks     int
-}
 
 // tag bases; each round offsets from these so concurrent phases don't
 // collide.
@@ -210,16 +201,4 @@ func localStrassen(r *mpi.Rank, curN, cutover, share int) {
 			Cores:     0,
 		})
 	}
-}
-
-// RunSUMMA executes SUMMA on `ranks` nodes of c.
-func RunSUMMA(c *cluster.Cluster, n, ranks int) *Result {
-	res := mpi.Run(c, ranks, SUMMA(n))
-	return &Result{Result: res, Algorithm: "SUMMA", N: n, Ranks: ranks}
-}
-
-// RunCAPS executes distributed CAPS on `ranks` nodes of c.
-func RunCAPS(c *cluster.Cluster, n, cutover, ranks int) *Result {
-	res := mpi.Run(c, ranks, CAPS(n, cutover))
-	return &Result{Result: res, Algorithm: "CAPS", N: n, Ranks: ranks}
 }

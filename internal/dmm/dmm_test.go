@@ -6,6 +6,7 @@ import (
 
 	"capscale/internal/cluster"
 	"capscale/internal/kernel"
+	"capscale/internal/mpi"
 )
 
 func TestSUMMACommunicationVolume(t *testing.T) {
@@ -15,7 +16,7 @@ func TestSUMMACommunicationVolume(t *testing.T) {
 	// blocks; over q rounds: 2·q²·(q−1) blocks of (n/q)² doubles.
 	c := cluster.TS140Cluster(4)
 	n := 1024
-	res := RunSUMMA(c, n, 4)
+	res := mpi.Run(c, 4, SUMMA(n))
 	q := 2
 	bn := n / q
 	wantBlocks := float64(2 * q * q * (q - 1))
@@ -29,7 +30,7 @@ func TestSUMMAFlopsConserved(t *testing.T) {
 	// Σ ranks' local flops must equal 2n³ regardless of the grid.
 	c := cluster.TS140Cluster(9)
 	n := 576 // divisible by 3
-	res := RunSUMMA(c, n, 9)
+	res := mpi.Run(c, 9, SUMMA(n))
 	// Makespan must be at least the per-rank compute time: 2n³/9 flops
 	// over a 4-core node.
 	node := c.Node
@@ -46,7 +47,7 @@ func TestSUMMARequiresSquareGrid(t *testing.T) {
 			t.Fatal("non-square grid accepted")
 		}
 	}()
-	RunSUMMA(c, 512, 3)
+	mpi.Run(c, 3, SUMMA(512))
 }
 
 func TestCAPSRequiresPowerOf7(t *testing.T) {
@@ -56,12 +57,12 @@ func TestCAPSRequiresPowerOf7(t *testing.T) {
 			t.Fatal("8 ranks accepted for CAPS")
 		}
 	}()
-	RunCAPS(c, 1024, 64, 8)
+	mpi.Run(c, 8, CAPS(1024, 64))
 }
 
 func TestCAPSSingleRankIsLocalStrassen(t *testing.T) {
 	c := cluster.TS140Cluster(1)
-	res := RunCAPS(c, 1024, 64, 1)
+	res := mpi.Run(c, 1, CAPS(1024, 64))
 	if res.BytesSent != 0 || res.Messages != 0 {
 		t.Fatalf("1-rank CAPS communicated: %v bytes", res.BytesSent)
 	}
@@ -74,7 +75,7 @@ func TestCAPSCommunicationPattern(t *testing.T) {
 	// One BFS level on 7 ranks: every rank exchanges with its 6
 	// counterparts twice (operands down, products up).
 	c := cluster.TS140Cluster(7)
-	res := RunCAPS(c, 1024, 64, 7)
+	res := mpi.Run(c, 7, CAPS(1024, 64))
 	wantMsgs := 7 * 6 * 2
 	if res.Messages != wantMsgs {
 		t.Fatalf("CAPS messages %d want %d", res.Messages, wantMsgs)
@@ -87,9 +88,9 @@ func TestCAPSCommunicationPattern(t *testing.T) {
 func TestCAPSSpeedsUpWithRanks(t *testing.T) {
 	c := cluster.TS140Cluster(49)
 	n := 4096
-	t1 := RunCAPS(c, n, 64, 1).Makespan
-	t7 := RunCAPS(c, n, 64, 7).Makespan
-	t49 := RunCAPS(c, n, 64, 49).Makespan
+	t1 := mpi.Run(c, 1, CAPS(n, 64)).Makespan
+	t7 := mpi.Run(c, 7, CAPS(n, 64)).Makespan
+	t49 := mpi.Run(c, 49, CAPS(n, 64)).Makespan
 	if !(t1 > t7 && t7 > t49) {
 		t.Fatalf("CAPS not scaling: %v %v %v", t1, t7, t49)
 	}
@@ -104,9 +105,9 @@ func TestSUMMASpeedsUpWithRanks(t *testing.T) {
 	// SUMMA genuinely loses to one node — 33 MB blocks at ~118 MB/s).
 	c := cluster.TS140Cluster(16)
 	n := 8192
-	t1 := RunSUMMA(c, n, 1).Makespan
-	t4 := RunSUMMA(c, n, 4).Makespan
-	t16 := RunSUMMA(c, n, 16).Makespan
+	t1 := mpi.Run(c, 1, SUMMA(n)).Makespan
+	t4 := mpi.Run(c, 4, SUMMA(n)).Makespan
+	t16 := mpi.Run(c, 16, SUMMA(n)).Makespan
 	if !(t1 > t4 && t4 > t16) {
 		t.Fatalf("SUMMA not scaling: %v %v %v", t1, t4, t16)
 	}
@@ -118,8 +119,8 @@ func TestSUMMACommBoundAtSmallSizeOnGigE(t *testing.T) {
 	// wants the distributed energy model to capture.
 	c := cluster.TS140Cluster(4)
 	n := 4096
-	t1 := RunSUMMA(c, n, 1).Makespan
-	t4 := RunSUMMA(c, n, 4).Makespan
+	t1 := mpi.Run(c, 1, SUMMA(n)).Makespan
+	t4 := mpi.Run(c, 4, SUMMA(n)).Makespan
 	if t4 < t1 {
 		t.Fatalf("expected comm-bound non-scaling at n=%d: t1=%v t4=%v", n, t1, t4)
 	}
@@ -132,13 +133,13 @@ func TestCAPSPerRankCommShrinksFasterThanSUMMA(t *testing.T) {
 	// 4 (√P by 2) — the communication-avoidance property at scale.
 	n := 8192
 	cCaps := cluster.TS140Cluster(49)
-	caps7 := RunCAPS(cCaps, n, 64, 7)
-	caps49 := RunCAPS(cCaps, n, 64, 49)
+	caps7 := mpi.Run(cCaps, 7, CAPS(n, 64))
+	caps49 := mpi.Run(cCaps, 49, CAPS(n, 64))
 	capsRatio := (caps49.BytesSent / 49) / (caps7.BytesSent / 7)
 
 	cSumma := cluster.TS140Cluster(16)
-	summa4 := RunSUMMA(cSumma, n, 4)
-	summa16 := RunSUMMA(cSumma, n, 16)
+	summa4 := mpi.Run(cSumma, 4, SUMMA(n))
+	summa16 := mpi.Run(cSumma, 16, SUMMA(n))
 	summaRatio := (summa16.BytesSent / 16) / (summa4.BytesSent / 4)
 
 	if capsRatio >= summaRatio {
@@ -148,7 +149,7 @@ func TestCAPSPerRankCommShrinksFasterThanSUMMA(t *testing.T) {
 
 func TestEnergyIncludesInterconnect(t *testing.T) {
 	c := cluster.TS140Cluster(4)
-	res := RunSUMMA(c, 2048, 4)
+	res := mpi.Run(c, 4, SUMMA(2048))
 	if res.NICJoules <= 0 {
 		t.Fatal("no interconnect energy")
 	}
@@ -156,7 +157,7 @@ func TestEnergyIncludesInterconnect(t *testing.T) {
 		t.Fatal("missing energy components")
 	}
 	// Fewer nodes must not be billed for the whole cluster's idle.
-	solo := RunSUMMA(c, 2048, 1)
+	solo := mpi.Run(c, 1, SUMMA(2048))
 	if solo.IdleJoules/solo.Makespan >= res.IdleJoules/res.Makespan {
 		t.Fatal("idle power not proportional to nodes in use")
 	}
@@ -164,8 +165,8 @@ func TestEnergyIncludesInterconnect(t *testing.T) {
 
 func TestDistributedDeterminism(t *testing.T) {
 	c := cluster.TS140Cluster(7)
-	a := RunCAPS(c, 2048, 64, 7)
-	b := RunCAPS(c, 2048, 64, 7)
+	a := mpi.Run(c, 7, CAPS(2048, 64))
+	b := mpi.Run(c, 7, CAPS(2048, 64))
 	if a.Makespan != b.Makespan || a.TotalJoules() != b.TotalJoules() {
 		t.Fatal("distributed CAPS not deterministic")
 	}
@@ -183,8 +184,8 @@ func TestGigEVsInfiniBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := RunCAPS(slow, n, 64, 49)
-	rf := RunCAPS(fast, n, 64, 49)
+	rs := mpi.Run(slow, 49, CAPS(n, 64))
+	rf := mpi.Run(fast, 49, CAPS(n, 64))
 	if rf.Makespan >= rs.Makespan {
 		t.Fatalf("InfiniBand (%v) not faster than GigE (%v)", rf.Makespan, rs.Makespan)
 	}

@@ -1,7 +1,6 @@
 package dmm
 
 import (
-	"capscale/internal/cluster"
 	"capscale/internal/kernel"
 	"capscale/internal/mpi"
 	"capscale/internal/strassen"
@@ -64,10 +63,4 @@ func Strassen(n, cutover int) func(*mpi.Rank) {
 		}
 		rec(n, 0)
 	}
-}
-
-// RunStrassen executes distributed classic Strassen on `ranks` nodes.
-func RunStrassen(cl *cluster.Cluster, n, cutover, ranks int) *Result {
-	res := mpi.Run(cl, ranks, Strassen(n, cutover))
-	return &Result{Result: res, Algorithm: "Strassen", N: n, Ranks: ranks}
 }

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"capscale/internal/cluster"
+	"capscale/internal/mpi"
 )
 
 func TestDistributedStrassenSingleRank(t *testing.T) {
 	c := cluster.TS140Cluster(1)
-	res := RunStrassen(c, 1024, 64, 1)
+	res := mpi.Run(c, 1, Strassen(1024, 64))
 	if res.BytesSent != 0 {
 		t.Fatalf("1-rank Strassen communicated %v bytes", res.BytesSent)
 	}
@@ -22,7 +23,7 @@ func TestDistributedStrassenArbitraryRankCounts(t *testing.T) {
 	// rank count.
 	for _, p := range []int{2, 3, 5, 6} {
 		c := cluster.TS140Cluster(p)
-		res := RunStrassen(c, 2048, 64, p)
+		res := mpi.Run(c, p, Strassen(2048, 64))
 		if res.Makespan <= 0 {
 			t.Fatalf("p=%d degenerate", p)
 		}
@@ -38,8 +39,8 @@ func TestDistributedStrassenCommunicatesMoreThanCAPS(t *testing.T) {
 	// takes longer.
 	c := cluster.TS140Cluster(7)
 	n := 4096
-	str := RunStrassen(c, n, 64, 7)
-	caps := RunCAPS(c, n, 64, 7)
+	str := mpi.Run(c, 7, Strassen(n, 64))
+	caps := mpi.Run(c, 7, CAPS(n, 64))
 	if str.BytesSent <= caps.BytesSent {
 		t.Fatalf("Strassen comm %v not above CAPS %v", str.BytesSent, caps.BytesSent)
 	}
@@ -60,7 +61,7 @@ func TestDistributedStrassenFabricDecidesScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gigeSpeedup := RunStrassen(gige, n, 64, 1).Makespan / RunStrassen(gige, n, 64, 4).Makespan
+	gigeSpeedup := mpi.Run(gige, 1, Strassen(n, 64)).Makespan / mpi.Run(gige, 4, Strassen(n, 64)).Makespan
 	if gigeSpeedup > 1.6 {
 		t.Fatalf("DFS Strassen 4-rank speedup %v on GigE — should be comm-crippled", gigeSpeedup)
 	}
@@ -69,7 +70,7 @@ func TestDistributedStrassenFabricDecidesScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ibSpeedup := RunStrassen(ib, n, 64, 1).Makespan / RunStrassen(ib, n, 64, 4).Makespan
+	ibSpeedup := mpi.Run(ib, 1, Strassen(n, 64)).Makespan / mpi.Run(ib, 4, Strassen(n, 64)).Makespan
 	if ibSpeedup <= gigeSpeedup {
 		t.Fatalf("InfiniBand speedup %v not above GigE's %v", ibSpeedup, gigeSpeedup)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"capscale/internal/cluster"
 	"capscale/internal/kernel"
 	"capscale/internal/mpi"
 	"capscale/internal/task"
@@ -109,11 +108,4 @@ func TwoPointFiveD(n, c int) func(*mpi.Rank) {
 			}
 		}
 	}
-}
-
-// Run25D executes 2.5D multiplication on `ranks` nodes of cl with the
-// given replication factor.
-func Run25D(cl *cluster.Cluster, n, c, ranks int) *Result {
-	res := mpi.Run(cl, ranks, TwoPointFiveD(n, c))
-	return &Result{Result: res, Algorithm: fmt.Sprintf("2.5D(c=%d)", c), N: n, Ranks: ranks}
 }

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"capscale/internal/cluster"
+	"capscale/internal/mpi"
 )
 
 func Test25DWithC1MatchesSUMMAVolume(t *testing.T) {
 	c := cluster.TS140Cluster(16)
 	n := 4096
-	summa := RunSUMMA(c, n, 16)
-	flat := Run25D(c, n, 1, 16)
+	summa := mpi.Run(c, 16, SUMMA(n))
+	flat := mpi.Run(c, 16, TwoPointFiveD(n, 1))
 	if math.Abs(summa.BytesSent-flat.BytesSent) > 1e-6 {
 		t.Fatalf("2.5D(c=1) volume %v vs SUMMA %v", flat.BytesSent, summa.BytesSent)
 	}
@@ -26,8 +27,8 @@ func Test25DReducesCommunication(t *testing.T) {
 	// square count, so compare per-rank volume between SUMMA on 16 and
 	// 2.5D(c=2) on 32 at the same n — the 2.5D ranks each move less.
 	n := 8192
-	summa := RunSUMMA(cluster.TS140Cluster(16), n, 16)
-	d25 := Run25D(cluster.TS140Cluster(32), n, 2, 32)
+	summa := mpi.Run(cluster.TS140Cluster(16), 16, SUMMA(n))
+	d25 := mpi.Run(cluster.TS140Cluster(32), 32, TwoPointFiveD(n, 2))
 	perRankSumma := summa.BytesSent / 16
 	perRank25 := d25.BytesSent / 32
 	if perRank25 >= perRankSumma {
@@ -41,14 +42,14 @@ func Test25DReplicationPaysOffAtScale(t *testing.T) {
 	// it wins volume, wall time and energy — both sides of the
 	// tradeoff, on the same fabric.
 	n := 8192
-	flat64 := Run25D(cluster.TS140Cluster(64), n, 1, 64)
-	repl64 := Run25D(cluster.TS140Cluster(64), n, 4, 64)
+	flat64 := mpi.Run(cluster.TS140Cluster(64), 64, TwoPointFiveD(n, 1))
+	repl64 := mpi.Run(cluster.TS140Cluster(64), 64, TwoPointFiveD(n, 4))
 	if repl64.BytesSent <= flat64.BytesSent {
 		t.Fatalf("at P=64, c=4 volume %v unexpectedly below c=1's %v", repl64.BytesSent, flat64.BytesSent)
 	}
 
-	flat256 := Run25D(cluster.TS140Cluster(256), n, 1, 256)
-	repl256 := Run25D(cluster.TS140Cluster(256), n, 4, 256)
+	flat256 := mpi.Run(cluster.TS140Cluster(256), 256, TwoPointFiveD(n, 1))
+	repl256 := mpi.Run(cluster.TS140Cluster(256), 256, TwoPointFiveD(n, 4))
 	if repl256.BytesSent >= flat256.BytesSent {
 		t.Fatalf("at P=256, c=4 volume %v not below c=1's %v", repl256.BytesSent, flat256.BytesSent)
 	}
@@ -67,21 +68,21 @@ func Test25DValidation(t *testing.T) {
 		f()
 		return
 	}
-	if !panics(func() { Run25D(c, 1024, 5, 12) }) {
+	if !panics(func() { mpi.Run(c, 12, TwoPointFiveD(1024, 5)) }) {
 		t.Fatal("c not dividing P accepted")
 	}
-	if !panics(func() { Run25D(c, 1024, 3, 12) }) {
+	if !panics(func() { mpi.Run(c, 12, TwoPointFiveD(1024, 3)) }) {
 		t.Fatal("non-square q accepted") // 12/3=4 → q=2, but q%c: 2%3 != 0 → panics too; either way invalid
 	}
-	if !panics(func() { Run25D(cluster.TS140Cluster(4), 1023, 1, 4) }) {
+	if !panics(func() { mpi.Run(cluster.TS140Cluster(4), 4, TwoPointFiveD(1023, 1)) }) {
 		t.Fatal("non-divisible n accepted")
 	}
 }
 
 func Test25DDeterminism(t *testing.T) {
 	c := cluster.TS140Cluster(32)
-	a := Run25D(c, 4096, 2, 32)
-	b := Run25D(c, 4096, 2, 32)
+	a := mpi.Run(c, 32, TwoPointFiveD(4096, 2))
+	b := mpi.Run(c, 32, TwoPointFiveD(4096, 2))
 	if a.Makespan != b.Makespan || a.TotalJoules() != b.TotalJoules() {
 		t.Fatal("2.5D not deterministic")
 	}
@@ -91,8 +92,8 @@ func Test25DEnergyTradeoff(t *testing.T) {
 	// Replication costs replication messages but shortens the run; on
 	// the slow fabric total energy should not explode.
 	n := 8192
-	flat := Run25D(cluster.TS140Cluster(64), n, 1, 64)
-	repl := Run25D(cluster.TS140Cluster(64), n, 4, 64)
+	flat := mpi.Run(cluster.TS140Cluster(64), 64, TwoPointFiveD(n, 1))
+	repl := mpi.Run(cluster.TS140Cluster(64), 64, TwoPointFiveD(n, 4))
 	if repl.TotalJoules() > flat.TotalJoules()*1.2 {
 		t.Fatalf("replication energy %v far above flat %v", repl.TotalJoules(), flat.TotalJoules())
 	}

@@ -3,6 +3,8 @@ package hw
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"capscale/internal/task"
 )
@@ -129,6 +131,33 @@ func BandwidthRichNode() *Machine {
 // Zoo returns every built-in machine, the paper's first.
 func Zoo() []*Machine {
 	return []*Machine{HaswellE31225(), XeonE52690v3(), SkylakeDesktop(), BandwidthRichNode()}
+}
+
+// Lookup resolves a machine by the name it carries: a zoo machine's
+// name, or the "<zoo name> × N nodes" name Cluster gives a flat
+// cluster of one.
+func Lookup(name string) (*Machine, error) {
+	base, nodes := name, 0
+	if i := strings.LastIndex(name, " × "); i >= 0 {
+		count, ok := strings.CutSuffix(name[i+len(" × "):], " nodes")
+		if n, err := strconv.Atoi(count); ok && err == nil && n >= 1 {
+			base, nodes = name[:i], n
+		}
+	}
+	var names []string
+	for _, m := range Zoo() {
+		switch {
+		case m.Name != base:
+			names = append(names, fmt.Sprintf("%q", m.Name))
+		case nodes == 0:
+			return m, nil
+		case nodes <= MaxCores/m.Cores:
+			return Cluster(m, nodes), nil
+		default:
+			return nil, fmt.Errorf("hw: machine %q has more than %d cores", name, MaxCores)
+		}
+	}
+	return nil, fmt.Errorf("hw: unknown machine %q (valid: %s, or one of them followed by \" × N nodes\")", name, strings.Join(names, ", "))
 }
 
 func mustValid(m *Machine) {

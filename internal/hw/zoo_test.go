@@ -3,6 +3,7 @@ package hw
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -145,5 +146,33 @@ func TestDeratedSlowsCompute(t *testing.T) {
 	// Memory system untouched: bandwidth-bound work is unaffected.
 	if capped.DRAMBandwidth != m.DRAMBandwidth {
 		t.Fatal("derating should not change memory bandwidth")
+	}
+}
+
+// TestLookup: every zoo machine, and every flat cluster of one,
+// resolves from the name it carries to an equal machine; anything
+// else is refused without a panic.
+func TestLookup(t *testing.T) {
+	for _, m := range Zoo() {
+		for _, want := range []*Machine{m, Cluster(m, 1), Cluster(m, 2), Cluster(m, MaxCores/m.Cores)} {
+			got, err := Lookup(want.Name)
+			if err != nil {
+				t.Fatalf("Lookup(%q): %v", want.Name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Lookup(%q) resolved a different machine", want.Name)
+			}
+		}
+	}
+	base := HaswellE31225().Name
+	for _, name := range []string{
+		"", "Cray-1", base + " ", "Cray-1 × 2 nodes",
+		base + " × 0 nodes", base + " × -1 nodes", base + " × x nodes",
+		base + " × 2 node", base + " × 262145 nodes", base + " × 9223372036854775808 nodes",
+		base + " × 2 nodes × 2 nodes",
+	} {
+		if m, err := Lookup(name); err == nil {
+			t.Fatalf("Lookup(%q) resolved %q", name, m.Name)
+		}
 	}
 }

@@ -86,8 +86,8 @@ func (g *Gantt) String() string {
 	return sb.String()
 }
 
-// utilization returns the busy fraction of the schedule.
-func (g *Gantt) utilization() float64 {
+// Utilization returns the schedule's busy fraction, for captions.
+func (g *Gantt) Utilization() float64 {
 	end := 0.0
 	busy := 0.0
 	for _, s := range g.Spans {
@@ -101,6 +101,3 @@ func (g *Gantt) utilization() float64 {
 	}
 	return busy / (end * float64(g.Workers))
 }
-
-// Utilization exposes the schedule's busy fraction for captions.
-func (g *Gantt) Utilization() float64 { return g.utilization() }

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -11,6 +15,14 @@ import (
 
 // repeatedSizeBody repeats one size: Validate must refuse it.
 const repeatedSizeBody = `{"sizes":[64,64]}`
+
+// Single cells too large to serve: a Strassen tree at n = 32768, and
+// DStrassen on 256 and on 4096 ranks.
+const (
+	hugeSizeBody    = `{"algorithms":["Strassen"],"sizes":[32768],"threads":[1]}`
+	manyNodesBody   = `{"algorithms":["DStrassen"],"sizes":[8192],"clusters":["256x1GbE"]}`
+	hugeClusterBody = `{"algorithms":["DStrassen"],"sizes":[1024],"clusters":["4096x1GbE"]}`
+)
 
 // repeatedAxesBody is a 200 KB request repeating one size and one
 // thread count 40,000 times each.
@@ -38,9 +50,9 @@ func distinctAxesBody() []byte {
 
 // FuzzSweepRequest: no body panics the request decoder, and every
 // configuration it accepts is one a served sweep can run as asked —
-// valid, within the cell limit, no value repeated on an axis (a repeat
-// names one cell twice, so the sweep could never complete) and keyed
-// by a well-formed fingerprint.
+// valid, within the cell, size and node limits, no value repeated on
+// an axis (a repeat names one cell twice, so the sweep could never
+// complete) and keyed by a well-formed fingerprint.
 func FuzzSweepRequest(f *testing.F) {
 	smoke, err := json.Marshal(smokeRequest())
 	if err != nil {
@@ -50,6 +62,9 @@ func FuzzSweepRequest(f *testing.F) {
 	f.Add([]byte(repeatedSizeBody))
 	f.Add(repeatedAxesBody())
 	f.Add(distinctAxesBody())
+	f.Add([]byte(hugeSizeBody))
+	f.Add([]byte(manyNodesBody))
+	f.Add([]byte(hugeClusterBody))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SweepRequest
 		if json.Unmarshal(body, &req) != nil {
@@ -64,6 +79,16 @@ func FuzzSweepRequest(f *testing.F) {
 		}
 		if n := cfg.CellCount(); n > maxRequestCells {
 			t.Fatalf("accepted %d cells (limit %d)", n, maxRequestCells)
+		}
+		for _, n := range cfg.Sizes {
+			if n > maxRequestSize {
+				t.Fatalf("accepted size %d (limit %d)", n, maxRequestSize)
+			}
+		}
+		for _, spec := range cfg.Clusters {
+			if spec.Nodes > maxRequestNodes {
+				t.Fatalf("accepted cluster spec %s (limit %d nodes)", spec, maxRequestNodes)
+			}
 		}
 		axes := map[string][]string{}
 		for _, a := range cfg.Algorithms {
@@ -89,6 +114,59 @@ func FuzzSweepRequest(f *testing.F) {
 		}
 		if fp := cfg.Fingerprint(); !store.ValidFingerprint(fp) {
 			t.Fatalf("malformed fingerprint %q", fp)
+		}
+	})
+}
+
+// FuzzResumeToken sends arbitrary resume tokens, as ?from= or as a
+// Last-Cell header, to GET /v1/result/{fp} of a stored two-record
+// result. resumeToken must never panic and accepts only tokens ≥ 0;
+// the endpoint answers every token resumeToken refuses with 400, and
+// no token with a 5xx. Run with
+// `go test -fuzz=FuzzResumeToken ./internal/serve`; the seed corpus
+// runs under plain `go test`.
+func FuzzResumeToken(f *testing.F) {
+	for _, tok := range []string{"0", "2", "3", "", "-1", "1e3", "123456789012345678901234567890", " 1", "+1"} {
+		f.Add(tok, false)
+		f.Add(tok, true)
+	}
+	srv, err := New(Config{StoreDir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	req := smokeRequest()
+	body, err := json.Marshal(req)
+	if err != nil {
+		f.Fatal(err)
+	}
+	post := httptest.NewRecorder()
+	h.ServeHTTP(post, httptest.NewRequest("POST", "/v1/sweep", bytes.NewReader(body)))
+	if post.Code != http.StatusOK {
+		f.Fatalf("storing the result: status %d", post.Code)
+	}
+	cfg, err := req.Config()
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := "/v1/result/" + cfg.Fingerprint()
+	f.Fuzz(func(t *testing.T, tok string, header bool) {
+		r := httptest.NewRequest("GET", path+"?"+url.Values{"from": {tok}}.Encode(), nil)
+		if header {
+			r = httptest.NewRequest("GET", path, nil)
+			r.Header.Set("Last-Cell", tok)
+		}
+		n, err := resumeToken(r)
+		if err == nil && n < 0 {
+			t.Fatalf("accepted token %q as %d", tok, n)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		switch {
+		case w.Code >= 500:
+			t.Fatalf("token %q: status %d: %s", tok, w.Code, w.Body)
+		case err != nil && w.Code != http.StatusBadRequest:
+			t.Fatalf("token %q refused (%v), but answered %d", tok, err, w.Code)
 		}
 	})
 }

@@ -48,6 +48,18 @@ type SweepRequest struct {
 // sweep (each part gets its own fingerprint and stored result).
 const maxRequestCells = 4096
 
+// maxRequestSize and maxRequestNodes bound one cell's cost, which the
+// cell count does not, so a single POST cannot run the server out of
+// memory. Measured on a 2-vCPU VM with 7 GB: a Strassen tree at
+// n = 16384 is 2 GB of heap, and DStrassen needs about 4× the memory
+// per doubling of ranks (3.5 GB at n = 8192 on 128). The dearest cell
+// admitted, DStrassen at n = 8192 on 64 nodes, takes about 0.9 GB and
+// 4.4 s. Larger cells run through the epscale CLI.
+const (
+	maxRequestSize  = 8192
+	maxRequestNodes = 64
+)
+
 // lookupMachine resolves a zoo machine by exact name, or the paper
 // platform for "".
 func lookupMachine(name string) (*hw.Machine, error) {
@@ -116,6 +128,16 @@ func (req *SweepRequest) Config() (workload.Config, error) {
 	}
 	if n := cfg.CellCount(); n > maxRequestCells {
 		return workload.Config{}, fmt.Errorf("matrix has %d cells (limit %d); split the sweep", n, maxRequestCells)
+	}
+	for _, n := range cfg.Sizes {
+		if n > maxRequestSize {
+			return workload.Config{}, fmt.Errorf("size %d above the served limit %d", n, maxRequestSize)
+		}
+	}
+	for _, spec := range cfg.Clusters {
+		if spec.Nodes > maxRequestNodes {
+			return workload.Config{}, fmt.Errorf("cluster spec %q has %d nodes, above the served limit %d", spec, spec.Nodes, maxRequestNodes)
+		}
 	}
 	return cfg, nil
 }

@@ -135,9 +135,6 @@ type Config struct {
 	// else remote host); 0 selects DefaultClientQuota. Negative
 	// disables the quota.
 	ClientQuota int
-	// CacheCap bounds the server's run cache instance; 0 selects
-	// workload.DefaultRunCacheCap.
-	CacheCap int
 	// FS routes all store, journal and lease I/O through an injectable
 	// filesystem; nil selects the real one. The crash property tests
 	// inject faults.FaultFS here.
@@ -216,9 +213,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ClientQuota == 0 {
 		cfg.ClientQuota = DefaultClientQuota
 	}
-	if cfg.CacheCap == 0 {
-		cfg.CacheCap = workload.DefaultRunCacheCap
-	}
 	if cfg.FollowPoll <= 0 {
 		cfg.FollowPoll = DefaultFollowPoll
 	}
@@ -239,7 +233,7 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:     cfg,
 		store:   st,
-		cache:   workload.NewRunCache(cfg.CacheCap),
+		cache:   workload.NewRunCache(workload.DefaultRunCacheCap),
 		start:   time.Now(),
 		sweeps:  make(map[string]*sweepState),
 		clients: make(map[string]int),

@@ -412,6 +412,10 @@ func TestSweepRequestValidation(t *testing.T) {
 		// process out of memory while their cells were counted.
 		{"40,000 repeated sizes and threads", string(repeatedAxesBody()), "repeated"},
 		{"20,000 sizes × 20,000 cluster specs", string(distinctAxesBody()), "split the sweep"},
+		// One cell each that would run the server out of memory.
+		{"Strassen at n=32768", hugeSizeBody, "served limit"},
+		{"DStrassen on 256 nodes", manyNodesBody, "served limit"},
+		{"DStrassen on 4096 nodes", hugeClusterBody, "served limit"},
 	}
 	// An over-the-cell-limit matrix (3 algorithms × 400 sizes × 4
 	// threads) is refused before executing anything.

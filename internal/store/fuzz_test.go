@@ -2,9 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // FuzzJournalReader appends arbitrary bytes to a journal in arbitrary
@@ -94,6 +98,57 @@ func FuzzJournalReader(f *testing.F) {
 		if r.HeaderOK != sc.HeaderOK || r.Torn != sc.Torn || r.Unterminated != sc.Unterminated || r.Oversized != sc.Oversized {
 			t.Fatalf("incremental reads: header %v, torn %v, unterminated %v, %d oversized; one scan: %v, %v, %v, %d",
 				r.HeaderOK, r.Torn, r.Unterminated, r.Oversized, sc.HeaderOK, sc.Torn, sc.Unterminated, sc.Oversized)
+		}
+	})
+}
+
+// FuzzLeaseFile writes arbitrary bytes to a lease path and acquires
+// the lease at a fixed fake time. The acquire must never panic. Bytes
+// that do not parse as a claim act as no claim: the acquire succeeds
+// with epoch 1. A refusal (*HeldError) carries exactly the claim the
+// bytes parse to, and an acquire over a parsed claim takes its epoch
+// + 1, in uint64 arithmetic. Run with
+// `go test -fuzz=FuzzLeaseFile ./internal/store`; the seed corpus runs
+// under plain `go test`.
+func FuzzLeaseFile(f *testing.F) {
+	now := time.Unix(1_700_000_000, 0)
+	claim := func(epoch string, expires time.Time) []byte {
+		return []byte(fmt.Sprintf(`{"owner":"replica-a","host":"elsewhere","pid":1,"epoch":%s,"expires_unix_nano":%d}`+"\n",
+			epoch, expires.UnixNano()))
+	}
+	live := claim("7", now.Add(time.Second))
+	f.Add(live)
+	f.Add(claim("7", now.Add(-time.Second)))
+	f.Add(live[:len(live)/2])
+	f.Add([]byte{})
+	f.Add(claim("18446744073709551615", now.Add(time.Second)))
+	f.Add(claim("18446744073709551615", now.Add(-time.Second)))
+	for _, epoch := range []string{"-1", "1e3", "123456789012345678901234567890"} {
+		f.Add(claim(epoch, now.Add(time.Second)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "sweep.jsonl.lease")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want LeaseInfo
+		parsed := json.Unmarshal(data, &want) == nil
+		l, err := AcquireLease(nil, path, "fuzz", time.Second, func() time.Time { return now })
+		var held *HeldError
+		switch {
+		case errors.As(err, &held):
+			if !parsed {
+				t.Fatalf("bytes that are no claim held the lease: %+v", held.Info)
+			}
+			if held.Info != want {
+				t.Fatalf("refusal carries claim %+v, the file holds %+v", held.Info, want)
+			}
+		case err != nil:
+			t.Fatalf("acquire: %v", err)
+		case !parsed && l.Epoch() != 1:
+			t.Fatalf("acquire over no claim took epoch %d, want 1", l.Epoch())
+		case parsed && l.Epoch() != want.Epoch+1:
+			t.Fatalf("acquire over epoch %d took epoch %d", want.Epoch, l.Epoch())
 		}
 	})
 }

@@ -127,10 +127,6 @@ func (cfg *Config) sweepCache() *sweepCache {
 // interval is normalized (unset selects DefaultPollInterval) so
 // explicit and defaulted configurations share entries.
 func (sc *sweepCache) key(cfg *Config, c cell) runKey {
-	interval := cfg.PollInterval
-	if interval <= 0 {
-		interval = DefaultPollInterval
-	}
 	key := runKey{
 		machine:           sc.machine,
 		alg:               c.alg,
@@ -138,7 +134,7 @@ func (sc *sweepCache) key(cfg *Config, c cell) runKey {
 		threads:           c.threads,
 		disableAffinity:   cfg.DisableAffinity,
 		disableContention: cfg.DisableContention,
-		pollInterval:      interval,
+		pollInterval:      cfg.pollInterval(),
 		recordTraces:      cfg.RecordTraces,
 		traceInterval:     cfg.TraceSampleInterval,
 		recordSchedule:    cfg.RecordSchedule,
@@ -221,7 +217,7 @@ func (rc *RunCache) load(key runKey) (Run, bool) {
 }
 
 // store memoizes run (which must already be a private deep copy),
-// evicting the oldest entries once the cap is reached. A non-positive
+// evicting the oldest entry once the cap is reached. A non-positive
 // cap disables storing entirely.
 func (rc *RunCache) store(key runKey, run *Run) {
 	rc.mu.Lock()
@@ -234,49 +230,14 @@ func (rc *RunCache) store(key runKey, run *Run) {
 		// same cell; keep the existing entry and its age.
 		return
 	}
-	rc.evictDownToLocked(rc.cap - 1)
+	if len(rc.order) == rc.cap {
+		delete(rc.entries, rc.order[0])
+		rc.order = rc.order[1:]
+		cacheEvictions.Inc()
+	}
 	rc.entries[key] = run
 	rc.order = append(rc.order, key)
 	cacheSize.Set(int64(len(rc.entries)))
-}
-
-// evictDownToLocked removes oldest entries until at most n remain.
-// Called with rc.mu held.
-func (rc *RunCache) evictDownToLocked(n int) {
-	for len(rc.entries) > n && len(rc.order) > 0 {
-		oldest := rc.order[0]
-		rc.order = rc.order[1:]
-		if _, ok := rc.entries[oldest]; ok {
-			delete(rc.entries, oldest)
-			cacheEvictions.Inc()
-		}
-	}
-	cacheSize.Set(int64(len(rc.entries)))
-}
-
-// SetCap bounds the cache to at most n entries, evicting oldest
-// entries immediately if it is over the new cap, and returns the
-// previous cap. A non-positive n disables caching.
-func (rc *RunCache) SetCap(n int) int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	prev := rc.cap
-	rc.cap = n
-	if n <= 0 {
-		n = 0
-	}
-	rc.evictDownToLocked(n)
-	return prev
-}
-
-// Reset empties the cache. In-flight computes are unaffected: they
-// complete and store into the emptied cache.
-func (rc *RunCache) Reset() {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.entries = make(map[runKey]*Run)
-	rc.order = nil
-	cacheSize.Set(0)
 }
 
 // Len counts cached cells.

@@ -44,25 +44,6 @@ func TestRunCacheIsBounded(t *testing.T) {
 	}
 }
 
-// TestRunCacheShrinksWhenCapLowered: lowering the cap below the live
-// entry count evicts immediately.
-func TestRunCacheShrinksWhenCapLowered(t *testing.T) {
-	rc := NewRunCache(8)
-
-	cfg := SmokeConfig()
-	cfg.Cache = rc
-	for _, n := range []int{64, 128, 256} {
-		ExecuteOne(cfg, AlgOpenBLAS, n, 1)
-	}
-	if got := rc.Len(); got != 3 {
-		t.Fatalf("cache holds %d entries, want 3", got)
-	}
-	rc.SetCap(1)
-	if got := rc.Len(); got != 1 {
-		t.Fatalf("cache holds %d entries after cap 1, want 1", got)
-	}
-}
-
 // TestRunCacheDisabledByNonPositiveCap: cap 0 stores nothing.
 func TestRunCacheDisabledByNonPositiveCap(t *testing.T) {
 	rc := NewRunCache(0)
@@ -93,9 +74,8 @@ func TestRunCacheCountsHitsAndMisses(t *testing.T) {
 }
 
 // TestRunCacheInstancesAreIndependent: a sweep with its own
-// Config.Cache must not populate (or be served by) another instance,
-// and resetting the other must not touch it — the semantic isolation
-// a long-running server needs.
+// Config.Cache must not populate (or be served by) another instance —
+// the semantic isolation a long-running server needs.
 func TestRunCacheInstancesAreIndependent(t *testing.T) {
 	other := NewRunCache(DefaultRunCacheCap)
 
@@ -108,14 +88,6 @@ func TestRunCacheInstancesAreIndependent(t *testing.T) {
 	}
 	if got := other.Len(); got != 0 {
 		t.Fatalf("other cache holds %d entries after instance-scoped run", got)
-	}
-	other.Reset()
-	if got := own.Len(); got != 1 {
-		t.Fatalf("Reset emptied an unrelated instance (len %d)", got)
-	}
-	own.Reset()
-	if got := own.Len(); got != 0 {
-		t.Fatalf("instance Reset left %d entries", got)
 	}
 }
 
@@ -183,17 +155,16 @@ func TestRunCacheSingleFlightLeaderPanic(t *testing.T) {
 	}
 }
 
-// TestConcurrentExecuteResetAndMetricsRace drives concurrent Execute
-// sweeps against cache resets, cap changes and registry reads — the
-// observability layer itself must be race-free. It runs under -race in
-// scripts/check.sh.
-func TestConcurrentExecuteResetAndMetricsRace(t *testing.T) {
+// TestConcurrentExecuteCacheChurnAndMetricsRace drives concurrent
+// Execute sweeps through a cap-1 cache, so every store evicts, against
+// registry reads — the observability layer itself must be race-free.
+// It runs under -race in scripts/race.sh.
+func TestConcurrentExecuteCacheChurnAndMetricsRace(t *testing.T) {
 	defer obs.Disable()
 	col := obs.Enable()
 
-	rc := NewRunCache(DefaultRunCacheCap)
 	cfg := SmokeConfig()
-	cfg.Cache = rc
+	cfg.Cache = NewRunCache(1)
 	cfg.Sizes = []int{64, 128}
 	cfg.Threads = []int{1, 2}
 	cfg.Algorithms = []Algorithm{AlgOpenBLAS}
@@ -214,15 +185,6 @@ func TestConcurrentExecuteResetAndMetricsRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			rc.Reset()
-			rc.SetCap(1 + i%4)
-		}
-		rc.SetCap(DefaultRunCacheCap)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
 			obs.Metrics()
 			col.Spans()
 			col.TrackNames()
@@ -231,10 +193,12 @@ func TestConcurrentExecuteResetAndMetricsRace(t *testing.T) {
 	wg.Wait()
 
 	// The sweeps must still be deterministic under all that churn.
-	rc.Reset()
 	a := Execute(cfg)
 	b := Execute(cfg)
 	if !reflect.DeepEqual(a.Runs, b.Runs) {
 		t.Fatal("concurrent churn broke sweep determinism")
+	}
+	if got := cfg.Cache.Len(); got != 1 {
+		t.Fatalf("cap-1 cache holds %d entries", got)
 	}
 }

@@ -75,7 +75,7 @@ const ckVersion = 1
 
 type ckRecord struct {
 	Key   string       `json:"key"`
-	Run   runJSON      `json:"run"`
+	Run   Run          `json:"run"`
 	Trace *trace.Trace `json:"trace,omitempty"`
 }
 
@@ -109,9 +109,15 @@ var (
 	ckLeaseLost  = obs.GetCounter("workload.checkpoint.leaselost")
 )
 
-// checkpointFingerprint folds every result-determining configuration
-// field into the header fingerprint.
-func checkpointFingerprint(cfg Config) string {
+// Fingerprint returns the configuration's result fingerprint: a hash
+// of every field that determines cell results (machine, matrix
+// coordinates, measurement settings, ablations, fault schedule and
+// planner coordinates — execution details like Parallelism, the cache
+// instance, the filesystem or the lease identity are excluded). It
+// keys the checkpoint journal header and the sweep server's persistent
+// result store: two configurations with equal fingerprints produce
+// byte-identical cell records.
+func (cfg Config) Fingerprint() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%x|", machineFingerprint(cfg.Machine))
 	for _, a := range cfg.Algorithms {
@@ -126,13 +132,9 @@ func checkpointFingerprint(cfg Config) string {
 	for i := range cfg.Clusters {
 		fmt.Fprintf(h, "c%x|", clusterFingerprint(&cfg.Clusters[i]))
 	}
-	interval := cfg.PollInterval
-	if interval <= 0 {
-		interval = DefaultPollInterval
-	}
 	fmt.Fprintf(h, "%g|%t|%t|%g|%t|%t|%g|%d|%x",
 		cfg.QuiesceSeconds, cfg.RecordTraces, cfg.RecordSchedule, cfg.TraceSampleInterval,
-		cfg.DisableAffinity, cfg.DisableContention, interval, cfg.MaxRetries,
+		cfg.DisableAffinity, cfg.DisableContention, cfg.pollInterval(), cfg.MaxRetries,
 		cfg.Faults.Fingerprint())
 	// Planner coordinates: a guided journal (whose predicted records
 	// depend on the seed, confidence and model version) must not be
@@ -141,22 +143,12 @@ func checkpointFingerprint(cfg Config) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Fingerprint returns the configuration's result fingerprint: a hash
-// of every field that determines cell results (machine, matrix
-// coordinates, measurement settings, ablations, fault schedule and
-// planner coordinates — execution details like Parallelism, the cache
-// instance, the filesystem or the lease identity are excluded). It
-// keys the checkpoint journal header and the sweep server's persistent
-// result store: two configurations with equal fingerprints produce
-// byte-identical cell records.
-func (cfg Config) Fingerprint() string { return checkpointFingerprint(cfg) }
-
 // MarshalRunRecord serializes one completed cell in the checkpoint
 // journal's record format (one JSON object, no trailing newline) —
 // exactly the bytes record appends for an untraced sweep, and so the
 // line the sweep service streams and replays for the cell.
 func MarshalRunRecord(key string, r *Run) ([]byte, error) {
-	return json.Marshal(ckRecord{Key: key, Run: runToJSON(r)})
+	return json.Marshal(ckRecord{Key: key, Run: *r})
 }
 
 // UnmarshalRunRecord parses one checkpoint journal record line.
@@ -165,9 +157,8 @@ func UnmarshalRunRecord(line []byte) (key string, run Run, err error) {
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return "", Run{}, fmt.Errorf("workload: bad run record: %w", err)
 	}
-	r := runFromJSON(&rec.Run)
-	r.Trace = rec.Trace
-	return rec.Key, r, nil
+	rec.Run.Trace = rec.Trace
+	return rec.Key, rec.Run, nil
 }
 
 // openCheckpoint loads any resumable cells from cfg.CheckpointPath and
@@ -203,7 +194,7 @@ func openCheckpoint(cfg Config) (*checkpoint, map[string]Run, error) {
 		ownLease = true
 	}
 
-	fp := checkpointFingerprint(cfg)
+	fp := cfg.Fingerprint()
 	keys, restored, request := loadCheckpoint(fsys, cfg, fp)
 	// The header keeps the request an existing journal carries, so a
 	// takeover that was not given one still leaves a resumable journal
@@ -276,15 +267,13 @@ func loadCheckpoint(fsys store.FS, cfg Config, fingerprint string) (keys []strin
 		if cfg.RecordTraces && rec.Trace == nil {
 			continue // a traced sweep cannot restore an untraced record
 		}
-		run := runFromJSON(&rec.Run)
-		if !cfg.RecordTraces {
-			rec.Trace = nil
+		if cfg.RecordTraces {
+			rec.Run.Trace = rec.Trace
 		}
-		run.Trace = rec.Trace
 		if _, seen := restored[rec.Key]; !seen {
 			keys = append(keys, rec.Key)
 		}
-		restored[rec.Key] = run
+		restored[rec.Key] = rec.Run
 	}
 	if len(restored) == 0 {
 		return nil, nil, request
@@ -295,7 +284,7 @@ func loadCheckpoint(fsys store.FS, cfg Config, fingerprint string) (keys []strin
 // marshalRecord serializes one cell record under the journal's trace
 // policy.
 func (ck *checkpoint) marshalRecord(key string, r *Run) ([]byte, error) {
-	rec := ckRecord{Key: key, Run: runToJSON(r)}
+	rec := ckRecord{Key: key, Run: *r}
 	if ck.keep {
 		rec.Trace = r.Trace
 	}

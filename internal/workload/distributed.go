@@ -8,11 +8,9 @@ import (
 	"capscale/internal/cluster"
 	"capscale/internal/dmm"
 	"capscale/internal/faults"
-	"capscale/internal/monitor"
 	"capscale/internal/mpi"
 	"capscale/internal/obs"
 	"capscale/internal/rapl"
-	"capscale/internal/trace"
 )
 
 // Distributed cell execution: a cell on the cluster axis runs its rank
@@ -88,71 +86,30 @@ func executeDistributedCell(cfg Config, c cell, inj *faults.Injector, tr obs.Tra
 
 	res, segs := mpi.RunTraced(cl, ranks, distProgram(c.alg, c.n, replication))
 
-	interval := cfg.PollInterval
-	if interval <= 0 {
-		interval = DefaultPollInterval
-	}
-	stream, err := monitor.NewStream(monitor.Config{
-		PollInterval: interval,
-		ObsTrack:     tr,
-		Faults:       inj,
-		Planes:       rapl.ClusterPlanes(),
-	})
-	if err != nil {
-		panic(fmt.Sprintf("workload: measurement failed: %v", err))
-	}
-	for _, seg := range segs {
-		stream.OnSegment(seg)
-	}
-	rep, err := stream.Finish()
-	if err != nil {
-		panic(fmt.Sprintf("workload: measurement failed: %v", err))
-	}
-	pkg := rep.Plane(rapl.PlanePKG)
-	pp0 := rep.Plane(rapl.PlanePP0)
-	dram := rep.Plane(rapl.PlaneDRAM)
-	nic := rep.Plane(rapl.PlaneNIC)
-	sw := rep.Plane(rapl.PlaneSwitch)
-
-	// Cross-check the oracle: the device's integration of the replayed
-	// timeline must reproduce the MPI run's own energy account (PP0
-	// nests inside PKG, so it is excluded from the sum).
-	truth := pkg.TruthJ + dram.TruthJ + nic.TruthJ + sw.TruthJ
-	if diff := math.Abs(truth - res.TotalJoules()); diff > 1e-6*math.Max(1, res.TotalJoules()) {
-		panic(fmt.Sprintf("workload: replay oracle %v J diverged from MPI run %v J", truth, res.TotalJoules()))
-	}
-
 	run := Run{
 		Alg: c.alg, N: c.n, Threads: cfg.Machine.Cores,
 		Cluster: spec.String(), Ranks: ranks, Replication: replication,
-		Seconds:   rep.Duration,
-		PKGJoules: pkg.MeasuredJ, PP0Joules: pp0.MeasuredJ, DRAMJoules: dram.MeasuredJ,
-		NICJoules: nic.MeasuredJ, SwitchJoules: sw.MeasuredJ,
-		TruthPKGJoules: pkg.TruthJ, TruthPP0Joules: pp0.TruthJ, TruthDRAMJoules: dram.TruthJ,
-		TruthNICJoules: nic.TruthJ, TruthSwitchJoules: sw.TruthJ,
-		MeasSamples:     rep.Samples,
 		WireBytes:       res.BytesSent,
 		Messages:        res.Messages,
 		CritAlphaTerms:  res.CritAlphaTerms,
 		CritCommSeconds: res.CritCommSeconds,
-		Degraded:        rep.Degraded,
-		MeasRetries:     rep.Retries,
-		MeasReadErrors:  rep.ReadErrors,
-		MeasDrops:       rep.DroppedSamples,
 	}
-	for _, p := range rep.Quarantined {
-		run.QuarantinedPlanes = append(run.QuarantinedPlanes, p.String())
+	stream := cfg.meter(rapl.ClusterPlanes(), inj, tr)
+	for _, seg := range segs {
+		stream.OnSegment(seg)
 	}
-	if cfg.RecordTraces {
-		// The trace keeps the node planes (its CSV contract); NIC and
-		// switch draw live in the Run's joule columns instead.
-		t := trace.FromSegments(segs)
-		if cfg.TraceSampleInterval > 0 {
-			t = t.Resample(cfg.TraceSampleInterval)
-		}
-		run.Trace = t
+	measured(&run, stream)
+
+	// Cross-check the oracle: the device's integration of the replayed
+	// timeline must reproduce the MPI run's own energy account (PP0
+	// nests inside PKG, so it is excluded from the sum).
+	truth := run.TruthPKGJoules + run.TruthDRAMJoules + run.TruthNICJoules + run.TruthSwitchJoules
+	if diff := math.Abs(truth - res.TotalJoules()); diff > 1e-6*math.Max(1, res.TotalJoules()) {
+		panic(fmt.Sprintf("workload: replay oracle %v J diverged from MPI run %v J", truth, res.TotalJoules()))
 	}
-	cellsExecuted.Inc()
-	cellSeconds.Observe(time.Since(t0).Seconds())
+
+	// The trace keeps the node planes (its CSV contract); NIC and
+	// switch draw live in the Run's joule columns instead.
+	cfg.finishCell(&run, segs, t0)
 	return run
 }

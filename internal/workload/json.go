@@ -14,8 +14,9 @@ import (
 // without re-simulating. Traces are not serialized — they are cheap to
 // regenerate and large to store.
 
-// matrixJSON is the serialized form. The machine is stored by name and
-// resolved against the built-in zoo on load.
+// matrixJSON is the serialized form: the configuration's axes, and
+// the runs as their records (Run's JSON form). The machine is stored
+// by name and resolved by hw.Lookup on load.
 type matrixJSON struct {
 	Machine    string      `json:"machine"`
 	Algorithms []Algorithm `json:"algorithms"`
@@ -23,116 +24,9 @@ type matrixJSON struct {
 	Threads    []int       `json:"threads"`
 	// Clusters holds the distributed axis in its parseable spec form
 	// ("16x1GbE"); resolved through cluster.ParseSpec on load.
-	Clusters []string  `json:"clusters,omitempty"`
-	Quiesce  float64   `json:"quiesce_seconds"`
-	Runs     []runJSON `json:"runs"`
-}
-
-type runJSON struct {
-	Alg        Algorithm `json:"alg"`
-	N          int       `json:"n"`
-	Threads    int       `json:"threads"`
-	Seconds    float64   `json:"seconds"`
-	PKGJoules  float64   `json:"pkg_j"`
-	PP0Joules  float64   `json:"pp0_j"`
-	DRAMJoules float64   `json:"dram_j"`
-	// Distributed coordinates and communication record (absent on
-	// single-node cells).
-	Cluster           string  `json:"cluster,omitempty"`
-	Ranks             int     `json:"ranks,omitempty"`
-	Replication       int     `json:"replication,omitempty"`
-	WireBytes         float64 `json:"wire_bytes,omitempty"`
-	Messages          int     `json:"messages,omitempty"`
-	CritAlphaTerms    int     `json:"crit_alpha_terms,omitempty"`
-	CritCommSeconds   float64 `json:"crit_comm_seconds,omitempty"`
-	NICJoules         float64 `json:"nic_j,omitempty"`
-	SwitchJoules      float64 `json:"switch_j,omitempty"`
-	TruthNICJoules    float64 `json:"truth_nic_j,omitempty"`
-	TruthSwitchJoules float64 `json:"truth_switch_j,omitempty"`
-	// Oracle energy and sample count (absent in matrices saved before
-	// the measurement loop was closed; MeasurementErr treats zero
-	// truth as "no oracle recorded").
-	TruthPKGJoules  float64            `json:"truth_pkg_j,omitempty"`
-	TruthPP0Joules  float64            `json:"truth_pp0_j,omitempty"`
-	TruthDRAMJoules float64            `json:"truth_dram_j,omitempty"`
-	MeasSamples     int                `json:"meas_samples,omitempty"`
-	Leaves          int                `json:"leaves"`
-	RemoteBytes     float64            `json:"remote_bytes"`
-	StolenLeaves    int                `json:"stolen_leaves"`
-	AllocHighWater  float64            `json:"alloc_high_water"`
-	Utilization     float64            `json:"utilization"`
-	BusyByKind      map[string]float64 `json:"busy_by_kind,omitempty"`
-	// Degradation record (absent on clean runs and on matrices saved
-	// before the fault layer existed).
-	Degraded          bool     `json:"degraded,omitempty"`
-	QuarantinedPlanes []string `json:"quarantined_planes,omitempty"`
-	MeasRetries       int      `json:"meas_retries,omitempty"`
-	MeasReadErrors    int      `json:"meas_read_errors,omitempty"`
-	MeasDrops         int      `json:"meas_drops,omitempty"`
-	Attempts          int      `json:"attempts,omitempty"`
-	Err               string   `json:"error,omitempty"`
-	// Model-predicted cells (guided sweeps): provenance survives the
-	// round trip so loaded matrices keep predictions distinguishable.
-	Predicted bool    `json:"predicted,omitempty"`
-	PredRelCI float64 `json:"pred_rel_ci,omitempty"`
-	ModelTag  string  `json:"model_tag,omitempty"`
-}
-
-// runToJSON converts a Run to its serialized form (traces and
-// schedules are handled separately by the callers that keep them).
-func runToJSON(r *Run) runJSON {
-	return runJSON{
-		Alg: r.Alg, N: r.N, Threads: r.Threads,
-		Cluster: r.Cluster, Ranks: r.Ranks, Replication: r.Replication,
-		WireBytes: r.WireBytes, Messages: r.Messages,
-		CritAlphaTerms: r.CritAlphaTerms, CritCommSeconds: r.CritCommSeconds,
-		NICJoules: r.NICJoules, SwitchJoules: r.SwitchJoules,
-		TruthNICJoules: r.TruthNICJoules, TruthSwitchJoules: r.TruthSwitchJoules,
-		Seconds: r.Seconds, PKGJoules: r.PKGJoules, PP0Joules: r.PP0Joules, DRAMJoules: r.DRAMJoules,
-		TruthPKGJoules: r.TruthPKGJoules, TruthPP0Joules: r.TruthPP0Joules, TruthDRAMJoules: r.TruthDRAMJoules,
-		MeasSamples: r.MeasSamples,
-		Leaves:      r.Leaves, RemoteBytes: r.RemoteBytes, StolenLeaves: r.StolenLeaves,
-		AllocHighWater: r.AllocHighWater, Utilization: r.Utilization,
-		BusyByKind:        r.BusyByKind,
-		Degraded:          r.Degraded,
-		QuarantinedPlanes: r.QuarantinedPlanes,
-		MeasRetries:       r.MeasRetries,
-		MeasReadErrors:    r.MeasReadErrors,
-		MeasDrops:         r.MeasDrops,
-		Attempts:          r.Attempts,
-		Err:               r.Err,
-		Predicted:         r.Predicted,
-		PredRelCI:         r.PredRelCI,
-		ModelTag:          r.ModelTag,
-	}
-}
-
-// runFromJSON is runToJSON's inverse.
-func runFromJSON(rj *runJSON) Run {
-	return Run{
-		Alg: rj.Alg, N: rj.N, Threads: rj.Threads,
-		Cluster: rj.Cluster, Ranks: rj.Ranks, Replication: rj.Replication,
-		WireBytes: rj.WireBytes, Messages: rj.Messages,
-		CritAlphaTerms: rj.CritAlphaTerms, CritCommSeconds: rj.CritCommSeconds,
-		NICJoules: rj.NICJoules, SwitchJoules: rj.SwitchJoules,
-		TruthNICJoules: rj.TruthNICJoules, TruthSwitchJoules: rj.TruthSwitchJoules,
-		Seconds: rj.Seconds, PKGJoules: rj.PKGJoules, PP0Joules: rj.PP0Joules, DRAMJoules: rj.DRAMJoules,
-		TruthPKGJoules: rj.TruthPKGJoules, TruthPP0Joules: rj.TruthPP0Joules, TruthDRAMJoules: rj.TruthDRAMJoules,
-		MeasSamples: rj.MeasSamples,
-		Leaves:      rj.Leaves, RemoteBytes: rj.RemoteBytes, StolenLeaves: rj.StolenLeaves,
-		AllocHighWater: rj.AllocHighWater, Utilization: rj.Utilization,
-		BusyByKind:        rj.BusyByKind,
-		Degraded:          rj.Degraded,
-		QuarantinedPlanes: rj.QuarantinedPlanes,
-		MeasRetries:       rj.MeasRetries,
-		MeasReadErrors:    rj.MeasReadErrors,
-		MeasDrops:         rj.MeasDrops,
-		Attempts:          rj.Attempts,
-		Err:               rj.Err,
-		Predicted:         rj.Predicted,
-		PredRelCI:         rj.PredRelCI,
-		ModelTag:          rj.ModelTag,
-	}
+	Clusters []string `json:"clusters,omitempty"`
+	Quiesce  float64  `json:"quiesce_seconds"`
+	Runs     []Run    `json:"runs"`
 }
 
 // SaveJSON writes the matrix (without traces) to w.
@@ -143,34 +37,26 @@ func (mx *Matrix) SaveJSON(w io.Writer) error {
 		Sizes:      mx.Cfg.Sizes,
 		Threads:    mx.Cfg.Threads,
 		Quiesce:    mx.Cfg.QuiesceSeconds,
+		Runs:       mx.Runs,
 	}
 	for _, spec := range mx.Cfg.Clusters {
 		out.Clusters = append(out.Clusters, spec.String())
-	}
-	for i := range mx.Runs {
-		out.Runs = append(out.Runs, runToJSON(&mx.Runs[i]))
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
 
-// LoadJSON reads a matrix saved by SaveJSON, resolving the machine
-// against the built-in zoo by name.
+// LoadJSON reads a matrix saved by SaveJSON, resolving the machine by
+// name (hw.Lookup: a zoo machine, or a flat cluster of one).
 func LoadJSON(r io.Reader) (*Matrix, error) {
 	var in matrixJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("workload: decoding matrix: %w", err)
 	}
-	var machine *hw.Machine
-	for _, m := range hw.Zoo() {
-		if m.Name == in.Machine {
-			machine = m
-			break
-		}
-	}
-	if machine == nil {
-		return nil, fmt.Errorf("workload: unknown machine %q in saved matrix", in.Machine)
+	machine, err := hw.Lookup(in.Machine)
+	if err != nil {
+		return nil, fmt.Errorf("workload: saved matrix: %w", err)
 	}
 	mx := &Matrix{Cfg: Config{
 		Machine:        machine,
@@ -186,8 +72,6 @@ func LoadJSON(r io.Reader) (*Matrix, error) {
 		}
 		mx.Cfg.Clusters = append(mx.Cfg.Clusters, spec)
 	}
-	for i := range in.Runs {
-		mx.Runs = append(mx.Runs, runFromJSON(&in.Runs[i]))
-	}
+	mx.Runs = in.Runs
 	return mx, nil
 }

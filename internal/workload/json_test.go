@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,6 +38,23 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if len(b.BusyByKind) == 0 {
 		t.Fatal("busy breakdown lost")
+	}
+
+	// A flat cluster's machine carries the name hw.Cluster gives it,
+	// and loads back as the same machine.
+	cfg := SmokeConfig()
+	cfg.Machine = hw.Cluster(hw.HaswellE31225(), 2)
+	cfg.Algorithms, cfg.Sizes, cfg.Threads = []Algorithm{AlgOpenBLAS}, []int{128}, []int{8}
+	buf.Reset()
+	if err := Execute(cfg).SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err = LoadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Cfg.Machine, cfg.Machine) {
+		t.Fatalf("cluster machine %q loaded as %q", cfg.Machine.Name, back.Cfg.Machine.Name)
 	}
 }
 
@@ -96,5 +115,24 @@ func TestJSONRoundTripDegradationFields(t *testing.T) {
 	}
 	if !back.Runs[2].Failed() {
 		t.Fatal("failed cell not failed after round trip")
+	}
+}
+
+// TestSaveJSONByteStable pins the bytes SaveJSON writes for a small
+// sweep of node, sparse and cluster cells, so a change to Run's wire
+// form or to the saved layout shows here.
+func TestSaveJSONByteStable(t *testing.T) {
+	cfg := distConfig(t, "4x1GbE", "7xFDR")
+	cfg.Algorithms = []Algorithm{AlgOpenBLAS, AlgStrassen, AlgCAPS, AlgSpMV, AlgSUMMA, AlgDistCAPS}
+	cfg.Sizes = []int{128, 256}
+	cfg.Threads = []int{1, 2}
+	cfg.QuiesceSeconds = 1
+	var buf bytes.Buffer
+	if err := Execute(cfg).SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "d09ad696953cdce8b6770904cdd70847ad766a23e3f8671dd949091903993767"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("saved matrix digest %s, want %s", got, want)
 	}
 }

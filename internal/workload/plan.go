@@ -230,16 +230,7 @@ func (g *guided) fit() *model.Model {
 		if r.Failed() {
 			continue
 		}
-		obsv = append(obsv, model.Obs{
-			Key:     g.cfg.cellKey(g.cells[i]),
-			Terms:   g.terms[i],
-			Seconds: r.Seconds,
-			PKGJ:    r.PKGJoules,
-			PP0J:    r.PP0Joules,
-			DRAMJ:   r.DRAMJoules,
-			NICJ:    r.NICJoules,
-			SwitchJ: r.SwitchJoules,
-		})
+		obsv = append(obsv, r.observation(g.cfg.cellKey(g.cells[i]), g.terms[i]))
 	}
 	mo, err := model.Fit(g.cfg.Machine, obsv)
 	if err != nil {

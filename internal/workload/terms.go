@@ -78,18 +78,25 @@ func (mx *Matrix) ModelObservations() []model.Obs {
 		if err != nil {
 			continue
 		}
-		obs = append(obs, model.Obs{
-			Key:     mx.Cfg.cellKey(cells[i]),
-			Terms:   t,
-			Seconds: r.Seconds,
-			PKGJ:    r.PKGJoules,
-			PP0J:    r.PP0Joules,
-			DRAMJ:   r.DRAMJoules,
-			NICJ:    r.NICJoules,
-			SwitchJ: r.SwitchJoules,
-		})
+		obs = append(obs, r.observation(mx.Cfg.cellKey(cells[i]), t))
 	}
 	return obs
+}
+
+// observation is the model's training observation of a measured run:
+// its cell's key and analytic terms, with the measured seconds and
+// per-plane joules.
+func (r *Run) observation(key string, t model.Terms) model.Obs {
+	return model.Obs{
+		Key:     key,
+		Terms:   t,
+		Seconds: r.Seconds,
+		PKGJ:    r.PKGJoules,
+		PP0J:    r.PP0Joules,
+		DRAMJ:   r.DRAMJoules,
+		NICJ:    r.NICJoules,
+		SwitchJ: r.SwitchJoules,
+	}
 }
 
 // FitModel fits (or returns the already-fitted) energy-complexity

@@ -411,75 +411,86 @@ func distinct[T any](axis string, values []T, key func(T) string) error {
 	return nil
 }
 
-// Run is one cell of the experiment matrix.
+// Run is one cell of the experiment matrix. It is also the cell's
+// record: its JSON form is the "run" object of a checkpoint journal
+// line (MarshalRunRecord), the line the sweep service streams and
+// replays, and an element of a saved matrix's runs (SaveJSON). The
+// field order is the record's key order, so moving a field moves
+// bytes.
 type Run struct {
-	Alg     Algorithm
-	N       int
-	Threads int
+	Alg     Algorithm `json:"alg"`
+	N       int       `json:"n"`
+	Threads int       `json:"threads"`
+
+	// Seconds is the virtual runtime; the joule figures are what the
+	// polling monitor measured through the emulated RAPL/PAPI stack —
+	// the same wrap-corrected counter deltas a live driver gets. All
+	// EP and scaling figures derive from these measured values.
+	Seconds    float64 `json:"seconds"`
+	PKGJoules  float64 `json:"pkg_j"`
+	PP0Joules  float64 `json:"pp0_j"`
+	DRAMJoules float64 `json:"dram_j"`
 
 	// Distributed coordinates: Cluster is the spec string ("16x1GbE",
 	// "" for single-node cells), Ranks the communicator size actually
-	// fitted to it, Replication the 2.5D c factor (1 otherwise).
-	Cluster     string
-	Ranks       int
-	Replication int
+	// fitted to it, Replication the 2.5D c factor (1 otherwise). The
+	// distributed fields are absent from single-node records.
+	Cluster     string `json:"cluster,omitempty"`
+	Ranks       int    `json:"ranks,omitempty"`
+	Replication int    `json:"replication,omitempty"`
 
 	// Measured communication record (distributed cells only): bytes
 	// offered to the wire, message count, and the critical rank's
 	// exposed α·log P terms and total communication seconds — the
 	// quantities report.CommTable gates against the Eq. 8 /
 	// Ballard–Demmel lower bounds.
-	WireBytes       float64
-	Messages        int
-	CritAlphaTerms  int
-	CritCommSeconds float64
+	WireBytes       float64 `json:"wire_bytes,omitempty"`
+	Messages        int     `json:"messages,omitempty"`
+	CritAlphaTerms  int     `json:"crit_alpha_terms,omitempty"`
+	CritCommSeconds float64 `json:"crit_comm_seconds,omitempty"`
 
 	// NIC and switch plane joules (distributed cells): measured through
 	// the monitor like the node planes, with the device truth alongside.
-	NICJoules         float64
-	SwitchJoules      float64
-	TruthNICJoules    float64
-	TruthSwitchJoules float64
-
-	// Seconds is the virtual runtime; the joule figures are what the
-	// polling monitor measured through the emulated RAPL/PAPI stack —
-	// the same wrap-corrected counter deltas a live driver gets. All
-	// EP and scaling figures derive from these measured values.
-	Seconds    float64
-	PKGJoules  float64
-	PP0Joules  float64
-	DRAMJoules float64
+	NICJoules         float64 `json:"nic_j,omitempty"`
+	SwitchJoules      float64 `json:"switch_j,omitempty"`
+	TruthNICJoules    float64 `json:"truth_nic_j,omitempty"`
+	TruthSwitchJoules float64 `json:"truth_switch_j,omitempty"`
 
 	// TruthPKGJoules, TruthPP0Joules and TruthDRAMJoules are the RAPL
 	// device's exact integrated energy — the oracle kept as a
 	// cross-check on the measurement path, never fed into the model.
-	TruthPKGJoules  float64
-	TruthPP0Joules  float64
-	TruthDRAMJoules float64
+	// They and the sample count are absent from records saved before
+	// the measurement loop was closed (MeasurementErr treats zero truth
+	// as "no oracle recorded").
+	TruthPKGJoules  float64 `json:"truth_pkg_j,omitempty"`
+	TruthPP0Joules  float64 `json:"truth_pp0_j,omitempty"`
+	TruthDRAMJoules float64 `json:"truth_dram_j,omitempty"`
 	// MeasSamples counts the monitor's counter samples over the run.
-	MeasSamples int
+	MeasSamples int `json:"meas_samples,omitempty"`
 
 	// Scheduling facts from the simulator.
-	Leaves         int
-	RemoteBytes    float64
-	StolenLeaves   int
-	AllocHighWater float64
-	Utilization    float64
+	Leaves         int     `json:"leaves"`
+	RemoteBytes    float64 `json:"remote_bytes"`
+	StolenLeaves   int     `json:"stolen_leaves"`
+	AllocHighWater float64 `json:"alloc_high_water"`
+	Utilization    float64 `json:"utilization"`
 	// BusyByKind decomposes busy seconds by kernel class (keyed by the
 	// task.Kind name for serializability).
-	BusyByKind map[string]float64
+	BusyByKind map[string]float64 `json:"busy_by_kind,omitempty"`
 
-	// Trace is the resampled power series (nil unless recorded).
-	Trace *trace.Trace
+	// Trace is the resampled power series (nil unless recorded). It is
+	// not part of the run object: a traced journal carries it beside
+	// the run, and saved matrices drop it.
+	Trace *trace.Trace `json:"-"`
 
 	// Schedule is the per-leaf placement record (nil unless
 	// Config.RecordSchedule); it feeds the exported trace's per-worker
 	// tracks and is never serialized to JSON.
-	Schedule []sim.LeafSpan
+	Schedule []sim.LeafSpan `json:"-"`
 
-	// Degradation record. A Run with Err == "" completed (possibly
-	// degraded); a Run with Err != "" failed every contained attempt and
-	// carries only its coordinates and the error.
+	// Degradation record, absent on clean runs. A Run with Err == ""
+	// completed (possibly degraded); a Run with Err != "" failed every
+	// contained attempt and carries only its coordinates and the error.
 
 	// Degraded reports that the joule figures are not all clean
 	// measurements: a plane was quarantined (and substituted from the
@@ -487,37 +498,38 @@ type Run struct {
 	// gained, or measured-vs-truth disagreed beyond
 	// monitor.DegradedAbsErrJ. Every consumer rendering this run's
 	// numbers must surface the flag.
-	Degraded bool
+	Degraded bool `json:"degraded,omitempty"`
 	// QuarantinedPlanes names the planes whose figures fell back to
 	// ground truth after repeated read failures.
-	QuarantinedPlanes []string
+	QuarantinedPlanes []string `json:"quarantined_planes,omitempty"`
 	// MeasRetries / MeasReadErrors / MeasDrops count the monitor's
 	// transient-failure handling over the run.
-	MeasRetries    int
-	MeasReadErrors int
-	MeasDrops      int
+	MeasRetries    int `json:"meas_retries,omitempty"`
+	MeasReadErrors int `json:"meas_read_errors,omitempty"`
+	MeasDrops      int `json:"meas_drops,omitempty"`
 	// Attempts counts contained execution attempts (0 on the clean
 	// path, which makes exactly one uncontained attempt).
-	Attempts int
+	Attempts int `json:"attempts,omitempty"`
 	// Err is the final attempt's failure, or "" for a completed run.
-	Err string
+	Err string `json:"error,omitempty"`
 	// Restored marks a run loaded from a sweep checkpoint rather than
 	// executed in this process. Session-local; never serialized.
-	Restored bool
+	Restored bool `json:"-"`
 
 	// Predicted marks a cell whose figures come from the fitted
 	// energy-complexity model (guided sweeps) instead of a simulation.
 	// Predicted runs carry no traces, no truth planes and no
 	// measurement record; every consumer rendering their numbers must
-	// surface the flag.
-	Predicted bool
+	// surface the flag. The flag and its provenance survive the round
+	// trip, so loaded matrices keep predictions distinguishable.
+	Predicted bool `json:"predicted,omitempty"`
 	// PredRelCI is the model's ±2σ relative confidence interval on the
 	// predicted total energy (Predicted cells only).
-	PredRelCI float64
+	PredRelCI float64 `json:"pred_rel_ci,omitempty"`
 	// ModelTag identifies the fitted model instance (version +
 	// training-set hash) that produced a predicted run. A checkpointed
 	// prediction is only restored when a refit reproduces its tag.
-	ModelTag string
+	ModelTag string `json:"model_tag,omitempty"`
 }
 
 // Failed reports whether the cell exhausted its contained attempts
@@ -832,10 +844,11 @@ func (cfg *Config) cellKey(c cell) string {
 	return key
 }
 
-// interruptedRun builds the placeholder Run for a cell a stopped
-// sweep never started: coordinates plus ErrInterrupted, nothing else.
-func interruptedRun(cfg *Config, c cell) Run {
-	r := Run{Alg: c.alg, N: c.n, Threads: c.threads, Err: ErrInterrupted}
+// unfinishedRun builds the Run of a cell that has no figures: its
+// coordinates and err, nothing else — a cell a stopped sweep never
+// started (ErrInterrupted), or one that failed every attempt.
+func unfinishedRun(cfg *Config, c cell, err string) Run {
+	r := Run{Alg: c.alg, N: c.n, Threads: c.threads, Err: err}
 	if cs := cfg.clusterOf(c); cs != nil {
 		r.Cluster = cs.String()
 	}
@@ -871,10 +884,8 @@ func executeContained(cfg Config, c cell, tr obs.Track) Run {
 		lastErr = err
 	}
 	cellsFailed.Inc()
-	fail := Run{Alg: c.alg, N: c.n, Threads: c.threads, Attempts: retries + 1, Err: lastErr.Error()}
-	if cs := cfg.clusterOf(c); cs != nil {
-		fail.Cluster = cs.String()
-	}
+	fail := unfinishedRun(&cfg, c, lastErr.Error())
+	fail.Attempts = retries + 1
 	return fail
 }
 
@@ -899,39 +910,27 @@ func tryCell(cfg Config, c cell, inj *faults.Injector, tr obs.Track) (run Run, e
 // cell's measurement stack; the nil path is bit-identical to the
 // pre-fault-layer driver. Distributed cells route through the MPI
 // layer (executeDistributedCell); both paths share the monitored
-// measurement stack.
+// measurement step (meter, measured).
 func executeCell(cfg Config, c cell, inj *faults.Injector, tr obs.Track) Run {
 	if c.spec >= 0 {
 		return executeDistributedCell(cfg, c, inj, tr)
 	}
-	alg, n, threads := c.alg, c.n, c.threads
 	t0 := time.Now()
 
 	var buildSp obs.Span
 	if obs.Enabled() {
 		buildSp = obs.StartOn(tr, "build-tree")
 	}
-	root := BuildTree(cfg.Machine, alg, n, threads)
+	root := BuildTree(cfg.Machine, c.alg, c.n, c.threads)
 	buildSp.End()
 
-	// Stream the measurement through the polling monitor as the
-	// simulator produces segments: the emulated RAPL device advances
-	// segment by segment while a PAPI event set samples it in device
-	// time, as the paper's driver polled real silicon. Fusing the
-	// monitor into the simulator's advance loop (sim.Config.OnSegment)
+	// The monitor samples the segments as the simulator produces them:
+	// fusing it into the simulator's advance loop (sim.Config.OnSegment)
 	// avoids materializing the timeline and replaying it in a second
-	// pass. The model consumes the measured joules; the device's exact
-	// totals ride along as the reconciliation oracle.
-	interval := cfg.PollInterval
-	if interval <= 0 {
-		interval = DefaultPollInterval
-	}
-	stream, err := monitor.NewStream(monitor.Config{PollInterval: interval, ObsTrack: tr, Faults: inj})
-	if err != nil {
-		panic(fmt.Sprintf("workload: measurement failed: %v", err))
-	}
+	// pass.
+	stream := cfg.meter(nil, inj, tr)
 	res := sim.Run(cfg.Machine, root, sim.Config{
-		Workers:           threads,
+		Workers:           c.threads,
 		RecordTimeline:    cfg.RecordTraces, // traces still need the materialized timeline
 		RecordSchedule:    cfg.RecordSchedule,
 		OnSegment:         stream.OnSegment,
@@ -939,64 +938,106 @@ func executeCell(cfg Config, c cell, inj *faults.Injector, tr obs.Track) Run {
 		DisableContention: cfg.DisableContention,
 		ObsTrack:          tr,
 	})
-	rep, err := stream.Finish()
-	if err != nil {
-		panic(fmt.Sprintf("workload: measurement failed: %v", err))
-	}
-	pkg := rep.Plane(rapl.PlanePKG)
-	pp0 := rep.Plane(rapl.PlanePP0)
-	dram := rep.Plane(rapl.PlaneDRAM)
-
-	// Cross-check the oracle itself: the device's integration of the
-	// replayed timeline must agree with the simulator's own energy
-	// accounting to float accumulation noise, or the measurement stack
-	// replayed a different run than it claims.
-	for _, chk := range [][2]float64{
-		{pkg.TruthJ, res.EnergyPKG}, {pp0.TruthJ, res.EnergyPP0}, {dram.TruthJ, res.EnergyDRAM},
-	} {
-		if diff := math.Abs(chk[0] - chk[1]); diff > 1e-6*math.Max(1, chk[1]) {
-			panic(fmt.Sprintf("workload: replay oracle %v J diverged from simulator %v J", chk[0], chk[1]))
-		}
-	}
-
 	byKind := make(map[string]float64, len(res.BusyByKind))
 	for k, v := range res.BusyByKind {
 		byKind[k.String()] = v
 	}
 	run := Run{
-		Alg: alg, N: n, Threads: threads,
-		Seconds:   rep.Duration,
-		PKGJoules: pkg.MeasuredJ, PP0Joules: pp0.MeasuredJ, DRAMJoules: dram.MeasuredJ,
-		TruthPKGJoules: pkg.TruthJ, TruthPP0Joules: pp0.TruthJ, TruthDRAMJoules: dram.TruthJ,
-		MeasSamples:    rep.Samples,
+		Alg: c.alg, N: c.n, Threads: c.threads,
 		Leaves:         res.Leaves,
 		RemoteBytes:    res.RemoteBytes,
 		StolenLeaves:   res.StolenLeaves,
 		AllocHighWater: res.AllocHighWater,
 		Utilization:    res.Utilization(),
 		BusyByKind:     byKind,
-		Degraded:       rep.Degraded,
-		MeasRetries:    rep.Retries,
-		MeasReadErrors: rep.ReadErrors,
-		MeasDrops:      rep.DroppedSamples,
 	}
-	for _, p := range rep.Quarantined {
-		run.QuarantinedPlanes = append(run.QuarantinedPlanes, p.String())
+	measured(&run, stream)
+
+	// Cross-check the oracle itself: the device's integration of the
+	// replayed timeline must agree with the simulator's own energy
+	// accounting to float accumulation noise, or the measurement stack
+	// replayed a different run than it claims.
+	for _, chk := range [][2]float64{
+		{run.TruthPKGJoules, res.EnergyPKG}, {run.TruthPP0Joules, res.EnergyPP0}, {run.TruthDRAMJoules, res.EnergyDRAM},
+	} {
+		if diff := math.Abs(chk[0] - chk[1]); diff > 1e-6*math.Max(1, chk[1]) {
+			panic(fmt.Sprintf("workload: replay oracle %v J diverged from simulator %v J", chk[0], chk[1]))
+		}
 	}
 	if cfg.RecordSchedule {
 		run.Schedule = res.Schedule
 	}
-	if cfg.RecordTraces {
-		t := trace.FromSegments(res.Timeline)
-		interval := cfg.TraceSampleInterval
-		if interval > 0 {
-			t = t.Resample(interval)
+	cfg.finishCell(&run, res.Timeline, t0)
+	return run
+}
+
+// meter opens a cell's measurement: a polling monitor on planes — nil
+// for the node planes, rapl.ClusterPlanes() for a cluster cell — that
+// the cell feeds its power segments through Stream.OnSegment, as the
+// paper's driver polled RAPL through PAPI: the emulated device
+// advances segment by segment while an event set samples it in device
+// time. measured closes it.
+func (cfg *Config) meter(planes []rapl.Plane, inj *faults.Injector, tr obs.Track) *monitor.Stream {
+	stream, err := monitor.NewStream(monitor.Config{PollInterval: cfg.pollInterval(), ObsTrack: tr, Faults: inj, Planes: planes})
+	if err != nil {
+		panic(fmt.Sprintf("workload: measurement failed: %v", err))
+	}
+	return stream
+}
+
+// measured finishes a cell's measurement and copies its report into r:
+// the duration, every plane's measured joules with the device's exact
+// totals beside them as the reconciliation oracle, the sample count
+// and the degradation record. The model consumes the measured joules.
+// A failed measurement panics, like any cell fault.
+func measured(r *Run, stream *monitor.Stream) {
+	rep, err := stream.Finish()
+	if err != nil {
+		panic(fmt.Sprintf("workload: measurement failed: %v", err))
+	}
+	r.Seconds = rep.Duration
+	for _, p := range rep.Planes {
+		switch p.Plane {
+		case rapl.PlanePKG:
+			r.PKGJoules, r.TruthPKGJoules = p.MeasuredJ, p.TruthJ
+		case rapl.PlanePP0:
+			r.PP0Joules, r.TruthPP0Joules = p.MeasuredJ, p.TruthJ
+		case rapl.PlaneDRAM:
+			r.DRAMJoules, r.TruthDRAMJoules = p.MeasuredJ, p.TruthJ
+		case rapl.PlaneNIC:
+			r.NICJoules, r.TruthNICJoules = p.MeasuredJ, p.TruthJ
+		case rapl.PlaneSwitch:
+			r.SwitchJoules, r.TruthSwitchJoules = p.MeasuredJ, p.TruthJ
 		}
-		run.Trace = t
+	}
+	r.MeasSamples = rep.Samples
+	r.Degraded = rep.Degraded
+	r.MeasRetries, r.MeasReadErrors, r.MeasDrops = rep.Retries, rep.ReadErrors, rep.DroppedSamples
+	for _, p := range rep.Quarantined {
+		r.QuarantinedPlanes = append(r.QuarantinedPlanes, p.String())
+	}
+}
+
+// finishCell records an executed cell's power trace from its
+// segments, when the sweep keeps traces, and the cell metrics.
+func (cfg *Config) finishCell(r *Run, segs []sim.Segment, t0 time.Time) {
+	if cfg.RecordTraces {
+		r.Trace = trace.FromSegments(segs)
+		if cfg.TraceSampleInterval > 0 {
+			r.Trace = r.Trace.Resample(cfg.TraceSampleInterval)
+		}
 	}
 	cellsExecuted.Inc()
 	cellSeconds.Observe(time.Since(t0).Seconds())
-	return run
+}
+
+// pollInterval is the monitor's sampling period: PollInterval, or
+// DefaultPollInterval when unset.
+func (cfg *Config) pollInterval() float64 {
+	if cfg.PollInterval > 0 {
+		return cfg.PollInterval
+	}
+	return DefaultPollInterval
 }
 
 // cell is one coordinate of the matrix: (algorithm, size, threads)
@@ -1149,7 +1190,7 @@ func (s *sweep) resolve(idx []int) {
 		i := idx[j]
 		if s.stopped() {
 			cellsSkipped.Inc()
-			s.mx.Runs[i] = interruptedRun(&s.cfg, s.cells[i])
+			s.mx.Runs[i] = unfinishedRun(&s.cfg, s.cells[i], ErrInterrupted)
 			return
 		}
 		s.mx.Runs[i] = executeOne(s.cfg, s.cells[i], s.cache, tr)

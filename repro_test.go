@@ -1,6 +1,8 @@
 package capscale
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"sync"
@@ -426,6 +428,33 @@ func TestReproModelPredictsSweep(t *testing.T) {
 		if predTrend <= 0 {
 			t.Errorf("n=%d: predicted CAPS/Strassen EP ratio trend %.3f contradicts the measured crossover", n, predTrend)
 		}
+	}
+}
+
+// TestReproRecordsByteStable pins the record bytes of the full paper
+// matrix: sha256 over each run's journal record line (the line the
+// sweep service streams), newline-terminated, in Runs order. It is
+// capbench's paper-sweep golden digest (bench/capbench/golden.json),
+// so a change to Run's wire form, the measurement or the simulator
+// fails here, not only in the benchmark.
+func TestReproRecordsByteStable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the pinned digest covers the full paper matrix")
+	}
+	mx := testMatrix(t)
+	h := sha256.New()
+	for i := range mx.Runs {
+		r := &mx.Runs[i]
+		line, err := workload.MarshalRunRecord(fmt.Sprintf("%v/%d/%d", r.Alg, r.N, r.Threads), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(line)
+		h.Write([]byte{'\n'})
+	}
+	const want = "9eb3489f2fbd9b8120f4583c97bb95c566612563e2724a2f284f920e28c95bd8"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("paper-matrix record digest %s, want %s", got, want)
 	}
 }
 

@@ -5,9 +5,10 @@
 # the polling monitor, fault injector and trace resampling), a named
 # monitor reconciliation smoke (measured energy must match device
 # ground truth, and deliberately undersampled runs must be flagged for
-# wrap loss), and binary-boundary smokes: Perfetto trace export, the
-# seeded chaos sweep with checkpoint resume, the distributed comm
-# sweep, the model-guided planner, and the sweep service daemon —
+# wrap loss), one run of every example program, and binary-boundary
+# smokes: Perfetto trace export, the seeded chaos sweep with
+# checkpoint resume, the distributed comm sweep, the model-guided
+# planner, and the sweep service daemon —
 # plus a focused errcheck pass over the durability-owning packages
 # and a crash smoke that SIGKILLs a leaseholder replica mid-sweep and
 # makes a survivor finish the sweep from the shared store.
@@ -42,6 +43,11 @@ go test ./...
 # sparse storage study) run once, so a broken bench shows here rather
 # than on its next benchmark run.
 go test -run '^$' -bench 'Future|PlatformSweep' -benchtime 1x .
+# Every example program runs once (about 8 s on a 2-vCPU VM), so a
+# broken example shows here rather than in a reader's hands.
+for example in examples/*/; do
+    go run "./$example" > /dev/null
+done
 # The race-detector pass, shared with `make race`.
 ./scripts/race.sh
 # Scalability smoke: a 1024-node (4096-core) shape-only sweep across

@@ -39,7 +39,7 @@ go test -race -short ./internal/sim/...
 # sweeps on one journal path are kept apart by its lease alone, and a
 # journaled guided sweep commits through the same path as an
 # exhaustive one: both stay in the race pass.
-go test -race -run 'TestExecuteParallelBitIdenticalToSequential|TestConcurrentExecuteResetAndMetricsRace|TestChaosSweepInvariants|TestCheckpointResume|TestGuidedSweepDeterminism|TestConcurrentSweepsCommitHitsTogether|TestConcurrentExecuteSharedCheckpointPath|TestGuidedCheckpointPredictions' -count=1 ./internal/workload/
+go test -race -run 'TestExecuteParallelBitIdenticalToSequential|TestConcurrentExecuteCacheChurnAndMetricsRace|TestChaosSweepInvariants|TestCheckpointResume|TestGuidedSweepDeterminism|TestConcurrentSweepsCommitHitsTogether|TestConcurrentExecuteSharedCheckpointPath|TestGuidedCheckpointPredictions' -count=1 ./internal/workload/
 # The energy-complexity model the guided planner fits is pure math,
 # but it rides the concurrent driver: keep its own tests in the gate.
 go test -race ./internal/model/
