@@ -21,6 +21,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -251,11 +252,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		cfg = mx.Cfg
-	} else {
-		if err := cfg.Validate(); err != nil {
-			fmt.Fprintf(stderr, "epscale: %v\n", err)
-			return 2
-		}
+	} else if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(stderr, "epscale: %v\n", err)
+		return 2
+	}
+	// Refuse an artifact the matrix cannot fill before simulating it.
+	if err := artifactCells(*what, cfg.Algorithms); err != nil {
+		fmt.Fprintf(stderr, "epscale: %v\n", err)
+		return 2
+	}
+	if mx == nil {
 		fmt.Fprintf(stderr, "epscale: running %d configurations on %q...\n",
 			cfg.CellCount(), cfg.Machine.Name)
 		mx = workload.Execute(cfg)
@@ -355,6 +361,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return emit(mk(), *csv, stdout, stderr)
+}
+
+// artifactCells reports which cells of a matrix over algs the artifact
+// would read and the matrix cannot have, or nil when it has them all.
+// table2, fig3, headlines and all compare Strassen and CAPS against
+// OpenBLAS; fig4–fig6 plot one of the three; the other node artifacts
+// read the single-node cells of whatever algorithms there are.
+func artifactCells(what string, algs []workload.Algorithm) error {
+	var need []workload.Algorithm
+	switch what {
+	case "all", "table2", "fig3", "headlines":
+		need = workload.PaperAlgorithms()
+	case "fig4":
+		need = []workload.Algorithm{workload.AlgOpenBLAS}
+	case "fig5":
+		need = []workload.Algorithm{workload.AlgStrassen}
+	case "fig6":
+		need = []workload.Algorithm{workload.AlgCAPS}
+	case "table3", "table4", "fig7", "breakdown":
+		for _, a := range algs {
+			if !a.Distributed() {
+				return nil
+			}
+		}
+		return fmt.Errorf("-what %s reads cells the matrix lacks: single-node algorithms", what)
+	}
+	var missing []string
+	for _, a := range need {
+		if !slices.Contains(algs, a) {
+			missing = append(missing, a.String())
+		}
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("-what %s reads cells the matrix lacks: %s", what, strings.Join(missing, ", "))
+	}
+	return nil
 }
 
 // emitModel renders the fitted energy-complexity model: per-family fit

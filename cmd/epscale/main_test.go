@@ -237,3 +237,60 @@ func TestStudyArtifacts(t *testing.T) {
 		}
 	}
 }
+
+// TestArtifactsFitTheMatrix: a matrix with distributed cells renders
+// every node artifact over its single-node algorithms, and an artifact
+// whose cells the matrix cannot have exits 2 with one line naming
+// them: before any cell is simulated for a sweep, right after loading
+// for -load. No case panics.
+func TestArtifactsFitTheMatrix(t *testing.T) {
+	dir := t.TempDir()
+	mixed := filepath.Join(dir, "mixed.json")
+	distributed := filepath.Join(dir, "distributed.json")
+
+	// The default artifact of a sweep with a cluster axis: the paper's
+	// tables over its node algorithms, then the comm table.
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-sizes", "256", "-cluster", "4x1GbE", "-save", mixed}, &stdout, &stderr); code != 0 {
+		t.Fatalf("default artifact with -cluster: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	for _, want := range []string{"Table III", "Table IV", "Figure 7", "Communication volume"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Fatalf("default artifact with -cluster lacks %q:\n%s", want, stdout.String())
+		}
+	}
+	for _, what := range []string{"table3", "table4", "fig7", "breakdown"} {
+		stdout.Reset()
+		if code := run([]string{"-load", mixed, "-what", what}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-load -what %s: exit %d; stderr:\n%s", what, code, stderr.String())
+		}
+		if strings.Contains(stdout.String(), "SUMMA") {
+			t.Fatalf("-what %s renders a distributed algorithm:\n%s", what, stdout.String())
+		}
+	}
+	if code := run([]string{"-algs", "dCAPS", "-sizes", "128", "-cluster", "7x1GbE", "-what", "comm", "-save", distributed}, &stdout, &stderr); code != 0 {
+		t.Fatalf("distributed-only sweep: exit %d; stderr:\n%s", code, stderr.String())
+	}
+
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algs", "CAPS", "-sizes", "128", "-threads", "1", "-what", "table2"}, "OpenBLAS, Strassen"},
+		{[]string{"-algs", "CAPS", "-sizes", "128", "-threads", "1", "-what", "fig4"}, "OpenBLAS"},
+		{[]string{"-algs", "CAPS", "-sizes", "128", "-threads", "1", "-what", "headlines"}, "OpenBLAS, Strassen"},
+		{[]string{"-algs", "OpenBLAS,CAPS", "-sizes", "128", "-threads", "1", "-what", "fig5"}, "Strassen"},
+		{[]string{"-algs", "dCAPS", "-sizes", "128", "-cluster", "7x1GbE", "-what", "all"}, "OpenBLAS, Strassen, CAPS"},
+		{[]string{"-algs", "dCAPS", "-sizes", "128", "-cluster", "7x1GbE", "-what", "table4"}, "single-node"},
+		{[]string{"-load", distributed, "-what", "table3"}, "single-node"},
+		{[]string{"-load", distributed, "-what", "fig6"}, "CAPS"},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		code := run(tc.args, &stdout, &stderr)
+		lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+		if code != 2 || len(lines) != 1 || !strings.HasPrefix(lines[0], "epscale: ") || !strings.Contains(lines[0], tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and one epscale: line naming %s", tc.args, code, stderr.String(), tc.want)
+		}
+	}
+}

@@ -18,8 +18,7 @@
 // any replica takes the sweep over and resumes it. On startup the
 // store is recovered: torn journal tails are salvaged and incomplete
 // unleased sweeps resume automatically from the request their journal
-// header carries (or, in a store an older version wrote, the request
-// sidecar beside the journal).
+// header carries.
 //
 // On SIGINT/SIGTERM the server stops admitting work and drains
 // in-flight sweeps up to -drain-timeout; at the deadline the sweeps

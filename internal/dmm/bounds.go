@@ -5,24 +5,20 @@ import (
 	"math"
 )
 
-// Communication lower bounds for distributed matrix multiplication,
-// in words (matrix elements) moved per processor. Both are stated as
+// Communication lower bound for classic distributed matrix
+// multiplication (Ballard–Demmel / Irony–Toledo–Tiskin), in words
+// (matrix elements) moved per processor:
+//
+//	max( n³/(P·√M), n²/P^(2/3) )
+//
 // the maximum of a memory-dependent term — binding when the per-node
 // memory M is scarce — and a memory-independent term that no amount
-// of replication can beat.
-//
-//   - Classic (Ballard–Demmel / Irony–Toledo–Tiskin):
-//     max( n³/(P·√M), n²/P^(2/3) )
-//   - Strassen-like, the paper's Eq. 8 (Ballard et al.):
-//     max( n^w₀/(P·M^(w₀/2−1)), n²/P^(2/w₀) ),  w₀ = log₂7
-//
-// An algorithm's measured wire traffic, divided by P, lands above the
-// matching bound; communication-optimal algorithms land within a
-// constant factor of it (report.CommTable shows the ratio, and the
-// tier-1 repro gate asserts it).
-
-// W0 is ω₀ = log₂ 7, the exponent of Strassen's recursion.
-var W0 = math.Log2(7)
+// of replication can beat. The Strassen-like counterpart is the
+// paper's Eq. 8, energy.CommBound. An algorithm's measured wire
+// traffic, divided by P, lands above the matching bound;
+// communication-optimal algorithms land within a constant factor of
+// it (report.CommTable shows the ratio, and the tier-1 repro gate
+// asserts it).
 
 // ClassicLowerBound returns the classic-multiplication bound in words
 // per processor for an n×n multiply on P ranks with M words of memory
@@ -34,18 +30,6 @@ func ClassicLowerBound(n, p int, memWords float64) float64 {
 	nf, pf := float64(n), float64(p)
 	memTerm := nf * nf * nf / (pf * math.Sqrt(memWords))
 	indep := nf * nf / math.Pow(pf, 2.0/3.0)
-	return math.Max(memTerm, indep)
-}
-
-// StrassenLowerBound returns the Eq. 8 bound in words per processor
-// for a Strassen-like (ω₀ = log₂7) algorithm.
-func StrassenLowerBound(n, p int, memWords float64) float64 {
-	if n <= 0 || p <= 0 || memWords <= 0 {
-		panic(fmt.Sprintf("dmm: bad bound arguments n=%d P=%d M=%g", n, p, memWords))
-	}
-	nf, pf := float64(n), float64(p)
-	memTerm := math.Pow(nf, W0) / (pf * math.Pow(memWords, W0/2-1))
-	indep := nf * nf / math.Pow(pf, 2/W0)
 	return math.Max(memTerm, indep)
 }
 

@@ -5,11 +5,9 @@ import (
 	"sync"
 )
 
-// Pool is a size-keyed free list of Dense matrices. The Strassen and
-// CAPS numeric paths draw their recursion temporaries (operand sums
-// and the seven products per level) from a Pool instead of allocating
-// them fresh on every build, which removes the O(n²)-per-level
-// allocation churn from repeated multiplies.
+// Pool is a size-keyed free list of Dense matrices, from which
+// repeated numeric multiplies could draw their recursion temporaries
+// instead of allocating them fresh on every build.
 //
 // The zero value is ready to use. A Pool is safe for concurrent use.
 type Pool struct {

@@ -1,10 +1,10 @@
 // Package monitor closes the measurement loop the paper's numbers
 // depend on: a virtual-time polling monitor that replays a simulated
-// power timeline (or a recorded trace) into the emulated RAPL device,
-// samples it through the PAPI event-set layer at a fixed device-time
-// interval — the way the paper's driver polled real silicon through
-// PAPI's RAPL component — and reconciles what the polling measured
-// against the device's exact accumulated energy.
+// power timeline into the emulated RAPL device, samples it through the
+// PAPI event-set layer at a fixed device-time interval — the way the
+// paper's driver polled real silicon through PAPI's RAPL component —
+// and reconciles what the polling measured against the device's exact
+// accumulated energy.
 //
 // The reconciliation report states, per power plane, the measured and
 // ground-truth joules, the absolute and relative error, and the number
@@ -31,7 +31,6 @@ import (
 	"capscale/internal/papi"
 	"capscale/internal/rapl"
 	"capscale/internal/sim"
-	"capscale/internal/trace"
 )
 
 // Degradation policy defaults (Config overrides).
@@ -634,22 +633,4 @@ func Replay(segs []sim.Segment, cfg Config) (*Report, error) {
 		s.Observe(seg)
 	}
 	return s.Finish()
-}
-
-// ReplayTrace replays a recorded power trace — each step of the trace
-// becomes one constant-power segment.
-func ReplayTrace(tr *trace.Trace, cfg Config) (*Report, error) {
-	segs := make([]sim.Segment, 0, len(tr.Samples))
-	for i, s := range tr.Samples {
-		end := tr.End
-		if i+1 < len(tr.Samples) {
-			end = tr.Samples[i+1].T
-		}
-		segs = append(segs, sim.Segment{
-			Start: s.T,
-			End:   end,
-			Power: hw.PlanePower{PKG: s.PKG, PP0: s.PP0, DRAM: s.DRAM},
-		})
-	}
-	return Replay(segs, cfg)
 }

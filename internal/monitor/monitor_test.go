@@ -8,7 +8,6 @@ import (
 	"capscale/internal/hw"
 	"capscale/internal/rapl"
 	"capscale/internal/sim"
-	"capscale/internal/trace"
 )
 
 // segsFor builds a synthetic timeline: count segments of dt seconds
@@ -142,27 +141,6 @@ func TestReplayWarnsOnSingleSample(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no sample-count warning: %v", rep.Warnings)
-	}
-}
-
-func TestReplayTraceMatchesSegments(t *testing.T) {
-	segs := segsFor(30, 0.5)
-	tr := trace.FromSegments(segs)
-	a, err := Replay(segs, Config{PollInterval: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReplayTrace(tr, Config{PollInterval: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Planes {
-		if a.Planes[i].MeasuredJ != b.Planes[i].MeasuredJ || a.Planes[i].TruthJ != b.Planes[i].TruthJ {
-			t.Fatalf("trace replay diverges on %v: %+v vs %+v", a.Planes[i].Plane, a.Planes[i], b.Planes[i])
-		}
-	}
-	if a.Samples != b.Samples {
-		t.Fatalf("samples %d vs %d", a.Samples, b.Samples)
 	}
 }
 

@@ -214,11 +214,6 @@ func GetGauge(name string) *Gauge {
 	return g
 }
 
-// GetHistogram returns the named unitless histogram, creating it on
-// first use. Observations are kept in whatever unit the caller uses;
-// use GetHistogramUnit to have that unit rendered in Metrics().
-func GetHistogram(name string) *Histogram { return GetHistogramUnit(name, "") }
-
 // GetHistogramUnit returns the named histogram, creating it with the
 // given presentational unit suffix on first use. The unit set at
 // creation wins; later calls with a different unit get the existing

@@ -11,7 +11,7 @@
 // monitor observed.
 //
 // Tracing is off by default and compiled down to a handful of atomic
-// loads on the hot paths: every Start/End on a disabled collector is a
+// loads on the hot paths: every StartOn/End on a disabled collector is a
 // no-op that performs zero allocations, so instrumented code pays
 // nothing until someone calls Enable (the CLIs do when -trace-out is
 // given). Metrics are always live — they are single atomic adds, far
@@ -19,7 +19,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -54,10 +53,6 @@ func Disable() {
 	enabled.Store(false)
 	current.Store(nil)
 }
-
-// ActiveCollector returns the installed collector, or nil when tracing
-// is disabled.
-func ActiveCollector() *Collector { return current.Load() }
 
 // SpanEvent is one recorded span: a named interval on a track.
 // Timestamps are wall-clock durations since the collector's epoch.
@@ -147,10 +142,9 @@ type Span struct {
 // argument formatting on disabled paths.
 func (s *Span) Live() bool { return s.c != nil }
 
-// StartOn begins a span on an explicit track — the form hot loops and
-// per-worker code use (no context plumbing). A zero Track falls back
-// to the active collector's "main" track; when tracing is disabled the
-// returned Span is the zero no-op.
+// StartOn begins a span on a track. A zero Track falls back to the
+// active collector's "main" track; when tracing is disabled the
+// returned Span is the zero no-op, allocating nothing.
 func StartOn(t Track, name string) Span {
 	c := t.c
 	if c == nil {
@@ -163,27 +157,6 @@ func StartOn(t Track, name string) Span {
 		}
 	}
 	return Span{c: c, name: name, track: t.id, start: time.Since(c.epoch)}
-}
-
-// trackKey carries a Track through a context.
-type trackKey struct{}
-
-// WithTrack returns a context carrying the track, so Start calls
-// downstream land on it.
-func WithTrack(ctx context.Context, t Track) context.Context {
-	return context.WithValue(ctx, trackKey{}, t)
-}
-
-// Start begins a span on the context's track (or "main"). It returns
-// the zero no-op Span when tracing is disabled, allocating nothing.
-func Start(ctx context.Context, name string) Span {
-	if !enabled.Load() {
-		return Span{}
-	}
-	if t, ok := ctx.Value(trackKey{}).(Track); ok {
-		return StartOn(t, name)
-	}
-	return StartOn(Track{}, name)
 }
 
 // Arg annotates a live span with a string value; no-op on a dead span.

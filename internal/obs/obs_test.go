@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"math"
 	"strings"
 	"sync"
@@ -17,7 +16,7 @@ func TestDisabledSpansAreNoOps(t *testing.T) {
 	}
 	sp.ArgInt("n", 4096)
 	sp.End()
-	sp2 := Start(context.Background(), "y")
+	sp2 := StartOn(Track{}, "y")
 	sp2.End()
 }
 
@@ -26,9 +25,8 @@ func TestDisabledSpansAreNoOps(t *testing.T) {
 // allocations, so instrumented code costs nothing by default.
 func TestDisabledPathAllocatesNothing(t *testing.T) {
 	Disable()
-	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := Start(ctx, "cell")
+		sp := StartOn(Track{}, "cell")
 		sp.Arg("alg", "CAPS")
 		sp.ArgInt("n", 4096)
 		sp.End()
@@ -69,19 +67,6 @@ func TestSpansRecordOnNamedTracks(t *testing.T) {
 	names := c.TrackNames()
 	if len(names) != 2 || names[0] != "main" || names[1] != "worker 0" {
 		t.Fatalf("tracks %v", names)
-	}
-}
-
-func TestContextTrackPropagation(t *testing.T) {
-	c := Enable()
-	defer Disable()
-	tr := NewTrack("driver")
-	ctx := WithTrack(context.Background(), tr)
-	sp := Start(ctx, "sweep")
-	sp.End()
-	spans := c.Spans()
-	if len(spans) != 1 || spans[0].Track != 1 {
-		t.Fatalf("span did not land on the context's track: %+v", spans)
 	}
 }
 
@@ -127,7 +112,7 @@ func TestMetricsRegistry(t *testing.T) {
 		t.Fatalf("gauge = %d (max %d), want 1 (max 5)", g.Value(), g.Max())
 	}
 
-	h := GetHistogram("test.hist")
+	h := GetHistogramUnit("test.hist", "")
 	for _, v := range []float64{0.001, 0.002, 0.004, 1.5} {
 		h.Observe(v)
 	}
@@ -162,7 +147,7 @@ func TestMetricsRegistry(t *testing.T) {
 
 func TestHistogramExtremes(t *testing.T) {
 	ResetMetrics()
-	h := GetHistogram("test.extremes")
+	h := GetHistogramUnit("test.extremes", "")
 	h.Observe(0)    // lowest bucket
 	h.Observe(-5)   // lowest bucket, no panic
 	h.Observe(1e30) // clamps to top bucket
@@ -206,7 +191,7 @@ func TestHistogramNonDurationValues(t *testing.T) {
 // race-free and lose no observations.
 func TestHistogramConcurrentObserve(t *testing.T) {
 	ResetMetrics()
-	h := GetHistogram("test.concurrent")
+	h := GetHistogramUnit("test.concurrent", "")
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {

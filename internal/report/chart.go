@@ -181,7 +181,7 @@ func ScalingChart(mx *workload.Matrix, n int) *Chart {
 		linear.Y = append(linear.Y, float64(p))
 	}
 	ch.Series = append(ch.Series, linear)
-	for _, alg := range mx.Cfg.Algorithms {
+	for _, alg := range nodeAlgorithms(mx) {
 		series := mx.ScalingSeries(alg, n)
 		ch.Series = append(ch.Series, ChartSeries{Name: alg.String(), Y: series.S})
 	}

@@ -5,6 +5,7 @@ import (
 
 	"capscale/internal/cluster"
 	"capscale/internal/dmm"
+	"capscale/internal/energy"
 	"capscale/internal/workload"
 )
 
@@ -70,7 +71,7 @@ func CommWordsPerRank(r *workload.Run) float64 {
 func CommLowerBound(alg workload.Algorithm, n, p int, memWords float64) float64 {
 	switch alg {
 	case workload.AlgDStrassen, workload.AlgDistCAPS:
-		return dmm.StrassenLowerBound(n, p, memWords)
+		return energy.CommBound(float64(n), float64(p), memWords)
 	default:
 		return dmm.ClassicLowerBound(n, p, memWords)
 	}

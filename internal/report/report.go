@@ -44,7 +44,7 @@ func Table3(mx *workload.Matrix) *Table {
 		Title:  "Table III — Average power (W) at thread count",
 		Header: []string{"algorithm", "threads", "measured", "paper", "rel.err"},
 	}
-	for _, alg := range mx.Cfg.Algorithms {
+	for _, alg := range nodeAlgorithms(mx) {
 		total := 0.0
 		for _, p := range mx.Cfg.Threads {
 			got := mx.AvgPowerAtThreads(alg, p)
@@ -70,7 +70,7 @@ func Table4(mx *workload.Matrix) *Table {
 		Title:  "Table IV — Average energy performance at problem size N",
 		Header: []string{"algorithm", "N", "measured", "paper", "rel.err"},
 	}
-	for _, alg := range mx.Cfg.Algorithms {
+	for _, alg := range nodeAlgorithms(mx) {
 		for _, n := range mx.Cfg.Sizes {
 			got := mx.AvgEPAtSize(alg, n)
 			if paper, ok := PaperTable4[alg][n]; ok {
@@ -142,7 +142,7 @@ func Figure7(mx *workload.Matrix) *Table {
 		Title:  "Figure 7 — Energy performance scaling S = EP_p / EP_1",
 		Header: []string{"algorithm", "N", "series (P:S)", "class", "mean |S-P|"},
 	}
-	for _, alg := range mx.Cfg.Algorithms {
+	for _, alg := range nodeAlgorithms(mx) {
 		for _, n := range mx.Cfg.Sizes {
 			s := mx.ScalingSeries(alg, n)
 			var points []string
@@ -221,7 +221,7 @@ func BreakdownTable(mx *workload.Matrix, n, threads int) *Table {
 		Title:  fmt.Sprintf("Busy-time breakdown at N=%d, %d threads (seconds)", n, threads),
 		Header: []string{"algorithm", "gemm", "basemul", "add", "copy", "total busy"},
 	}
-	for _, alg := range mx.Cfg.Algorithms {
+	for _, alg := range nodeAlgorithms(mx) {
 		r := mx.Get(alg, n, threads)
 		if r == nil {
 			continue
@@ -341,6 +341,20 @@ func All(mx *workload.Matrix) string {
 		parts = append(parts, CommTable(mx).String())
 	}
 	return strings.Join(parts, "\n")
+}
+
+// nodeAlgorithms returns the matrix's single-node algorithms in
+// configuration order: the ones with a cell per size and thread count,
+// which the node tables and figures range over. Distributed cells sit
+// on the cluster axis instead.
+func nodeAlgorithms(mx *workload.Matrix) []workload.Algorithm {
+	var out []workload.Algorithm
+	for _, alg := range mx.Cfg.Algorithms {
+		if !alg.Distributed() {
+			out = append(out, alg)
+		}
+	}
+	return out
 }
 
 func maxThreads(mx *workload.Matrix) int {

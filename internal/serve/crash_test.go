@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"syscall"
 	"testing"
@@ -158,8 +159,9 @@ func TestCrashEveryPointRecoversByteIdentical(t *testing.T) {
 }
 
 // TestRecoverResumesInterruptedSweep: a journal with a partial prefix,
-// a request sidecar, and no live lease is picked up by Recover without
-// any client asking, and the finished result replays completely.
+// the request in its header, and no live lease is picked up by Recover
+// without any client asking, and the finished result replays
+// completely.
 func TestRecoverResumesInterruptedSweep(t *testing.T) {
 	dir := t.TempDir()
 	req := smokeRequest()
@@ -381,10 +383,10 @@ func TestResumeTokenExactContinuation(t *testing.T) {
 	}
 }
 
-// TestTakeoverOfDeadReplica: a store holds a partial journal, a
-// sidecar, and a lease owned by a verifiably dead process. A follower
-// asked for the sweep detects the dead holder, steals the lease, and
-// completes the sweep — each remaining cell executed exactly once.
+// TestTakeoverOfDeadReplica: a store holds a partial journal and a
+// lease owned by a verifiably dead process. A follower asked for the
+// sweep detects the dead holder, steals the lease, and completes the
+// sweep — each remaining cell executed exactly once.
 func TestTakeoverOfDeadReplica(t *testing.T) {
 	dir := t.TempDir()
 	req := smokeRequest()
@@ -490,9 +492,7 @@ func deadPID(t *testing.T) int {
 // TestRecoverReadsRequestFromHeaderOrSidecar: the request rides in
 // the journal's header, and no sidecar is written. A resumed sweep's
 // compacted journal keeps the request, so a second crash still
-// resumes. A journal an older store wrote, with the request in a
-// sidecar beside it, resumes too, and so does a sidecar whose journal
-// was never created.
+// resumes.
 func TestRecoverReadsRequestFromHeaderOrSidecar(t *testing.T) {
 	req := smokeRequest()
 	cfg, err := req.Config()
@@ -509,8 +509,8 @@ func TestRecoverReadsRequestFromHeaderOrSidecar(t *testing.T) {
 	}
 	srv1.wg.Wait()
 	full := waitResult(t, ts1, fp, 5*time.Second)
-	if fps, err := srv1.store.RequestFingerprints(); err != nil || len(fps) != 0 {
-		t.Fatalf("request sidecars %v (err %v), want none", fps, err)
+	if reqs, err := filepath.Glob(filepath.Join(dir, "*.req")); err != nil || len(reqs) != 0 {
+		t.Fatalf("request sidecars %v (err %v), want none", reqs, err)
 	}
 	path := srv1.store.Path(fp)
 	raw, err := os.ReadFile(path)
@@ -522,7 +522,6 @@ func TestRecoverReadsRequestFromHeaderOrSidecar(t *testing.T) {
 	if err := json.Unmarshal(lines[0], &hdr); err != nil || !bytes.Equal(hdr.Request, body) {
 		t.Fatalf("journal header %s (err %v), want the request %s in it", lines[0], err, body)
 	}
-	oldHeader, _ := json.Marshal(store.Header{Version: hdr.Version, Fingerprint: hdr.Fingerprint})
 
 	// resume starts a fresh replica on dir and wants it to resume the
 	// sweep by itself, complete it, and leave the request in the
@@ -556,29 +555,6 @@ func TestRecoverReadsRequestFromHeaderOrSidecar(t *testing.T) {
 		}
 		lines := bytes.SplitAfter(raw, []byte("\n"))
 		if err := os.WriteFile(path, append(append([]byte(nil), lines[0]...), lines[1]...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		resume(name, dir)
-	}
-
-	// An older store's crash images: the same journal prefix with a
-	// header that has no request, and no journal at all; the request
-	// sits in a sidecar.
-	for name, journal := range map[string][]byte{
-		"sidecar-and-journal": append(append(oldHeader, '\n'), lines[1]...),
-		"sidecar-alone":       nil,
-	} {
-		dir := t.TempDir()
-		st, err := store.Open(dir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if journal != nil {
-			if err := os.WriteFile(st.Path(fp), journal, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.SaveRequest(fp, body); err != nil {
 			t.Fatal(err)
 		}
 		resume(name, dir)

@@ -54,13 +54,12 @@
 // What a sweep makes durable: its lease, its journal, and each
 // record. The request lives in the journal's header (written by
 // workload.Config.Request), so the journal alone is enough to resume
-// the sweep; Recover still reads the request sidecars older versions
-// wrote beside the journal. A sweep journals the cells the run cache
-// already holds together, with one write and one fsync, before it
-// simulates any cell, and announces them only after that commit; each
-// simulated cell is appended and fsynced on its own as it completes.
-// A sweep whose every cell is cached therefore costs three fsyncs:
-// lease, journal creation and the commit.
+// the sweep. A sweep journals the cells the run cache already holds
+// together, with one write and one fsync, before it simulates any
+// cell, and announces them only after that commit; each simulated cell
+// is appended and fsynced on its own as it completes. A sweep whose
+// every cell is cached therefore costs three fsyncs: lease, journal
+// creation and the commit.
 //
 // One read path: the journal is the stream. Every record a client
 // receives — on the POST that started a sweep, an attached or
@@ -107,6 +106,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -255,28 +255,18 @@ func (s *Server) Handler() http.Handler {
 
 // Recover scans the store for interrupted work: torn journal tails
 // are salvaged (headerless journals quarantined aside), and every
-// incomplete sweep with a free lease and a stored request — in its
-// journal's header, or in a sidecar an older store wrote — is resumed
-// through the normal checkpoint path. Call it on startup, after
-// mounting nothing — it launches executor goroutines, not requests.
-// logf (nil for silent) receives one line per action taken.
+// incomplete sweep with a free lease and a request in its journal's
+// header is resumed through the normal checkpoint path. Call it on
+// startup, after mounting nothing — it launches executor goroutines,
+// not requests. logf (nil for silent) receives one line per action
+// taken.
 func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvaged int) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	// Union of journals and request sidecars: a sweep's request rides
-	// in its journal's header, but older stores saved it in a sidecar
-	// first, and a crash before the journal's first rename left a
-	// sidecar with no journal; that sweep restarts from scratch. An
-	// unlistable store directory has nothing to recover.
+	// An unlistable store directory has nothing to recover.
 	journals, _ := s.store.Fingerprints()
-	requests, _ := s.store.RequestFingerprints()
-	seen := make(map[string]bool)
-	for _, fp := range append(journals, requests...) {
-		if seen[fp] {
-			continue
-		}
-		seen[fp] = true
+	for _, fp := range journals {
 		if changed, err := store.SalvageJournal(s.store.FS(), s.store.Path(fp), store.MaxRecord); err != nil {
 			logf("recover %s: salvage: %v", fp, err)
 			continue
@@ -291,10 +281,7 @@ func (s *Server) Recover(logf func(format string, args ...any)) (resumed, salvag
 			continue
 		}
 		if len(body) == 0 {
-			var ok bool
-			if body, ok = s.store.LoadRequest(fp); !ok {
-				continue // nothing to reconstruct the sweep from
-			}
+			continue // nothing to reconstruct the sweep from
 		}
 		var req SweepRequest
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -385,10 +372,15 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	return false
 }
 
-// clientID identifies a request's client for quota accounting.
+// clientID identifies a request's client for quota accounting: its
+// X-Client-ID header, else the host part of its remote address, so
+// that every connection of one host shares one quota.
 func clientID(r *http.Request) string {
 	if id := r.Header.Get("X-Client-ID"); id != "" {
 		return id
+	}
+	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
+		return host
 	}
 	return r.RemoteAddr
 }

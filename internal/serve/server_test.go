@@ -347,6 +347,29 @@ func TestClientQuota(t *testing.T) {
 		t.Fatal("request rejected after quota freed")
 	}
 	srv.release("greedy")
+
+	// Without the header the client is the remote host, whatever the
+	// port of the connection.
+	solo, _ := testServer(t, Config{ClientQuota: 1})
+	from := func(addr string) *http.Request {
+		r := httptest.NewRequest("GET", "/v1/status", nil)
+		r.RemoteAddr = addr
+		return r
+	}
+	first, ok := solo.admit(httptest.NewRecorder(), from("192.0.2.1:1111"))
+	if !ok {
+		t.Fatal("first connection of a host rejected under quota")
+	}
+	w = httptest.NewRecorder()
+	if _, ok := solo.admit(w, from("192.0.2.1:2222")); ok || w.Code != http.StatusTooManyRequests {
+		t.Fatalf("second connection of the host admitted (status %d), want 429", w.Code)
+	}
+	second, ok := solo.admit(httptest.NewRecorder(), from("198.51.100.7:1111"))
+	if !ok {
+		t.Fatal("another host rejected")
+	}
+	solo.release(first)
+	solo.release(second)
 }
 
 // TestDrainRejectsNewWork: after Drain, requests get 503 and the

@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,9 +13,9 @@ import (
 const Ext = ".jsonl"
 
 // reqExt is the request sidecar extension: the raw sweep request body
-// older stores saved next to the journal so a recovering replica could
-// reconstruct and resume a sweep it never saw. The request now rides
-// in the journal's header (Header.Request); sidecars are still read.
+// older stores saved next to the journal. The request now rides in the
+// journal's header (Header.Request) and nothing reads sidecars; only
+// SaveRequest writes them, for capbench.
 const reqExt = ".req"
 
 // Store is a fingerprint-keyed directory of result journals shared by
@@ -78,37 +77,13 @@ func (s *Store) Fingerprints() ([]string, error) {
 	return fps, nil
 }
 
-// RequestFingerprints lists the fingerprints with a saved request
-// sidecar, sorted — including ones whose journal does not exist (an
-// older store's crash could land between the sidecar save and the
-// journal's first rename; recovery restarts those sweeps from the
-// sidecar alone).
-func (s *Store) RequestFingerprints() ([]string, error) {
-	entries, err := s.fsys.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var fps []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name, ok := strings.CutSuffix(e.Name(), reqExt)
-		if !ok || !ValidFingerprint(name) {
-			continue
-		}
-		fps = append(fps, name)
-	}
-	sort.Strings(fps)
-	return fps, nil
-}
-
 // reqPath returns the request sidecar path for a fingerprint.
 func (s *Store) reqPath(fp string) string { return filepath.Join(s.dir, fp+reqExt) }
 
-// SaveRequest persists the raw sweep request body for fp as a sidecar
-// (atomically, so recovery never parses a half-written request), the
-// way older stores did. The sweep server no longer writes sidecars.
+// SaveRequest persists the raw sweep request body for fp as a sidecar,
+// atomically (temp file, fsync, rename), the way older stores did. The
+// sweep server neither writes nor reads sidecars; SaveRequest is kept
+// only because capbench times one (its sidecar_ms_p50 metric).
 func (s *Store) SaveRequest(fp string, body []byte) error {
 	tmp := tempPath(s.reqPath(fp))
 	f, err := s.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -134,22 +109,6 @@ func (s *Store) SaveRequest(fp string, body []byte) error {
 		return err
 	}
 	return nil
-}
-
-// LoadRequest returns the saved request body for fp, if any.
-func (s *Store) LoadRequest(fp string) ([]byte, bool) {
-	f, err := s.fsys.OpenFile(s.reqPath(fp), os.O_RDONLY, 0)
-	if err != nil {
-		return nil, false
-	}
-	raw, err := io.ReadAll(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, false
-	}
-	return raw, true
 }
 
 // ValidFingerprint reports whether fp looks like a sweep fingerprint:

@@ -76,11 +76,6 @@ type builder struct {
 	// arena holds the tree's records, labels and region IDs for this
 	// one build.
 	arena task.Arena
-	// pool, when non-nil, supplies the recursion temporaries; temps
-	// records every matrix drawn so BuildPooled's release function can
-	// recycle them.
-	pool  *matrix.Pool
-	temps []*matrix.Dense
 }
 
 // Build returns the task tree computing c = a·b by parallel Strassen.
@@ -88,25 +83,6 @@ type builder struct {
 // is the thread count the run will use; it informs the traffic model's
 // cache-share estimates.
 func Build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options) *task.Node {
-	root, _ := build(m, c, a, b, workers, opt, nil)
-	return root
-}
-
-// BuildPooled is Build with the recursion temporaries (operand sums,
-// the seven products per level, padding copies) drawn from pool
-// instead of allocated fresh. Call the returned release function after
-// the tree has finished executing to recycle them; the tree must not
-// run again afterwards, since its scratch storage may be handed to a
-// later build. With a long-lived pool, steady-state rebuilds of the
-// same problem size allocate no matrix storage at all.
-func BuildPooled(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options, pool *matrix.Pool) (root *task.Node, release func()) {
-	if pool == nil {
-		pool = new(matrix.Pool)
-	}
-	return build(m, c, a, b, workers, opt, pool)
-}
-
-func build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options, pool *matrix.Pool) (*task.Node, func()) {
 	n := a.Rows()
 	if !a.IsSquare() || !b.IsSquare() || !c.IsSquare() || b.Rows() != n || c.Rows() != n {
 		panic(fmt.Sprintf("strassen: need equal square matrices, got %dx%d %dx%d %dx%d",
@@ -115,7 +91,7 @@ func build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options, pool 
 	if workers < 1 {
 		panic(fmt.Sprintf("strassen: workers %d", workers))
 	}
-	bd := &builder{m: m, opt: opt, workers: workers, pool: pool}
+	bd := &builder{m: m, opt: opt, workers: workers}
 
 	// Sizes that do not halve evenly down to the cutover are padded
 	// once, up front, to the nearest c·2^k with c ≤ cutover — at most
@@ -133,17 +109,7 @@ func build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options, pool 
 		}
 		root = bd.mul(cc, ca, cb, 0)
 	}
-	return bd.arena.Node(root), bd.release
-}
-
-// release recycles every temporary the build drew from its pool. It is
-// a no-op for unpooled builds.
-func (bd *builder) release() {
-	if bd.pool == nil || len(bd.temps) == 0 {
-		return
-	}
-	bd.pool.Put(bd.temps...)
-	bd.temps = nil
+	return bd.arena.Node(root)
 }
 
 // PaddedSize returns the smallest m ≥ n of the form c·2^k with
@@ -163,27 +129,13 @@ func PaddedSize(n, cutover int) int {
 	return ((n + (1 << k) - 1) >> k) << k
 }
 
-// padCopy returns a padded×padded copy of m with zero fill, pooled
-// when the build has a pool.
-func (bd *builder) padCopy(m *matrix.Dense, padded int) *matrix.Dense {
-	if bd.pool == nil {
-		return matrix.PadTo(m, padded, padded)
-	}
-	out := bd.scratch(padded, padded)
-	out.Zero()
-	matrix.CopyTo(out.View(0, 0, m.Rows(), m.Cols()), m)
-	return out
-}
-
 // paddedMul wraps the recursion in pad-in/pad-out stages.
 func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) task.Ref {
 	var pa, pb, pc *matrix.Dense
 	if bd.opt.WithMath {
-		pa = bd.padCopy(a, padded)
-		pb = bd.padCopy(b, padded)
-		// pc is fully written by the recursion before the unpad leaf
-		// reads it, so a pooled, non-zeroed buffer is safe.
-		pc = bd.scratch(padded, padded)
+		pa = matrix.PadTo(a, padded, padded)
+		pb = matrix.PadTo(b, padded, padded)
+		pc = matrix.New(padded, padded)
 	}
 	ca := operand{mat: pa, region: bd.arena.New(), n: padded}
 	cb := operand{mat: pb, region: bd.arena.New(), n: padded}
@@ -233,27 +185,13 @@ func (bd *builder) mul(c, a, b operand, depth int) task.Ref {
 	return bd.classicNode(c, a, b, depth)
 }
 
-// temp allocates a recursion temporary of dimension n, drawing from
-// the scratch pool when the build has one. Pooled temporaries are not
-// zeroed: every temporary is fully written (operand sums by
-// AddTo/SubTo, products by kernel.Mul) before it is read.
+// temp allocates a recursion temporary of dimension n.
 func (bd *builder) temp(n int) operand {
 	t := operand{region: bd.arena.New(), n: n}
 	if bd.opt.WithMath {
-		t.mat = bd.scratch(n, n)
+		t.mat = matrix.New(n, n)
 	}
 	return t
-}
-
-// scratch returns an r×c matrix from the pool (recorded for release)
-// or freshly allocated for unpooled builds.
-func (bd *builder) scratch(r, c int) *matrix.Dense {
-	if bd.pool == nil {
-		return matrix.New(r, c)
-	}
-	m := bd.pool.Get(r, c)
-	bd.temps = append(bd.temps, m)
-	return m
 }
 
 // addLeaf builds the leaf for dst = an element-wise combination of

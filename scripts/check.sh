@@ -23,12 +23,6 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
-# A second, focused copylocks pass: the fault/monitor layer passes
-# hook closures and small structs across goroutines, where an
-# accidentally copied mutex is easy to introduce and hard to spot.
-# (The shadow analyzer would ride here too, but it ships as a separate
-# binary this container does not have.)
-go vet -copylocks ./...
 # Focused errcheck pass: a dropped Close/Sync/Rename error in the
 # packages that own on-disk state is how a torn journal masquerades as
 # a clean shutdown (scripts/errcheck/main.go).

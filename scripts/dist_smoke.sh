@@ -10,7 +10,9 @@
 #     simulator ground truth inside the monitor (a divergence panics
 #     the sweep, so exit 0 is the assertion),
 #   - a checkpointed re-run restores completed cells instead of
-#     re-simulating them, and renders identical tables.
+#     re-simulating them, and renders identical tables,
+#   - the default artifact (-what all) of the same sweep renders the
+#     paper's node tables beside the comm table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,11 +22,11 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/epscale" ./cmd/epscale
 
 run() {
-    "$tmp/epscale" -what comm -cluster 4x1GbE -sizes 256 -threads 1 \
+    "$tmp/epscale" -cluster 4x1GbE -sizes 256 -threads 1 \
         -faults 42 -fault-rate 0.5 "$@"
 }
 
-run -checkpoint "$tmp/sweep.ck" > "$tmp/out1.txt" 2> "$tmp/err1.txt" \
+run -what comm -checkpoint "$tmp/sweep.ck" > "$tmp/out1.txt" 2> "$tmp/err1.txt" \
     || { echo "dist_smoke.sh: distributed sweep exited non-zero" >&2; cat "$tmp/err1.txt" >&2; exit 1; }
 
 for alg in SUMMA 2.5D DStrassen dCAPS; do
@@ -33,11 +35,20 @@ for alg in SUMMA 2.5D DStrassen dCAPS; do
 done
 
 # Resume from the journal: completed cells restored, tables unchanged.
-run -checkpoint "$tmp/sweep.ck" > "$tmp/out2.txt" 2> "$tmp/err2.txt" \
+run -what comm -checkpoint "$tmp/sweep.ck" > "$tmp/out2.txt" 2> "$tmp/err2.txt" \
     || { echo "dist_smoke.sh: resumed sweep exited non-zero" >&2; cat "$tmp/err2.txt" >&2; exit 1; }
 grep -q "restored" "$tmp/err2.txt" \
     || { echo "dist_smoke.sh: checkpoint resume restored nothing" >&2; cat "$tmp/err2.txt" >&2; exit 1; }
 cmp -s "$tmp/out1.txt" "$tmp/out2.txt" \
     || { echo "dist_smoke.sh: resumed sweep differs from the original" >&2; exit 1; }
+
+# The default artifact of the same matrix: node tables and the comm
+# table side by side.
+run -checkpoint "$tmp/sweep.ck" > "$tmp/all.txt" 2> "$tmp/err3.txt" \
+    || { echo "dist_smoke.sh: -what all exited non-zero" >&2; cat "$tmp/err3.txt" >&2; exit 1; }
+for want in "Table III" "Communication volume"; do
+    grep -q "$want" "$tmp/all.txt" \
+        || { echo "dist_smoke.sh: -what all lacks $want" >&2; cat "$tmp/all.txt" >&2; exit 1; }
+done
 
 echo "dist_smoke.sh: distributed pipeline green"
