@@ -1,4 +1,4 @@
-.PHONY: check test race bench bench-kernels bench-driver bench-sim bench-model trace-smoke chaos-smoke dist-smoke model-smoke serve-smoke crash-smoke errcheck
+.PHONY: check test loc race bench bench-kernels bench-driver bench-sim bench-model trace-smoke chaos-smoke dist-smoke model-smoke serve-smoke crash-smoke errcheck
 
 # Full verify gate: gofmt, vet, build, tests, race pass on the
 # concurrent packages.
@@ -7,6 +7,12 @@ check:
 
 test:
 	go test ./...
+
+# The two line counts a simplicity change reports: non-test and test Go
+# outside bench/ (the benchmark is a module of its own).
+loc:
+	@printf 'non-test Go lines outside bench/: '; find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'test Go lines outside bench/:     '; find . -path ./bench -prune -o -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # The race-detector pass check.sh runs (scripts/race.sh).
 race:

@@ -58,6 +58,22 @@ func knownArtifact(name string) bool {
 	return false
 }
 
+// charts holds the artifacts -chart can draw, each from the matrix and
+// its largest size.
+var charts = map[string]func(mx *workload.Matrix, size int) *report.Chart{
+	"fig3": func(mx *workload.Matrix, _ int) *report.Chart { return report.SlowdownChart(mx) },
+	"fig4": func(mx *workload.Matrix, _ int) *report.Chart {
+		return report.PowerScalingChart(mx, workload.AlgOpenBLAS, 4)
+	},
+	"fig5": func(mx *workload.Matrix, _ int) *report.Chart {
+		return report.PowerScalingChart(mx, workload.AlgStrassen, 5)
+	},
+	"fig6": func(mx *workload.Matrix, _ int) *report.Chart {
+		return report.PowerScalingChart(mx, workload.AlgCAPS, 6)
+	},
+	"fig7": report.ScalingChart,
+}
+
 // run is main with its environment abducted: flag parsing, validation
 // and the whole pipeline run against explicit writers so the CLI
 // boundary is testable. It returns the process exit code.
@@ -100,6 +116,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if !knownArtifact(*what) {
 		fmt.Fprintf(stderr, "epscale: unknown artifact %q (valid: %s)\n", *what, strings.Join(artifactNames, ", "))
+		return 2
+	}
+	// Refuse a rendering the artifact lacks before any study or sweep
+	// runs.
+	if _, ok := charts[*what]; *chart && !ok {
+		fmt.Fprintf(stderr, "epscale: no chart for %q (use fig3..fig7)\n", *what)
+		return 2
+	}
+	if *csv && *what == "all" {
+		fmt.Fprintln(stderr, "epscale: -csv requires a single -what artifact")
 		return 2
 	}
 
@@ -326,29 +352,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *chart {
-		charts := map[string]func() *report.Chart{
-			"fig3": func() *report.Chart { return report.SlowdownChart(mx) },
-			"fig4": func() *report.Chart { return report.PowerScalingChart(mx, workload.AlgOpenBLAS, 4) },
-			"fig5": func() *report.Chart { return report.PowerScalingChart(mx, workload.AlgStrassen, 5) },
-			"fig6": func() *report.Chart { return report.PowerScalingChart(mx, workload.AlgCAPS, 6) },
-			"fig7": func() *report.Chart {
-				return report.ScalingChart(mx, cfg.Sizes[len(cfg.Sizes)-1])
-			},
-		}
-		mk, ok := charts[*what]
-		if !ok {
-			fmt.Fprintf(stderr, "epscale: no chart for %q (use fig3..fig7)\n", *what)
-			return 2
-		}
-		fmt.Fprint(stdout, mk().String())
+		fmt.Fprint(stdout, charts[*what](mx, cfg.Sizes[len(cfg.Sizes)-1]).String())
 		return 0
 	}
-
 	if *what == "all" {
-		if *csv {
-			fmt.Fprintln(stderr, "epscale: -csv requires a single -what artifact")
-			return 2
-		}
 		fmt.Fprint(stdout, report.All(mx))
 		return 0
 	}
@@ -367,7 +374,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // would read and the matrix cannot have, or nil when it has them all.
 // table2, fig3, headlines and all compare Strassen and CAPS against
 // OpenBLAS; fig4–fig6 plot one of the three; the other node artifacts
-// read the single-node cells of whatever algorithms there are.
+// read the single-node cells of whatever algorithms there are, and
+// comm and future-dmm the distributed ones.
 func artifactCells(what string, algs []workload.Algorithm) error {
 	var need []workload.Algorithm
 	switch what {
@@ -379,13 +387,18 @@ func artifactCells(what string, algs []workload.Algorithm) error {
 		need = []workload.Algorithm{workload.AlgStrassen}
 	case "fig6":
 		need = []workload.Algorithm{workload.AlgCAPS}
-	case "table3", "table4", "fig7", "breakdown":
+	case "table3", "table4", "fig7", "breakdown", "comm", "future-dmm":
+		distributed := what == "comm" || what == "future-dmm"
 		for _, a := range algs {
-			if !a.Distributed() {
+			if a.Distributed() == distributed {
 				return nil
 			}
 		}
-		return fmt.Errorf("-what %s reads cells the matrix lacks: single-node algorithms", what)
+		kind := "single-node"
+		if distributed {
+			kind = "distributed"
+		}
+		return fmt.Errorf("-what %s reads cells the matrix lacks: %s algorithms", what, kind)
 	}
 	var missing []string
 	for _, a := range need {

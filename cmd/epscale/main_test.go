@@ -12,7 +12,8 @@ import (
 
 // TestFlagValidation pins the CLI boundary: bad input produces a
 // one-line usage error on stderr and a non-zero exit, never a panic or
-// a silently-clamped run.
+// a silently-clamped run, and is refused before any study or sweep
+// runs.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -31,6 +32,7 @@ func TestFlagValidation(t *testing.T) {
 		{"artifact error lists modes", []string{"-what", "table99"}, "valid: all, table2"},
 		{"csv needs artifact", []string{"-csv", "-sizes", "64", "-threads", "1"}, "-csv requires"},
 		{"chart for table", []string{"-chart", "-what", "table2", "-sizes", "64", "-threads", "1"}, "no chart"},
+		{"chart for study", []string{"-chart", "-what", "platforms"}, "no chart"},
 		{"unknown plan", []string{"-plan", "psychic"}, "valid: exhaustive, guided"},
 		{"seed fraction range", []string{"-plan", "guided", "-seed-frac", "1.5"}, "-seed-frac"},
 		{"negative confidence", []string{"-plan", "guided", "-confidence", "-0.1"}, "-confidence"},
@@ -50,6 +52,9 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Fatalf("args %v: stderr %q lacks %q", tc.args, stderr.String(), tc.want)
+			}
+			if strings.Contains(stderr.String(), "running") {
+				t.Fatalf("args %v: refused only after running; stderr:\n%s", tc.args, stderr.String())
 			}
 		})
 	}
@@ -247,6 +252,7 @@ func TestArtifactsFitTheMatrix(t *testing.T) {
 	dir := t.TempDir()
 	mixed := filepath.Join(dir, "mixed.json")
 	distributed := filepath.Join(dir, "distributed.json")
+	nodeOnly := filepath.Join(dir, "node.json")
 
 	// The default artifact of a sweep with a cluster axis: the paper's
 	// tables over its node algorithms, then the comm table.
@@ -271,6 +277,9 @@ func TestArtifactsFitTheMatrix(t *testing.T) {
 	if code := run([]string{"-algs", "dCAPS", "-sizes", "128", "-cluster", "7x1GbE", "-what", "comm", "-save", distributed}, &stdout, &stderr); code != 0 {
 		t.Fatalf("distributed-only sweep: exit %d; stderr:\n%s", code, stderr.String())
 	}
+	if code := run([]string{"-algs", "CAPS", "-sizes", "128", "-threads", "1", "-what", "table3", "-save", nodeOnly}, &stdout, &stderr); code != 0 {
+		t.Fatalf("node-only sweep: exit %d; stderr:\n%s", code, stderr.String())
+	}
 
 	for _, tc := range []struct {
 		args []string
@@ -284,6 +293,9 @@ func TestArtifactsFitTheMatrix(t *testing.T) {
 		{[]string{"-algs", "dCAPS", "-sizes", "128", "-cluster", "7x1GbE", "-what", "table4"}, "single-node"},
 		{[]string{"-load", distributed, "-what", "table3"}, "single-node"},
 		{[]string{"-load", distributed, "-what", "fig6"}, "CAPS"},
+		{[]string{"-algs", "CAPS", "-sizes", "128", "-threads", "1", "-what", "comm"}, "distributed"},
+		{[]string{"-algs", "CAPS", "-sizes", "128", "-threads", "1", "-what", "future-dmm"}, "distributed"},
+		{[]string{"-load", nodeOnly, "-what", "comm"}, "distributed"},
 	} {
 		stdout.Reset()
 		stderr.Reset()

@@ -187,14 +187,3 @@ func computeStage(ar *task.Arena, c, a, b *matrix.Dense, plan Plan, jc, kc, nc, 
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// Mul computes c = a·b live, bypassing tree construction entirely:
-// the machine-derived blocking plan drives kernel.GemmParallel, whose
-// workers share each packed B panel and pack A blocks into pooled
-// per-worker buffers. This is the fast path for callers that want the
-// product, not the schedule; steady-state calls allocate nothing.
-func Mul(m *hw.Machine, c, a, b *matrix.Dense, workers int) {
-	plan := PlanFor(m, a.Rows(), a.Cols(), b.Cols())
-	c.Zero()
-	kernel.GemmParallel(c, a, b, plan.MC, plan.KC, plan.NC, workers)
-}

@@ -208,24 +208,3 @@ func TestPropertyFlopAccountingRandomShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// The live fast path must match the naive reference and the tree-built
-// engine's product.
-func TestMulFastPathMatchesNaive(t *testing.T) {
-	m := machine()
-	rng := rand.New(rand.NewSource(31))
-	for _, dims := range [][3]int{{64, 64, 64}, {97, 113, 89}, {256, 128, 192}} {
-		M, K, N := dims[0], dims[1], dims[2]
-		a := matrix.Rand(rng, M, K)
-		b := matrix.Rand(rng, K, N)
-		want := matrix.New(M, N)
-		matrix.MulNaive(want, a, b)
-		for _, workers := range []int{1, 2, 4} {
-			c := matrix.New(M, N)
-			Mul(m, c, a, b, workers)
-			if !matrix.AlmostEqual(c, want, 1e-10) {
-				t.Errorf("%v workers=%d: Mul differs by %v", dims, workers, matrix.MaxAbsDiff(c, want))
-			}
-		}
-	}
-}

@@ -3,43 +3,29 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"capscale/internal/matrix"
 )
 
-// benchGemm measures one multiplier at size n, reporting achieved
-// GFLOP/s. Steady-state iterations must not allocate: both kernels
-// draw their packing buffers from the shared pool.
-func benchGemm(b *testing.B, n int, mul func(dst, a, bb *matrix.Dense)) {
-	rng := rand.New(rand.NewSource(int64(n)))
-	a := matrix.Rand(rng, n, n)
-	bb := matrix.Rand(rng, n, n)
-	dst := matrix.New(n, n)
-	mul(dst, a, bb) // warm the buffer pools before counting allocs
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mul(dst, a, bb)
-	}
-	gflops := MulFlops(n, n, n) * float64(b.N) / b.Elapsed().Seconds() / 1e9
-	b.ReportMetric(gflops, "GFLOP/s")
-}
-
+// BenchmarkGemmPacked reports achieved GFLOP/s. Steady-state
+// iterations must not allocate: the kernel draws its packing buffers
+// from the shared pool.
 func BenchmarkGemmPacked(b *testing.B) {
 	for _, n := range []int{256, 512, 1024} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			benchGemm(b, n, func(dst, a, bb *matrix.Dense) { MulPacked(dst, a, bb) })
-		})
-	}
-}
-
-func BenchmarkGemmParallel(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	for _, n := range []int{256, 512, 1024} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			benchGemm(b, n, func(dst, a, bb *matrix.Dense) { MulParallel(dst, a, bb, workers) })
+			rng := rand.New(rand.NewSource(int64(n)))
+			x := matrix.Rand(rng, n, n)
+			y := matrix.Rand(rng, n, n)
+			dst := matrix.New(n, n)
+			MulPacked(dst, x, y) // warm the buffer pool before counting allocs
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulPacked(dst, x, y)
+			}
+			gflops := MulFlops(n, n, n) * float64(b.N) / b.Elapsed().Seconds() / 1e9
+			b.ReportMetric(gflops, "GFLOP/s")
 		})
 	}
 }

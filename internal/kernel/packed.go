@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
 
 	"capscale/internal/matrix"
 )
@@ -117,13 +118,24 @@ func micro(kc int, ap, bp []float64, c *matrix.Dense, i, j, mr, nr int) {
 	}
 }
 
-func checkGemmShapes(op string, dst, a, b *matrix.Dense) {
-	m, k, n := a.Rows(), a.Cols(), b.Cols()
-	if b.Rows() != k || dst.Rows() != m || dst.Cols() != n {
-		panic(fmt.Sprintf("kernel: %s shapes %dx%d * %dx%d -> %dx%d",
-			op, m, k, b.Rows(), n, dst.Rows(), dst.Cols()))
+// packBufPool recycles packing buffers across GemmPacked calls, which
+// sched workers make concurrently from the blas tree's leaves. It
+// stores *[]float64 so Put does not allocate a slice-header box.
+var packBufPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// getPackBuf returns a pooled buffer with at least n elements. The
+// contents are undefined; PackA/PackB fully overwrite the prefix they
+// use.
+func getPackBuf(n int) *[]float64 {
+	p := packBufPool.Get().(*[]float64)
+	if cap(*p) < n {
+		*p = make([]float64, n)
 	}
+	*p = (*p)[:n]
+	return p
 }
+
+func putPackBuf(p *[]float64) { packBufPool.Put(p) }
 
 // GemmPacked computes dst += a·b with three-level cache blocking
 // (mc×kc blocks of A against kc×nc panels of B) around the packed
@@ -131,7 +143,11 @@ func checkGemmShapes(op string, dst, a, b *matrix.Dense) {
 // Packing buffers come from a shared pool, so steady-state calls
 // allocate nothing.
 func GemmPacked(dst, a, b *matrix.Dense, mc, kc, nc int) {
-	checkGemmShapes("GemmPacked", dst, a, b)
+	m, k, n := a.Rows(), a.Cols(), b.Cols()
+	if b.Rows() != k || dst.Rows() != m || dst.Cols() != n {
+		panic(fmt.Sprintf("kernel: GemmPacked shapes %dx%d * %dx%d -> %dx%d",
+			m, k, b.Rows(), n, dst.Rows(), dst.Cols()))
+	}
 	if mc <= 0 {
 		mc = 128
 	}
@@ -141,14 +157,6 @@ func GemmPacked(dst, a, b *matrix.Dense, mc, kc, nc int) {
 	if nc <= 0 {
 		nc = 512
 	}
-	gemmBlocked(dst, a, b, mc, kc, nc)
-}
-
-// gemmBlocked is the serial loop nest shared by GemmPacked and the
-// single-worker path of GemmParallel. Block parameters must be
-// positive.
-func gemmBlocked(dst, a, b *matrix.Dense, mc, kc, nc int) {
-	m, k, n := a.Rows(), a.Cols(), b.Cols()
 
 	bpP := getPackBuf(((nc + NR - 1) / NR) * NR * kc)
 	apP := getPackBuf(((mc + MR - 1) / MR) * MR * kc)

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -55,9 +56,14 @@ func TestPackTooSmallPanics(t *testing.T) {
 	PackA(make([]float64, 3), a, 0, 0, 8, 8)
 }
 
+// The shapes are mostly not multiples of MR/NR, so every edge path of
+// the micro-kernel and both packers is exercised.
 func TestMulPackedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, dims := range [][3]int{{1, 1, 1}, {4, 4, 4}, {5, 7, 3}, {16, 16, 16}, {33, 19, 27}, {100, 64, 80}, {130, 131, 129}} {
+	for _, dims := range [][3]int{
+		{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {5, 7, 3}, {16, 16, 16}, {17, 13, 19}, {33, 19, 27},
+		{63, 65, 62}, {100, 64, 80}, {129, 127, 131}, {130, 131, 129}, {257, 129, 255},
+	} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := matrix.Rand(rng, m, k)
 		b := matrix.Rand(rng, k, n)
@@ -131,6 +137,46 @@ func TestPropertyPackedMatchesMulAdd(t *testing.T) {
 	}
 }
 
+// sched workers run blas leaves concurrently, and every GemmPacked
+// call draws its packing buffers from one shared pool: concurrent
+// callers must not see each other's panels.
+func TestGemmPackedConcurrentCallers(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	n := 150
+	a := matrix.Rand(rng, n, n)
+	b := matrix.Rand(rng, n, n)
+	want := matrix.New(n, n)
+	GemmPacked(want, a, b, 32, 24, 40)
+
+	results := make([]*matrix.Dense, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = matrix.New(n, n)
+			GemmPacked(results[i], a, b, 32, 24, 40)
+		}()
+	}
+	wg.Wait()
+	for i, c := range results {
+		if !matrix.Equal(c, want) {
+			t.Errorf("caller %d: concurrent result differs by %v", i, matrix.MaxAbsDiff(c, want))
+		}
+	}
+}
+
+// The register-block constants are load-bearing for micro's hand
+// unrolled accumulator file; a compile-time guard in packed.go pins
+// them, and this test documents the invariant where a human will see
+// it fail first.
+func TestMicroKernelBlockConstants(t *testing.T) {
+	if MR != 4 || NR != 4 {
+		t.Fatalf("MR=%d NR=%d: micro's accumulators are hand-unrolled for 4x4; "+
+			"rewrite kernel.micro before changing the block constants", MR, NR)
+	}
+}
+
 func BenchmarkMulAdd256(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := matrix.Rand(rng, 256, 256)
@@ -140,19 +186,6 @@ func BenchmarkMulAdd256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MulAdd(dst, x, y)
-	}
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-}
-
-func BenchmarkGemmPacked256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := matrix.Rand(rng, 256, 256)
-	y := matrix.Rand(rng, 256, 256)
-	dst := matrix.New(256, 256)
-	flops := MulFlops(256, 256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GemmPacked(dst, x, y, 0, 0, 0)
 	}
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }

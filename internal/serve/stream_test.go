@@ -203,10 +203,10 @@ func (c *tail) read(body io.Reader) {
 	}
 }
 
-// streamSweep POSTs body (with query) and reads the NDJSON stream,
-// cutting the connection after cut records when cut > 0. It returns
-// the records and, unless cut, the trailer.
-func streamSweep(t *testing.T, ts *httptest.Server, body []byte, query string, cut int) ([][]byte, *trailer) {
+// streamSweep POSTs body (with query) as client and reads the NDJSON
+// stream, cutting the connection after cut records when cut > 0. It
+// returns the records and, unless cut, the trailer.
+func streamSweep(t *testing.T, ts *httptest.Server, client string, body []byte, query string, cut int) ([][]byte, *trailer) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hr, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/sweep"+query, bytes.NewReader(body))
@@ -214,6 +214,7 @@ func streamSweep(t *testing.T, ts *httptest.Server, body []byte, query string, c
 		t.Error(err)
 		return nil, nil
 	}
+	hr.Header.Set("X-Client-ID", client)
 	resp, err := http.DefaultClient.Do(hr)
 	if err != nil {
 		t.Error(err)
@@ -277,18 +278,23 @@ func TestStreamsFollowJournalOrder(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			// Each client names itself: the quota counts open requests
+			// per client, and a cut stream stays open until the server
+			// sees the cut, so eight clients sharing the one quota of
+			// their host could be refused the resume.
+			id := fmt.Sprintf("client-%d", i)
 			switch i % 3 {
 			case 0: // plain POST
-				recs, tr := streamSweep(t, ts, body, "", 0)
+				recs, tr := streamSweep(t, ts, id, body, "", 0)
 				got[i], trailers[i] = recs, []*trailer{tr}
 			case 1: // late attacher
 				time.Sleep(time.Duration(i) * 3 * time.Millisecond)
-				recs, tr := streamSweep(t, ts, body, "", 0)
+				recs, tr := streamSweep(t, ts, id, body, "", 0)
 				got[i], trailers[i] = recs, []*trailer{tr}
 			case 2: // cut after k records, then resume from k
 				k := 1 + i
-				head, _ := streamSweep(t, ts, body, "", k)
-				tail, tr := streamSweep(t, ts, body, fmt.Sprintf("?from=%d", len(head)), 0)
+				head, _ := streamSweep(t, ts, id, body, "", k)
+				tail, tr := streamSweep(t, ts, id, body, fmt.Sprintf("?from=%d", len(head)), 0)
 				got[i], trailers[i] = append(head, tail...), []*trailer{tr}
 			}
 		}(i)

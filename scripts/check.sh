@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Repo verify gate: formatting, vet, build, full tests, a race pass
-# over the concurrent packages (the real executor and the parallel GEMM
-# kernel) and the measurement stack (device poll hooks, PAPI meters,
-# the polling monitor, fault injector and trace resampling), a named
-# monitor reconciliation smoke (measured energy must match device
-# ground truth, and deliberately undersampled runs must be flagged for
-# wrap loss), one run of every example program, and binary-boundary
-# smokes: Perfetto trace export, the seeded chaos sweep with
-# checkpoint resume, the distributed comm sweep, the model-guided
-# planner, and the sweep service daemon —
+# over the concurrent packages (the real executor and the GEMM kernel
+# its workers share) and the measurement stack (device poll hooks,
+# PAPI meters, the polling monitor, fault injector and trace
+# resampling), a named monitor reconciliation smoke (measured energy
+# must match device ground truth, and deliberately undersampled runs
+# must be flagged for wrap loss), one run of every example program,
+# and binary-boundary smokes: Perfetto trace export, the seeded chaos
+# sweep with checkpoint resume, the distributed comm sweep, the
+# model-guided planner, and the sweep service daemon —
 # plus a focused errcheck pass over the durability-owning packages
 # and a crash smoke that SIGKILLs a leaseholder replica mid-sweep and
 # makes a survivor finish the sweep from the shared store.

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The race-detector pass over every package with concurrent state: the
-# real executor and the parallel GEMM kernel, the tree builders, the
-# measurement stack, the distributed stack, the sweep server and its
-# store, the simulator core, the parallel experiment driver and the
-# model. scripts/check.sh and `make race` both run this script, so the
-# two cannot drift apart.
+# real executor and the GEMM kernel whose packing-buffer pool its
+# workers share, the tree builders, the measurement stack, the
+# distributed stack, the sweep server and its store, the simulator
+# core, the parallel experiment driver and the model. scripts/check.sh
+# and `make race` both run this script, so the two cannot drift apart.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
