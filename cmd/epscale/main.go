@@ -128,6 +128,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "epscale: -csv requires a single -what artifact")
 		return 2
 	}
+	if *csv && (*what == "fig2" || *chart) {
+		fmt.Fprintln(stderr, "epscale: -csv needs a table; -what fig2 and -chart draw charts")
+		return 2
+	}
 
 	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -253,8 +257,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sch := faults.DefaultSchedule(*faultSeed)
 		sch.CellFraction = *faultRate
 		cfg.Faults = sch
-		fmt.Fprintf(stderr, "epscale: fault injection armed (seed %d, %.0f%% of cells)\n",
-			*faultSeed, 100**faultRate)
 	}
 
 	var spans *obs.Collector
@@ -288,9 +290,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if mx == nil {
+		if cfg.Faults != nil {
+			fmt.Fprintf(stderr, "epscale: fault injection armed (seed %d, %.0f%% of cells)\n",
+				*faultSeed, 100**faultRate)
+		}
 		fmt.Fprintf(stderr, "epscale: running %d configurations on %q...\n",
 			cfg.CellCount(), cfg.Machine.Name)
-		mx = workload.Execute(cfg)
+		if mx, err = execute(cfg); err != nil {
+			fmt.Fprintf(stderr, "epscale: %v\n", err)
+			return 1
+		}
 		if n := mx.RestoredCells(); n > 0 {
 			fmt.Fprintf(stderr, "epscale: restored %d cell(s) from checkpoint %s\n", n, *checkpoint)
 		}
@@ -436,6 +445,18 @@ func emitModel(mx *workload.Matrix, csv bool, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprint(stdout, stats.String(), "\n", coefs.String(), "\n", worst.String())
 	return 0
+}
+
+// execute runs cfg's sweep, returning a panic out of workload.Execute
+// (a checkpoint journal it cannot open or another process leases) as
+// an error, so the CLI reports it on one line.
+func execute(cfg workload.Config) (mx *workload.Matrix, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%v", p)
+		}
+	}()
+	return workload.Execute(cfg), nil
 }
 
 func writeMatrixTrace(path string, mx *workload.Matrix, spans *obs.Collector) error {

@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"capscale/internal/store"
 )
 
 // TestFlagValidation pins the CLI boundary: bad input produces a
@@ -31,6 +34,8 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown artifact", []string{"-what", "table99", "-quick", "-sizes", "64", "-threads", "1"}, "unknown artifact"},
 		{"artifact error lists modes", []string{"-what", "table99"}, "valid: all, table2"},
 		{"csv needs artifact", []string{"-csv", "-sizes", "64", "-threads", "1"}, "-csv requires"},
+		{"csv for fig2", []string{"-what", "fig2", "-csv"}, "-csv needs a table"},
+		{"csv with chart", []string{"-quick", "-chart", "-csv", "-what", "fig3", "-sizes", "64", "-threads", "1,2"}, "-csv needs a table"},
 		{"chart for table", []string{"-chart", "-what", "table2", "-sizes", "64", "-threads", "1"}, "no chart"},
 		{"chart for study", []string{"-chart", "-what", "platforms"}, "no chart"},
 		{"unknown plan", []string{"-plan", "psychic"}, "valid: exhaustive, guided"},
@@ -55,6 +60,48 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if strings.Contains(stderr.String(), "running") {
 				t.Fatalf("args %v: refused only after running; stderr:\n%s", tc.args, stderr.String())
+			}
+		})
+	}
+}
+
+// TestSweepRefusalIsOneLine: a config the sweep refuses, and a
+// checkpoint journal the sweep cannot open or another process leases,
+// end in one epscale: line with the reason, never in a goroutine dump,
+// and no fault injector is reported armed for a sweep that never ran.
+func TestSweepRefusalIsOneLine(t *testing.T) {
+	dir := t.TempDir()
+	leased := filepath.Join(dir, "leased.jsonl")
+	lease, err := store.AcquireLease(nil, store.LeasePath(leased), "other-sweep", time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	tiny := []string{"-sizes", "64", "-threads", "1", "-what", "table3"}
+	cases := []struct {
+		name string
+		args []string
+		code int
+		want string // substring of the last stderr line
+	}{
+		{"fault rate", []string{"-faults", "1", "-fault-rate", "1.5"}, 2, "outside [0,1]"},
+		{"checkpoint dir missing", append(tiny, "-checkpoint", filepath.Join(dir, "missing", "ck.jsonl")), 1, "no such file"},
+		{"checkpoint leased", append(tiny, "-checkpoint", leased), 1, "already in use"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("args %v exited %d, want %d; stderr:\n%s", tc.args, code, tc.code, stderr.String())
+			}
+			lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+			for _, l := range lines {
+				if !strings.HasPrefix(l, "epscale: ") || strings.Contains(l, "armed") {
+					t.Fatalf("args %v: stray stderr line %q", tc.args, l)
+				}
+			}
+			if last := lines[len(lines)-1]; !strings.Contains(last, tc.want) {
+				t.Fatalf("args %v: last stderr line %q lacks %q", tc.args, last, tc.want)
 			}
 		})
 	}

@@ -88,8 +88,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sch.CellFraction = 1 // the one run under test is the armed cell
 		}
 		cfg.Faults = sch
+	}
+	if *session {
+		cfg.Sizes = []int{512, 1024} // keep the emitted CSV manageable
+		cfg.RecordTraces = true
+		cfg.TraceSampleInterval = *interval
+		cfg.Parallelism = *jobs
+		cfg.CheckpointPath = *checkpoint
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintf(stderr, "powertrace: %v\n", err)
+			return 2
+		}
+	}
+	if cfg.Faults != nil {
 		fmt.Fprintf(stderr, "powertrace: fault injection armed (seed %d, %.0f%% of cells)\n",
-			*faultSeed, 100*sch.CellFraction)
+			*faultSeed, 100*cfg.Faults.CellFraction)
 	}
 
 	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
@@ -110,12 +123,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *session {
-		cfg.Sizes = []int{512, 1024} // keep the emitted CSV manageable
-		cfg.RecordTraces = true
-		cfg.TraceSampleInterval = *interval
-		cfg.Parallelism = *jobs
-		cfg.CheckpointPath = *checkpoint
-		mx := workload.Execute(cfg)
+		mx, err := execute(cfg)
+		if err != nil {
+			fmt.Fprintf(stderr, "powertrace: %v\n", err)
+			return 1
+		}
 		if n := mx.RestoredCells(); n > 0 {
 			fmt.Fprintf(stderr, "powertrace: restored %d cell(s) from checkpoint %s\n", n, *checkpoint)
 		}
@@ -201,6 +213,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// execute runs cfg's sweep, returning a panic out of workload.Execute
+// (a checkpoint journal it cannot open or another process leases) as
+// an error, so the CLI reports it on one line.
+func execute(cfg workload.Config) (mx *workload.Matrix, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%v", p)
+		}
+	}()
+	return workload.Execute(cfg), nil
 }
 
 func writeTraceFile(path string, write func(io.Writer) error) error {

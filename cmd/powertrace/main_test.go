@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"capscale/internal/obs"
+	"capscale/internal/store"
 )
 
 // TestFlagValidation pins the CLI boundary: bad input produces a
@@ -39,6 +41,42 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Fatalf("args %v: stderr %q lacks %q", tc.args, stderr.String(), tc.want)
+			}
+		})
+	}
+}
+
+// TestSessionRefusalIsOneLine: a session config the sweep refuses, and
+// a checkpoint journal it cannot open or another process leases, end
+// in one powertrace: line with the reason, never in a goroutine dump,
+// and no fault injector is reported armed for a session that never ran.
+func TestSessionRefusalIsOneLine(t *testing.T) {
+	dir := t.TempDir()
+	leased := filepath.Join(dir, "leased.jsonl")
+	lease, err := store.AcquireLease(nil, store.LeasePath(leased), "other-sweep", time.Hour, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	cases := []struct {
+		name string
+		args []string
+		code int
+		want string
+	}{
+		{"fault rate", []string{"-session", "-faults", "1", "-fault-rate", "3"}, 2, "outside [0,1]"},
+		{"checkpoint dir missing", []string{"-session", "-checkpoint", filepath.Join(dir, "missing", "ck.jsonl")}, 1, "no such file"},
+		{"checkpoint leased", []string{"-session", "-checkpoint", leased}, 1, "already in use"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("args %v exited %d, want %d; stderr:\n%s", tc.args, code, tc.code, stderr.String())
+			}
+			got := strings.TrimSuffix(stderr.String(), "\n")
+			if strings.Contains(got, "\n") || !strings.HasPrefix(got, "powertrace: ") || !strings.Contains(got, tc.want) {
+				t.Fatalf("args %v: stderr %q is not one powertrace: line with %q", tc.args, got, tc.want)
 			}
 		})
 	}

@@ -19,11 +19,14 @@
 // "communication avoiding" mechanism — the simulator charges remote
 // traffic only at subtree boundaries instead of wherever work stealing
 // happened to scatter tasks.
+//
+// Operands, padding, temporaries and the add leaves' arithmetic come
+// from the Strassen-family scaffold (strassen.Scaffold); this package
+// adds the traversal, the ownership and the leaves they shape
+// (work-shared chunks, staging copies).
 package caps
 
 import (
-	"fmt"
-
 	"capscale/internal/hw"
 	"capscale/internal/kernel"
 	"capscale/internal/matrix"
@@ -66,28 +69,9 @@ func (o Options) cutoffDepth() int {
 	return o.CutoffDepth
 }
 
-type operand struct {
-	mat    *matrix.Dense
-	region task.RegionID
-	n      int
-}
-
-func (o operand) quad(i, j int) operand {
-	half := o.n / 2
-	q := operand{region: o.region, n: half}
-	if o.mat != nil {
-		q.mat = o.mat.View(i*half, j*half, half, half)
-	}
-	return q
-}
-
 type builder struct {
-	m       *hw.Machine
-	opt     Options
-	workers int
-	// arena holds the tree's records, labels and region IDs for this
-	// one build.
-	arena task.Arena
+	strassen.Scaffold
+	opt Options
 	// bfsLevels is the effective number of BFS levels for this problem
 	// (cutoff depth clipped to the actual recursion depth).
 	bfsLevels int
@@ -97,87 +81,23 @@ type builder struct {
 
 // Build returns the task tree computing c = a·b by CAPS. workers is the
 // thread count the run will use; the BFS ownership partition is built
-// for exactly that many workers.
+// for exactly that many workers. Awkward sizes pad once, as the
+// Strassen builder does (strassen.Scaffold.Root).
 func Build(m *hw.Machine, c, a, b *matrix.Dense, workers int, opt Options) *task.Node {
-	n := a.Rows()
-	if !a.IsSquare() || !b.IsSquare() || !c.IsSquare() || b.Rows() != n || c.Rows() != n {
-		panic(fmt.Sprintf("caps: need equal square matrices, got %dx%d %dx%d %dx%d",
-			a.Rows(), a.Cols(), b.Rows(), b.Cols(), c.Rows(), c.Cols()))
-	}
-	if workers < 1 {
-		panic(fmt.Sprintf("caps: workers %d", workers))
-	}
-	bd := &builder{m: m, opt: opt, workers: workers}
-
-	// Awkward sizes pad once to c·2^k ≤-cutover form, as the Strassen
-	// builder does (see strassen.PaddedSize).
-	padded := strassen.PaddedSize(n, opt.cutover())
-
-	// Clip BFS to the recursion's actual depth.
-	maxDepth := 0
-	for v := padded; v > opt.cutover() && v%2 == 0; v /= 2 {
-		maxDepth++
-	}
-	bd.bfsLevels = opt.cutoffDepth()
-	if bd.bfsLevels > maxDepth {
-		bd.bfsLevels = maxDepth
-	}
-	bd.leavesAtCutoff = 1
-	for i := 0; i < bd.bfsLevels; i++ {
-		bd.leavesAtCutoff *= 7
-	}
-
-	if padded != n {
-		return bd.arena.Node(bd.paddedMul(c, a, b, n, padded))
-	}
-	ca := operand{region: bd.arena.New(), n: n}
-	cb := operand{region: bd.arena.New(), n: n}
-	cc := operand{region: bd.arena.New(), n: n}
-	if opt.WithMath {
-		ca.mat, cb.mat, cc.mat = a, b, c
-	}
-	return bd.arena.Node(bd.mul(cc, ca, cb, 0, 0))
-}
-
-// paddedMul wraps the recursion in pad-in/pad-out stages for sizes
-// that do not halve evenly to the cutover.
-func (bd *builder) paddedMul(c, a, b *matrix.Dense, n, padded int) task.Ref {
-	var pa, pb, pc *matrix.Dense
-	if bd.opt.WithMath {
-		pa = matrix.PadTo(a, padded, padded)
-		pb = matrix.PadTo(b, padded, padded)
-		pc = matrix.New(padded, padded)
-	}
-	ca := operand{mat: pa, region: bd.arena.New(), n: padded}
-	cb := operand{mat: pb, region: bd.arena.New(), n: padded}
-	cc := operand{mat: pc, region: bd.arena.New(), n: padded}
-
-	mkCopy := func(label string, read, write task.RegionID, run func()) task.Ref {
-		reads, writes := bd.arena.ReadsWrites([]task.RegionID{read}, write)
-		return bd.arena.Leaf(task.Work{
-			Label:       label,
-			Kind:        task.KindCopy,
-			DRAMBytes:   2 * kernel.Bytes(n, n),
-			Reads:       reads,
-			Writes:      writes,
-			RegionBytes: kernel.Bytes(n, n),
-			Run:         run,
-		})
-	}
-	srcA, srcB, dstC := bd.arena.New(), bd.arena.New(), bd.arena.New()
-	// Padding happened at build time when math is on, so the pad-in
-	// leaves only carry the traffic accounting.
-	padIn := bd.arena.Par(
-		mkCopy(bd.arena.Label("pad A %d->%d", n, padded), srcA, ca.region, nil),
-		mkCopy(bd.arena.Label("pad B %d->%d", n, padded), srcB, cb.region, nil),
-	)
-	var unpad func()
-	if bd.opt.WithMath {
-		unpad = func() { matrix.CopyTo(c, pc.View(0, 0, n, n)) }
-	}
-	padOut := mkCopy(bd.arena.Label("unpad C %d->%d", padded, n), cc.region, dstC, unpad)
-	alloc := 3 * kernel.Bytes(padded, padded)
-	return bd.arena.WithAlloc(bd.arena.Seq(padIn, bd.mul(cc, ca, cb, 0, 0), padOut), alloc)
+	bd := &builder{Scaffold: strassen.Scaffold{M: m, Workers: workers, WithMath: opt.WithMath}, opt: opt}
+	return bd.Root("caps", c, a, b, opt.cutover(), func(c, a, b strassen.Operand) task.Ref {
+		// Clip BFS to the (padded) recursion's actual depth.
+		maxDepth := 0
+		for v := a.N; v > opt.cutover() && v%2 == 0; v /= 2 {
+			maxDepth++
+		}
+		bd.bfsLevels = min(opt.cutoffDepth(), maxDepth)
+		bd.leavesAtCutoff = 1
+		for i := 0; i < bd.bfsLevels; i++ {
+			bd.leavesAtCutoff *= 7
+		}
+		return bd.mul(c, a, b, 0, 0)
+	})
 }
 
 // ownerMask returns the worker mask owning the subtree at (depth, idx):
@@ -202,8 +122,8 @@ func (bd *builder) ownerMask(depth, idx int) task.Mask {
 		lo = idx * span
 		hi = lo + span - 1
 	}
-	wLo := lo * bd.workers / bd.leavesAtCutoff
-	wHi := hi * bd.workers / bd.leavesAtCutoff
+	wLo := lo * bd.Workers / bd.leavesAtCutoff
+	wHi := hi * bd.Workers / bd.leavesAtCutoff
 	return task.MaskRange(wLo, wHi)
 }
 
@@ -215,8 +135,8 @@ func ownersOf(mask task.Mask, workers int) int {
 }
 
 // mul builds the subtree for c = a·b at the given recursion position.
-func (bd *builder) mul(c, a, b operand, depth, idx int) task.Ref {
-	n := a.n
+func (bd *builder) mul(c, a, b strassen.Operand, depth, idx int) task.Ref {
+	n := a.N
 	mask := bd.ownerMask(depth, idx)
 	if n <= bd.opt.cutover() || n%2 != 0 {
 		return bd.baseMul(c, a, b, mask)
@@ -227,48 +147,36 @@ func (bd *builder) mul(c, a, b operand, depth, idx int) task.Ref {
 	return bd.dfsNode(c, a, b, depth, idx)
 }
 
-func (bd *builder) temp(n int) operand {
-	t := operand{region: bd.arena.New(), n: n}
-	if bd.opt.WithMath {
-		t.mat = matrix.New(n, n)
-	}
-	return t
-}
-
 // baseMul emits the dense solver. When the owning mask spans several
 // workers (pure-DFS configurations), the solver's row loop is
 // work-shared across them, as the paper's OpenMP work-sharing DFS does.
 // The row chunks share one region list: leaves never mutate theirs.
-func (bd *builder) baseMul(c, a, b operand, mask task.Mask) task.Ref {
-	n := a.n
-	owners := min(ownersOf(mask, bd.workers), n)
-	reads, writes := bd.arena.ReadsWrites([]task.RegionID{a.region, b.region}, c.region)
+func (bd *builder) baseMul(c, a, b strassen.Operand, mask task.Mask) task.Ref {
+	n := a.N
+	owners := min(ownersOf(mask, bd.Workers), n)
+	reads, writes := bd.Arena.ReadsWrites([]task.RegionID{a.Region, b.Region}, c.Region)
 	mk := func(rowLo, rowHi int) task.Ref {
 		rows := rowHi - rowLo
 		traffic := kernel.Bytes(rows, n) + kernel.Bytes(n, n) + 2*kernel.Bytes(rows, n)
 		w := task.Work{
-			Label:       bd.arena.Label("basemul n%d r%d", n, rowLo),
+			Label:       bd.Arena.Label("basemul n%d r%d", n, rowLo),
 			Kind:        task.KindBaseMul,
 			Flops:       kernel.MulFlops(rows, n, n),
 			Reads:       reads,
 			Writes:      writes,
 			RegionBytes: kernel.Bytes(n, n),
 		}
-		if bd.m.LevelFor(traffic, bd.workers) == hw.LevelDRAM {
-			w.DRAMBytes = traffic
-		} else {
-			w.L3Bytes = traffic
-		}
-		if bd.opt.WithMath {
-			cm := c.mat.View(rowLo, 0, rows, n)
-			am := a.mat.View(rowLo, 0, rows, n)
-			bm := b.mat
+		bd.M.ChargeTraffic(&w, traffic, bd.Workers, 1)
+		if bd.WithMath {
+			cm := c.Mat.View(rowLo, 0, rows, n)
+			am := a.Mat.View(rowLo, 0, rows, n)
+			bm := b.Mat
 			w.Run = func() { kernel.Mul(cm, am, bm) }
 		}
-		return bd.arena.Leaf(w)
+		return bd.Arena.Leaf(w)
 	}
 	if owners <= 1 {
-		return bd.arena.WithAffinityMask(mk(0, n), mask)
+		return bd.Arena.WithAffinityMask(mk(0, n), mask)
 	}
 	chunks := make([]task.Ref, 0, owners)
 	for t := 0; t < owners; t++ {
@@ -278,23 +186,23 @@ func (bd *builder) baseMul(c, a, b operand, mask task.Mask) task.Ref {
 			chunks = append(chunks, mk(lo, hi))
 		}
 	}
-	return bd.arena.WithAffinityMask(bd.arena.Par(chunks...), mask)
+	return bd.Arena.WithAffinityMask(bd.Arena.Par(chunks...), mask)
 }
 
 // addLeaf emits dst = a combination of srcs (len(srcs)−1 additions per
 // element), pinned to mask, work-shared into chunks when the mask spans
 // several workers. It attaches run, built only when the build has math;
 // the chunks share one region list.
-func (bd *builder) addLeaf(label string, dst operand, mask task.Mask, run func(), srcs ...operand) task.Ref {
-	n := dst.n
-	owners := ownersOf(mask, bd.workers)
+func (bd *builder) addLeaf(label string, dst strassen.Operand, mask task.Mask, run func(), srcs ...strassen.Operand) task.Ref {
+	n := dst.N
+	owners := ownersOf(mask, bd.Workers)
 	bytes := kernel.Bytes(n, n)
 	traffic := float64(len(srcs)+1) * bytes
 	var ids [4]task.RegionID
 	for i, s := range srcs {
-		ids[i] = s.region
+		ids[i] = s.Region
 	}
-	reads, writes := bd.arena.ReadsWrites(ids[:len(srcs)], dst.region)
+	reads, writes := bd.Arena.ReadsWrites(ids[:len(srcs)], dst.Region)
 	mkWork := func(frac float64) task.Work {
 		w := task.Work{
 			Label:       label,
@@ -304,17 +212,13 @@ func (bd *builder) addLeaf(label string, dst operand, mask task.Mask, run func()
 			Writes:      writes,
 			RegionBytes: bytes * frac,
 		}
-		if bd.m.LevelFor(traffic, bd.workers) == hw.LevelDRAM {
-			w.DRAMBytes = traffic * frac
-		} else {
-			w.L3Bytes = traffic * frac
-		}
+		bd.M.ChargeTraffic(&w, traffic, bd.Workers, frac)
 		return w
 	}
 	if owners <= 1 {
 		w := mkWork(1)
 		w.Run = run
-		return bd.arena.WithAffinityMask(bd.arena.Leaf(w), mask)
+		return bd.Arena.WithAffinityMask(bd.Arena.Leaf(w), mask)
 	}
 	// Work-shared: owners chunks; the real math (when on) runs whole in
 	// the first chunk — numerically identical, and the accounting stays
@@ -325,19 +229,18 @@ func (bd *builder) addLeaf(label string, dst operand, mask task.Mask, run func()
 		if t == 0 {
 			w.Run = run
 		}
-		chunks[t] = bd.arena.Leaf(w)
+		chunks[t] = bd.Arena.Leaf(w)
 	}
-	return bd.arena.WithAffinityMask(bd.arena.Par(chunks...), mask)
+	return bd.Arena.WithAffinityMask(bd.Arena.Par(chunks...), mask)
 }
 
 // copyLeaf stages src into a fresh local buffer owned by mask and
 // returns the staged operand. This is the BFS redistribution cost: one
 // read of src, one write of dst.
-func (bd *builder) copyLeaf(label string, src operand, mask task.Mask) (operand, task.Ref) {
-	dst := bd.temp(src.n)
-	bytes := kernel.Bytes(src.n, src.n)
-	traffic := 2 * bytes
-	reads, writes := bd.arena.ReadsWrites([]task.RegionID{src.region}, dst.region)
+func (bd *builder) copyLeaf(label string, src strassen.Operand, mask task.Mask) (strassen.Operand, task.Ref) {
+	dst := bd.Temp(src.N)
+	bytes := kernel.Bytes(src.N, src.N)
+	reads, writes := bd.Arena.ReadsWrites([]task.RegionID{src.Region}, dst.Region)
 	w := task.Work{
 		Label:       label,
 		Kind:        task.KindCopy,
@@ -345,35 +248,31 @@ func (bd *builder) copyLeaf(label string, src operand, mask task.Mask) (operand,
 		Writes:      writes,
 		RegionBytes: bytes,
 	}
-	if bd.m.LevelFor(traffic, bd.workers) == hw.LevelDRAM {
-		w.DRAMBytes = traffic
-	} else {
-		w.L3Bytes = traffic
-	}
-	if bd.opt.WithMath {
-		d, s := dst.mat, src.mat
+	bd.M.ChargeTraffic(&w, 2*bytes, bd.Workers, 1)
+	if bd.WithMath {
+		d, s := dst.Mat, src.Mat
 		w.Run = func() { kernel.Pack(d, s) }
 	}
-	return dst, bd.arena.WithAffinityMask(bd.arena.Leaf(w), mask)
+	return dst, bd.Arena.WithAffinityMask(bd.Arena.Leaf(w), mask)
 }
 
 // subproblem describes one of the seven Strassen products at a node.
 type subproblem struct {
 	// terms for the left and right factors: quadrant operands and the
 	// sign applied to the second one (0 = single operand).
-	lx, ly operand
+	lx, ly strassen.Operand
 	lsub   bool
 	lone   bool
-	rx, ry operand
+	rx, ry strassen.Operand
 	rsub   bool
 	rone   bool
 }
 
 // buildSubproblems returns the seven classic subproblem descriptors
 // (paper Eq. 7, with the printed Q5 typo corrected to (A11+A12)·B22).
-func buildSubproblems(a, b operand) [7]subproblem {
-	a11, a12, a21, a22 := a.quad(0, 0), a.quad(0, 1), a.quad(1, 0), a.quad(1, 1)
-	b11, b12, b21, b22 := b.quad(0, 0), b.quad(0, 1), b.quad(1, 0), b.quad(1, 1)
+func buildSubproblems(a, b strassen.Operand) [7]subproblem {
+	a11, a12, a21, a22 := a.Quad(0, 0), a.Quad(0, 1), a.Quad(1, 0), a.Quad(1, 1)
+	b11, b12, b21, b22 := b.Quad(0, 0), b.Quad(0, 1), b.Quad(1, 0), b.Quad(1, 1)
 	return [7]subproblem{
 		{lx: a11, ly: a22, rx: b11, ry: b22},                // Q1 = (A11+A22)(B11+B22)
 		{lx: a21, ly: a22, rx: b11, rone: true},             // Q2 = (A21+A22)·B11
@@ -389,38 +288,29 @@ func buildSubproblems(a, b operand) [7]subproblem {
 // mask: a sum/difference becomes an add into a local temp, labeled by
 // addFmt; a single quadrant is staged by a copy labeled by stageFmt
 // (BFS) or, with stageFmt empty, used in place (DFS) with no node.
-func (bd *builder) factor(addFmt, stageFmt string, k int, lone bool, x, y operand, sub bool, mask task.Mask) (operand, task.Ref) {
+func (bd *builder) factor(addFmt, stageFmt string, k int, lone bool, x, y strassen.Operand, sub bool, mask task.Mask) (strassen.Operand, task.Ref) {
 	if lone {
 		if stageFmt != "" {
-			return bd.copyLeaf(bd.arena.Label(stageFmt, k, x.n), x, mask)
+			return bd.copyLeaf(bd.Arena.Label(stageFmt, k, x.N), x, mask)
 		}
 		return x, none
 	}
-	dst := bd.temp(x.n)
-	var run func()
-	if bd.opt.WithMath {
-		dm, xm, ym := dst.mat, x.mat, y.mat
-		if sub {
-			run = func() { matrix.SubTo(dm, xm, ym) }
-		} else {
-			run = func() { matrix.AddTo(dm, xm, ym) }
-		}
-	}
-	return dst, bd.addLeaf(bd.arena.Label(addFmt, k, x.n), dst, mask, run, x, y)
+	dst := bd.Temp(x.N)
+	return dst, bd.addLeaf(bd.Arena.Label(addFmt, k, x.N), dst, mask, bd.SumRun(dst, x, y, sub), x, y)
 }
 
 // bfsNode: the seven subproblems run concurrently on their owner
 // subsets; operand sums and staged copies are pinned to the consumer.
-func (bd *builder) bfsNode(c, a, b operand, depth, idx int) task.Ref {
-	half := a.n / 2
+func (bd *builder) bfsNode(c, a, b strassen.Operand, depth, idx int) task.Ref {
+	half := a.N / 2
 	sub := buildSubproblems(a, b)
 
 	prep := make([]task.Ref, 0, 14)
 	var recs, gather [7]task.Ref
-	var gathered [7]operand
+	var gathered [7]strassen.Operand
 	mask := bd.ownerMask(depth, idx)
 	for k := 0; k < 7; k++ {
-		q := bd.temp(half)
+		q := bd.Temp(half)
 		childMask := bd.ownerMask(depth+1, idx*7+k)
 		l, lNode := bd.factor("bfs l%d n%d", "bfs l%d n%d stage", k, sub[k].lone, sub[k].lx, sub[k].ly, sub[k].lsub, childMask)
 		r, rNode := bd.factor("bfs r%d n%d", "bfs r%d n%d stage", k, sub[k].rone, sub[k].rx, sub[k].ry, sub[k].rsub, childMask)
@@ -428,7 +318,7 @@ func (bd *builder) bfsNode(c, a, b operand, depth, idx int) task.Ref {
 		recs[k] = bd.mul(q, l, r, depth+1, idx*7+k)
 		// The inverse-BFS communication step: each product computed in a
 		// child subset's buffers is gathered back for recombination.
-		gathered[k], gather[k] = bd.copyLeaf(bd.arena.Label("bfs gather q%d n%d", k, half), q, mask)
+		gathered[k], gather[k] = bd.copyLeaf(bd.Arena.Label("bfs gather q%d n%d", k, half), q, mask)
 	}
 
 	post := bd.recombine(c, gathered, mask)
@@ -436,35 +326,35 @@ func (bd *builder) bfsNode(c, a, b operand, depth, idx int) task.Ref {
 	// 7 products, their 7 gathered copies, and up to 14 staged/summed
 	// factors live concurrently.
 	alloc := 28 * kernel.Bytes(half, half)
-	return bd.arena.WithAlloc(bd.arena.Seq(bd.arena.Par(prep...), bd.arena.Par(recs[:]...), bd.arena.Par(gather[:]...), post), alloc)
+	return bd.Arena.WithAlloc(bd.Arena.Seq(bd.Arena.Par(prep...), bd.Arena.Par(recs[:]...), bd.Arena.Par(gather[:]...), post), alloc)
 }
 
 // dfsNode: all owners compute the seven subproblems in sequence with
 // work-shared additions; quadrant factors are used in place (no staging
 // memory).
-func (bd *builder) dfsNode(c, a, b operand, depth, idx int) task.Ref {
-	half := a.n / 2
+func (bd *builder) dfsNode(c, a, b strassen.Operand, depth, idx int) task.Ref {
+	half := a.N / 2
 	sub := buildSubproblems(a, b)
 	mask := bd.ownerMask(depth, idx)
-	var q [7]operand
+	var q [7]strassen.Operand
 
 	var steps [8]task.Ref
 	for k := 0; k < 7; k++ {
-		q[k] = bd.temp(half)
+		q[k] = bd.Temp(half)
 		l, lNode := bd.factor("dfs l%d n%d", "", k, sub[k].lone, sub[k].lx, sub[k].ly, sub[k].lsub, mask)
 		r, rNode := bd.factor("dfs r%d n%d", "", k, sub[k].rone, sub[k].rx, sub[k].ry, sub[k].rsub, mask)
 		mul := bd.mul(q[k], l, r, depth+1, idx*7+k)
 		if pre := present(lNode, rNode); len(pre) > 0 {
-			steps[k] = bd.arena.Seq(bd.arena.Par(pre...), mul)
+			steps[k] = bd.Arena.Seq(bd.Arena.Par(pre...), mul)
 		} else {
-			steps[k] = bd.arena.Seq(mul)
+			steps[k] = bd.Arena.Seq(mul)
 		}
 	}
 	steps[7] = bd.recombine(c, q, mask)
 
 	// Seven products plus two reusable factor temps at a time.
 	alloc := 9 * kernel.Bytes(half, half)
-	return bd.arena.WithAlloc(bd.arena.Seq(steps[:]...), alloc)
+	return bd.Arena.WithAlloc(bd.Arena.Seq(steps[:]...), alloc)
 }
 
 // none marks a factor that needs no node.
@@ -482,42 +372,16 @@ func present(nodes ...task.Ref) []task.Ref {
 }
 
 // recombine emits the four C-quadrant recombination adds of Eq. 7.
-func (bd *builder) recombine(c operand, q [7]operand, mask task.Mask) task.Ref {
-	half := c.n / 2
-	c11, c12, c21, c22 := c.quad(0, 0), c.quad(0, 1), c.quad(1, 0), c.quad(1, 1)
-	mk := func(label string, dst operand, coeffs []float64, srcs ...operand) task.Ref {
-		var run func()
-		if bd.opt.WithMath {
-			mats := make([]*matrix.Dense, len(srcs))
-			for i, s := range srcs {
-				mats[i] = s.mat
-			}
-			// The copy keeps the coefficient literals below off the heap
-			// in shape-only builds.
-			dm, cs := dst.mat, append([]float64(nil), coeffs...)
-			run = func() { combine(dm, mats, cs) }
-		}
-		return bd.addLeaf(label, dst, mask, run, srcs...)
+func (bd *builder) recombine(c strassen.Operand, q [7]strassen.Operand, mask task.Mask) task.Ref {
+	half := c.N / 2
+	c11, c12, c21, c22 := c.Quad(0, 0), c.Quad(0, 1), c.Quad(1, 0), c.Quad(1, 1)
+	mk := func(label string, dst strassen.Operand, coeffs []float64, srcs ...strassen.Operand) task.Ref {
+		return bd.addLeaf(label, dst, mask, bd.CombineRun(dst, coeffs, srcs...), srcs...)
 	}
-	return bd.arena.Par(
-		mk(bd.arena.Label("c11 n%d", half), c11, []float64{1, 1, -1, 1}, q[0], q[3], q[4], q[6]),
-		mk(bd.arena.Label("c12 n%d", half), c12, []float64{1, 1}, q[2], q[4]),
-		mk(bd.arena.Label("c21 n%d", half), c21, []float64{1, 1}, q[1], q[3]),
-		mk(bd.arena.Label("c22 n%d", half), c22, []float64{1, -1, 1, 1}, q[0], q[1], q[2], q[5]),
+	return bd.Arena.Par(
+		mk(bd.Arena.Label("c11 n%d", half), c11, []float64{1, 1, -1, 1}, q[0], q[3], q[4], q[6]),
+		mk(bd.Arena.Label("c12 n%d", half), c12, []float64{1, 1}, q[2], q[4]),
+		mk(bd.Arena.Label("c21 n%d", half), c21, []float64{1, 1}, q[1], q[3]),
+		mk(bd.Arena.Label("c22 n%d", half), c22, []float64{1, -1, 1, 1}, q[0], q[1], q[2], q[5]),
 	)
-}
-
-// combine stores Σ coeffs[i]·srcs[i] into dst.
-func combine(dst *matrix.Dense, srcs []*matrix.Dense, coeffs []float64) {
-	rows, cols := dst.Rows(), dst.Cols()
-	for i := 0; i < rows; i++ {
-		dr := dst.Row(i)
-		for j := 0; j < cols; j++ {
-			v := 0.0
-			for k, s := range srcs {
-				v += coeffs[k] * s.Row(i)[j]
-			}
-			dr[j] = v
-		}
-	}
 }

@@ -156,7 +156,7 @@ func TestLoadBalanceAtFourWorkers(t *testing.T) {
 }
 
 func TestOwnerMaskPartition(t *testing.T) {
-	bd := &builder{workers: 4, bfsLevels: 2, leavesAtCutoff: 49}
+	bd := &builder{Scaffold: strassen.Scaffold{Workers: 4}, bfsLevels: 2, leavesAtCutoff: 49}
 	// Root owns everyone.
 	if got := bd.ownerMask(0, 0); !got.Equal(task.MaskRange(0, 3)) {
 		t.Fatalf("root mask %v", got)
@@ -191,7 +191,7 @@ func TestPropertyOwnerMaskDeepDepthsInheritAncestor(t *testing.T) {
 		for i := 0; i < levels; i++ {
 			units *= 7
 		}
-		bd := &builder{workers: 1 + rng.Intn(4), bfsLevels: levels, leavesAtCutoff: units}
+		bd := &builder{Scaffold: strassen.Scaffold{Workers: 1 + rng.Intn(4)}, bfsLevels: levels, leavesAtCutoff: units}
 		idx := rng.Intn(units)
 		base := bd.ownerMask(levels, idx)
 		// Descend a few random levels below the cutoff.
@@ -209,7 +209,7 @@ func TestPropertyOwnerMaskDeepDepthsInheritAncestor(t *testing.T) {
 }
 
 func TestPureDFSUnrestricted(t *testing.T) {
-	bd := &builder{workers: 4, bfsLevels: 0, leavesAtCutoff: 1}
+	bd := &builder{Scaffold: strassen.Scaffold{Workers: 4}, bfsLevels: 0, leavesAtCutoff: 1}
 	if got := bd.ownerMask(3, 5); !got.IsEmpty() {
 		t.Fatalf("pure DFS mask %v, want empty (unrestricted)", got)
 	}

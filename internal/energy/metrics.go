@@ -2,21 +2,10 @@ package energy
 
 import "fmt"
 
-// Extensions beyond the paper's EP ratio: the energy-delay family of
-// metrics commonly used alongside it. The paper's EP = EAvg/T weights
-// power against runtime; EDP and ED²P weight total energy against
-// runtime once and twice, penalizing slow-but-frugal configurations
-// progressively harder. Together they bracket the design space the
-// paper's facility-limit scenario lives in.
-
-// EnergyToSolution returns total joules for a run measured as average
-// watts over seconds.
-func EnergyToSolution(avgWatts, seconds float64) float64 {
-	if seconds < 0 {
-		panic(fmt.Sprintf("energy: negative runtime %v", seconds))
-	}
-	return avgWatts * seconds
-}
+// An extension beyond the paper's EP ratio: the energy-delay product
+// commonly used alongside it. The paper's EP = EAvg/T weights power
+// against runtime; EDP weights total energy against runtime,
+// penalizing slow-but-frugal configurations.
 
 // EDP returns the energy-delay product J·s (lower is better).
 func EDP(joules, seconds float64) float64 {
@@ -24,22 +13,4 @@ func EDP(joules, seconds float64) float64 {
 		panic(fmt.Sprintf("energy: negative runtime %v", seconds))
 	}
 	return joules * seconds
-}
-
-// ED2P returns the energy-delay-squared product J·s² (lower is
-// better; insensitive to DVFS because dynamic energy scales ~f²
-// while delay scales 1/f).
-func ED2P(joules, seconds float64) float64 {
-	return EDP(joules, seconds) * seconds
-}
-
-// Greenup, Speedup and Powerup decompose a configuration change
-// against a baseline (the GSP view): speedup = Tb/T, powerup = P/Pb,
-// greenup = speedup/powerup = Eb/E. A change is strictly "green" when
-// greenup > 1.
-func Greenup(baseJoules, joules float64) float64 {
-	if joules <= 0 {
-		panic(fmt.Sprintf("energy: non-positive joules %v", joules))
-	}
-	return baseJoules / joules
 }

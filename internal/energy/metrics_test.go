@@ -6,72 +6,29 @@ import (
 	"testing/quick"
 )
 
-func TestEnergyToSolution(t *testing.T) {
-	if EnergyToSolution(30, 2) != 60 {
-		t.Fatal("energy")
-	}
-}
-
 func TestEDPFamily(t *testing.T) {
 	if EDP(60, 2) != 120 {
 		t.Fatal("edp")
 	}
-	if ED2P(60, 2) != 240 {
-		t.Fatal("ed2p")
-	}
 }
 
 func TestMetricsPanics(t *testing.T) {
-	cases := []func(){
-		func() { EnergyToSolution(1, -1) },
-		func() { EDP(1, -1) },
-		func() { Greenup(1, 0) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestGreenup(t *testing.T) {
-	if Greenup(100, 80) != 1.25 {
-		t.Fatal("greenup")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("EDP with a negative runtime: no panic")
+		}
+	}()
+	EDP(1, -1)
 }
 
 func TestPropertyEDPOrderingConsistent(t *testing.T) {
-	// If one config dominates another in both energy and time, every
-	// metric in the family agrees.
+	// If one config dominates another in both energy and time, EDP
+	// agrees.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e1, t1 := 1+rng.Float64()*100, 0.1+rng.Float64()*10
 		e2, t2 := e1+rng.Float64()*50, t1+rng.Float64()*5
-		return EDP(e1, t1) <= EDP(e2, t2) &&
-			ED2P(e1, t1) <= ED2P(e2, t2) &&
-			Greenup(e2, e1) >= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyED2PDVFSInsensitive(t *testing.T) {
-	// Idealized DVFS: delay ∝ 1/s, dynamic energy ∝ s² (per unit of
-	// work E = P·T ∝ s³/s). ED²P = E·T² ∝ s²·s⁻² = const.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := 0.5 + rng.Float64()
-		e0, t0 := 100.0, 2.0
-		e, tt := e0*s*s, t0/s
-		base := ED2P(e0, t0)
-		scaled := ED2P(e, tt)
-		return scaled > base*0.999 && scaled < base*1.001
+		return EDP(e1, t1) <= EDP(e2, t2)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

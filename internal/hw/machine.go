@@ -342,3 +342,15 @@ func (m *Machine) LevelFor(bytes float64, sharers int) TrafficLevel {
 	}
 	return LevelDRAM
 }
+
+// ChargeTraffic charges frac of a leaf's traffic to w: to DRAM when the
+// whole traffic spills out of the sharers' LLC share (LevelFor), else
+// to the LLC. Large operands stream through DRAM; small ones live in
+// the workers' share of the cache.
+func (m *Machine) ChargeTraffic(w *task.Work, traffic float64, sharers int, frac float64) {
+	if m.LevelFor(traffic, sharers) == LevelDRAM {
+		w.DRAMBytes = traffic * frac
+	} else {
+		w.L3Bytes = traffic * frac
+	}
+}

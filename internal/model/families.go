@@ -156,25 +156,19 @@ func (s subSummary) intoTerms(t *Terms) {
 	t.SpanSeconds = s.span
 }
 
-// classifiedWork builds an Add/Copy/BaseMul work item with its traffic
-// routed to DRAM or L3 the way the builders'
-// LevelFor(whole-traffic, workers) test decides.
+// classifiedWork builds an Add/Copy/BaseMul work item with frac of its
+// traffic charged the way the builders charge it (hw.ChargeTraffic).
 func classifiedWork(m *hw.Machine, kind task.Kind, flops, wholeTraffic, frac float64, workers int) task.Work {
 	w := task.Work{Kind: kind, Flops: flops * frac}
-	if m.LevelFor(wholeTraffic, workers) == hw.LevelDRAM {
-		w.DRAMBytes = wholeTraffic * frac
-	} else {
-		w.L3Bytes = wholeTraffic * frac
-	}
+	m.ChargeTraffic(&w, wholeTraffic, workers, frac)
 	return w
 }
 
 // Strassen mirrors strassen.Build with the workload's default options
-// (cutover 64, unlimited task depth): 10+4 add leaves per classic
-// level or 8+6 for Winograd, seven recursive products, a dense
-// base-case leaf, plus the pad-in/pad-out stage for awkward sizes. All
-// seven children of a node are identical, so the recursion memoizes on
-// dimension.
+// (cutover 64): 10+4 add leaves per classic level or 8+6 for Winograd,
+// seven recursive products, a dense base-case leaf, plus the
+// pad-in/pad-out stage for awkward sizes. All seven children of a node
+// are identical, so the recursion memoizes on dimension.
 func Strassen(m *hw.Machine, n, workers int, winograd bool) Terms {
 	a := newAcc(m, FamilyStrassen, workers)
 	sa := &strassenAcc{a: a, winograd: winograd, memo: map[int]subSummary{}}
@@ -182,8 +176,8 @@ func Strassen(m *hw.Machine, n, workers int, winograd bool) Terms {
 	padded := strassen.PaddedSize(n, cutover)
 	s := sa.mul(padded)
 	if padded != n {
-		// paddedMul: Par(pad A, pad B) → recursion → unpad C; the pad
-		// copies always charge DRAM.
+		// strassen.Scaffold.Root: Par(pad A, pad B) → recursion →
+		// unpad C; the pad copies always charge DRAM.
 		pad := subSummary{}
 		d := pad.addLeafInto(a, task.Work{Kind: task.KindCopy, DRAMBytes: 2 * kernel.Bytes(n, n)}, 3)
 		pad.addChild(s, 1)

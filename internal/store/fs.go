@@ -114,3 +114,27 @@ func tempPath(path string) string {
 	return path + ".tmp-" + strconv.Itoa(os.Getpid()) + "-" +
 		strconv.FormatUint(tmpSeq.Add(1), 10)
 }
+
+// replaceFile atomically replaces path with data: a sibling temp file
+// is written, fsynced, closed and renamed over path, and removed again
+// on any failure, so a crash leaves either the old file or the new.
+func replaceFile(fsys FS, path string, data []byte) error {
+	tmp := tempPath(path)
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp)
+	}
+	return err
+}

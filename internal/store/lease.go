@@ -335,28 +335,5 @@ func writeLease(fsys FS, path string, info LeaseInfo) error {
 	if err != nil {
 		return err
 	}
-	tmp := tempPath(path)
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(raw, '\n')); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return err
-	}
-	return nil
+	return replaceFile(fsys, path, append(raw, '\n'))
 }

@@ -85,30 +85,7 @@ func (s *Store) reqPath(fp string) string { return filepath.Join(s.dir, fp+reqEx
 // sweep server neither writes nor reads sidecars; SaveRequest is kept
 // only because capbench times one (its sidecar_ms_p50 metric).
 func (s *Store) SaveRequest(fp string, body []byte) error {
-	tmp := tempPath(s.reqPath(fp))
-	f, err := s.fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(body); err != nil {
-		_ = f.Close()
-		_ = s.fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = s.fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = s.fsys.Remove(tmp)
-		return err
-	}
-	if err := s.fsys.Rename(tmp, s.reqPath(fp)); err != nil {
-		_ = s.fsys.Remove(tmp)
-		return err
-	}
-	return nil
+	return replaceFile(s.fsys, s.reqPath(fp), body)
 }
 
 // ValidFingerprint reports whether fp looks like a sweep fingerprint:

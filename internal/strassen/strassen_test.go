@@ -169,22 +169,6 @@ func TestAllocPeakGrowsWithProblem(t *testing.T) {
 	}
 }
 
-func TestTaskDepthLimitsParallelism(t *testing.T) {
-	m := machine()
-	n := 256
-	a, b, c := matrix.New(n, n), matrix.New(n, n), matrix.New(n, n)
-	unlimited := Build(m, c, a, b, 4, Options{Cutover: 32})
-	limited := Build(m, c, a, b, 4, Options{Cutover: 32, TaskDepth: 1})
-	// Same leaves, different shapes: the limited tree has a longer span.
-	su, sl := task.Collect(unlimited), task.Collect(limited)
-	if su.Leaves != sl.Leaves {
-		t.Fatalf("leaf counts differ: %d vs %d", su.Leaves, sl.Leaves)
-	}
-	if m.CriticalPath(limited) <= m.CriticalPath(unlimited) {
-		t.Fatal("depth-limited tree should have longer critical path")
-	}
-}
-
 func TestSimulatedSpeedupReasonable(t *testing.T) {
 	m := machine()
 	n := 1024

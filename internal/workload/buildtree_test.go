@@ -114,6 +114,34 @@ func TestBuildTreeDigestsStable(t *testing.T) {
 		},
 			"5e26a1c2033fe9e3c9d6f4aae72a1a1695549b38814648e5bfbf566bd55a4577",
 			"f7a052ab71364e6c6c59cd7581b6bc75bd05c77b320a6df7aa4e2b71ef7af121"},
+		// The rows below pin the shapes the shared Strassen scaffold
+		// serves: CAPS padding with work-shared chunks, Winograd and
+		// pure-DFS CAPS padding with math, and padding to 1008 with
+		// uneven ownership over 7 workers.
+		{"caps-dfs/200", func() *task.Node {
+			c, a, b := shape(200)
+			return caps.Build(m, c, a, b, 4, caps.Options{CutoffDepth: -1})
+		},
+			"0e96fb5fdebb20ca39617b3427dee8b7204587dbb25092deb59fa2b7157590b4",
+			"cf33a0bacd82717420e8dd6b43e9761733d3f929dbeb0cb6be4169fc8494cf43"},
+		{"winograd-math/200", func() *task.Node {
+			c, a, b := dense(200)
+			return strassen.Build(m, c, a, b, 4, strassen.Options{Cutover: 16, Winograd: true, WithMath: true})
+		},
+			"536a1cb2757b40c48288baba686b486a2c918a48f31da3fdb1e88fe9ccb36e77",
+			"0e7bfd26791439e71ac366fc3e9154587ef2814d9890ba97f36136d8df78dfc3"},
+		{"caps-dfs-math/200", func() *task.Node {
+			c, a, b := dense(200)
+			return caps.Build(m, c, a, b, 3, caps.Options{Cutover: 16, CutoffDepth: -1, WithMath: true})
+		},
+			"035720215964d684b534c7990b89598c807ddd07794ccc74d6f85f9d29eae205",
+			"bc2a90500fe68aaf7470c9261df6f06fc7cd75c38fded8683a2153d2313a9a99"},
+		{"caps/1000", func() *task.Node {
+			c, a, b := shape(1000)
+			return caps.Build(m, c, a, b, 7, caps.Options{})
+		},
+			"295000d4937028de37ebfc494637cc306951318a7aeb3115bb038d2321a0e9ca",
+			"c3a830a866ddeb418282b0de388440ddfdd39c10256d0fb891178f5405804f30"},
 	}
 	for _, tc := range cases {
 		root := tc.build()
