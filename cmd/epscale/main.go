@@ -58,6 +58,16 @@ func knownArtifact(name string) bool {
 	return false
 }
 
+// sweepFlags shape or run the sweep; -load renders a saved matrix
+// instead of sweeping, so it takes none of them.
+var sweepFlags = map[string]bool{
+	"quick": true, "sizes": true, "threads": true, "nodes": true,
+	"algs": true, "cluster": true, "plan": true, "seed-frac": true,
+	"confidence": true, "ablate-affinity": true, "ablate-contention": true,
+	"j": true, "faults": true, "fault-rate": true, "checkpoint": true,
+	"cell-retries": true,
+}
+
 // charts holds the artifacts -chart can draw, each from the matrix and
 // its largest size.
 var charts = map[string]func(mx *workload.Matrix, size int) *report.Chart{
@@ -131,6 +141,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *csv && (*what == "fig2" || *chart) {
 		fmt.Fprintln(stderr, "epscale: -csv needs a table; -what fig2 and -chart draw charts")
 		return 2
+	}
+	if *load != "" {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if sweepFlags[f.Name] {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			fmt.Fprintf(stderr, "epscale: -load renders a saved matrix and runs no sweep; drop %s\n", strings.Join(set, " "))
+			return 2
+		}
 	}
 
 	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)

@@ -47,6 +47,12 @@ func TestFlagValidation(t *testing.T) {
 		{"algorithm error lists names", []string{"-algs", "nope"}, "SpMV"},
 		{"distributed without cluster", []string{"-algs", "SUMMA", "-sizes", "256", "-what", "table3"}, "cluster spec"},
 		{"repeated size", []string{"-sizes", "64,64", "-threads", "1"}, "repeated"},
+		{"load with sizes", []string{"-load", "m.json", "-sizes", "99"}, "runs no sweep; drop -sizes\n"},
+		{"load with faults and checkpoint", []string{"-load", "m.json", "-sizes", "99", "-faults", "3", "-checkpoint", "/nonexistent/x.jsonl", "-what", "table3"},
+			"drop -checkpoint -faults -sizes\n"},
+		{"load with every other sweep flag", []string{"-load", "m.json", "-quick", "-threads", "1", "-nodes", "2", "-algs", "CAPS", "-cluster", "4x1GbE",
+			"-plan", "guided", "-seed-frac", "0.5", "-confidence", "0.1", "-ablate-affinity", "-ablate-contention", "-j", "2", "-fault-rate", "0.2", "-cell-retries", "1"},
+			"drop -ablate-affinity -ablate-contention -algs -cell-retries -cluster -confidence -fault-rate -j -nodes -plan -quick -seed-frac -threads\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

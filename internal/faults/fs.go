@@ -34,7 +34,9 @@ import (
 // Every mutating operation (create, write, truncate, sync, rename,
 // remove) advances one shared op counter; CrashAt arms a crash at a
 // chosen op, so a harness can first count a clean run's ops and then
-// replay it crashing at every single one. All randomness comes from
+// replay it crashing at every single one. Advisory locks (TryLock)
+// mutate nothing on disk and advance no op; a crash's Reboot drops
+// them with the processes that held them. All randomness comes from
 // the constructor's seed, in op order: the same seed and the same
 // operation sequence produce the same faults.
 //
@@ -53,6 +55,9 @@ type FaultFS struct {
 	written int64 // bytes accepted by Write, for the ENOSPC budget
 	lastID  store.FileID
 	stats   FSStats
+	// locks is the advisory lock table: per file, its holders and
+	// whether each holds the lock exclusively.
+	locks map[store.FileID]map[*memHandle]bool
 }
 
 // FSProfile sets the per-operation injection rates. The zero profile
@@ -130,6 +135,7 @@ func NewFaultFS(prof FSProfile, seed int64) *FaultFS {
 		prof:  prof,
 		files: map[string]*memFile{},
 		dirs:  map[string]bool{"/": true, ".": true},
+		locks: map[store.FileID]map[*memHandle]bool{},
 	}
 }
 
@@ -175,6 +181,7 @@ func (f *FaultFS) Reboot() {
 	defer f.mu.Unlock()
 	f.crashed = false
 	f.crashAt = 0
+	clear(f.locks)
 }
 
 // step advances the mutating-op counter and fires an armed
@@ -576,7 +583,35 @@ func (h *memHandle) Close() error {
 		return os.ErrClosed
 	}
 	h.closed = true
+	delete(h.fs.locks[h.mf.id], h)
+	if len(h.fs.locks[h.mf.id]) == 0 {
+		delete(h.fs.locks, h.mf.id)
+	}
 	return nil
+}
+
+// TryLock takes the file's advisory lock as flock(2) does: the lock
+// belongs to this handle, another handle on the same file is refused a
+// conflicting one, and Close drops it.
+func (h *memHandle) TryLock(exclusive bool) (bool, error) {
+	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
+	mf, err := h.file()
+	if err != nil {
+		return false, err
+	}
+	holders := h.fs.locks[mf.id]
+	for other, excl := range holders {
+		if other != h && (exclusive || excl) {
+			return false, nil
+		}
+	}
+	if holders == nil {
+		holders = map[*memHandle]bool{}
+		h.fs.locks[mf.id] = holders
+	}
+	holders[h] = exclusive
+	return true, nil
 }
 
 // Stat reports the open file, its identity included.

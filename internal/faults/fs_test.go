@@ -351,3 +351,46 @@ func TestFaultFSReportsFileIdentity(t *testing.T) {
 		t.Fatalf("after a rename over the path, it still names the held file (identity %v)", a)
 	}
 }
+
+// TestFaultFSLocksLikeFlock: advisory locks act as flock(2) does
+// between handles: an exclusive lock refuses every other handle on the
+// file, shared locks admit each other, and the lock stays with the
+// file when its path is removed. Close and Reboot drop locks, and
+// taking one is not a mutating op.
+func TestFaultFSLocksLikeFlock(t *testing.T) {
+	ffs := NewFaultFS(FSProfile{}, 1)
+	open := func() store.File {
+		f, err := ffs.OpenFile("claim", os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	lock := func(f store.File, exclusive, want bool) {
+		t.Helper()
+		if got, err := f.TryLock(exclusive); err != nil || got != want {
+			t.Fatalf("TryLock(exclusive %v) = %v, %v; want %v", exclusive, got, err, want)
+		}
+	}
+	a, b, c := open(), open(), open()
+	ops := ffs.Ops()
+	lock(a, true, true)
+	lock(b, true, false)
+	lock(b, false, false)
+	if got := ffs.Ops(); got != ops {
+		t.Fatalf("taking locks moved the op counter from %d to %d", ops, got)
+	}
+	if err := ffs.Remove("claim"); err != nil {
+		t.Fatal(err)
+	}
+	lock(open(), true, true) // a new file at the path has a lock of its own
+	lock(b, false, false)    // the removed file's stays with its holder
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lock(b, false, true)
+	lock(c, false, true)
+	lock(c, true, false)
+	ffs.Reboot()
+	lock(c, true, true)
+}

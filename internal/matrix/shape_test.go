@@ -80,13 +80,3 @@ func TestShapeString(t *testing.T) {
 		t.Fatalf("String %q does not mark shape-only", s)
 	}
 }
-
-func TestPoolRejectsShape(t *testing.T) {
-	var p Pool
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on Put of a shape-only matrix")
-		}
-	}()
-	p.Put(Shape(8, 8))
-}

@@ -353,9 +353,9 @@ func (c *countFile) Sync() error {
 // TestCachedSweepCommitsOnce: on a warm server, an 8-cell POST whose
 // every cell is a run-cache hit makes its records durable with one
 // commit. The whole POST takes 3 fsyncs (lease, journal creation, the
-// commit), 4 file creations (three of them the lease's) and 2 renames
-// (lease and journal), and while the commit's fsync is held no
-// subscriber, starter or attacher, has received a record.
+// commit), 2 file creations (the lease's claim file and the journal's)
+// and 1 rename (the journal's), and while the commit's fsync is held
+// no subscriber, starter or attacher, has received a record.
 func TestCachedSweepCommitsOnce(t *testing.T) {
 	var commit atomic.Int64 // the journal fsync to hold; 0 = none
 	holding, release := make(chan struct{}), make(chan struct{})
@@ -417,7 +417,7 @@ func TestCachedSweepCommitsOnce(t *testing.T) {
 		t.Errorf("the cached sweep simulated %d cells, want 0", d)
 	}
 	got := [3]int64{fsys.syncs.Load() - syncs, fsys.creates.Load() - creates, fsys.renames.Load() - renames}
-	if want := [3]int64{3, 4, 2}; got != want {
+	if want := [3]int64{3, 2, 1}; got != want {
 		t.Errorf("the cached POST made %d fsyncs, %d creations and %d renames; want %d, %d and %d",
 			got[0], got[1], got[2], want[0], want[1], want[2])
 	}

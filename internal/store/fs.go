@@ -11,24 +11,31 @@
 //     filesystem, so a nil FS everywhere means "no injection, zero
 //     overhead" — the same contract the fault injector established.
 //   - Lease: on-disk claim files (owner + monotonic epoch + TTL) that
-//     let N replicas share one store directory. See lease.go.
+//     let N replicas share one store directory, each its own lock. See
+//     lease.go.
 //   - Journal: append-only JSONL files written with explicit fsync
 //     barriers and atomic (temp+fsync+rename) compaction. See
 //     journal.go.
 package store
 
 import (
+	"errors"
 	"io/fs"
 	"os"
 	"strconv"
 	"sync/atomic"
+	"syscall"
 )
 
-// File is the subset of *os.File the store reads and writes through.
-// Sync is the durability barrier: data written but not yet synced is
-// exactly what a crash may lose (or tear). Seek lets a JournalReader
-// resume where its last read stopped, and Stat lets it tell whether
-// its path still names the file it holds open.
+// File is the subset of *os.File the store reads and writes through,
+// plus an advisory lock. Sync is the durability barrier: data written
+// but not yet synced is exactly what a crash may lose (or tear). Seek
+// lets a JournalReader resume where its last read stopped, and Stat
+// lets it tell whether its path still names the file it holds open.
+// TryLock takes the open file's advisory lock without waiting,
+// exclusive or shared with other shared holders, and reports false
+// while another open file holds a conflicting one; Close releases it.
+// It is what serializes a lease's claim file (lease.go).
 type File interface {
 	Read(p []byte) (int, error)
 	Seek(offset int64, whence int) (int64, error)
@@ -38,6 +45,7 @@ type File interface {
 	Truncate(size int64) error
 	Stat() (fs.FileInfo, error)
 	Name() string
+	TryLock(exclusive bool) (bool, error)
 }
 
 // FS is the filesystem seam. The real implementation is OS(); the
@@ -60,7 +68,28 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return osFile{f}, nil
+}
+
+// osFile is an open real file; its lock is flock(2), which belongs to
+// the open file description, so two opens in one process exclude each
+// other as two processes do, and the kernel drops it when the holder
+// closes the file or dies.
+type osFile struct{ *os.File }
+
+func (f osFile) TryLock(exclusive bool) (bool, error) {
+	how := syscall.LOCK_SH
+	if exclusive {
+		how = syscall.LOCK_EX
+	}
+	err := syscall.Flock(int(f.Fd()), how|syscall.LOCK_NB)
+	if errors.Is(err, syscall.EWOULDBLOCK) {
+		return false, nil
+	}
+	if err != nil {
+		return false, &os.PathError{Op: "flock", Path: f.Name(), Err: err}
+	}
+	return true, nil
 }
 
 func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }

@@ -107,7 +107,10 @@ func FuzzJournalReader(f *testing.F) {
 // that do not parse as a claim act as no claim: the acquire succeeds
 // with epoch 1. A refusal (*HeldError) carries exactly the claim the
 // bytes parse to, and an acquire over a parsed claim takes its epoch
-// + 1, in uint64 arithmetic. Run with
+// + 1, in uint64 arithmetic. The acquire rewrites the file in place,
+// so afterwards it holds exactly one claim line, the acquirer's, with
+// nothing of the old bytes left behind it, and ReadLeaseInfo returns
+// that claim. Run with
 // `go test -fuzz=FuzzLeaseFile ./internal/store`; the seed corpus runs
 // under plain `go test`.
 func FuzzLeaseFile(f *testing.F) {
@@ -126,6 +129,11 @@ func FuzzLeaseFile(f *testing.F) {
 	for _, epoch := range []string{"-1", "1e3", "123456789012345678901234567890"} {
 		f.Add(claim(epoch, now.Add(time.Second)))
 	}
+	// Longer than any claim the acquire writes, so a rewrite that does
+	// not truncate leaves a tail: garbage after a claim is no claim,
+	// trailing spaces still parse.
+	f.Add(append(claim("7", now.Add(-time.Second)), bytes.Repeat([]byte("x"), 200)...))
+	f.Add(append(claim("7", now.Add(-time.Second)), bytes.Repeat([]byte(" "), 200)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "sweep.jsonl.lease")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -149,6 +157,25 @@ func FuzzLeaseFile(f *testing.F) {
 			t.Fatalf("acquire over no claim took epoch %d, want 1", l.Epoch())
 		case parsed && l.Epoch() != want.Epoch+1:
 			t.Fatalf("acquire over epoch %d took epoch %d", want.Epoch, l.Epoch())
+		}
+		if err != nil {
+			return
+		}
+		mine := LeaseInfo{Owner: "fuzz", Host: hostID, PID: os.Getpid(), Epoch: l.Epoch(),
+			Expires: now.Add(time.Second).UnixNano()}
+		line, err := json.Marshal(mine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(line, '\n')) {
+			t.Fatalf("after the acquire the file holds %q, want the one claim line %q", got, line)
+		}
+		if info, live := ReadLeaseInfo(nil, path, now); !live || info != mine {
+			t.Fatalf("ReadLeaseInfo = %+v (live %v), want the acquirer's claim %+v", info, live, mine)
 		}
 	})
 }

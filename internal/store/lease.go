@@ -108,79 +108,94 @@ func AcquireLease(fsys FS, path, owner string, ttl time.Duration, now func() tim
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	unlock, err := lockLease(fsys, path)
+	var l *Lease
+	err := withClaim(fsys, path, os.O_RDWR|os.O_CREATE, func(f File, prev LeaseInfo, exists bool) error {
+		t := now()
+		if exists && prev.Expires > t.UnixNano() && !ownerDead(prev) {
+			leaseHeld.Inc()
+			return &HeldError{Path: path, Info: prev}
+		}
+		info := LeaseInfo{
+			Owner:   owner,
+			Host:    hostID,
+			PID:     os.Getpid(),
+			Epoch:   prev.Epoch + 1,
+			Expires: t.Add(ttl).UnixNano(),
+		}
+		if err := rewriteClaim(f, info); err != nil {
+			return err
+		}
+		if exists {
+			leaseStolen.Inc()
+		} else {
+			leaseAcquired.Inc()
+		}
+		l = &Lease{fsys: fsys, path: path, now: now, info: info, ttl: ttl}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer unlock()
-
-	prev, exists, err := readLease(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	t := now()
-	if exists && prev.Expires > t.UnixNano() && !ownerDead(prev) {
-		leaseHeld.Inc()
-		return nil, &HeldError{Path: path, Info: prev}
-	}
-	info := LeaseInfo{
-		Owner:   owner,
-		Host:    hostID,
-		PID:     os.Getpid(),
-		Epoch:   prev.Epoch + 1,
-		Expires: t.Add(ttl).UnixNano(),
-	}
-	if err := writeLease(fsys, path, info); err != nil {
-		return nil, err
-	}
-	if exists {
-		leaseStolen.Inc()
-	} else {
-		leaseAcquired.Inc()
-	}
-	return &Lease{fsys: fsys, path: path, now: now, info: info, ttl: ttl}, nil
+	return l, nil
 }
 
 // ReadLeaseInfo reports the current claim and whether it is still
 // live at the given time (a dead same-host owner counts as not live).
+// It reads under the claim file's shared lock, so it never sees a
+// claim halfway through a rewrite. A lock still held when the wait
+// times out counts as a live claim by an unknown owner: only a live
+// process holds it, and that process is changing the claim, so the
+// caller follows instead of racing it for the lease.
 func ReadLeaseInfo(fsys FS, path string, at time.Time) (LeaseInfo, bool) {
-	info, exists, err := readLease(Resolve(fsys), path)
+	var (
+		info   LeaseInfo
+		exists bool
+	)
+	err := withClaim(Resolve(fsys), path, os.O_RDONLY, func(_ File, cur LeaseInfo, ok bool) error {
+		info, exists = cur, ok
+		return nil
+	})
+	if errors.Is(err, errLockTimeout) {
+		return LeaseInfo{}, true
+	}
 	if err != nil || !exists {
 		return LeaseInfo{}, false
 	}
-	live := info.Expires > at.UnixNano() && !ownerDead(info)
-	return info, live
+	return info, info.Expires > at.UnixNano() && !ownerDead(info)
 }
 
 // Renew extends the claim without changing the epoch. It re-reads the
 // file first: if the epoch moved (stolen) or the claim expired and was
-// removed, the lease is lost and every subsequent Fence fails.
+// removed, the lease is lost. A Renew that fails for any other reason
+// loses the lease too: a rewrite that fails part-way may leave the
+// claim empty or torn, which other replicas read as no claim, and an
+// unverified claim must not keep writes going beside a new owner.
+// Either way every subsequent Fence fails at once.
 func (l *Lease) Renew() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.freed {
+	if l.freed || l.lost {
 		return ErrLeaseLost
 	}
-	if l.lost {
-		return ErrLeaseLost
-	}
-	unlock, err := lockLease(l.fsys, l.path)
+	err := withClaim(l.fsys, l.path, os.O_RDWR, func(f File, cur LeaseInfo, exists bool) error {
+		if !exists || cur.Epoch != l.info.Epoch || cur.Owner != l.info.Owner {
+			return fmt.Errorf("%w: epoch %d superseded by %d (owner %q)",
+				ErrLeaseLost, l.info.Epoch, cur.Epoch, cur.Owner)
+		}
+		info := l.info
+		info.Expires = l.now().Add(l.ttl).UnixNano()
+		if err := rewriteClaim(f, info); err != nil {
+			return err
+		}
+		l.info = info
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	defer unlock()
-	cur, exists, err := readLease(l.fsys, l.path)
-	if err != nil {
-		return err
-	}
-	if !exists || cur.Epoch != l.info.Epoch || cur.Owner != l.info.Owner {
 		l.lost = true
 		leaseLost.Inc()
-		return fmt.Errorf("%w: epoch %d superseded by %d (owner %q)",
-			ErrLeaseLost, l.info.Epoch, cur.Epoch, cur.Owner)
-	}
-	l.info.Expires = l.now().Add(l.ttl).UnixNano()
-	if err := writeLease(l.fsys, l.path, l.info); err != nil {
+		if !errors.Is(err, ErrLeaseLost) {
+			err = fmt.Errorf("%w: %v", ErrLeaseLost, err)
+		}
 		return err
 	}
 	leaseRenewed.Inc()
@@ -188,9 +203,10 @@ func (l *Lease) Renew() error {
 }
 
 // Fence guards a write: it fails with ErrLeaseLost once the claim has
-// been stolen or has lapsed. While more than half the TTL remains the
-// in-memory expiry is trusted (no I/O on the append fast path); inside
-// that window Fence renews, which re-verifies the epoch on disk.
+// been stolen or has lapsed, or a renewal has failed. While more than
+// half the TTL remains the in-memory expiry is trusted (no I/O on the
+// append fast path); inside that window Fence renews, which
+// re-verifies the epoch on disk.
 func (l *Lease) Fence() error {
 	l.mu.Lock()
 	if l.lost || l.freed {
@@ -202,20 +218,7 @@ func (l *Lease) Fence() error {
 	if remaining > l.ttl/2 {
 		return nil
 	}
-	if err := l.Renew(); err != nil {
-		if !errors.Is(err, ErrLeaseLost) {
-			// Treat an unreadable lease as lost: without a verified
-			// claim, continuing to write risks interleaving with a
-			// legitimate new owner.
-			l.mu.Lock()
-			l.lost = true
-			l.mu.Unlock()
-			leaseLost.Inc()
-			err = fmt.Errorf("%w: %v", ErrLeaseLost, err)
-		}
-		return err
-	}
-	return nil
+	return l.Renew()
 }
 
 // Lost reports whether the lease has been observed lost.
@@ -239,7 +242,9 @@ func (l *Lease) Owner() string { return l.info.Owner }
 func (l *Lease) TTL() time.Duration { return l.ttl }
 
 // Release removes the claim file if this lease still owns it, freeing
-// the journal for the next acquirer without waiting out the TTL.
+// the journal for the next acquirer without waiting out the TTL. The
+// file goes while Release holds its lock, so an operation waiting on
+// that lock finds the path no longer names the file it locked.
 func (l *Lease) Release() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -250,90 +255,127 @@ func (l *Lease) Release() error {
 	if l.lost {
 		return nil // stolen: the file belongs to the new owner now
 	}
-	unlock, err := lockLease(l.fsys, l.path)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	cur, exists, err := readLease(l.fsys, l.path)
-	if err != nil || !exists {
-		return err
-	}
-	if cur.Epoch != l.info.Epoch || cur.Owner != l.info.Owner {
-		return nil
-	}
-	return l.fsys.Remove(l.path)
+	return withClaim(l.fsys, l.path, os.O_RDWR, func(_ File, cur LeaseInfo, exists bool) error {
+		if !exists || cur.Epoch != l.info.Epoch || cur.Owner != l.info.Owner {
+			return nil
+		}
+		return l.fsys.Remove(l.path)
+	})
 }
 
 // --- on-disk plumbing ---
 
-// lockLease serializes lease mutations through an O_EXCL lock file, so
-// two stealers racing an expired claim cannot both write epoch+1. The
-// lock is advisory and short-lived; one left behind by a kill is
-// broken after lockStaleAfter of real time.
-const lockStaleAfter = 1 * time.Second
+// The claim file is its own lock: every operation holds its advisory
+// lock (File.TryLock) from reading the claim to writing it back, so
+// two stealers racing an expired claim cannot both write epoch+1. A
+// lock is never broken: the real filesystem drops a dead holder's
+// flock with its process, and a live holder keeps it only for one
+// rewrite. An operation that cannot take it polls every
+// leaseLockPoll and gives up after leaseLockTimeout.
+const (
+	leaseLockPoll    = time.Millisecond
+	leaseLockTimeout = 5 * time.Second
+)
 
-func lockLease(fsys FS, path string) (func(), error) {
-	lock := path + ".lock"
-	deadline := time.Now().Add(5 * time.Second)
-	waited := time.Duration(0)
-	for {
-		f, err := fsys.OpenFile(lock, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err == nil {
-			if cerr := f.Close(); cerr != nil {
-				_ = fsys.Remove(lock)
-				return nil, cerr
-			}
-			return func() { _ = fsys.Remove(lock) }, nil
-		}
-		if !errors.Is(err, os.ErrExist) {
-			return nil, err
-		}
-		if waited >= lockStaleAfter {
-			// Holder died mid-mutation; break the lock and retry.
-			_ = fsys.Remove(lock)
-			waited = 0
-			continue
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("store: lease lock %s: timed out", lock)
-		}
-		time.Sleep(10 * time.Millisecond)
-		waited += 10 * time.Millisecond
+// errLockTimeout ends a wait for the claim file's lock that outlasted
+// leaseLockTimeout.
+var errLockTimeout = errors.New("timed out")
+
+// withClaim opens the claim file at path with flag, locks it
+// (lockClaim), reads its claim and runs fn on the file and the claim,
+// then closes the file, which drops the lock. O_CREATE is the one
+// create a claim costs; without it a missing file is no claim, and fn
+// gets a nil File. Bytes that do not parse as a claim, such as the
+// empty or torn file a crash mid-rewrite leaves, are no claim either.
+func withClaim(fsys FS, path string, flag int, fn func(f File, cur LeaseInfo, exists bool) error) error {
+	f, err := lockClaim(fsys, path, flag)
+	if errors.Is(err, os.ErrNotExist) && flag&os.O_CREATE == 0 {
+		return fn(nil, LeaseInfo{}, false)
 	}
-}
-
-func readLease(fsys FS, path string) (LeaseInfo, bool, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return LeaseInfo{}, false, nil
-		}
-		return LeaseInfo{}, false, err
+		return err
 	}
 	raw, err := io.ReadAll(f)
-	cerr := f.Close()
-	if err != nil {
-		return LeaseInfo{}, false, err
+	if err == nil {
+		var cur LeaseInfo
+		exists := json.Unmarshal(raw, &cur) == nil
+		if !exists {
+			cur = LeaseInfo{}
+		}
+		err = fn(f, cur, exists)
 	}
-	if cerr != nil {
-		return LeaseInfo{}, false, cerr
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	var info LeaseInfo
-	if err := json.Unmarshal(raw, &info); err != nil {
-		// A torn lease file (crash mid-write) is treated as no claim:
-		// the journal itself is still fenced by epoch monotonicity.
-		return LeaseInfo{}, false, nil
-	}
-	return info, true, nil
+	return err
 }
 
-// writeLease replaces the claim atomically (temp + sync + rename) so a
-// crash never leaves a half-written claim visible at the lease path.
-func writeLease(fsys FS, path string, info LeaseInfo) error {
+// lockClaim opens the claim file at path with flag and takes its lock,
+// exclusive when the file is open for writing and shared when it is
+// read-only, waiting for other holders. Once locked, the path must
+// still name the locked file: a Release that removed it meanwhile
+// leaves the lock on an unlinked file, so the open is retried. That
+// check needs an FS that reports file identity (sameFile).
+func lockClaim(fsys FS, path string, flag int) (File, error) {
+	exclusive := flag&(os.O_WRONLY|os.O_RDWR) != 0
+	deadline := time.Now().Add(leaseLockTimeout)
+	for {
+		f, err := fsys.OpenFile(path, flag, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		locked, err := f.TryLock(exclusive)
+		if err == nil && locked {
+			var named bool
+			if named, err = namesFile(fsys, path, f); err == nil && named {
+				return f, nil
+			}
+		}
+		_ = f.Close() // nothing written; closing drops any lock taken
+		if err != nil {
+			return nil, err
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("store: lease lock %s: %w", path, errLockTimeout)
+		}
+		if !locked {
+			time.Sleep(leaseLockPoll)
+		}
+	}
+}
+
+// namesFile reports whether path still names the open file f.
+func namesFile(fsys FS, path string, f File) (bool, error) {
+	at, err := fsys.Stat(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	held, err := f.Stat()
+	if err != nil {
+		return false, err
+	}
+	return sameFile(at, held), nil
+}
+
+// rewriteClaim replaces the locked claim file's contents with info in
+// place: truncate, write, fsync. Power lost before the fsync returns
+// leaves an empty or torn claim, which reads as no claim.
+func rewriteClaim(f File, info LeaseInfo) error {
 	raw, err := json.Marshal(info)
 	if err != nil {
 		return err
 	}
-	return replaceFile(fsys, path, append(raw, '\n'))
+	if err := f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	if _, err := f.Write(append(raw, '\n')); err != nil {
+		return err
+	}
+	return f.Sync()
 }

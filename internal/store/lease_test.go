@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -170,7 +171,11 @@ func TestLeaseDeadOwnerFastSteal(t *testing.T) {
 		Epoch:   7,
 		Expires: clk.Now().Add(time.Hour).UnixNano(),
 	}
-	if err := writeLease(OS(), path, dead); err != nil {
+	raw, err := json.Marshal(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, live := ReadLeaseInfo(nil, path, clk.Now()); live {

@@ -15,7 +15,9 @@
 #   - GET /v1/result/{fingerprint} replays byte-identically, and every
 #     record the client streamed — before and after the crash —
 #     appears verbatim in the replay,
-#   - the survivor drains cleanly on SIGTERM.
+#   - the survivor drains cleanly on SIGTERM, and the store holds no
+#     lock file: the lease's claim file is its own lock, and a killed
+#     holder's lock goes with its process.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -129,5 +131,7 @@ fi
 grep -q "drained cleanly" "$tmp/b.log" \
     || { echo "crash_smoke.sh: survivor did not drain cleanly" >&2; cat "$tmp/b.log" >&2; exit 1; }
 pidB=
+locks=$(find "$store" -name '*.lock')
+[ -z "$locks" ] || { echo "crash_smoke.sh: the store holds lock files:" >&2; echo "$locks" >&2; exit 1; }
 
 echo "crash_smoke.sh: crash recovery green"

@@ -22,9 +22,11 @@ go test -race ./internal/rapl/... ./internal/papi/... ./internal/trace/... ./int
 go test -race ./internal/mpi/... ./internal/dmm/... ./internal/cluster/...
 # The sweep server: concurrent HTTP subscribers, sweep-level
 # single-flight and the drain path all live on shared state — and the
-# store it persists to: journals, leases and lock files are mutated by
-# racing replicas by design.
+# store it persists to: journals and lease claim files are mutated by
+# racing replicas by design. The lease's own lock is what keeps racing
+# acquirers apart, so its two contention tests run twenty times over.
 go test -race ./internal/serve/... ./internal/store/...
+go test -race -count=20 -run 'TestAcquireLeaseExclusive|TestLeaseLockNotBrokenUnderLiveHolder' ./internal/store/
 # The event-driven simulator core: concurrent Runs must be race-free
 # (-short skips the 48-cell bit-identicality pin, which the plain
 # `go test ./...` of scripts/check.sh runs in full).
