@@ -77,7 +77,8 @@ bench-driver:
 
 # Simulator-core trajectory: the event-driven scheduler's worker-count
 # sweep (4 → 262144), its throughput on the paper's largest trees
-# (Strassen and CAPS at n=4096), and the traced MPI layer on DStrassen
+# (Strassen and CAPS at n=4096) and on scale-sweep's 256-worker cells
+# (n=2048), and the traced MPI layer on DStrassen
 # and dCAPS at n=2048 on 64xFDR (ns/message), recorded to
 # BENCH_sim.json. ns/leaf should stay near-flat across the worker sweep.
 bench-sim:

@@ -56,15 +56,21 @@ type LeafCost struct {
 // traffic also transits the shared cache, so it contributes to L3Rate
 // for the power model.
 func (m *Machine) CostLeaf(w *task.Work, c Contention, remoteBytes float64, stolen bool) LeafCost {
-	return m.Cost(w.Demand(), c, remoteBytes, stolen)
+	return m.CostAt(m.FlopRate(w.Kind), w.Demand(), c, remoteBytes, stolen)
 }
 
-// Cost is CostLeaf on a leaf's cost-model inputs alone, as the
-// simulator reads them from a tree's records.
-func (m *Machine) Cost(w task.Demand, c Contention, remoteBytes float64, stolen bool) LeafCost {
+// FlopRate returns the flops/s one core achieves on a compute-bound
+// kernel of the given kind: its peak times the kind's efficiency.
+func (m *Machine) FlopRate(kind task.Kind) float64 { return m.PeakFlopsPerCore() * m.Eff(kind) }
+
+// CostAt is CostLeaf on a leaf's cost-model inputs alone, as the
+// simulator reads them from a tree's records, with the kind's FlopRate
+// supplied by the caller, so a scheduler that costs many leaves of few
+// kinds looks each rate up once per run instead of once per leaf.
+func (m *Machine) CostAt(rate float64, w task.Demand, c Contention, remoteBytes float64, stolen bool) LeafCost {
 	computeT := 0.0
 	if w.Flops > 0 {
-		computeT = w.Flops / (m.PeakFlopsPerCore() * m.Eff(w.Kind))
+		computeT = w.Flops / rate
 	}
 	memT := 0.0
 	if w.DRAMBytes > 0 {

@@ -13,7 +13,6 @@ package hw
 
 import (
 	"fmt"
-	"math"
 
 	"capscale/internal/task"
 )
@@ -152,7 +151,7 @@ func (m *Machine) StreamBandwidth(streams int) float64 {
 	if streams < 1 {
 		streams = 1
 	}
-	return math.Min(m.DRAMStreamBandwidth, m.DRAMBandwidth/float64(streams))
+	return min(m.DRAMStreamBandwidth, m.DRAMBandwidth/float64(streams))
 }
 
 // Activity summarizes what one core is doing during a timeline segment,
@@ -211,7 +210,7 @@ func (m *Machine) SegmentPower(active []Activity) PlanePower {
 	l3 := 0.0
 	dram := 0.0
 	for _, a := range active {
-		u := math.Max(0, math.Min(1, a.Utilization))
+		u := max(0, min(1, a.Utilization))
 		pp0 += m.Power.CoreIdle + m.Power.CoreDyn*u
 		l3 += a.L3Rate
 		dram += a.DRAMRate

@@ -59,18 +59,32 @@ func BenchmarkSimRun(b *testing.B) {
 // built outside the timer. ns/leaf is what a paper-sweep cell pays per
 // scheduled leaf. BenchmarkSimRun's trees are 4 leaves per worker and
 // stay in L1, so they cannot show the cost of reading a tree of
-// several hundred thousand nodes.
+// several hundred thousand nodes. The n=2048 rows on 256 workers of a
+// 64-node cluster are scale-sweep's cells: above 64 workers, where
+// CAPS's ownership masks give the shared ready queues many distinct
+// masks and power integration runs on aggregate sums.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	m := hw.HaswellE31225()
-	for _, alg := range []workload.Algorithm{workload.AlgStrassen, workload.AlgCAPS} {
-		b.Run(fmt.Sprintf("alg=%v", alg), func(b *testing.B) {
-			root := workload.BuildTree(m, alg, 4096, 4)
+	node := hw.HaswellE31225()
+	cases := []struct {
+		name       string
+		m          *hw.Machine
+		alg        workload.Algorithm
+		n, workers int
+	}{
+		{"alg=Strassen", node, workload.AlgStrassen, 4096, 4},
+		{"alg=CAPS", node, workload.AlgCAPS, 4096, 4},
+		{"alg=Strassen,n=2048,workers=256", hw.Cluster(node, 64), workload.AlgStrassen, 2048, 256},
+		{"alg=CAPS,n=2048,workers=256", hw.Cluster(node, 64), workload.AlgCAPS, 2048, 256},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			root := workload.BuildTree(c.m, c.alg, c.n, c.workers)
 			leaves := task.Collect(root).Leaves
-			cfg := sim.Config{Workers: 4}
+			cfg := sim.Config{Workers: c.workers}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if res := sim.Run(m, root, cfg); res.Leaves != leaves {
+				if res := sim.Run(c.m, root, cfg); res.Leaves != leaves {
 					b.Fatalf("leaves %d, want %d", res.Leaves, leaves)
 				}
 			}

@@ -12,8 +12,10 @@
 // The engine is event-driven and sized for cluster-scale worker counts
 // (10⁴–10⁶ simulated workers): leaf completions sit in an indexed
 // min-heap, idle workers in a hierarchical bitmap with O(log₆₄ n)
-// masked lookups, and per-worker pinned queues pop in O(1), so no per-
-// event operation scans all workers. With ≤ 64 workers the scheduler is
+// masked lookups, per-worker pinned queues pop in O(1), and the other
+// ready leaves wait in one FIFO per distinct affinity mask, so no per-
+// event operation scans all workers or revisits a leaf whose mask has
+// no idle worker. With ≤ 64 workers the scheduler is
 // bit-identical to the original list scheduler (pinned by
 // TestEventSchedulerBitIdenticalToSeed); above 64 it switches power
 // integration to O(1) compensated aggregate sums, since per-segment
@@ -25,7 +27,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -173,7 +174,7 @@ type nodeState struct {
 	parent    *nodeState
 	pending   int       // outstanding children (Par) — Seq uses nextChild
 	nextChild int       // next child index to start (Seq)
-	failGen   int       // idle generation at last failed placement (ready leaves)
+	ready     int       // place in global ready order (leaves in a readyQueue)
 	mask      task.Mask // effective affinity inherited from ancestors
 }
 
@@ -186,27 +187,136 @@ type runningLeaf struct {
 	activity hw.Activity
 }
 
+// leafHeap is the running leaves as a min-heap on (finish, seq). push
+// and pop take container/heap's exact up and down steps: the ≤ 64-worker
+// power sum iterates the heap in array order, so its layout is part of
+// the float-sum order the seed scheduler pinned.
 type leafHeap []*runningLeaf
 
-func (h leafHeap) Len() int { return len(h) }
-func (h leafHeap) Less(i, j int) bool {
+func (h leafHeap) less(i, j int) bool {
 	if h[i].finish != h[j].finish {
 		return h[i].finish < h[j].finish
 	}
 	return h[i].seq < h[j].seq
 }
-func (h leafHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *leafHeap) Push(x any)   { *h = append(*h, x.(*runningLeaf)) }
-func (h *leafHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+func (h *leafHeap) push(rl *runningLeaf) {
+	*h = append(*h, rl)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *leafHeap) pop() *runningLeaf {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	rl := q[n]
+	q[n] = nil
+	*h = q[:n]
+	return rl
+}
+
+// fifo is a queue of ready leaves consumed from head, so pops are O(1).
+// Popped slots are cleared, and reclaimed once the queue drains or they
+// fill more than half the backing array, so a queue that never drains
+// stays proportional to the leaves it holds. Reclaiming keeps the
+// backing array: a fifo retains the capacity of its peak occupancy.
+type fifo struct {
+	items []*nodeState
+	head  int
+}
+
+func (f *fifo) len() int { return len(f.items) - f.head }
+
+func (f *fifo) front() *nodeState { return f.items[f.head] }
+
+func (f *fifo) push(s *nodeState) { f.items = append(f.items, s) }
+
+func (f *fifo) pop() *nodeState {
+	s := f.items[f.head]
+	f.items[f.head] = nil
+	f.head++
+	if f.head == len(f.items) {
+		f.items, f.head = f.items[:0], 0
+	} else if f.head > 64 && f.head > len(f.items)/2 {
+		n := copy(f.items, f.items[f.head:])
+		f.items, f.head = f.items[:n], 0
+	}
+	return s
+}
 
 // workerState shards the scheduler's per-worker bookkeeping into one
-// cache-friendly record: accumulated busy time plus the FIFO of leaves
+// cache-friendly record: accumulated busy time, the FIFO of leaves
 // pinned to exactly one worker (the common case under CAPS ownership),
-// consumed from pinnedHead so pops are O(1) with lazy compaction.
+// and the head of the worker's list of ready queues whose mask holds it.
 type workerState struct {
-	busyTotal  float64
-	pinned     []*nodeState
-	pinnedHead int
+	busyTotal float64
+	pinned    fifo
+	// queues is 1 + the index in executor.regs of the worker's first
+	// queue registration; 0 when no queue's mask holds the worker.
+	queues int32
+}
+
+// readyQueue is the FIFO of ready leaves whose effective mask is one
+// multi-worker set. Whether a leaf can be placed depends only on its
+// mask, so the queue's head stands for all of it: when the head finds
+// no idle worker, no leaf behind it can either until a worker of the
+// mask turns idle.
+type readyQueue struct {
+	mask task.Mask
+	fifo
+	// queued reports whether the queue is in the candidate heap.
+	queued bool
+}
+
+// candidate is a non-empty ready queue in the dispatch heap, keyed by
+// its head's place in ready order. A queue's head changes only while
+// it is out of the heap, so the key stays valid.
+type candidate struct {
+	ready int
+	q     *readyQueue
+}
+
+// queueReg links a ready queue into one worker's list.
+type queueReg struct {
+	q    *readyQueue
+	next int32 // 1 + index of the worker's next registration; 0 ends
+}
+
+// maskKey buckets masks for the queue lookup; Mask.Equal tells apart
+// the distinct masks that share a bucket.
+type maskKey struct {
+	lo              uint64
+	min, max, count int
+}
+
+// kindStats is the per-leaf-kind state of a run: the kind's compute
+// rate (hw.Machine.FlopRate, looked up the first time the kind runs)
+// and its accumulated busy seconds.
+type kindStats struct {
+	rate, busy float64
+	seen       bool
 }
 
 // ksum is a Neumaier-compensated float accumulator. The aggregate
@@ -235,13 +345,29 @@ type executor struct {
 	// place, by the Refs its node states hold.
 	t *task.Tree
 
-	// ready is a FIFO of dispatchable leaves whose affinity permits
-	// more than one worker. Entries claimed out of order (affinity
-	// skips) are nilled and compacted lazily; readyHead tracks the
-	// first live entry and readyLive the live count.
-	ready     []*nodeState
-	readyHead int
-	readyLive int
+	// Ready leaves whose mask permits more than one worker wait in one
+	// readyQueue per distinct mask, found through queues (and lastQueue,
+	// the queue the previous leaf joined). cands is a min-heap of the
+	// queues that may place their head, ordered by the head's ready
+	// sequence, so dispatch takes queue heads in global ready order. A
+	// queue whose head finds no idle worker leaves the heap; wake puts
+	// it back when a worker of its mask turns idle. A queue registers
+	// once with every worker of its mask (regs, linked from
+	// workerState.queues), so registrations total the sizes of the
+	// distinct multi-worker masks a run sees — about workers × BFS
+	// levels for CAPS ownership ranges — and a retiring worker visits
+	// only the queues whose mask holds it. Queues live for the run and
+	// each keeps the capacity of its peak occupancy, so queue state is
+	// the sum of those peaks over the tree's distinct masks: bounded by
+	// the tree's leaves, not by the live frontier.
+	queues    map[maskKey][]*readyQueue
+	lastQueue *readyQueue
+	cands     []candidate
+	regs      []queueReg
+	readySeq  int
+	// checks counts pickWorker calls of the shared pass: one per leaf
+	// launched from a queue, plus one per queue found blocked.
+	checks int
 
 	workers []workerState
 	// idle marks workers with no running leaf; dispatchable marks the
@@ -251,22 +377,14 @@ type executor struct {
 	idle         *hbitmap
 	dispatchable *hbitmap
 	idleCount    int
-	// idleGen counts batches of workers turning idle (one bump per
-	// advance). Between bumps the idle set only shrinks, so a ready
-	// leaf whose placement failed at the current generation cannot
-	// succeed until the next one — dispatch skips it in O(1) instead
-	// of re-running the mask/idle intersection. newIdle records the
-	// latest batch: a leaf that failed in generation g-1 can only be
-	// unblocked in g by a worker from that batch, so a few Mask.Has
-	// probes replace the full intersection for the common case of
-	// long-blocked leaves. Starts at 2 so the zero-valued failGen of a
-	// fresh nodeState never matches idleGen or idleGen-1.
-	idleGen int
-	newIdle []int
 
 	running leafHeap
 	now     float64
 	seq     int
+
+	// kinds holds each leaf kind's compute rate and busy time; Run
+	// copies the busy time of the kinds that ran into Result.BusyByKind.
+	kinds [256]kindStats
 
 	// lastWriter maps RegionID → last-writing worker (-1 unknown).
 	// Regions allocators issue dense IDs from 1, so a flat slice beats
@@ -288,7 +406,7 @@ type executor struct {
 	// scheduling loop performs no allocation: leafFree recycles
 	// runningLeaf records, stateFree recycles the nodeStates complete
 	// retires, and stateArena block-allocates the rest in blocks that
-	// double from 32 to 512 states. Per-run state is therefore bounded by
+	// double from 32 to 512 states. Node state is therefore bounded by
 	// the live frontier of the tree, not its size.
 	leafFree   []*runningLeaf
 	stateFree  []*nodeState
@@ -306,6 +424,7 @@ var (
 	simRuns     = obs.GetCounter("sim.runs")
 	simLeaves   = obs.GetCounter("sim.leaves.executed")
 	simSegments = obs.GetCounter("sim.segments.produced")
+	simChecks   = obs.GetCounter("sim.dispatch.checks")
 )
 
 // newState reuses a retired nodeState or carves one out of the arena,
@@ -370,7 +489,6 @@ func Run(m *hw.Machine, root *task.Node, cfg Config) *Result {
 		lastWriter:   make([]int32, 1024),
 		running:      make(leafHeap, 0, min(cfg.Workers, 4096)),
 		exact:        cfg.Workers <= 64,
-		idleGen:      2, // see the idleGen field comment
 	}
 	for i := range e.lastWriter {
 		e.lastWriter[i] = -1
@@ -378,7 +496,6 @@ func Run(m *hw.Machine, root *task.Node, cfg Config) *Result {
 	if e.exact {
 		e.actsBuf = make([]hw.Activity, 0, cfg.Workers)
 	}
-	e.res.BusyByKind = make(map[task.Kind]float64)
 	for i := 0; i < cfg.Workers; i++ {
 		e.idle.set(i)
 	}
@@ -402,10 +519,17 @@ func Run(m *hw.Machine, root *task.Node, cfg Config) *Result {
 		busy[i] = e.workers[i].busyTotal
 	}
 	e.res.WorkerBusy = busy
+	e.res.BusyByKind = make(map[task.Kind]float64)
+	for k := range e.kinds {
+		if ks := &e.kinds[k]; ks.seen {
+			e.res.BusyByKind[task.Kind(k)] = ks.busy
+		}
+	}
 
 	simRuns.Inc()
 	simLeaves.Add(int64(e.res.Leaves))
 	simSegments.Add(int64(e.segCount))
+	simChecks.Add(int64(e.checks))
 	if sp.Live() {
 		sp.ArgInt("leaves", e.res.Leaves)
 		sp.ArgInt("segments", e.segCount)
@@ -441,9 +565,9 @@ func (e *executor) effectiveMask(n task.Ref, inherited task.Mask) task.Mask {
 	return m
 }
 
-// startNode activates a node: leaves join the ready queue; interior
-// nodes start their children per Seq/Par semantics. Empty interior
-// nodes complete immediately.
+// startNode activates a node: leaves join their worker's pinned FIFO
+// or their mask's ready queue; interior nodes start their children per
+// Seq/Par semantics. Empty interior nodes complete immediately.
 func (e *executor) startNode(s *nodeState) {
 	t := e.t
 	e.liveAlloc += t.AllocBytes(s.n)
@@ -454,13 +578,20 @@ func (e *executor) startNode(s *nodeState) {
 	case t.IsLeaf(s.n):
 		if w := s.mask.Single(); w >= 0 && w < e.cfg.Workers {
 			ws := &e.workers[w]
-			ws.pinned = append(ws.pinned, s)
+			ws.pinned.push(s)
 			if e.idle.has(w) {
 				e.dispatchable.set(w)
 			}
 		} else {
-			e.ready = append(e.ready, s)
-			e.readyLive++
+			q := e.queueFor(s.mask)
+			s.ready = e.readySeq
+			e.readySeq++
+			q.push(s)
+			// A queue that was empty becomes a candidate; one that holds
+			// older leaves is already in the heap, or blocked until wake.
+			if q.len() == 1 {
+				e.pushCand(q)
+			}
 		}
 	case t.IsSeq(s.n):
 		if t.NumChildren(s.n) == 0 {
@@ -492,9 +623,9 @@ func (e *executor) startChild(parent *nodeState, idx int) {
 
 // complete propagates a finished node up the tree and retires its
 // state. Invariant: nothing references s once complete is called — the
-// leaf has left the ready queue, its pinned FIFO slot and the running
-// heap, and every child of an interior node has completed — so s goes
-// straight back to the free list.
+// leaf has left its ready queue or pinned FIFO (both clear the slot)
+// and the running heap, and every child of an interior node has
+// completed — so s goes straight back to the free list.
 func (e *executor) complete(s *nodeState) {
 	e.liveAlloc -= e.t.AllocBytes(s.n)
 	p := s.parent
@@ -535,75 +666,117 @@ func (e *executor) preferredWorker(reads []task.RegionID) int {
 // Each idle worker with pinned work takes one leaf from its FIFO
 // (visited via the dispatchable bitmap in ascending worker order, the
 // same order the seed scheduler's full scan produced); remaining idle
-// workers take from the shared FIFO in order, skipping leaves whose
-// affinity mask has no idle worker without losing their position.
+// workers take the other ready leaves in ready order, skipping leaves
+// whose affinity mask has no idle worker without losing their position.
 // Launching a leaf never idles a worker or readies another leaf, so
 // one pass of each phase reaches the fixpoint.
 func (e *executor) dispatch() {
 	for w := e.dispatchable.firstFrom(0); w >= 0; w = e.dispatchable.firstFrom(w + 1) {
-		ws := &e.workers[w]
-		s := ws.pinned[ws.pinnedHead]
-		ws.pinned[ws.pinnedHead] = nil
-		ws.pinnedHead++
-		if ws.pinnedHead > 64 && ws.pinnedHead > len(ws.pinned)/2 {
-			n := copy(ws.pinned, ws.pinned[ws.pinnedHead:])
-			ws.pinned = ws.pinned[:n]
-			ws.pinnedHead = 0
-		}
-		e.launch(s, w)
+		e.launch(e.workers[w].pinned.pop(), w)
 	}
-	// Shared-FIFO pass. Launching only shrinks the idle set and never
-	// adds ready leaves, so a leaf that fails placement here stays
-	// unplaceable for the rest of the pass — one forward sweep visits
-	// each candidate at most once and produces the same launch sequence
-	// the seed scheduler's rescan-from-head loop did. The failGen memo
-	// extends the same monotonicity argument across dispatch calls
-	// within one idle generation.
-	if e.idleCount > 0 && e.readyLive > 0 {
-		for qi := e.readyHead; qi < len(e.ready) && e.idleCount > 0; qi++ {
-			s := e.ready[qi]
-			if s == nil || s.failGen == e.idleGen {
-				continue
-			}
-			if s.failGen == e.idleGen-1 && len(e.newIdle) <= 8 {
-				// Failed against last generation's idle set; only this
-				// batch's workers could have unblocked it since.
-				hit := false
-				for _, w := range e.newIdle {
-					if s.mask.Has(w) {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					s.failGen = e.idleGen
-					continue
-				}
-			}
-			worker := e.pickWorker(s)
-			if worker < 0 {
-				s.failGen = e.idleGen
-				continue
-			}
-			e.ready[qi] = nil
-			e.readyLive--
-			e.launch(s, worker)
+	// Shared pass. Whether a leaf can be placed depends only on its
+	// mask: pickWorker finds a worker exactly when the mask holds an
+	// idle one. During the pass the idle set only shrinks, so a queue
+	// whose head finds none stays blocked for the rest of it, as every
+	// leaf behind that head would have. Taking the oldest head of the
+	// other queues each time therefore launches the same leaves, in the
+	// same order, as a forward sweep of one shared FIFO.
+	for e.idleCount > 0 && len(e.cands) > 0 {
+		q := e.popCand()
+		e.checks++
+		worker := e.pickWorker(q.front())
+		if worker < 0 {
+			continue // out of the heap until wake finds its mask a worker
 		}
-		e.compactReady()
+		s := q.pop()
+		if q.len() > 0 {
+			e.pushCand(q)
+		}
+		e.launch(s, worker)
 	}
 }
 
-// compactReady advances past consumed slots and reclaims the queue's
-// prefix once it dominates the backing array.
-func (e *executor) compactReady() {
-	for e.readyHead < len(e.ready) && e.ready[e.readyHead] == nil {
-		e.readyHead++
+// queueFor returns the ready queue of mask m, creating and registering
+// it on first use.
+func (e *executor) queueFor(m task.Mask) *readyQueue {
+	if q := e.lastQueue; q != nil && q.mask.Equal(m) {
+		return q
 	}
-	if e.readyHead > 64 && e.readyHead > len(e.ready)/2 {
-		n := copy(e.ready, e.ready[e.readyHead:])
-		e.ready = e.ready[:n]
-		e.readyHead = 0
+	key := maskKey{lo: m.LowBits(), min: m.Min(), max: m.Max(), count: m.Count()}
+	for _, q := range e.queues[key] {
+		if q.mask.Equal(m) {
+			e.lastQueue = q
+			return q
+		}
 	}
+	q := &readyQueue{mask: m}
+	if e.queues == nil {
+		e.queues = make(map[maskKey][]*readyQueue)
+	}
+	e.queues[key] = append(e.queues[key], q)
+	for w := m.Min(); w >= 0 && w < e.cfg.Workers; w = m.Next(w + 1) {
+		ws := &e.workers[w]
+		e.regs = append(e.regs, queueReg{q: q, next: ws.queues})
+		ws.queues = int32(len(e.regs))
+	}
+	e.lastQueue = q
+	return q
+}
+
+// wake makes every non-empty queue whose mask holds worker w, newly
+// idle, a dispatch candidate again.
+func (e *executor) wake(w int) {
+	for i := e.workers[w].queues; i != 0; {
+		r := &e.regs[i-1]
+		if q := r.q; !q.queued && q.len() > 0 {
+			e.pushCand(q)
+		}
+		i = r.next
+	}
+}
+
+// pushCand adds queue q, non-empty and not queued, to the candidate
+// heap.
+func (e *executor) pushCand(q *readyQueue) {
+	q.queued = true
+	e.cands = append(e.cands, candidate{ready: q.front().ready, q: q})
+	h := e.cands
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if h[i].ready <= h[j].ready {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// popCand removes and returns the candidate queue with the oldest
+// head.
+func (e *executor) popCand() *readyQueue {
+	h := e.cands
+	q := h[0].q
+	q.queued = false
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = candidate{}
+	h = h[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].ready < h[j].ready {
+			j = j2
+		}
+		if h[i].ready <= h[j].ready {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	e.cands = h
+	return q
 }
 
 // pickWorker selects an idle worker permitted by the leaf's mask,
@@ -642,13 +815,11 @@ func (e *executor) firstIdleIn(mask task.Mask) int {
 // launch starts a leaf on a worker at e.now.
 func (e *executor) launch(s *nodeState, worker int) {
 	t := e.t
-	d := t.Demand(s.n)
-	reads, writes := t.ReadsWrites(s.n)
+	d, regionBytes, reads, writes := t.LeafInputs(s.n)
 
 	remoteBytes := 0.0
 	stolen := false
 	if !e.cfg.DisableAffinity {
-		regionBytes := t.RegionBytes(s.n)
 		for _, r := range reads {
 			if wr := e.writerOf(r); wr >= 0 && wr != worker {
 				remoteBytes += regionBytes
@@ -665,7 +836,11 @@ func (e *executor) launch(s *nodeState, worker int) {
 	} else {
 		cont = e.m.Shared(len(e.running) + 1)
 	}
-	cost := e.m.Cost(d, cont, remoteBytes, stolen)
+	ks := &e.kinds[uint8(d.Kind)] // tree records hold kinds in [0,255]
+	if !ks.seen {
+		ks.rate, ks.seen = e.m.FlopRate(d.Kind), true
+	}
+	cost := e.m.CostAt(ks.rate, d, cont, remoteBytes, stolen)
 
 	if e.cfg.VerifyNumerics {
 		if run := t.Run(s.n); run != nil {
@@ -681,7 +856,7 @@ func (e *executor) launch(s *nodeState, worker int) {
 	e.dispatchable.clear(worker)
 	e.idleCount--
 	e.workers[worker].busyTotal += cost.Duration
-	e.res.BusyByKind[d.Kind] += cost.Duration
+	ks.busy += cost.Duration
 	e.res.Leaves++
 	if e.cfg.RecordSchedule {
 		e.res.Schedule = append(e.res.Schedule, LeafSpan{
@@ -714,10 +889,10 @@ func (e *executor) launch(s *nodeState, worker int) {
 		e.aggL3.add(cost.L3Rate)
 		e.aggDRAM.add(cost.DRAMRate)
 	}
-	heap.Push(&e.running, rl)
+	e.running.push(rl)
 }
 
-func clamp01(x float64) float64 { return math.Max(0, math.Min(1, x)) }
+func clamp01(x float64) float64 { return max(0, min(1, x)) }
 
 // getLeaf recycles runningLeaf records so the event loop stops
 // allocating once the heap has reached its steady size.
@@ -758,16 +933,17 @@ func (e *executor) advance() {
 		}
 	}
 	e.now = next
-	e.idleGen++ // at least one worker turns idle below
-	e.newIdle = e.newIdle[:0]
 	for len(e.running) > 0 && sameTime(e.running[0].finish, e.now) {
-		rl := heap.Pop(&e.running).(*runningLeaf)
+		rl := e.running.pop()
 		worker := rl.worker
 		e.idle.set(worker)
 		e.idleCount++
-		e.newIdle = append(e.newIdle, worker)
-		if ws := &e.workers[worker]; ws.pinnedHead < len(ws.pinned) {
+		ws := &e.workers[worker]
+		if ws.pinned.len() > 0 {
 			e.dispatchable.set(worker)
+		}
+		if ws.queues != 0 {
+			e.wake(worker)
 		}
 		if !e.exact {
 			e.aggCount--
@@ -790,5 +966,5 @@ func (e *executor) advance() {
 // sameTime compares virtual timestamps with a relative epsilon so that
 // float accumulation does not split a batch of simultaneous finishes.
 func sameTime(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(b))
+	return math.Abs(a-b) <= 1e-12*max(1, math.Abs(b))
 }

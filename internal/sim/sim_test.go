@@ -481,9 +481,13 @@ func randomSimTree(rng *rand.Rand, depth int) *task.Node {
 	return task.Par(children...)
 }
 
-// complete recycles each node's state, so per-run state is bounded by
-// the live frontier: a Seq chain 50× longer must not cost one more
-// state block per 512 nodes, and allocations stay flat.
+// complete recycles each node's state, so node state is bounded by the
+// live frontier: a tree 50× longer must not cost one more state block
+// per 512 nodes, and allocations stay flat. The Seq chain's ready
+// queue drains after every leaf; the four chains on two workers keep
+// one that never drains, so its consumed slots must be reclaimed as
+// the run goes. (A queue keeps the capacity of its peak occupancy;
+// with one queue, that peak is the frontier.)
 func TestRunStateBoundedByFrontier(t *testing.T) {
 	m := machine()
 	chain := func(n int) *task.Node {
@@ -493,11 +497,19 @@ func TestRunStateBoundedByFrontier(t *testing.T) {
 		}
 		return task.Seq(leaves...)
 	}
-	short, long := chain(1000), chain(50000)
+	chains := func(n int) *task.Node {
+		return task.Par(chain(n), chain(n), chain(n), chain(n))
+	}
 	cfg := Config{Workers: 2}
-	base := testing.AllocsPerRun(3, func() { Run(m, short, cfg) })
-	got := testing.AllocsPerRun(3, func() { Run(m, long, cfg) })
-	if got > base+4 {
-		t.Fatalf("50000-leaf chain allocates %.0f times per run, 1000-leaf chain %.0f: node state grows with the tree", got, base)
+	for _, tc := range []struct {
+		name  string
+		build func(n int) *task.Node
+	}{{"seq chain", chain}, {"4 chains on 2 workers", chains}} {
+		short, long := tc.build(1000), tc.build(50000)
+		base := testing.AllocsPerRun(3, func() { Run(m, short, cfg) })
+		got := testing.AllocsPerRun(3, func() { Run(m, long, cfg) })
+		if got > base+4 {
+			t.Fatalf("%s: 50000 leaves per chain allocate %.0f times per run, 1000 leaves %.0f: per-run state grows with the tree", tc.name, got, base)
+		}
 	}
 }

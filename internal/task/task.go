@@ -188,8 +188,7 @@ func (n *Node) Work() *Work {
 	if !t.IsLeaf(n.r) {
 		panic("task: Work() on non-leaf node")
 	}
-	d := t.Demand(n.r)
-	reads, writes := t.ReadsWrites(n.r)
+	d, regionBytes, reads, writes := t.LeafInputs(n.r)
 	return &Work{
 		Label:       t.Label(n.r),
 		Kind:        d.Kind,
@@ -198,7 +197,7 @@ func (n *Node) Work() *Work {
 		DRAMBytes:   d.DRAMBytes,
 		Reads:       reads,
 		Writes:      writes,
-		RegionBytes: t.RegionBytes(n.r),
+		RegionBytes: regionBytes,
 		Run:         t.Run(n.r),
 	}
 }

@@ -170,18 +170,26 @@ func (t *Tree) Affinity(r Ref) Mask {
 func (t *Tree) AllocBytes(r Ref) float64 { return t.node(r).alloc }
 
 // Demand returns the cost-model inputs of leaf node r.
-func (t *Tree) Demand(r Ref) Demand {
-	l := t.leaf(r)
+func (t *Tree) Demand(r Ref) Demand { return t.leaf(r).demand() }
+
+func (l *leafRec) demand() Demand {
 	return Demand{Kind: Kind(l.kind), Flops: l.flops, L3Bytes: l.l3, DRAMBytes: l.dram}
 }
 
-// RegionBytes returns the per-region footprint of leaf node r.
-func (t *Tree) RegionBytes(r Ref) float64 { return t.leaf(r).regionBytes }
-
 // ReadsWrites returns leaf node r's region lists. They share the
 // tree's storage and must not be modified.
-func (t *Tree) ReadsWrites(r Ref) (reads, writes []RegionID) {
+func (t *Tree) ReadsWrites(r Ref) (reads, writes []RegionID) { return t.regions(t.leaf(r)) }
+
+// LeafInputs returns everything a scheduler charges leaf node r for,
+// from one read of its record: its Demand, its per-region footprint
+// and its region lists (as ReadsWrites).
+func (t *Tree) LeafInputs(r Ref) (d Demand, regionBytes float64, reads, writes []RegionID) {
 	l := t.leaf(r)
+	reads, writes = t.regions(l)
+	return l.demand(), l.regionBytes, reads, writes
+}
+
+func (t *Tree) regions(l *leafRec) (reads, writes []RegionID) {
 	mid := int(l.nReads)
 	end := mid + int(l.nWrites)
 	if end == 0 {

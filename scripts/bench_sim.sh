@@ -8,7 +8,10 @@
 #     sweep (O(log workers) scheduling). Its trees stay in L1.
 #   - BenchmarkSimulatorThroughput, shape-only Strassen and CAPS at
 #     n=4096 on 4 workers: ns/leaf on trees of several hundred thousand
-#     nodes, which is what a paper-sweep cell pays.
+#     nodes, which is what a paper-sweep cell pays. Its n=2048 rows on
+#     256 workers of a 64-node cluster are scale-sweep's cells: the
+#     >64-worker path, where CAPS's ownership masks fill many per-mask
+#     ready queues and power integration runs on aggregate sums.
 #   - BenchmarkRunTraced, mpi.RunTraced on DStrassen (64 ranks) and
 #     dCAPS (49 ranks) at n=2048 on a 64-node FDR cluster: ns/message is
 #     what a distributed cell pays per message to schedule its ranks and
