@@ -168,14 +168,19 @@ func safeDiv(a, b float64) float64 {
 }
 
 // nodeState is per-node runtime bookkeeping for node n of the run's
-// tree.
+// tree: 32 bytes, since a paper-size CAPS run starts about 700,000.
 type nodeState struct {
-	n         task.Ref
-	parent    *nodeState
-	pending   int       // outstanding children (Par) — Seq uses nextChild
-	nextChild int       // next child index to start (Seq)
-	ready     int       // place in global ready order (leaves in a readyQueue)
-	mask      task.Mask // effective affinity inherited from ancestors
+	parent *nodeState
+	n      task.Ref
+	// mask is the effective affinity inherited from ancestors: −1−w
+	// when it names exactly worker w, else an index in executor.masks.
+	mask      int32
+	pending   int32 // outstanding children (Par) — Seq uses nextChild
+	nextChild int32 // next child index to start (Seq)
+	// ready is the leaf's place in global ready order (leaves in a
+	// readyQueue). It stays an int: a shared subtree launched again in
+	// every iteration must not wrap the order.
+	ready int
 }
 
 // runningLeaf is one dispatched leaf awaiting its virtual finish time.
@@ -284,7 +289,6 @@ type workerState struct {
 // no idle worker, no leaf behind it can either until a worker of the
 // mask turns idle.
 type readyQueue struct {
-	mask task.Mask
 	fifo
 	// queued reports whether the queue is in the candidate heap.
 	queued bool
@@ -304,11 +308,26 @@ type queueReg struct {
 	next int32 // 1 + index of the worker's next registration; 0 ends
 }
 
-// maskKey buckets masks for the queue lookup; Mask.Equal tells apart
-// the distinct masks that share a bucket.
+// maskEntry is one distinct multi-worker effective mask of a run, in
+// the mask table node states index.
+type maskEntry struct {
+	mask task.Mask
+	// q is the mask's ready queue, created when its first leaf is ready.
+	q *readyQueue
+}
+
+// maskKey buckets masks for interning; Mask.Equal tells apart the
+// distinct masks that share a bucket.
 type maskKey struct {
 	lo              uint64
 	min, max, count int
+}
+
+// meetKey names one effective-mask computation: a node's own affinity,
+// by its tree key, met with the mask it inherits, by table index.
+type meetKey struct {
+	inherited int32
+	aff       task.AffinityKey
 }
 
 // kindStats is the per-leaf-kind state of a run: the kind's compute
@@ -345,9 +364,25 @@ type executor struct {
 	// place, by the Refs its node states hold.
 	t *task.Tree
 
-	// Ready leaves whose mask permits more than one worker wait in one
-	// readyQueue per distinct mask, found through queues (and lastQueue,
-	// the queue the previous leaf joined). cands is a min-heap of the
+	// masks is the run's mask table: every distinct multi-worker
+	// effective mask, interned once (maskIdx buckets the entries by
+	// maskKey), and node states hold an index into it. A mask naming one
+	// worker needs no entry: its index encodes the worker. meets
+	// memoizes effectiveMask's multi-worker results per (inherited
+	// index, child affinity key) pair, behind the one-entry lastMeet
+	// cache, so Mask.Intersect and interning run only on a memo miss.
+	// The memo holds one entry per distinct pair with a multi-worker
+	// meet: at most one per annotated node of the tree, unless a shared
+	// subtree runs under several masks, which adds one per further
+	// mask. The table holds at most one entry more, the root's.
+	masks       []maskEntry
+	maskIdx     map[maskKey][]int32
+	meets       map[meetKey]int32
+	lastMeet    meetKey
+	lastMeetIdx int32
+
+	// Ready leaves whose mask permits more than one worker wait in the
+	// readyQueue of their mask's table entry. cands is a min-heap of the
 	// queues that may place their head, ordered by the head's ready
 	// sequence, so dispatch takes queue heads in global ready order. A
 	// queue whose head finds no idle worker leaves the heap; wake puts
@@ -360,11 +395,9 @@ type executor struct {
 	// each keeps the capacity of its peak occupancy, so queue state is
 	// the sum of those peaks over the tree's distinct masks: bounded by
 	// the tree's leaves, not by the live frontier.
-	queues    map[maskKey][]*readyQueue
-	lastQueue *readyQueue
-	cands     []candidate
-	regs      []queueReg
-	readySeq  int
+	cands    []candidate
+	regs     []queueReg
+	readySeq int
 	// checks counts pickWorker calls of the shared pass: one per leaf
 	// launched from a queue, plus one per queue found blocked.
 	checks int
@@ -429,7 +462,7 @@ var (
 
 // newState reuses a retired nodeState or carves one out of the arena,
 // amortizing one allocation over a block of nodes.
-func (e *executor) newState(n task.Ref, parent *nodeState, mask task.Mask) *nodeState {
+func (e *executor) newState(n task.Ref, parent *nodeState, mask int32) *nodeState {
 	var s *nodeState
 	if k := len(e.stateFree); k > 0 {
 		s = e.stateFree[k-1]
@@ -507,7 +540,7 @@ func Run(m *hw.Machine, root *task.Node, cfg Config) *Result {
 		sp.ArgInt("workers", cfg.Workers)
 	}
 
-	e.startNode(e.newState(root.Ref(), nil, e.allMask()))
+	e.startNode(e.newState(root.Ref(), nil, e.intern(e.allMask())))
 	e.dispatch()
 	for len(e.running) > 0 {
 		e.advance()
@@ -547,22 +580,69 @@ func (e *executor) allMask() task.Mask {
 	return task.MaskOfBits(uint64(1)<<uint(e.cfg.Workers) - 1)
 }
 
-// effectiveMask intersects a node's own affinity with the inherited
-// mask, falling back to the inherited mask when the intersection is
-// empty (e.g. a tree built for more workers than are configured).
-// Intersect is called on the inherited mask so its containment fast
-// path inspects the node's (small) affinity rather than the
-// potentially huge inherited range.
-func (e *executor) effectiveMask(n task.Ref, inherited task.Mask) task.Mask {
-	a := e.t.Affinity(n)
-	if e.cfg.DisableAffinity || a.IsEmpty() {
+// intern returns the mask index of m: −1−w when m names exactly worker
+// w, else m's entry in the run's mask table, added when m is new.
+func (e *executor) intern(m task.Mask) int32 {
+	if w := m.Single(); w >= 0 && w < e.cfg.Workers {
+		return int32(-1 - w)
+	}
+	key := maskKey{lo: m.LowBits(), min: m.Min(), max: m.Max(), count: m.Count()}
+	for _, i := range e.maskIdx[key] {
+		if e.masks[i].mask.Equal(m) {
+			return i
+		}
+	}
+	i := int32(len(e.masks))
+	e.masks = append(e.masks, maskEntry{mask: m})
+	if e.maskIdx == nil {
+		e.maskIdx = make(map[maskKey][]int32)
+	}
+	e.maskIdx[key] = append(e.maskIdx[key], i)
+	return i
+}
+
+// effectiveMask returns the mask index of node n, started under the
+// mask at index inherited: the intersection of n's own affinity with
+// the inherited mask, or the inherited mask itself when n has no
+// affinity, under DisableAffinity, or when the intersection is empty
+// (e.g. a tree built for more workers than are configured). A pinned
+// mask meets any affinity in its worker or in nothing, so a pinned
+// node's subtree stays pinned. Otherwise the intersection runs only
+// when the (inherited, affinity key) pair is new to the run; see
+// executor.meets.
+func (e *executor) effectiveMask(n task.Ref, inherited int32) int32 {
+	if e.cfg.DisableAffinity || inherited < 0 {
 		return inherited
 	}
-	m := inherited.Intersect(a)
-	if m.IsEmpty() {
+	aff := e.t.AffinityKey(n)
+	if aff == (task.AffinityKey{}) {
 		return inherited
 	}
-	return m
+	k := meetKey{inherited: inherited, aff: aff}
+	if k == e.lastMeet {
+		return e.lastMeetIdx
+	}
+	i, ok := e.meets[k]
+	if !ok {
+		// Intersect is called on the inherited mask so its containment
+		// fast path inspects the node's (small) affinity rather than
+		// the potentially huge inherited range.
+		i = inherited
+		if m := e.masks[inherited].mask.Intersect(e.t.Affinity(n)); !m.IsEmpty() {
+			i = e.intern(m)
+		}
+		// Pins are cheap to recompute and are not memoized: a tree
+		// that pins each of its many subtrees to a worker of its own
+		// would otherwise fill the memo with one entry per subtree.
+		if i >= 0 {
+			if e.meets == nil {
+				e.meets = make(map[meetKey]int32)
+			}
+			e.meets[k] = i
+		}
+	}
+	e.lastMeet, e.lastMeetIdx = k, i
+	return i
 }
 
 // startNode activates a node: leaves join their worker's pinned FIFO
@@ -576,7 +656,8 @@ func (e *executor) startNode(s *nodeState) {
 	}
 	switch {
 	case t.IsLeaf(s.n):
-		if w := s.mask.Single(); w >= 0 && w < e.cfg.Workers {
+		if s.mask < 0 {
+			w := int(-1 - s.mask)
 			ws := &e.workers[w]
 			ws.pinned.push(s)
 			if e.idle.has(w) {
@@ -605,7 +686,7 @@ func (e *executor) startNode(s *nodeState) {
 			e.complete(s)
 			return
 		}
-		s.pending = k
+		s.pending = int32(k)
 		for i := 0; i < k; i++ {
 			e.startChild(s, i)
 		}
@@ -616,7 +697,7 @@ func (e *executor) startChild(parent *nodeState, idx int) {
 	child := e.t.Child(parent.n, idx)
 	cs := e.newState(child, parent, e.effectiveMask(child, parent.mask))
 	if e.t.IsSeq(parent.n) {
-		parent.nextChild = idx + 1
+		parent.nextChild = int32(idx + 1)
 	}
 	e.startNode(cs)
 }
@@ -629,17 +710,17 @@ func (e *executor) startChild(parent *nodeState, idx int) {
 func (e *executor) complete(s *nodeState) {
 	e.liveAlloc -= e.t.AllocBytes(s.n)
 	p := s.parent
-	// Clearing the retired state drops its references (the parent, and
-	// a wide mask's words), and the invalid node index makes a use
-	// after retirement fail fast in the tree accessors.
+	// Clearing the retired state drops its parent reference, and the
+	// invalid node index makes a use after retirement fail fast in the
+	// tree accessors.
 	*s = nodeState{n: -1}
 	e.stateFree = append(e.stateFree, s)
 	if p == nil {
 		return
 	}
 	if e.t.IsSeq(p.n) {
-		if p.nextChild < e.t.NumChildren(p.n) {
-			e.startChild(p, p.nextChild)
+		if k := int(p.nextChild); k < e.t.NumChildren(p.n) {
+			e.startChild(p, k)
 			return
 		}
 		e.complete(p)
@@ -696,31 +777,20 @@ func (e *executor) dispatch() {
 	}
 }
 
-// queueFor returns the ready queue of mask m, creating and registering
-// it on first use.
-func (e *executor) queueFor(m task.Mask) *readyQueue {
-	if q := e.lastQueue; q != nil && q.mask.Equal(m) {
-		return q
-	}
-	key := maskKey{lo: m.LowBits(), min: m.Min(), max: m.Max(), count: m.Count()}
-	for _, q := range e.queues[key] {
-		if q.mask.Equal(m) {
-			e.lastQueue = q
-			return q
+// queueFor returns the ready queue of the mask at index i, creating it
+// and registering it with every worker of the mask on first use.
+func (e *executor) queueFor(i int32) *readyQueue {
+	me := &e.masks[i]
+	if me.q == nil {
+		me.q = new(readyQueue)
+		m := &me.mask
+		for w := m.Min(); w >= 0 && w < e.cfg.Workers; w = m.Next(w + 1) {
+			ws := &e.workers[w]
+			e.regs = append(e.regs, queueReg{q: me.q, next: ws.queues})
+			ws.queues = int32(len(e.regs))
 		}
 	}
-	q := &readyQueue{mask: m}
-	if e.queues == nil {
-		e.queues = make(map[maskKey][]*readyQueue)
-	}
-	e.queues[key] = append(e.queues[key], q)
-	for w := m.Min(); w >= 0 && w < e.cfg.Workers; w = m.Next(w + 1) {
-		ws := &e.workers[w]
-		e.regs = append(e.regs, queueReg{q: q, next: ws.queues})
-		ws.queues = int32(len(e.regs))
-	}
-	e.lastQueue = q
-	return q
+	return me.q
 }
 
 // wake makes every non-empty queue whose mask holds worker w, newly
@@ -782,14 +852,15 @@ func (e *executor) popCand() *readyQueue {
 // pickWorker selects an idle worker permitted by the leaf's mask,
 // preferring the producer of its inputs; -1 when none is available.
 func (e *executor) pickWorker(s *nodeState) int {
+	m := &e.masks[s.mask].mask
 	if !e.cfg.DisableAffinity {
 		reads, _ := e.t.ReadsWrites(s.n)
 		if pref := e.preferredWorker(reads); pref >= 0 && pref < e.cfg.Workers &&
-			e.idle.has(pref) && s.mask.Has(pref) {
+			e.idle.has(pref) && m.Has(pref) {
 			return pref
 		}
 	}
-	return e.firstIdleIn(s.mask)
+	return e.firstIdleIn(m)
 }
 
 // firstIdleIn returns the lowest-indexed idle worker in mask, or -1.
@@ -797,7 +868,7 @@ func (e *executor) pickWorker(s *nodeState) int {
 // bitmap, next permitted worker from the mask — so contiguous CAPS
 // ownership ranges and singletons resolve in O(log workers) instead of
 // a linear scan.
-func (e *executor) firstIdleIn(mask task.Mask) int {
+func (e *executor) firstIdleIn(mask *task.Mask) int {
 	w := mask.Min()
 	for w >= 0 && w < e.cfg.Workers {
 		i := e.idle.firstFrom(w)

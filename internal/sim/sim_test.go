@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"capscale/internal/hw"
 	"capscale/internal/task"
@@ -511,5 +512,14 @@ func TestRunStateBoundedByFrontier(t *testing.T) {
 		if got > base+4 {
 			t.Fatalf("%s: 50000 leaves per chain allocate %.0f times per run, 1000 leaves %.0f: per-run state grows with the tree", tc.name, got, base)
 		}
+	}
+}
+
+// A paper-size run starts about a million node states, so their size
+// is part of the sweep's cost: the state holds an index into the run's
+// mask table, not a copy of the mask.
+func TestNodeStateLayoutBudget(t *testing.T) {
+	if s := unsafe.Sizeof(nodeState{}); s > 32 {
+		t.Errorf("node state is %d bytes, budget 32", s)
 	}
 }

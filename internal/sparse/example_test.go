@@ -30,20 +30,3 @@ func Example() {
 	// CSR: [2 7 5]
 	// ELL: [2 7 5] (width 2, waste 33%)
 }
-
-// CSC's natural fast direction is the transpose product.
-func ExampleCSC_MulVecT() {
-	coo, err := sparse.NewCOO(2, 2,
-		[]int32{0, 0, 1},
-		[]int32{0, 1, 1},
-		[]float64{1, 2, 3})
-	if err != nil {
-		panic(err)
-	}
-	csc := coo.ToCSC()
-	y := make([]float64, 2)
-	csc.MulVecT(y, []float64{1, 1}) // Aᵀ·[1 1]
-	fmt.Println(y)
-	// Output:
-	// [1 5]
-}

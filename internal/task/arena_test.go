@@ -133,6 +133,30 @@ func TestArenaGuardPanicsOnOverlappingUse(t *testing.T) {
 	}
 }
 
+// An affinity key stands for a node's mask without copying it: nodes
+// whose keys are equal have equal masks, and the unrestricted node's
+// key is the zero key.
+func TestAffinityKeysNameEqualMasks(t *testing.T) {
+	masks := []Mask{{}, MaskOf(1, 3), MaskOf(1, 3), MaskOf(2),
+		MaskRange(60, 200), MaskRange(60, 200), MaskRange(60, 201), SingleWorker(4096)}
+	var a Arena
+	refs := make([]Ref, len(masks))
+	for i, m := range masks {
+		refs[i] = a.WithAffinityMask(a.Seq(), m)
+	}
+	tr := a.tree()
+	if tr.AffinityKey(refs[0]) != (AffinityKey{}) {
+		t.Fatal("unrestricted node has a non-zero affinity key")
+	}
+	for i, ri := range refs {
+		for j, rj := range refs {
+			if tr.AffinityKey(ri) == tr.AffinityKey(rj) && !masks[i].Equal(masks[j]) {
+				t.Errorf("masks %v and %v share an affinity key", masks[i], masks[j])
+			}
+		}
+	}
+}
+
 // Child lists hold indices: a subtree under several parents is stored
 // once, and so is an imported subtree whose Ref is reused.
 func TestSharedSubtreesStayShared(t *testing.T) {

@@ -12,10 +12,7 @@
 // *Node is a handle on one of its nodes.
 package task
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Kind classifies a leaf's dominant activity, for tracing and for the
 // cost model's kernel-efficiency lookup.
@@ -60,6 +57,12 @@ type RegionID uint32
 // closures; don't. New detects overlapping calls and panics rather
 // than silently issuing duplicate IDs. Arena embeds Regions and puts
 // every one of its allocations behind the same detector.
+//
+// The detector is a plain counter, not an atomic one. An overlap it
+// sees still panics, but two unsynchronized increments can lose one,
+// so a normal build catches most time-overlapping call pairs, not all
+// of them. Under -race the race detector reports every unsynchronized
+// overlap, on the counter as on the state it guards.
 type Regions struct {
 	next RegionID
 	busy int32 // overlap detector; see New
@@ -82,12 +85,13 @@ func (r *Regions) New() RegionID {
 // is already inside: the state is deliberately unsynchronized, so an
 // overlap would hand out duplicate IDs or the same arena slot twice.
 func (r *Regions) enter(op string) {
-	if atomic.AddInt32(&r.busy, 1) != 1 {
+	r.busy++
+	if r.busy != 1 {
 		panic("task: concurrent " + op + " — task trees must be built single-threaded")
 	}
 }
 
-func (r *Regions) exit() { atomic.AddInt32(&r.busy, -1) }
+func (r *Regions) exit() { r.busy-- }
 
 // Count returns how many regions have been issued.
 func (r *Regions) Count() int { return int(r.next) }

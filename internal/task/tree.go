@@ -166,6 +166,21 @@ func (t *Tree) Affinity(r Ref) Mask {
 	return t.wide[nd.wide-1]
 }
 
+// AffinityKey stands for a node's affinity without copying its Mask:
+// the node record's low word and wide-table index. Within one tree,
+// nodes with equal keys have equal masks (equal masks may still have
+// different keys), and the zero key means unrestricted.
+type AffinityKey struct {
+	lo   uint64
+	wide int32
+}
+
+// AffinityKey returns node r's affinity key.
+func (t *Tree) AffinityKey(r Ref) AffinityKey {
+	nd := t.node(r)
+	return AffinityKey{lo: nd.lo, wide: nd.wide}
+}
+
 // AllocBytes returns node r's temporary-buffer annotation.
 func (t *Tree) AllocBytes(r Ref) float64 { return t.node(r).alloc }
 

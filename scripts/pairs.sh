@@ -22,13 +22,25 @@
 # runs both sides with seed BASE+i, the parent first in odd pairs and
 # the change first in even ones. The script prints every run's four
 # end-to-end metrics, each side's median and quartiles per metric with
-# the quartile spread relative to the side's median, the change's win
-# count on the claimed metric, sweep_s_p50 (lower is better), and the
-# verdict: the change wins at least 9 pairs in 10, and its median is
-# below the parent's by more than the parent's quartile spread
-# (q3 - q1). Every run must be correct with no failed operation. The
-# exit status is 0 only when the claim holds. BASE comes from the
-# clock and is printed with the seeds.
+# the quartile spread relative to the side's median, and two verdicts.
+# BASE comes from the clock and is printed with the seeds.
+#
+# The claim verdict is on sweep_s_p50 (lower is better): the change
+# wins at least 9 pairs in 10, and its median is below the parent's by
+# more than the parent's quartile spread (q3 - q1).
+#
+# The bounds verdict is on every end-to-end metric, with the direction
+# ("better") and relative bound ("bound") BENCHMARK.json gives it. Each
+# metric prints the change/parent ratio of the medians and one status:
+#   within bound        the median is not worse by more than the bound;
+#   WORSE beyond bound  it is;
+#   unresolved          either side's quartile spread over its median
+#                       exceeds the bound, and not every change run
+#                       beats every parent run.
+#
+# Every run must be correct with no failed operation. The exit status
+# is 0 when the claim holds and no metric is worse beyond its bound,
+# 3 when a metric is worse beyond its bound, and 1 otherwise.
 #
 # Environment:
 #   PAIRS_DIR  where the checkouts and logs go
@@ -76,6 +88,34 @@ cdir=$(checkout change "$change")
 
 metrics="sweep_s_p50 cells_per_s setup_s peak_rss_mb"
 results=$dir/logs/results.tsv
+
+# bounds holds "metric:better:bound;" for each end-to-end metric of
+# BENCHMARK.json.
+bounds=$(awk '
+function field(obj, key,    v) {
+    if (!match(obj, "\"" key "\"[ \t]*:[ \t]*(\"[^\"]*\"|[-+0-9.eE]+)")) return ""
+    v = substr(obj, RSTART, RLENGTH)
+    sub(/^[^:]*:[ \t]*/, "", v)
+    gsub(/"/, "", v)
+    return v
+}
+{ doc = doc $0 " " }
+END {
+    doc = substr(doc, index(doc, "\"end_to_end\""))
+    doc = substr(doc, 1, index(doc, "]"))
+    while (match(doc, /[{][^}]*[}]/)) {
+        obj = substr(doc, RSTART, RLENGTH)
+        doc = substr(doc, RSTART + RLENGTH)
+        printf "%s:%s:%s;", field(obj, "name"), field(obj, "better"), field(obj, "bound")
+    }
+}' "$repo/BENCHMARK.json")
+for m in $metrics; do
+    re=";$m:(lower|higher):[0-9.]+;"
+    if ! [[ ";$bounds" =~ $re ]]; then
+        echo "pairs.sh: BENCHMARK.json gives no direction and bound for $m" >&2
+        exit 2
+    fi
+done
 : >"$results"
 
 # run SIDE PAIR SEED runs one capbench window and, for a numbered pair,
@@ -128,7 +168,7 @@ for ((i = 1; i <= pairs; i++)); do
     done
 done
 
-awk -F '\t' -v metrics="$metrics" -v claim=sweep_s_p50 -v pairs="$pairs" '
+awk -F '\t' -v metrics="$metrics" -v bounds="$bounds" -v claim=sweep_s_p50 -v pairs="$pairs" '
 function quantile(a, n, p,    h, lo) {
     h = (n - 1) * p
     lo = int(h)
@@ -152,6 +192,8 @@ function sorted(side, col, out,    n, i, j, t) {
 }
 END {
     nm = split(metrics, ms, " ")
+    nb = split(bounds, bs, ";")
+    for (i = 1; i <= nb; i++) if (split(bs[i], f, ":") == 3) { better[f[1]] = f[2]; bound[f[1]] = f[3] + 0 }
     print ""
     printf "%-12s %-7s %12s %12s %12s %8s\n", "metric", "side", "median", "q1", "q3", "iqr/med"
     for (k = 1; k <= nm; k++) {
@@ -164,8 +206,31 @@ END {
             med = quantile(xs, n, 0.5); q1 = quantile(xs, n, 0.25); q3 = quantile(xs, n, 0.75)
             printf "%-12s %-7s %12.6g %12.6g %12.6g %8.3f\n", ms[k], side, med, q1, q3, med ? (q3 - q1) / med : 0
             if (ms[k] == claim) { m[side] = med; iqr[side] = q3 - q1 }
+            medof[k, side] = med; spread[k, side] = med ? (q3 - q1) / med : 0
+            least[k, side] = xs[0]; most[k, side] = xs[n - 1]
         }
         if (ms[k] == claim) ccol = col
+    }
+    # The second rule: no metric worse than the parent beyond its bound.
+    print ""
+    printf "%-12s %-7s %6s %14s  %s\n", "metric", "better", "bound", "change/parent", "status"
+    worse = ""; unresolved = ""
+    for (k = 1; k <= nm; k++) {
+        p = medof[k, "parent"]; c = medof[k, "change"]; b = bound[ms[k]]
+        ratio = p ? c / p : 0
+        if (better[ms[k]] == "lower") {
+            loss = ratio - 1; beats = most[k, "change"] < least[k, "parent"]
+        } else {
+            loss = 1 - ratio; beats = least[k, "change"] > most[k, "parent"]
+        }
+        if ((spread[k, "parent"] > b || spread[k, "change"] > b) && !beats) {
+            status = "unresolved"; unresolved = unresolved " " ms[k]
+        } else if (loss > b) {
+            status = "WORSE beyond bound"; worse = worse " " ms[k]
+        } else {
+            status = "within bound"
+        }
+        printf "%-12s %-7s %6.2f %14.3f  %s\n", ms[k], better[ms[k]], b, ratio, status
     }
     wins = 0; both = 0
     for (i = 1; i <= pairs; i++) {
@@ -183,5 +248,10 @@ END {
     if (wins * 10 < 9 * pairs) { print "verdict: FAIL, the change must win at least 9 pairs in 10"; ok = 0 }
     if (!(gap > iqr["parent"])) { print "verdict: FAIL, the median gap does not exceed the parent quartile spread"; ok = 0 }
     if (ok) print "verdict: PASS"
+    if (bad) print "bounds verdict: FAIL, " bad " run(s) incorrect or with failed operations"
+    else if (worse != "") print "bounds verdict: FAIL, worse beyond bound:" worse
+    else if (unresolved != "") print "bounds verdict: UNRESOLVED, spread too wide to tell:" unresolved
+    else print "bounds verdict: PASS"
+    if (worse != "") exit 3
     exit ok ? 0 : 1
 }' "$results"

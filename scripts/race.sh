@@ -10,8 +10,9 @@ cd "$(dirname "$0")/.."
 
 go test -race ./internal/sched/... ./internal/kernel/... ./internal/obs/...
 # The tree builders: a build is single-threaded by contract, but its
-# trees are executed and simulated concurrently, and the per-build
-# arena's overlap detector must itself stay race-free.
+# trees are executed and simulated concurrently. The per-build arena's
+# overlap detector is a plain counter, so here the race detector also
+# reports any overlapping build calls the counter misses.
 go test -race ./internal/task/... ./internal/strassen/... ./internal/caps/...
 # The measurement stack: device poll hooks, PAPI meters, the polling
 # monitor, fault injector and trace resampling.
