@@ -68,6 +68,14 @@ var sweepFlags = map[string]bool{
 	"cell-retries": true,
 }
 
+// studyFlags lists, for each artifact that reads no sweep matrix, the
+// flags it takes; every other flag shapes, saves or renders a matrix.
+var studyFlags = map[string][]string{
+	"fig2":          {"what", "cpuprofile", "memprofile"},
+	"future-sparse": {"what", "csv", "cpuprofile", "memprofile"},
+	"platforms":     {"what", "csv", "cpuprofile", "memprofile", "j"},
+}
+
 // charts holds the artifacts -chart can draw, each from the matrix and
 // its largest size.
 var charts = map[string]func(mx *workload.Matrix, size int) *report.Chart{
@@ -142,15 +150,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "epscale: -csv needs a table; -what fig2 and -chart draw charts")
 		return 2
 	}
+	if takes, ok := studyFlags[*what]; ok {
+		if set := setFlags(fs, func(name string) bool { return !slices.Contains(takes, name) }); set != "" {
+			fmt.Fprintf(stderr, "epscale: -what %s reads no sweep matrix; drop %s\n", *what, set)
+			return 2
+		}
+	}
 	if *load != "" {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			if sweepFlags[f.Name] {
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			fmt.Fprintf(stderr, "epscale: -load renders a saved matrix and runs no sweep; drop %s\n", strings.Join(set, " "))
+		if set := setFlags(fs, func(name string) bool { return sweepFlags[name] }); set != "" {
+			fmt.Fprintf(stderr, "epscale: -load renders a saved matrix and runs no sweep; drop %s\n", set)
+			return 2
+		}
+	}
+	if *faultSeed == 0 {
+		if set := setFlags(fs, func(name string) bool { return name == "fault-rate" || name == "cell-retries" }); set != "" {
+			fmt.Fprintf(stderr, "epscale: without -faults nothing is injected; drop %s\n", set)
 			return 2
 		}
 	}
@@ -399,6 +413,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return emit(mk(), *csv, stdout, stderr)
+}
+
+// setFlags returns the flags given on the command line that match, as
+// "-name" words in name order, or "" when none does.
+func setFlags(fs *flag.FlagSet, match func(name string) bool) string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if match(f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return strings.Join(set, " ")
 }
 
 // artifactCells reports which cells of a matrix over algs the artifact

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"math"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -16,8 +17,10 @@ import (
 // TestFlagValidation pins the CLI boundary: bad input produces a
 // one-line usage error on stderr and a non-zero exit, never a panic or
 // a silently-clamped run, and is refused before any study or sweep
-// runs.
+// runs or any output is written.
 func TestFlagValidation(t *testing.T) {
+	dir := t.TempDir()
+	out := func(name string) string { return filepath.Join(dir, name) }
 	cases := []struct {
 		name string
 		args []string
@@ -53,6 +56,13 @@ func TestFlagValidation(t *testing.T) {
 		{"load with every other sweep flag", []string{"-load", "m.json", "-quick", "-threads", "1", "-nodes", "2", "-algs", "CAPS", "-cluster", "4x1GbE",
 			"-plan", "guided", "-seed-frac", "0.5", "-confidence", "0.1", "-ablate-affinity", "-ablate-contention", "-j", "2", "-fault-rate", "0.2", "-cell-retries", "1"},
 			"drop -ablate-affinity -ablate-contention -algs -cell-retries -cluster -confidence -fault-rate -j -nodes -plan -quick -seed-frac -threads\n"},
+		{"study with sweep flags", []string{"-what", "future-sparse", "-sizes", "64", "-save", out("x.json"), "-trace-out", out("t.json"),
+			"-checkpoint", "/nonexistent/ck.jsonl", "-faults", "3"}, "-what future-sparse reads no sweep matrix; drop -checkpoint -faults -save -sizes -trace-out\n"},
+		{"fig2 with save", []string{"-what", "fig2", "-sizes", "64", "-save", out("y.json")}, "-what fig2 reads no sweep matrix; drop -save -sizes\n"},
+		{"study with load", []string{"-what", "future-sparse", "-load", out("m.json")}, "drop -load\n"},
+		{"platforms with metrics", []string{"-what", "platforms", "-j", "2", "-csv", "-metrics"}, "drop -metrics\n"},
+		{"fault tuning without faults", []string{"-what", "table3", "-sizes", "64", "-threads", "1", "-fault-rate", "0.9", "-cell-retries", "3",
+			"-save", out("z.json")}, "without -faults nothing is injected; drop -cell-retries -fault-rate\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,6 +76,9 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if strings.Contains(stderr.String(), "running") {
 				t.Fatalf("args %v: refused only after running; stderr:\n%s", tc.args, stderr.String())
+			}
+			if files, _ := os.ReadDir(dir); stdout.Len() > 0 || len(files) > 0 {
+				t.Fatalf("args %v: refused after writing %d stdout bytes and files %v", tc.args, stdout.Len(), files)
 			}
 		})
 	}

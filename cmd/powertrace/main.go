@@ -25,6 +25,13 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// runFlags shape the single run and sessionFlags the session sweep;
+// each mode refuses the other's.
+var (
+	runFlags     = map[string]bool{"alg": true, "n": true, "threads": true, "cluster": true}
+	sessionFlags = map[string]bool{"j": true, "fault-rate": true, "checkpoint": true}
+)
+
 // run is the testable CLI body; it returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("powertrace", flag.ContinueOnError)
@@ -41,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
 		faultSeed  = fs.Int64("faults", 0, "arm the deterministic fault injector with this seed (0 = off)")
-		faultRate  = fs.Float64("fault-rate", 0.5, "fraction of session cells armed for injection (single runs are always armed)")
+		faultRate  = fs.Float64("fault-rate", 0.5, "fraction of session cells armed for injection (with -session and -faults)")
 		checkpoint = fs.String("checkpoint", "", "journal completed session cells to this file and resume from it (requires -session)")
 		cellRetry  = fs.Int("cell-retries", 0, "re-attempts per failed cell under -faults (0 = default, negative = none)")
 		clusterStr = fs.String("cluster", "", "run the algorithm distributed on this cluster (NODESxFABRIC[@MEMGiB], e.g. 16x1GbE); requires a distributed -alg")
@@ -72,12 +79,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *jobs < 0:
 		fmt.Fprintf(stderr, "powertrace: -j must be >= 0, got %d\n", *jobs)
 		return 2
-	case *checkpoint != "" && !*session:
-		fmt.Fprintln(stderr, "powertrace: -checkpoint requires -session (single runs are not resumable)")
+	}
+	if *session {
+		if set := setFlags(fs, func(name string) bool { return runFlags[name] }); set != "" {
+			fmt.Fprintf(stderr, "powertrace: -session runs the paper's matrix, not one run; drop %s\n", set)
+			return 2
+		}
+	} else if set := setFlags(fs, func(name string) bool { return sessionFlags[name] }); set != "" {
+		fmt.Fprintf(stderr, "powertrace: a single run takes no session flags; drop %s\n", set)
 		return 2
-	case *clusterStr != "" && *session:
-		fmt.Fprintln(stderr, "powertrace: -cluster emits a single distributed run; drop -session")
-		return 2
+	}
+	if *faultSeed == 0 {
+		if set := setFlags(fs, func(name string) bool { return name == "fault-rate" || name == "cell-retries" }); set != "" {
+			fmt.Fprintf(stderr, "powertrace: without -faults nothing is injected; drop %s\n", set)
+			return 2
+		}
 	}
 	cfg.MaxRetries = *cellRetry
 	if *faultSeed != 0 {
@@ -225,6 +241,18 @@ func execute(cfg workload.Config) (mx *workload.Matrix, err error) {
 		}
 	}()
 	return workload.Execute(cfg), nil
+}
+
+// setFlags returns the flags given on the command line that match, as
+// "-name" words in name order, or "" when none does.
+func setFlags(fs *flag.FlagSet, match func(name string) bool) string {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if match(f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return strings.Join(set, " ")
 }
 
 func writeTraceFile(path string, write func(io.Writer) error) error {

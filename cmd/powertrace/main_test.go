@@ -13,8 +13,11 @@ import (
 )
 
 // TestFlagValidation pins the CLI boundary: bad input produces a
-// one-line usage error on stderr and a non-zero exit.
+// one-line usage error on stderr and a non-zero exit, before any
+// output is written.
 func TestFlagValidation(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.json")
 	cases := []struct {
 		name string
 		args []string
@@ -31,6 +34,13 @@ func TestFlagValidation(t *testing.T) {
 		{"algorithm error lists names", []string{"-alg", "cannon", "-n", "64", "-threads", "1"}, "SpMV"},
 		{"zero nodes", []string{"-nodes", "0"}, "-nodes must be >= 1"},
 		{"threads beyond cluster", []string{"-nodes", "2", "-threads", "9"}, "-threads must be in 1.."},
+		{"session with run flags", []string{"-session", "-alg", "caps", "-n", "64", "-threads", "2", "-trace-out", trace}, "-session runs the paper's matrix, not one run; drop -alg -n -threads\n"},
+		{"session with cluster", []string{"-session", "-cluster", "4x1GbE"}, "drop -cluster\n"},
+		{"single run with jobs", []string{"-alg", "caps", "-n", "128", "-j", "3", "-trace-out", trace}, "a single run takes no session flags; drop -j\n"},
+		{"single run with fault rate", []string{"-alg", "caps", "-n", "64", "-faults", "3", "-fault-rate", "0.5"}, "drop -fault-rate\n"},
+		{"single run with checkpoint", []string{"-alg", "caps", "-n", "64", "-checkpoint", filepath.Join(dir, "ck.jsonl")}, "drop -checkpoint\n"},
+		{"fault tuning without faults", []string{"-session", "-fault-rate", "0.5", "-cell-retries", "2", "-trace-out", trace},
+			"without -faults nothing is injected; drop -cell-retries -fault-rate\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -41,6 +51,9 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Fatalf("args %v: stderr %q lacks %q", tc.args, stderr.String(), tc.want)
+			}
+			if files, _ := os.ReadDir(dir); stdout.Len() > 0 || len(files) > 0 {
+				t.Fatalf("args %v: refused after writing %d stdout bytes and files %v", tc.args, stdout.Len(), files)
 			}
 		})
 	}

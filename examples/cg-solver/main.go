@@ -1,5 +1,6 @@
 // Conjugate gradients end to end: solve a sparse SPD system for real,
-// verify against a dense LU solve, then project the solve's energy on
+// recompute its residual independently (exiting 1 if the solve did not
+// converge or the residual is off), then project the solve's energy on
 // the simulated platform for each storage format — the iterative-
 // application context where the paper's future-work sparse study
 // matters: format overheads multiply across every iteration.
@@ -8,6 +9,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 
 	"capscale/internal/blas"
 	"capscale/internal/cg"
@@ -26,15 +28,23 @@ func main() {
 		b[i] = 2*rng.Float64() - 1
 	}
 
-	res := cg.Solve(a, b, cg.Options{Tol: 1e-10})
+	const tol = 1e-10
+	res := cg.Solve(a, b, cg.Options{Tol: tol})
 	fmt.Printf("CG on a %d×%d SPD band matrix (%d nnz): converged=%v in %d iterations, residual %.2e\n",
 		n, n, a.NNZ(), res.Converged, res.Iterations, res.Residual)
 
-	// Independent residual check.
+	// Independent residual check. CG's recurrence tracks the residual
+	// it updates, which drifts from the true one in floating point;
+	// allow it a factor of 10.
 	y := make([]float64, n)
 	a.MulVec(y, res.X)
 	blas.Daxpy(-1, b, y)
-	fmt.Printf("verified ‖Ax−b‖/‖b‖ = %.2e\n\n", blas.Dnrm2(y)/blas.Dnrm2(b))
+	verified := blas.Dnrm2(y) / blas.Dnrm2(b)
+	fmt.Printf("verified ‖Ax−b‖/‖b‖ = %.2e\n\n", verified)
+	if !res.Converged || verified > 10*tol {
+		fmt.Fprintln(os.Stderr, "cg-solver: the solve failed its check")
+		os.Exit(1)
+	}
 
 	m := hw.HaswellE31225()
 	fmt.Printf("projected energy for those %d iterations on %q, 4 threads:\n", res.Iterations, m.Name)

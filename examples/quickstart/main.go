@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 
 	"capscale/internal/blas"
 	"capscale/internal/caps"
@@ -49,12 +50,14 @@ func main() {
 	}
 	pool := sched.New(threads)
 	fmt.Printf("real execution of a %dx%d multiply on %d workers:\n", n, n, threads)
+	wrong := false
 	for _, bld := range builders {
 		c := matrix.New(n, n)
 		metrics := pool.Run(bld.build(c))
 		status := "OK"
 		if !matrix.AlmostEqual(c, want, 1e-10) {
 			status = fmt.Sprintf("WRONG (max diff %g)", matrix.MaxAbsDiff(c, want))
+			wrong = true
 		}
 		fmt.Printf("  %-24s %8v wall, %5d leaves, result %s\n",
 			bld.name, metrics.Wall.Round(1000), metrics.Leaves, status)
@@ -72,4 +75,7 @@ func main() {
 	}
 	fmt.Println("\nOpenBLAS is fastest; the Strassen-derived algorithms draw far less")
 	fmt.Println("power per added thread — the tradeoff the EP model quantifies.")
+	if wrong {
+		os.Exit(1)
+	}
 }

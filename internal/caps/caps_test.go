@@ -99,17 +99,8 @@ func TestBFSStagesCopies(t *testing.T) {
 	withBFS := task.Collect(Build(m, c, a, b, 4, Options{CutoffDepth: 2}))
 	pureDFS := task.Collect(Build(m, c, a, b, 4, Options{CutoffDepth: -1}))
 	// Copies carry no flops; count leaves by walking.
-	count := func(root *task.Node) int {
-		c := 0
-		root.Walk(func(nd *task.Node) {
-			if nd.IsLeaf() && nd.Work().Kind == task.KindCopy {
-				c++
-			}
-		})
-		return c
-	}
-	bfsCopies := count(Build(m, c, a, b, 4, Options{CutoffDepth: 2}))
-	dfsCopies := count(Build(m, c, a, b, 4, Options{CutoffDepth: -1}))
+	bfsCopies := len(copyLeaves(Build(m, c, a, b, 4, Options{CutoffDepth: 2})))
+	dfsCopies := len(copyLeaves(Build(m, c, a, b, 4, Options{CutoffDepth: -1})))
 	if bfsCopies == 0 {
 		t.Fatal("BFS levels staged no copies")
 	}
@@ -263,18 +254,36 @@ func TestPropertyAllocGrowsWithCutoffDepth(t *testing.T) {
 	}
 }
 
+// copyLeaves returns the demands of root's copy leaves in depth-first
+// order.
+func copyLeaves(root *task.Node) []task.Demand {
+	t := root.Tree()
+	var out []task.Demand
+	var rec func(r task.Ref)
+	rec = func(r task.Ref) {
+		if t.IsLeaf(r) {
+			if d := t.Demand(r); d.Kind == task.KindCopy {
+				out = append(out, d)
+			}
+			return
+		}
+		for i := 0; i < t.NumChildren(r); i++ {
+			rec(t.Child(r, i))
+		}
+	}
+	rec(root.Ref())
+	return out
+}
+
 func TestCopyAccountingUsesKernelFormulas(t *testing.T) {
 	m := machine()
 	n := 256
 	a, b, c := matrix.New(n, n), matrix.New(n, n), matrix.New(n, n)
 	root := Build(m, c, a, b, 4, Options{CutoffDepth: 1})
 	total := 0.0
-	root.Walk(func(nd *task.Node) {
-		if nd.IsLeaf() && nd.Work().Kind == task.KindCopy {
-			w := nd.Work()
-			total += w.DRAMBytes + w.L3Bytes
-		}
-	})
+	for _, d := range copyLeaves(root) {
+		total += d.DRAMBytes + d.L3Bytes
+	}
 	// One BFS level stages 4 quadrant copies and gathers 7 products of
 	// 128², each copy moving 2·bytes (one read, one write).
 	want := (4 + 7) * 2 * kernel.Bytes(128, 128)

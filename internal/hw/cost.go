@@ -103,12 +103,7 @@ func (m *Machine) CostAt(rate float64, w task.Demand, c Contention, remoteBytes 
 // with no contention — the T₁ baseline for span/work sanity checks.
 func (m *Machine) SerialTime(root *task.Node) float64 {
 	total := 0.0
-	c := m.Uncontended()
-	root.Walk(func(n *task.Node) {
-		if n.IsLeaf() {
-			total += m.CostLeaf(n.Work(), c, 0, false).Duration
-		}
-	})
+	m.walkTimes(root.Tree(), root.Ref(), m.Uncontended(), &total)
 	return total
 }
 
@@ -116,26 +111,27 @@ func (m *Machine) SerialTime(root *task.Node) float64 {
 // longest Seq-respecting chain. The simulated makespan can never beat
 // it.
 func (m *Machine) CriticalPath(root *task.Node) float64 {
-	c := m.Uncontended()
-	var rec func(n *task.Node) float64
-	rec = func(n *task.Node) float64 {
-		if n.IsLeaf() {
-			return m.CostLeaf(n.Work(), c, 0, false).Duration
-		}
-		if n.IsSeq() {
-			sum := 0.0
-			for _, ch := range n.Children() {
-				sum += rec(ch)
-			}
-			return sum
-		}
-		max := 0.0
-		for _, ch := range n.Children() {
-			if v := rec(ch); v > max {
-				max = v
-			}
-		}
-		return max
+	total := 0.0
+	return m.walkTimes(root.Tree(), root.Ref(), m.Uncontended(), &total)
+}
+
+// walkTimes returns the span of subtree r under contention c and adds
+// its leaves' times to *total, one running sum in depth-first order.
+func (m *Machine) walkTimes(t *task.Tree, r task.Ref, c Contention, total *float64) float64 {
+	if t.IsLeaf(r) {
+		d := t.Demand(r)
+		dur := m.CostAt(m.FlopRate(d.Kind), d, c, 0, false).Duration
+		*total += dur
+		return dur
 	}
-	return rec(root)
+	seq, span := t.IsSeq(r), 0.0
+	for i, k := 0, t.NumChildren(r); i < k; i++ {
+		v := m.walkTimes(t, t.Child(r, i), c, total)
+		if seq {
+			span += v
+		} else if v > span {
+			span = v
+		}
+	}
+	return span
 }

@@ -349,11 +349,12 @@ func TestCostLeafEmptyWork(t *testing.T) {
 
 func TestSerialTimeAndCriticalPath(t *testing.T) {
 	m := HaswellE31225()
-	mk := func(flops float64) *task.Node {
-		return task.Leaf(task.Work{Kind: task.KindGEMM, Flops: flops})
+	var a task.Arena
+	mk := func(flops float64) task.Ref {
+		return a.Leaf(task.Work{Kind: task.KindGEMM, Flops: flops})
 	}
 	// Two parallel chains: one long leaf vs two short; span is the max.
-	root := task.Par(mk(2e9), task.Seq(mk(0.5e9), mk(0.5e9)))
+	root := a.Node(a.Par(mk(2e9), a.Seq(mk(0.5e9), mk(0.5e9))))
 	serial := m.SerialTime(root)
 	span := m.CriticalPath(root)
 	if span >= serial {
@@ -413,21 +414,26 @@ func TestPropertyPowerMonotoneInActiveCores(t *testing.T) {
 }
 
 func randomCostTree(rng *rand.Rand, depth int) *task.Node {
-	if depth == 0 || rng.Intn(3) == 0 {
-		return task.Leaf(task.Work{
-			Kind:      task.Kind(rng.Intn(4)),
-			Flops:     rng.Float64() * 1e8,
-			DRAMBytes: rng.Float64() * 1e7,
-			L3Bytes:   rng.Float64() * 1e7,
-		})
+	var a task.Arena
+	var rec func(depth int) task.Ref
+	rec = func(depth int) task.Ref {
+		if depth == 0 || rng.Intn(3) == 0 {
+			return a.Leaf(task.Work{
+				Kind:      task.Kind(rng.Intn(4)),
+				Flops:     rng.Float64() * 1e8,
+				DRAMBytes: rng.Float64() * 1e7,
+				L3Bytes:   rng.Float64() * 1e7,
+			})
+		}
+		n := 1 + rng.Intn(3)
+		children := make([]task.Ref, n)
+		for i := range children {
+			children[i] = rec(depth - 1)
+		}
+		if rng.Intn(2) == 0 {
+			return a.Seq(children...)
+		}
+		return a.Par(children...)
 	}
-	n := 1 + rng.Intn(3)
-	children := make([]*task.Node, n)
-	for i := range children {
-		children[i] = randomCostTree(rng, depth-1)
-	}
-	if rng.Intn(2) == 0 {
-		return task.Seq(children...)
-	}
-	return task.Par(children...)
+	return a.Node(rec(depth))
 }

@@ -45,11 +45,19 @@ func (a *acc) leaf(w task.Work, count float64) float64 {
 // validate the phantom accountants against the real dense trees.
 func FromTree(m *hw.Machine, f Family, root *task.Node, workers int) Terms {
 	a := newAcc(m, f, workers)
-	root.Walk(func(n *task.Node) {
-		if n.IsLeaf() {
-			a.leaf(*n.Work(), 1)
+	t := root.Tree()
+	var rec func(r task.Ref)
+	rec = func(r task.Ref) {
+		if t.IsLeaf(r) {
+			d := t.Demand(r)
+			a.leaf(task.Work{Kind: d.Kind, Flops: d.Flops, L3Bytes: d.L3Bytes, DRAMBytes: d.DRAMBytes}, 1)
+			return
 		}
-	})
+		for i, k := 0, t.NumChildren(r); i < k; i++ {
+			rec(t.Child(r, i))
+		}
+	}
+	rec(root.Ref())
 	a.t.SpanSeconds = m.CriticalPath(root)
 	return a.t
 }

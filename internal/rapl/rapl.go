@@ -103,8 +103,6 @@ type Device struct {
 	// now is the device's notion of elapsed time, for timestamped
 	// trace export.
 	now float64
-	// powerLimitRaw backs MSR_PKG_POWER_LIMIT (see powerlimit.go).
-	powerLimitRaw uint64
 
 	// Poll hook (SetPoll): pollFn fires every pollInterval seconds of
 	// device time. pollStart/pollCount derive each tick as
@@ -292,8 +290,6 @@ func (d *Device) ReadMSR(addr uint32) (uint64, error) {
 		return d.readCounter(PlaneNIC)
 	case MSRSwitchEnergyStatus:
 		return d.readCounter(PlaneSwitch)
-	case MSRPkgPowerLimit:
-		return d.readPowerLimitMSR(), nil
 	default:
 		return 0, fmt.Errorf("rapl: unimplemented MSR 0x%x", addr)
 	}

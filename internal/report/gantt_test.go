@@ -90,7 +90,8 @@ func TestGanttFromRealSchedule(t *testing.T) {
 
 func TestScheduleOffByDefault(t *testing.T) {
 	m := hw.HaswellE31225()
-	root := task.Leaf(task.Work{Kind: task.KindGEMM, Flops: 1e6})
+	var a task.Arena
+	root := a.Node(a.Leaf(task.Work{Kind: task.KindGEMM, Flops: 1e6}))
 	res := sim.Run(m, root, sim.Config{Workers: 1})
 	if res.Schedule != nil {
 		t.Fatal("schedule recorded without RecordSchedule")

@@ -18,11 +18,12 @@ func BenchmarkSchedDispatch(b *testing.B) {
 	defer p.Close()
 
 	b.Run("flat4096", func(b *testing.B) {
-		leaves := make([]*task.Node, 4096)
+		var a task.Arena
+		leaves := make([]task.Ref, 4096)
 		for i := range leaves {
-			leaves[i] = task.Leaf(task.Work{Run: func() {}})
+			leaves[i] = a.Leaf(task.Work{Run: func() {}})
 		}
-		root := task.Par(leaves...)
+		root := a.Node(a.Par(leaves...))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -26,14 +26,15 @@ func TestNewPanicsOnBadWorkers(t *testing.T) {
 
 func TestEveryLeafRunsOnce(t *testing.T) {
 	var count atomic.Int64
-	mk := func() *task.Node {
-		return task.Leaf(task.Work{Flops: 1, Run: func() { count.Add(1) }})
+	var a task.Arena
+	mk := func() task.Ref {
+		return a.Leaf(task.Work{Flops: 1, Run: func() { count.Add(1) }})
 	}
-	var leaves []*task.Node
+	var leaves []task.Ref
 	for i := 0; i < 100; i++ {
 		leaves = append(leaves, mk())
 	}
-	root := task.Seq(task.Par(leaves[:50]...), task.Par(leaves[50:]...))
+	root := a.Node(a.Seq(a.Par(leaves[:50]...), a.Par(leaves[50:]...)))
 	m := New(4).Run(root)
 	if count.Load() != 100 {
 		t.Fatalf("ran %d leaves", count.Load())
@@ -48,10 +49,11 @@ func TestEveryLeafRunsOnce(t *testing.T) {
 
 func TestSeqOrdering(t *testing.T) {
 	var order []int
-	mk := func(i int) *task.Node {
-		return task.Leaf(task.Work{Run: func() { order = append(order, i) }})
+	var a task.Arena
+	mk := func(i int) task.Ref {
+		return a.Leaf(task.Work{Run: func() { order = append(order, i) }})
 	}
-	New(4).Run(task.Seq(mk(0), mk(1), mk(2), mk(3), mk(4)))
+	New(4).Run(a.Node(a.Seq(mk(0), mk(1), mk(2), mk(3), mk(4))))
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order %v", order)
@@ -61,8 +63,9 @@ func TestSeqOrdering(t *testing.T) {
 
 func TestParallelismBounded(t *testing.T) {
 	var inFlight, peak atomic.Int64
-	mk := func() *task.Node {
-		return task.Leaf(task.Work{Run: func() {
+	var a task.Arena
+	mk := func() task.Ref {
+		return a.Leaf(task.Work{Run: func() {
 			cur := inFlight.Add(1)
 			for {
 				p := peak.Load()
@@ -76,20 +79,21 @@ func TestParallelismBounded(t *testing.T) {
 			inFlight.Add(-1)
 		}})
 	}
-	var leaves []*task.Node
+	var leaves []task.Ref
 	for i := 0; i < 64; i++ {
 		leaves = append(leaves, mk())
 	}
-	New(2).Run(task.Par(leaves...))
+	New(2).Run(a.Node(a.Par(leaves...)))
 	if peak.Load() > 2 {
 		t.Fatalf("observed %d concurrent leaves with 2 workers", peak.Load())
 	}
 }
 
 func TestWorkerAttribution(t *testing.T) {
-	var leaves []*task.Node
+	var a task.Arena
+	var leaves []task.Ref
 	for i := 0; i < 40; i++ {
-		leaves = append(leaves, task.Leaf(task.Work{Run: func() {
+		leaves = append(leaves, a.Leaf(task.Work{Run: func() {
 			s := 0.0
 			for i := 0; i < 200000; i++ {
 				s += float64(i)
@@ -97,7 +101,7 @@ func TestWorkerAttribution(t *testing.T) {
 			_ = s
 		}}))
 	}
-	m := New(3).Run(task.Par(leaves...))
+	m := New(3).Run(a.Node(a.Par(leaves...)))
 	total := int64(0)
 	for _, c := range m.PerWorkerLeaves {
 		total += c
@@ -111,10 +115,11 @@ func TestWorkerAttribution(t *testing.T) {
 }
 
 func TestPanicPropagates(t *testing.T) {
-	root := task.Par(
-		task.Leaf(task.Work{Run: func() {}}),
-		task.Leaf(task.Work{Run: func() { panic("leaf exploded") }}),
-	)
+	var a task.Arena
+	root := a.Node(a.Par(
+		a.Leaf(task.Work{Run: func() {}}),
+		a.Leaf(task.Work{Run: func() { panic("leaf exploded") }}),
+	))
 	defer func() {
 		if v := recover(); v != "leaf exploded" {
 			t.Fatalf("recovered %v", v)
@@ -124,7 +129,8 @@ func TestPanicPropagates(t *testing.T) {
 }
 
 func TestNilRunLeavesAreCounted(t *testing.T) {
-	m := New(2).Run(task.Par(task.Leaf(task.Work{Flops: 5}), task.Leaf(task.Work{Flops: 7})))
+	var a task.Arena
+	m := New(2).Run(a.Node(a.Par(a.Leaf(task.Work{Flops: 5}), a.Leaf(task.Work{Flops: 7}))))
 	if m.Leaves != 2 || m.Flops != 12 {
 		t.Fatalf("metrics %+v", m)
 	}
@@ -134,8 +140,9 @@ func TestRealSpeedupOnComputeBoundTree(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("single-CPU environment")
 	}
-	work := func() *task.Node {
-		return task.Leaf(task.Work{Run: func() {
+	var a task.Arena
+	work := func() task.Ref {
+		return a.Leaf(task.Work{Run: func() {
 			s := 0.0
 			for i := 0; i < 3_000_000; i++ {
 				s += float64(i%7) * 1.0001
@@ -143,11 +150,11 @@ func TestRealSpeedupOnComputeBoundTree(t *testing.T) {
 			_ = s
 		}})
 	}
-	var leaves []*task.Node
+	var leaves []task.Ref
 	for i := 0; i < 16; i++ {
 		leaves = append(leaves, work())
 	}
-	root := task.Par(leaves...)
+	root := a.Node(a.Par(leaves...))
 	t1 := New(1).Run(root).Wall
 	t2 := New(2).Run(root).Wall
 	if float64(t1)/float64(t2) < 1.2 {
@@ -214,11 +221,12 @@ func TestPoolReuseAcrossRuns(t *testing.T) {
 	defer p.Close()
 	for run := 0; run < 20; run++ {
 		var count atomic.Int64
-		var leaves []*task.Node
+		var a task.Arena
+		var leaves []task.Ref
 		for i := 0; i < 30; i++ {
-			leaves = append(leaves, task.Leaf(task.Work{Flops: 2, Run: func() { count.Add(1) }}))
+			leaves = append(leaves, a.Leaf(task.Work{Flops: 2, Run: func() { count.Add(1) }}))
 		}
-		m := p.Run(task.Seq(task.Par(leaves[:15]...), task.Par(leaves[15:]...)))
+		m := p.Run(a.Node(a.Seq(a.Par(leaves[:15]...), a.Par(leaves[15:]...))))
 		if count.Load() != 30 || m.Leaves != 30 || m.Flops != 60 {
 			t.Fatalf("run %d: count=%d metrics=%+v", run, count.Load(), m)
 		}
@@ -232,16 +240,18 @@ func TestPoolSurvivesPanickedRun(t *testing.T) {
 	defer p.Close()
 	func() {
 		defer func() { recover() }()
-		p.Run(task.Par(
-			task.Leaf(task.Work{Run: func() {}}),
-			task.Leaf(task.Work{Run: func() { panic("boom") }}),
-		))
+		var a task.Arena
+		p.Run(a.Node(a.Par(
+			a.Leaf(task.Work{Run: func() {}}),
+			a.Leaf(task.Work{Run: func() { panic("boom") }}),
+		)))
 	}()
 	var count atomic.Int64
-	m := p.Run(task.Par(
-		task.Leaf(task.Work{Run: func() { count.Add(1) }}),
-		task.Leaf(task.Work{Run: func() { count.Add(1) }}),
-	))
+	var a task.Arena
+	m := p.Run(a.Node(a.Par(
+		a.Leaf(task.Work{Run: func() { count.Add(1) }}),
+		a.Leaf(task.Work{Run: func() { count.Add(1) }}),
+	)))
 	if count.Load() != 2 || m.Leaves != 2 {
 		t.Fatalf("post-panic run broken: count=%d metrics=%+v", count.Load(), m)
 	}
@@ -251,10 +261,11 @@ func TestPoolSurvivesPanickedRun(t *testing.T) {
 // skipped so the run drains instead of computing garbage.
 func TestPanicSkipsSeqSuccessors(t *testing.T) {
 	var ran atomic.Bool
-	root := task.Seq(
-		task.Leaf(task.Work{Run: func() { panic("first") }}),
-		task.Leaf(task.Work{Run: func() { ran.Store(true) }}),
-	)
+	var a task.Arena
+	root := a.Node(a.Seq(
+		a.Leaf(task.Work{Run: func() { panic("first") }}),
+		a.Leaf(task.Work{Run: func() { ran.Store(true) }}),
+	))
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -275,7 +286,8 @@ func TestPanicSkipsSeqSuccessors(t *testing.T) {
 func TestEmptyInteriorNodes(t *testing.T) {
 	p := New(2)
 	defer p.Close()
-	m := p.Run(task.Seq(task.Par(), task.Seq(), task.Leaf(task.Work{Flops: 1})))
+	var a task.Arena
+	m := p.Run(a.Node(a.Seq(a.Par(), a.Seq(), a.Leaf(task.Work{Flops: 1}))))
 	if m.Leaves != 1 || m.Flops != 1 {
 		t.Fatalf("metrics %+v", m)
 	}
@@ -291,11 +303,12 @@ func TestConcurrentRunCallsSerialize(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var leaves []*task.Node
+			var a task.Arena
+			var leaves []task.Ref
 			for i := 0; i < 50; i++ {
-				leaves = append(leaves, task.Leaf(task.Work{Flops: 1, Run: func() {}}))
+				leaves = append(leaves, a.Leaf(task.Work{Flops: 1, Run: func() {}}))
 			}
-			if m := p.Run(task.Par(leaves...)); m.Leaves != 50 || m.Flops != 50 {
+			if m := p.Run(a.Node(a.Par(leaves...))); m.Leaves != 50 || m.Flops != 50 {
 				t.Errorf("metrics %+v", m)
 			}
 		}()

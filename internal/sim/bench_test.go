@@ -14,20 +14,20 @@ import (
 // root — every worker gets scheduled, every chain exercises the pinned
 // deque path, and region producer/consumer edges add remote traffic.
 func benchTree(workers int) *task.Node {
-	var regions task.Regions
-	chains := make([]*task.Node, workers)
+	var a task.Arena
+	chains := make([]task.Ref, workers)
 	for w := 0; w < workers; w++ {
-		r := regions.New()
-		chains[w] = task.Seq(
-			task.Leaf(task.Work{Kind: task.KindGEMM, Flops: float64(1+w%7) * 1e7,
+		r := a.New()
+		chains[w] = a.WithAffinityMask(a.Seq(
+			a.Leaf(task.Work{Kind: task.KindGEMM, Flops: float64(1+w%7) * 1e7,
 				Writes: []task.RegionID{r}, RegionBytes: 1e4}),
-			task.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: 1e5,
+			a.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: 1e5,
 				Reads: []task.RegionID{r}, RegionBytes: 1e4}),
-			task.Leaf(task.Work{Kind: task.KindGEMM, Flops: float64(1+w%3) * 1e7}),
-			task.Leaf(task.Work{Kind: task.KindCopy, DRAMBytes: 1e5}),
-		).WithAffinityMask(task.SingleWorker(w))
+			a.Leaf(task.Work{Kind: task.KindGEMM, Flops: float64(1+w%3) * 1e7}),
+			a.Leaf(task.Work{Kind: task.KindCopy, DRAMBytes: 1e5}),
+		), task.SingleWorker(w))
 	}
-	return task.Par(chains...)
+	return a.Node(a.Par(chains...))
 }
 
 // BenchmarkSimRun sweeps worker counts across four orders of magnitude.

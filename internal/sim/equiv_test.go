@@ -1,8 +1,8 @@
 // Bit-identicality pin for the event-driven scheduler rewrite.
 //
 // seedRun below is the original O(workers)-per-event list scheduler,
-// preserved verbatim (modulo renames, and reading the legacy uint64
-// affinity via Mask.LowBits). The event-driven engine in sim.go must
+// preserved verbatim (modulo renames, reading the legacy uint64
+// affinity via Mask.LowBits, and reading the tree by Ref). The event-driven engine in sim.go must
 // reproduce its Result — every float compared with ==, not a
 // tolerance — across the full 48-run paper matrix and both ablation
 // switches. Equality holds because the rewrite preserves the exact
@@ -28,7 +28,7 @@ import (
 // ---------------------------------------------------------------------------
 
 type seedNodeState struct {
-	n         *task.Node
+	r         task.Ref
 	parent    *seedNodeState
 	pending   int
 	nextChild int
@@ -64,6 +64,7 @@ func (h *seedLeafHeap) Pop() any {
 
 type seedExecutor struct {
 	m   *hw.Machine
+	t   *task.Tree
 	cfg sim.Config
 
 	ready     []*seedNodeState
@@ -92,14 +93,21 @@ type seedExecutor struct {
 	res       sim.Result
 }
 
-func (e *seedExecutor) newState(n *task.Node, parent *seedNodeState, mask uint64) *seedNodeState {
+func (e *seedExecutor) newState(r task.Ref, parent *seedNodeState, mask uint64) *seedNodeState {
 	if len(e.stateArena) == 0 {
 		e.stateArena = make([]seedNodeState, 512)
 	}
 	s := &e.stateArena[0]
 	e.stateArena = e.stateArena[1:]
-	s.n, s.parent, s.mask = n, parent, mask
+	s.r, s.parent, s.mask = r, parent, mask
 	return s
+}
+
+// work returns leaf r's Work, read from the tree's records.
+func (e *seedExecutor) work(r task.Ref) *task.Work {
+	d, regionBytes, reads, writes := e.t.LeafInputs(r)
+	return &task.Work{Label: e.t.Label(r), Kind: d.Kind, Flops: d.Flops, L3Bytes: d.L3Bytes,
+		DRAMBytes: d.DRAMBytes, Reads: reads, Writes: writes, RegionBytes: regionBytes, Run: e.t.Run(r)}
 }
 
 func (e *seedExecutor) writerOf(r task.RegionID) int {
@@ -128,6 +136,7 @@ func (e *seedExecutor) setWriter(r task.RegionID, worker int) {
 func seedRun(m *hw.Machine, root *task.Node, cfg sim.Config) *sim.Result {
 	e := &seedExecutor{
 		m:               m,
+		t:               root.Tree(),
 		cfg:             cfg,
 		workerBusyUntil: make([]float64, cfg.Workers),
 		workerBusyTotal: make([]float64, cfg.Workers),
@@ -147,7 +156,7 @@ func seedRun(m *hw.Machine, root *task.Node, cfg sim.Config) *sim.Result {
 	}
 	e.idleCount = cfg.Workers
 
-	e.startNode(e.newState(root, nil, e.allMask()))
+	e.startNode(e.newState(root.Ref(), nil, e.allMask()))
 	e.dispatch()
 	for len(e.running) > 0 {
 		e.advance()
@@ -165,11 +174,11 @@ func (e *seedExecutor) allMask() uint64 {
 	return (uint64(1) << uint(e.cfg.Workers)) - 1
 }
 
-func (e *seedExecutor) effectiveMask(n *task.Node, inherited uint64) uint64 {
-	if e.cfg.DisableAffinity || n.Affinity().LowBits() == 0 {
+func (e *seedExecutor) effectiveMask(r task.Ref, inherited uint64) uint64 {
+	if e.cfg.DisableAffinity || e.t.Affinity(r).LowBits() == 0 {
 		return inherited
 	}
-	m := n.Affinity().LowBits() & inherited
+	m := e.t.Affinity(r).LowBits() & inherited
 	if m == 0 {
 		return inherited
 	}
@@ -177,54 +186,54 @@ func (e *seedExecutor) effectiveMask(n *task.Node, inherited uint64) uint64 {
 }
 
 func (e *seedExecutor) startNode(s *seedNodeState) {
-	e.liveAlloc += s.n.AllocBytes()
+	e.liveAlloc += e.t.AllocBytes(s.r)
 	if e.liveAlloc > e.res.AllocHighWater {
 		e.res.AllocHighWater = e.liveAlloc
 	}
 	switch {
-	case s.n.IsLeaf():
+	case e.t.IsLeaf(s.r):
 		if w := seedSingleWorker(s.mask); w >= 0 && w < e.cfg.Workers {
 			e.readyPinned[w] = append(e.readyPinned[w], s)
 		} else {
 			e.ready = append(e.ready, s)
 			e.readyLive++
 		}
-	case s.n.IsSeq():
-		if len(s.n.Children()) == 0 {
+	case e.t.IsSeq(s.r):
+		if e.t.NumChildren(s.r) == 0 {
 			e.complete(s)
 			return
 		}
 		e.startChild(s, 0)
 	default:
-		children := s.n.Children()
-		if len(children) == 0 {
+		children := e.t.NumChildren(s.r)
+		if children == 0 {
 			e.complete(s)
 			return
 		}
-		s.pending = len(children)
-		for i := range children {
+		s.pending = children
+		for i := 0; i < children; i++ {
 			e.startChild(s, i)
 		}
 	}
 }
 
 func (e *seedExecutor) startChild(parent *seedNodeState, idx int) {
-	child := parent.n.Children()[idx]
+	child := e.t.Child(parent.r, idx)
 	cs := e.newState(child, parent, e.effectiveMask(child, parent.mask))
-	if parent.n.IsSeq() {
+	if e.t.IsSeq(parent.r) {
 		parent.nextChild = idx + 1
 	}
 	e.startNode(cs)
 }
 
 func (e *seedExecutor) complete(s *seedNodeState) {
-	e.liveAlloc -= s.n.AllocBytes()
+	e.liveAlloc -= e.t.AllocBytes(s.r)
 	p := s.parent
 	if p == nil {
 		return
 	}
-	if p.n.IsSeq() {
-		if p.nextChild < len(p.n.Children()) {
+	if e.t.IsSeq(p.r) {
+		if p.nextChild < e.t.NumChildren(p.r) {
 			e.startChild(p, p.nextChild)
 			return
 		}
@@ -318,7 +327,7 @@ func (e *seedExecutor) compactReady() {
 }
 
 func (e *seedExecutor) pickWorker(s *seedNodeState) int {
-	w := s.n.Work()
+	w := e.work(s.r)
 	pref := -1
 	if !e.cfg.DisableAffinity {
 		pref = e.preferredWorker(w)
@@ -335,7 +344,7 @@ func (e *seedExecutor) pickWorker(s *seedNodeState) int {
 }
 
 func (e *seedExecutor) launch(s *seedNodeState, worker int) {
-	w := s.n.Work()
+	w := e.work(s.r)
 
 	remoteBytes := 0.0
 	stolen := false
@@ -567,26 +576,28 @@ func TestEventSchedulerBitIdenticalOnMaskedContention(t *testing.T) {
 	m := hw.HaswellE31225()
 	var regions task.Regions
 	r1, r2 := regions.New(), regions.New()
-	mk := func(flops float64, reads, writes []task.RegionID) *task.Node {
-		return task.Leaf(task.Work{
+	var a task.Arena
+	mk := func(flops float64, reads, writes []task.RegionID) task.Ref {
+		return a.Leaf(task.Work{
 			Kind: task.KindGEMM, Flops: flops,
 			Reads: reads, Writes: writes, RegionBytes: 1e5,
 		})
 	}
-	root := task.Par(
+	pin := func(r task.Ref, bits uint64) task.Ref { return a.WithAffinityMask(r, task.MaskOfBits(bits)) }
+	root := a.Node(a.Par(
 		// Two leaves restricted to workers {0,1}, one to {2,3}, a
 		// producer/consumer pair, and unrestricted filler.
-		mk(1e8, nil, []task.RegionID{r1}).WithAffinity(0b0011),
-		mk(2e8, nil, nil).WithAffinity(0b0011),
-		mk(3e8, nil, []task.RegionID{r2}).WithAffinity(0b1100),
-		task.Seq(
+		pin(mk(1e8, nil, []task.RegionID{r1}), 0b0011),
+		pin(mk(2e8, nil, nil), 0b0011),
+		pin(mk(3e8, nil, []task.RegionID{r2}), 0b1100),
+		a.Seq(
 			mk(1e8, []task.RegionID{r1}, nil),
 			mk(1e8, []task.RegionID{r1, r2}, nil),
 		),
 		mk(5e7, nil, nil),
-		mk(6e7, nil, nil).WithAffinity(0b0001),
-		mk(7e7, nil, nil).WithAffinity(0b0001),
-	)
+		pin(mk(6e7, nil, nil), 0b0001),
+		pin(mk(7e7, nil, nil), 0b0001),
+	))
 	for workers := 1; workers <= 4; workers++ {
 		sc := sim.Config{Workers: workers, RecordSchedule: true, RecordTimeline: true}
 		requireIdentical(t, "masked contention",

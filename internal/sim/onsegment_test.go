@@ -3,6 +3,8 @@ package sim
 import (
 	"math/rand"
 	"testing"
+
+	"capscale/internal/task"
 )
 
 func TestOnSegmentStreamsTheTimeline(t *testing.T) {
@@ -33,7 +35,8 @@ func TestOnSegmentWithoutTimeline(t *testing.T) {
 	// Streaming must not require RecordTimeline: the callback fires and
 	// the result carries no materialized timeline.
 	var n int
-	res := Run(machine(), computeLeaf(1e8), Config{
+	var a task.Arena
+	res := Run(machine(), a.Node(computeLeaf(&a, 1e8)), Config{
 		Workers:   1,
 		OnSegment: func(Segment) { n++ },
 	})

@@ -18,8 +18,8 @@ func clusterOf(workers int) *hw.Machine {
 	return hw.Cluster(node, (workers+node.Cores-1)/node.Cores)
 }
 
-func computeLeafN(flops float64) *task.Node {
-	return task.Leaf(task.Work{Kind: task.KindGEMM, Flops: flops})
+func computeLeafN(a *task.Arena, flops float64) task.Ref {
+	return a.Leaf(task.Work{Kind: task.KindGEMM, Flops: flops})
 }
 
 func TestConfigValidateTable(t *testing.T) {
@@ -71,18 +71,20 @@ func TestRunPanicMatchesValidate(t *testing.T) {
 			t.Fatalf("panic %v, want the Validate message %q", r, want)
 		}
 	}()
-	sim.Run(m, computeLeafN(1), cfg)
+	var a task.Arena
+	sim.Run(m, a.Node(computeLeafN(&a, 1)), cfg)
 }
 
 // A leaf pinned to worker 100 must execute on worker 100 — under the
 // uint64 representation the pin silently vanished for any index ≥ 64.
 func TestAffinityAboveSixtyFourIsHonored(t *testing.T) {
 	m := clusterOf(128)
-	root := task.Par(
-		computeLeafN(1e8).WithAffinityMask(task.SingleWorker(100)),
-		computeLeafN(1e8).WithAffinityMask(task.SingleWorker(67)),
-		computeLeafN(1e8).WithAffinityMask(task.MaskRange(90, 95)),
-	)
+	var a task.Arena
+	root := a.Node(a.Par(
+		a.WithAffinityMask(computeLeafN(&a, 1e8), task.SingleWorker(100)),
+		a.WithAffinityMask(computeLeafN(&a, 1e8), task.SingleWorker(67)),
+		a.WithAffinityMask(computeLeafN(&a, 1e8), task.MaskRange(90, 95)),
+	))
 	res := sim.Run(m, root, sim.Config{Workers: 128})
 	if res.WorkerBusy[100] == 0 {
 		t.Fatal("leaf pinned to worker 100 did not run there")
@@ -103,14 +105,15 @@ func TestAffinityAboveSixtyFourIsHonored(t *testing.T) {
 func TestManyWorkersParallelSpeedup(t *testing.T) {
 	const workers = 1000
 	m := clusterOf(workers)
-	leaves := make([]*task.Node, workers)
+	var a task.Arena
+	leaves := make([]task.Ref, workers)
 	for i := range leaves {
-		leaves[i] = computeLeafN(1e9)
+		leaves[i] = computeLeafN(&a, 1e9)
 	}
-	root := task.Par(leaves...)
+	root := a.Node(a.Par(leaves...))
 	cfg := sim.Config{Workers: workers, DisableContention: true, DisableAffinity: true}
 	res := sim.Run(m, root, cfg)
-	one := sim.Run(m, task.Par(leaves[:1]...), cfg)
+	one := sim.Run(m, a.Node(a.Par(leaves[:1]...)), cfg)
 	if res.Makespan != one.Makespan {
 		t.Fatalf("1000 equal leaves on 1000 workers: makespan %v, one leaf alone %v",
 			res.Makespan, one.Makespan)
@@ -127,18 +130,19 @@ func TestManyWorkersParallelSpeedup(t *testing.T) {
 func TestAggregateEnergyConsistentWithTimeline(t *testing.T) {
 	const workers = 200
 	m := clusterOf(workers)
-	var chains []*task.Node
+	var a task.Arena
+	var chains []task.Ref
 	var regions task.Regions
 	for w := 0; w < workers; w++ {
 		r := regions.New()
-		chains = append(chains, task.Seq(
-			task.Leaf(task.Work{Kind: task.KindGEMM, Flops: float64(1+w) * 1e6,
+		chains = append(chains, a.WithAffinityMask(a.Seq(
+			a.Leaf(task.Work{Kind: task.KindGEMM, Flops: float64(1+w) * 1e6,
 				Writes: []task.RegionID{r}, RegionBytes: 1e4}),
-			task.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: float64(1+w%7) * 1e5,
+			a.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: float64(1+w%7) * 1e5,
 				Reads: []task.RegionID{r}, RegionBytes: 1e4}),
-		).WithAffinityMask(task.SingleWorker(w)))
+		), task.SingleWorker(w)))
 	}
-	res := sim.Run(m, task.Par(chains...), sim.Config{Workers: workers, RecordTimeline: true})
+	res := sim.Run(m, a.Node(a.Par(chains...)), sim.Config{Workers: workers, RecordTimeline: true})
 	var pkg, pp0, dram float64
 	for _, seg := range res.Timeline {
 		dt := seg.End - seg.Start
@@ -162,14 +166,15 @@ func TestLargeScaleDeterminism(t *testing.T) {
 	const workers = 5000
 	m := clusterOf(workers)
 	mk := func() *task.Node {
-		var chains []*task.Node
+		var a task.Arena
+		var chains []task.Ref
 		for w := 0; w < workers; w++ {
-			chains = append(chains, task.Seq(
-				computeLeafN(float64(1+w%13)*1e6),
-				computeLeafN(float64(1+w%5)*1e6),
-			).WithAffinityMask(task.SingleWorker(w)))
+			chains = append(chains, a.WithAffinityMask(a.Seq(
+				computeLeafN(&a, float64(1+w%13)*1e6),
+				computeLeafN(&a, float64(1+w%5)*1e6),
+			), task.SingleWorker(w)))
 		}
-		return task.Par(chains...)
+		return a.Node(a.Par(chains...))
 	}
 	cfg := sim.Config{Workers: workers}
 	a := sim.Run(m, mk(), cfg)
@@ -186,12 +191,12 @@ func TestLargeScaleDeterminism(t *testing.T) {
 func TestConcurrentRunsRace(t *testing.T) {
 	const workers = 100
 	m := clusterOf(workers)
-	var chains []*task.Node
+	var a task.Arena
+	var chains []task.Ref
 	for w := 0; w < workers; w++ {
-		chains = append(chains, computeLeafN(float64(1+w)*1e6).
-			WithAffinityMask(task.SingleWorker(w)))
+		chains = append(chains, a.WithAffinityMask(computeLeafN(&a, float64(1+w)*1e6), task.SingleWorker(w)))
 	}
-	shared := task.Par(chains...)
+	shared := a.Node(a.Par(chains...))
 	cfg := sim.Config{Workers: workers}
 	want := sim.Run(m, shared, cfg)
 

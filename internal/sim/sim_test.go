@@ -13,16 +13,18 @@ import (
 
 func machine() *hw.Machine { return hw.HaswellE31225() }
 
-func computeLeaf(flops float64) *task.Node {
-	return task.Leaf(task.Work{Kind: task.KindGEMM, Flops: flops})
+func computeLeaf(a *task.Arena, flops float64) task.Ref {
+	return a.Leaf(task.Work{Kind: task.KindGEMM, Flops: flops})
 }
 
-func memLeaf(bytes float64) *task.Node {
-	return task.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: bytes})
+func memLeaf(a *task.Arena, bytes float64) task.Ref {
+	return a.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: bytes})
 }
 
 func TestRunPanicsOnBadWorkers(t *testing.T) {
 	m := machine()
+	var a task.Arena
+	root := a.Node(computeLeaf(&a, 1))
 	for _, workers := range []int{0, -1, m.Cores + 1} {
 		func() {
 			defer func() {
@@ -30,14 +32,15 @@ func TestRunPanicsOnBadWorkers(t *testing.T) {
 					t.Errorf("workers=%d did not panic", workers)
 				}
 			}()
-			Run(m, computeLeaf(1), Config{Workers: workers})
+			Run(m, root, Config{Workers: workers})
 		}()
 	}
 }
 
 func TestSingleLeaf(t *testing.T) {
 	m := machine()
-	res := Run(m, computeLeaf(2.56e9), Config{Workers: 1})
+	var a task.Arena
+	res := Run(m, a.Node(computeLeaf(&a, 2.56e9)), Config{Workers: 1})
 	want := 2.56e9/(m.PeakFlopsPerCore()*0.92) + m.TaskOverhead
 	if math.Abs(res.Makespan-want)/want > 1e-9 {
 		t.Fatalf("makespan %v want %v", res.Makespan, want)
@@ -51,7 +54,8 @@ func TestSingleLeaf(t *testing.T) {
 }
 
 func TestEmptyTree(t *testing.T) {
-	res := Run(machine(), task.Seq(), Config{Workers: 2})
+	var a task.Arena
+	res := Run(machine(), a.Node(a.Seq()), Config{Workers: 2})
 	if res.Makespan != 0 || res.Leaves != 0 {
 		t.Fatalf("empty tree: makespan %v leaves %d", res.Makespan, res.Leaves)
 	}
@@ -59,14 +63,15 @@ func TestEmptyTree(t *testing.T) {
 
 func TestEveryLeafRunsExactlyOnce(t *testing.T) {
 	counts := make([]int, 6)
-	mk := func(i int) *task.Node {
-		return task.Leaf(task.Work{Kind: task.KindGEMM, Flops: 1e6, Run: func() { counts[i]++ }})
+	var a task.Arena
+	mk := func(i int) task.Ref {
+		return a.Leaf(task.Work{Kind: task.KindGEMM, Flops: 1e6, Run: func() { counts[i]++ }})
 	}
-	root := task.Seq(
+	root := a.Node(a.Seq(
 		mk(0),
-		task.Par(mk(1), task.Seq(mk(2), mk(3)), mk(4)),
+		a.Par(mk(1), a.Seq(mk(2), mk(3)), mk(4)),
 		mk(5),
-	)
+	))
 	Run(machine(), root, Config{Workers: 3, VerifyNumerics: true})
 	for i, c := range counts {
 		if c != 1 {
@@ -77,10 +82,11 @@ func TestEveryLeafRunsExactlyOnce(t *testing.T) {
 
 func TestSeqOrderRespected(t *testing.T) {
 	var order []int
-	mk := func(i int) *task.Node {
-		return task.Leaf(task.Work{Kind: task.KindGEMM, Flops: 1e6, Run: func() { order = append(order, i) }})
+	var a task.Arena
+	mk := func(i int) task.Ref {
+		return a.Leaf(task.Work{Kind: task.KindGEMM, Flops: 1e6, Run: func() { order = append(order, i) }})
 	}
-	Run(machine(), task.Seq(mk(0), mk(1), mk(2), mk(3)), Config{Workers: 4, VerifyNumerics: true})
+	Run(machine(), a.Node(a.Seq(mk(0), mk(1), mk(2), mk(3))), Config{Workers: 4, VerifyNumerics: true})
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order %v", order)
@@ -90,12 +96,14 @@ func TestSeqOrderRespected(t *testing.T) {
 
 func TestParallelSpeedup(t *testing.T) {
 	m := machine()
-	leaves := make([]*task.Node, 8)
+	var a task.Arena
+	leaves := make([]task.Ref, 8)
 	for i := range leaves {
-		leaves[i] = computeLeaf(1e9)
+		leaves[i] = computeLeaf(&a, 1e9)
 	}
-	one := Run(m, task.Par(leaves...), Config{Workers: 1})
-	four := Run(m, task.Par(leaves...), Config{Workers: 4})
+	root := a.Node(a.Par(leaves...))
+	one := Run(m, root, Config{Workers: 1})
+	four := Run(m, root, Config{Workers: 4})
 	speedup := one.Makespan / four.Makespan
 	if speedup < 3.5 || speedup > 4.01 {
 		t.Fatalf("compute-bound speedup %v, want ~4", speedup)
@@ -104,12 +112,14 @@ func TestParallelSpeedup(t *testing.T) {
 
 func TestMemoryBoundSpeedupLimitedByBandwidth(t *testing.T) {
 	m := machine()
-	leaves := make([]*task.Node, 8)
+	var a task.Arena
+	leaves := make([]task.Ref, 8)
 	for i := range leaves {
-		leaves[i] = memLeaf(1e8)
+		leaves[i] = memLeaf(&a, 1e8)
 	}
-	one := Run(m, task.Par(leaves...), Config{Workers: 1})
-	four := Run(m, task.Par(leaves...), Config{Workers: 4})
+	root := a.Node(a.Par(leaves...))
+	one := Run(m, root, Config{Workers: 1})
+	four := Run(m, root, Config{Workers: 4})
 	speedup := one.Makespan / four.Makespan
 	// Aggregate DRAM is 11 GB/s vs a single stream's 7.5 GB/s: the most
 	// parallelism can buy is 11/7.5 ≈ 1.47.
@@ -198,7 +208,8 @@ func TestEnergyConsistentWithTimeline(t *testing.T) {
 }
 
 func TestTimelineOffByDefault(t *testing.T) {
-	res := Run(machine(), computeLeaf(1e8), Config{Workers: 1})
+	var a task.Arena
+	res := Run(machine(), a.Node(computeLeaf(&a, 1e8)), Config{Workers: 1})
 	if res.Timeline != nil {
 		t.Fatal("timeline recorded without RecordTimeline")
 	}
@@ -206,11 +217,12 @@ func TestTimelineOffByDefault(t *testing.T) {
 
 func TestAvgPowerWithinPhysicalRange(t *testing.T) {
 	m := machine()
-	leaves := make([]*task.Node, 16)
+	var a task.Arena
+	leaves := make([]task.Ref, 16)
 	for i := range leaves {
-		leaves[i] = computeLeaf(1e9)
+		leaves[i] = computeLeaf(&a, 1e9)
 	}
-	res := Run(m, task.Par(leaves...), Config{Workers: 4})
+	res := Run(m, a.Node(a.Par(leaves...)), Config{Workers: 4})
 	idle := m.IdlePower()
 	if res.AvgPowerPKG() <= idle.PKG {
 		t.Fatalf("avg PKG %v not above idle %v", res.AvgPowerPKG(), idle.PKG)
@@ -230,15 +242,16 @@ func TestAvgPowerWithinPhysicalRange(t *testing.T) {
 func TestRemoteTrafficChargedAcrossWorkers(t *testing.T) {
 	var regions task.Regions
 	r := regions.New()
-	producer := task.Leaf(task.Work{
+	var a task.Arena
+	producer := a.WithAffinityMask(a.Leaf(task.Work{
 		Kind: task.KindAdd, DRAMBytes: 1e6,
 		Writes: []task.RegionID{r}, RegionBytes: 1e6,
-	}).WithAffinity(0b01)
-	consumer := task.Leaf(task.Work{
+	}), task.MaskOfBits(0b01))
+	consumer := a.WithAffinityMask(a.Leaf(task.Work{
 		Kind: task.KindBaseMul, Flops: 1e6,
 		Reads: []task.RegionID{r}, RegionBytes: 1e6,
-	}).WithAffinity(0b10)
-	root := task.Seq(producer, consumer)
+	}), task.MaskOfBits(0b10))
+	root := a.Node(a.Seq(producer, consumer))
 
 	res := Run(machine(), root, Config{Workers: 2})
 	if res.RemoteBytes != 1e6 {
@@ -260,11 +273,12 @@ func TestAffinityPreferenceAvoidsRemote(t *testing.T) {
 	// producing worker for the consumer even with others idle.
 	var regions task.Regions
 	r := regions.New()
-	producer := task.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: 1e6,
+	var a task.Arena
+	producer := a.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: 1e6,
 		Writes: []task.RegionID{r}, RegionBytes: 1e6})
-	consumer := task.Leaf(task.Work{Kind: task.KindBaseMul, Flops: 1e6,
+	consumer := a.Leaf(task.Work{Kind: task.KindBaseMul, Flops: 1e6,
 		Reads: []task.RegionID{r}, RegionBytes: 1e6})
-	res := Run(machine(), task.Seq(producer, consumer), Config{Workers: 4})
+	res := Run(machine(), a.Node(a.Seq(producer, consumer)), Config{Workers: 4})
 	if res.RemoteBytes != 0 {
 		t.Fatalf("affinity preference failed: %v remote bytes", res.RemoteBytes)
 	}
@@ -273,11 +287,12 @@ func TestAffinityPreferenceAvoidsRemote(t *testing.T) {
 func TestDisableAffinityIgnoresMasksAndCharges(t *testing.T) {
 	var regions task.Regions
 	r := regions.New()
-	producer := task.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: 1e6,
-		Writes: []task.RegionID{r}, RegionBytes: 1e6}).WithAffinity(0b01)
-	consumer := task.Leaf(task.Work{Kind: task.KindBaseMul, Flops: 1e6,
-		Reads: []task.RegionID{r}, RegionBytes: 1e6}).WithAffinity(0b10)
-	res := Run(machine(), task.Seq(producer, consumer), Config{Workers: 2, DisableAffinity: true})
+	var a task.Arena
+	producer := a.WithAffinityMask(a.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: 1e6,
+		Writes: []task.RegionID{r}, RegionBytes: 1e6}), task.MaskOfBits(0b01))
+	consumer := a.WithAffinityMask(a.Leaf(task.Work{Kind: task.KindBaseMul, Flops: 1e6,
+		Reads: []task.RegionID{r}, RegionBytes: 1e6}), task.MaskOfBits(0b10))
+	res := Run(machine(), a.Node(a.Seq(producer, consumer)), Config{Workers: 2, DisableAffinity: true})
 	if res.RemoteBytes != 0 || res.StolenLeaves != 0 {
 		t.Fatal("ablation still charged communication")
 	}
@@ -285,7 +300,8 @@ func TestDisableAffinityIgnoresMasksAndCharges(t *testing.T) {
 
 func TestImpossibleAffinityFallsBack(t *testing.T) {
 	// Pinned to worker 7, but only 2 workers exist: must complete.
-	root := task.Seq(computeLeaf(1e6).WithAffinity(1 << 7))
+	var a task.Arena
+	root := a.Node(a.Seq(a.WithAffinityMask(computeLeaf(&a, 1e6), task.MaskOfBits(1<<7))))
 	res := Run(machine(), root, Config{Workers: 2})
 	if res.Leaves != 1 {
 		t.Fatal("leaf with impossible affinity did not run")
@@ -296,12 +312,14 @@ func TestAffinityRestrictsParallelism(t *testing.T) {
 	// Four compute leaves all pinned to worker 0 must serialize even
 	// with four workers available.
 	m := machine()
-	leaves := make([]*task.Node, 4)
+	var a task.Arena
+	leaves := make([]task.Ref, 4)
 	for i := range leaves {
-		leaves[i] = computeLeaf(1e9).WithAffinity(0b1)
+		leaves[i] = a.WithAffinityMask(computeLeaf(&a, 1e9), task.MaskOfBits(0b1))
 	}
-	res := Run(m, task.Par(leaves...), Config{Workers: 4})
-	serial := m.SerialTime(task.Par(leaves...))
+	root := a.Node(a.Par(leaves...))
+	res := Run(m, root, Config{Workers: 4})
+	serial := m.SerialTime(root)
 	if math.Abs(res.Makespan-serial)/serial > 1e-9 {
 		t.Fatalf("pinned leaves did not serialize: %v vs %v", res.Makespan, serial)
 	}
@@ -312,12 +330,14 @@ func TestAffinityRestrictsParallelism(t *testing.T) {
 
 func TestDisableContentionSpeedsMemoryBoundRuns(t *testing.T) {
 	m := machine()
-	leaves := make([]*task.Node, 8)
+	var a task.Arena
+	leaves := make([]task.Ref, 8)
 	for i := range leaves {
-		leaves[i] = memLeaf(1e8)
+		leaves[i] = memLeaf(&a, 1e8)
 	}
-	contended := Run(m, task.Par(leaves...), Config{Workers: 4})
-	free := Run(m, task.Par(leaves...), Config{Workers: 4, DisableContention: true})
+	root := a.Node(a.Par(leaves...))
+	contended := Run(m, root, Config{Workers: 4})
+	free := Run(m, root, Config{Workers: 4, DisableContention: true})
 	if free.Makespan >= contended.Makespan {
 		t.Fatalf("contention ablation did not speed up: %v vs %v", free.Makespan, contended.Makespan)
 	}
@@ -326,14 +346,16 @@ func TestDisableContentionSpeedsMemoryBoundRuns(t *testing.T) {
 func TestAllocHighWater(t *testing.T) {
 	// Par of two subtrees each holding 1 MB: both live at once under a
 	// 2-worker schedule.
-	sub := func() *task.Node {
-		return task.Seq(computeLeaf(1e9)).WithAlloc(1e6)
+	var a task.Arena
+	sub := func() task.Ref {
+		return a.WithAlloc(a.Seq(computeLeaf(&a, 1e9)), 1e6)
 	}
-	res := Run(machine(), task.Par(sub(), sub()), Config{Workers: 2})
+	root := a.Node(a.Par(sub(), sub()))
+	res := Run(machine(), root, Config{Workers: 2})
 	if res.AllocHighWater != 2e6 {
 		t.Fatalf("high water %v want 2e6", res.AllocHighWater)
 	}
-	stats := task.Collect(task.Par(sub(), sub()))
+	stats := task.Collect(root)
 	if res.AllocHighWater > stats.AllocPeak {
 		t.Fatalf("scheduled high water %v exceeds structural bound %v", res.AllocHighWater, stats.AllocPeak)
 	}
@@ -341,11 +363,12 @@ func TestAllocHighWater(t *testing.T) {
 
 func TestBusyByKindBreakdown(t *testing.T) {
 	m := machine()
-	root := task.Seq(
-		task.Leaf(task.Work{Kind: task.KindGEMM, Flops: 1e9}),
-		task.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: 1e8}),
-		task.Leaf(task.Work{Kind: task.KindCopy, DRAMBytes: 5e7}),
-	)
+	var a task.Arena
+	root := a.Node(a.Seq(
+		a.Leaf(task.Work{Kind: task.KindGEMM, Flops: 1e9}),
+		a.Leaf(task.Work{Kind: task.KindAdd, DRAMBytes: 1e8}),
+		a.Leaf(task.Work{Kind: task.KindCopy, DRAMBytes: 5e7}),
+	))
 	res := Run(m, root, Config{Workers: 2})
 	if len(res.BusyByKind) != 3 {
 		t.Fatalf("kinds %v", res.BusyByKind)
@@ -368,11 +391,12 @@ func TestBusyByKindBreakdown(t *testing.T) {
 
 func TestWorkerBusyAccounting(t *testing.T) {
 	m := machine()
-	leaves := make([]*task.Node, 4)
+	var a task.Arena
+	leaves := make([]task.Ref, 4)
 	for i := range leaves {
-		leaves[i] = computeLeaf(1e9)
+		leaves[i] = computeLeaf(&a, 1e9)
 	}
-	res := Run(m, task.Par(leaves...), Config{Workers: 4})
+	res := Run(m, a.Node(a.Par(leaves...)), Config{Workers: 4})
 	if len(res.WorkerBusy) != 4 {
 		t.Fatalf("busy slice len %d", len(res.WorkerBusy))
 	}
@@ -394,15 +418,17 @@ func TestSixtyFourWorkerMachine(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	leaves := make([]*task.Node, 256)
+	var a task.Arena
+	leaves := make([]task.Ref, 256)
 	for i := range leaves {
-		leaves[i] = computeLeaf(1e8)
+		leaves[i] = computeLeaf(&a, 1e8)
 	}
-	res := Run(m, task.Par(leaves...), Config{Workers: 64})
+	root := a.Node(a.Par(leaves...))
+	res := Run(m, root, Config{Workers: 64})
 	if res.Leaves != 256 {
 		t.Fatalf("leaves %d", res.Leaves)
 	}
-	one := Run(m, task.Par(leaves...), Config{Workers: 1})
+	one := Run(m, root, Config{Workers: 1})
 	if sp := one.Makespan / res.Makespan; sp < 50 {
 		t.Fatalf("64-worker speedup %v", sp)
 	}
@@ -462,24 +488,29 @@ func TestPropertyEnergyPositiveAndBounded(t *testing.T) {
 }
 
 func randomSimTree(rng *rand.Rand, depth int) *task.Node {
-	if depth == 0 || rng.Intn(3) == 0 {
-		kind := []task.Kind{task.KindGEMM, task.KindBaseMul, task.KindAdd, task.KindCopy}[rng.Intn(4)]
-		return task.Leaf(task.Work{
-			Kind:      kind,
-			Flops:     rng.Float64() * 1e8,
-			DRAMBytes: rng.Float64() * 1e7,
-			L3Bytes:   rng.Float64() * 1e7,
-		})
+	var a task.Arena
+	var rec func(depth int) task.Ref
+	rec = func(depth int) task.Ref {
+		if depth == 0 || rng.Intn(3) == 0 {
+			kind := []task.Kind{task.KindGEMM, task.KindBaseMul, task.KindAdd, task.KindCopy}[rng.Intn(4)]
+			return a.Leaf(task.Work{
+				Kind:      kind,
+				Flops:     rng.Float64() * 1e8,
+				DRAMBytes: rng.Float64() * 1e7,
+				L3Bytes:   rng.Float64() * 1e7,
+			})
+		}
+		n := 1 + rng.Intn(4)
+		children := make([]task.Ref, n)
+		for i := range children {
+			children[i] = rec(depth - 1)
+		}
+		if rng.Intn(2) == 0 {
+			return a.Seq(children...)
+		}
+		return a.Par(children...)
 	}
-	n := 1 + rng.Intn(4)
-	children := make([]*task.Node, n)
-	for i := range children {
-		children[i] = randomSimTree(rng, depth-1)
-	}
-	if rng.Intn(2) == 0 {
-		return task.Seq(children...)
-	}
-	return task.Par(children...)
+	return a.Node(rec(depth))
 }
 
 // complete recycles each node's state, so node state is bounded by the
@@ -491,22 +522,23 @@ func randomSimTree(rng *rand.Rand, depth int) *task.Node {
 // with one queue, that peak is the frontier.)
 func TestRunStateBoundedByFrontier(t *testing.T) {
 	m := machine()
-	chain := func(n int) *task.Node {
-		leaves := make([]*task.Node, n)
+	chain := func(a *task.Arena, n int) task.Ref {
+		leaves := make([]task.Ref, n)
 		for i := range leaves {
-			leaves[i] = computeLeaf(1e3)
+			leaves[i] = computeLeaf(a, 1e3)
 		}
-		return task.Seq(leaves...)
+		return a.Seq(leaves...)
 	}
-	chains := func(n int) *task.Node {
-		return task.Par(chain(n), chain(n), chain(n), chain(n))
+	chains := func(a *task.Arena, n int) task.Ref {
+		return a.Par(chain(a, n), chain(a, n), chain(a, n), chain(a, n))
 	}
 	cfg := Config{Workers: 2}
 	for _, tc := range []struct {
 		name  string
-		build func(n int) *task.Node
+		build func(a *task.Arena, n int) task.Ref
 	}{{"seq chain", chain}, {"4 chains on 2 workers", chains}} {
-		short, long := tc.build(1000), tc.build(50000)
+		var a, b task.Arena
+		short, long := a.Node(tc.build(&a, 1000)), b.Node(tc.build(&b, 50000))
 		base := testing.AllocsPerRun(3, func() { Run(m, short, cfg) })
 		got := testing.AllocsPerRun(3, func() { Run(m, long, cfg) })
 		if got > base+4 {

@@ -2,10 +2,10 @@ package task
 
 import "fmt"
 
-// Arena builds one Tree. The recursive builders emit hundreds of
-// thousands of leaves per tree; building through an Arena turns one
-// allocation per node, per region list and per formatted label into
-// one allocation per block of records:
+// Arena builds one Tree; it is the only way to build one. The recursive
+// builders emit hundreds of thousands of leaves per tree; building
+// through an Arena turns one allocation per node, per region list and
+// per formatted label into one allocation per block of records:
 //
 //   - Leaf, Seq and Par append flat records and return the new node's
 //     Ref; WithAffinityMask and WithAlloc annotate a node by Ref;
@@ -15,7 +15,9 @@ import "fmt"
 //   - Label interns labels by (format, ints), so each distinct label is
 //     formatted once per build instead of once per leaf;
 //   - Node returns the *Node handle the engines take, typically once,
-//     for the root.
+//     for the root;
+//   - Import copies another arena's tree in, so a subtree built apart
+//     can be placed under this tree's nodes.
 //
 // An Arena issues RegionIDs too (it embeds Regions) and obeys the same
 // contract: a build is single-threaded, and every method shares the
@@ -248,28 +250,4 @@ func (a *Arena) Import(n *Node) Ref {
 		t.nodes.push(nd)
 	}
 	return Ref(nodeBase) + n.r
-}
-
-// Leaf returns a one-leaf tree performing w.
-func Leaf(w Work) *Node {
-	var a Arena
-	return a.Node(a.Leaf(w))
-}
-
-// Seq returns a node whose children execute one after another.
-// Seq() with no children is a legal empty node. The result is a new
-// tree holding a copy of each child's tree.
-func Seq(children ...*Node) *Node { return compose("task.Seq", seqNode, children) }
-
-// Par returns a node whose children may execute concurrently. Like Seq
-// it copies the children's trees into a new one.
-func Par(children ...*Node) *Node { return compose("task.Par", parNode, children) }
-
-func compose(op string, kind nodeKind, children []*Node) *Node {
-	var a Arena
-	refs := make([]Ref, len(children))
-	for i, c := range children {
-		refs[i] = a.Import(c)
-	}
-	return a.Node(a.interior(op, kind, refs))
 }

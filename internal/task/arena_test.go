@@ -7,15 +7,14 @@ import (
 	"unsafe"
 )
 
-func TestArenaBuildsLikePackageConstructors(t *testing.T) {
+func TestArenaBuildsTree(t *testing.T) {
 	var a Arena
 	kids := []Ref{a.Leaf(Work{Flops: 1}), a.Leaf(Work{Flops: 2})}
 	par := a.Par(kids...)
 	kids[0] = -1 // the arena copied the list; the caller may reuse it
 	root := a.Node(a.Seq(par, a.Seq()))
-	want := Seq(Par(Leaf(Work{Flops: 1}), Leaf(Work{Flops: 2})), Seq())
-	if shape(root) != shape(want) || shape(root) != "S(P(1 2) S())" {
-		t.Fatalf("arena tree %s, package constructors %s", shape(root), shape(want))
+	if got := shape(root); got != "S(P(1 2) S())" {
+		t.Fatalf("arena tree %s", got)
 	}
 	if s := Collect(root); s.Leaves != 2 || s.Flops != 3 {
 		t.Fatalf("arena tree collects %d leaves, %v flops", s.Leaves, s.Flops)
@@ -24,20 +23,25 @@ func TestArenaBuildsLikePackageConstructors(t *testing.T) {
 
 // shape renders a tree's structure and leaf flops.
 func shape(n *Node) string {
-	if n.IsLeaf() {
-		return string(rune('0' + int(n.Work().Flops)))
-	}
-	s := "P("
-	if n.IsSeq() {
-		s = "S("
-	}
-	for i, c := range n.Children() {
-		if i > 0 {
-			s += " "
+	t := n.t
+	var rec func(r Ref) string
+	rec = func(r Ref) string {
+		if t.IsLeaf(r) {
+			return string(rune('0' + int(t.Demand(r).Flops)))
 		}
-		s += shape(c)
+		s := "P("
+		if t.IsSeq(r) {
+			s = "S("
+		}
+		for i := 0; i < t.NumChildren(r); i++ {
+			if i > 0 {
+				s += " "
+			}
+			s += rec(t.Child(r, i))
+		}
+		return s + ")"
 	}
-	return s + ")"
+	return rec(n.r)
 }
 
 // Leaf copies the region lists: the caller's slices may be reused, and
@@ -54,7 +58,7 @@ func TestArenaLeafCopiesRegionLists(t *testing.T) {
 	}
 	_ = append(reads, 99)
 	_ = append(writes, 99)
-	if writes[0] != 3 || next.Work().Reads[0] != 4 {
+	if nextReads, _ := next.Tree().ReadsWrites(next.Ref()); writes[0] != 3 || nextReads[0] != 4 {
 		t.Fatal("appending to one region list overwrote its neighbour")
 	}
 }
@@ -99,7 +103,7 @@ func TestArenaLabelInterned(t *testing.T) {
 	}
 	// A leaf labelled right after Label reuses the interned entry.
 	l := a.Node(a.Leaf(Work{Label: a.Label("c11 n%d", 32)}))
-	if got := l.Work().Label; got != "c11 n32" || len(a.t.labels) != 4 {
+	if got := l.Tree().Label(l.Ref()); got != "c11 n32" || len(a.t.labels) != 4 {
 		t.Fatalf("leaf label %q, %d labels stored", got, len(a.t.labels))
 	}
 }
@@ -116,7 +120,10 @@ func TestArenaGuardPanicsOnOverlappingUse(t *testing.T) {
 		"WithAlloc":        func(a *Arena) { a.WithAlloc(0, 1) },
 		"ReadsWrites":      func(a *Arena) { a.ReadsWrites(nil, 1) },
 		"Label":            func(a *Arena) { a.Label("x%d", 1) },
-		"Import":           func(a *Arena) { a.Import(Leaf(Work{})) },
+		"Import": func(a *Arena) {
+			var b Arena
+			a.Import(b.Node(b.Leaf(Work{})))
+		},
 	}
 	for name, call := range calls {
 		t.Run(name, func(t *testing.T) {
@@ -169,7 +176,8 @@ func TestSharedSubtreesStayShared(t *testing.T) {
 	if s := Collect(root); s.Leaves != 6 || s.Flops != 9 {
 		t.Fatalf("shared subtree collects %d leaves, %v flops", s.Leaves, s.Flops)
 	}
-	other := Seq(Leaf(Work{Flops: 3}))
+	var o Arena
+	other := o.Node(o.Seq(o.Leaf(Work{Flops: 3})))
 	var b Arena
 	x := b.Import(other)
 	imported := b.Node(b.Par(x, x))

@@ -103,7 +103,7 @@ func rangeWord(first, last uint) uint64 {
 }
 
 // MaskOfBits adopts a legacy uint64 mask (bit w = worker w, workers
-// 0..63 only). It is the allocation-free fast path WithAffinity uses.
+// 0..63 only), without allocating.
 func MaskOfBits(bits uint64) Mask { return Mask{lo: bits} }
 
 // MaskOf returns the mask naming exactly the given workers.

@@ -2,14 +2,15 @@
 // by every multiplier in the repository and by both execution engines.
 //
 // An algorithm (blocked DGEMM, Strassen, CAPS) is expressed once as a
-// tree of Leaf, Seq and Par nodes. The virtual-time simulator
-// (internal/sim) schedules the tree onto modeled hardware and integrates
-// power; the real executor (internal/sched) runs the leaves' closures on
-// goroutines. Keeping one IR guarantees the two engines execute the same
-// algorithmic structure.
+// tree of leaf, Seq and Par nodes, built by an Arena. The virtual-time
+// simulator (internal/sim) schedules the tree onto modeled hardware and
+// integrates power; the real executor (internal/sched) runs the leaves'
+// closures on goroutines. Keeping one IR guarantees the two engines
+// execute the same algorithmic structure.
 //
-// A built tree is stored as flat, pointer-free records (see Tree); a
-// *Node is a handle on one of its nodes.
+// A built tree is stored as flat, pointer-free records (see Tree) and
+// read by Ref through Tree's accessors; a *Node is the handle on one of
+// its nodes that builders return and engines take.
 package task
 
 import "fmt"
@@ -139,11 +140,7 @@ func (w *Work) Demand() Demand {
 }
 
 // Node is a handle on one node of a built Tree: what builders return
-// and the engines take. Nodes are immutable after construction except
-// for the affinity and buffer annotations set by the With* methods
-// during tree building. Its read methods are a convenience view that
-// allocates (Children and Work build fresh values); the engines read
-// the Tree by Ref instead.
+// and the engines take. Read the node through its Tree, by Ref.
 type Node struct {
 	t *Tree
 	r Ref
@@ -154,94 +151,6 @@ func (n *Node) Tree() *Tree { return n.t }
 
 // Ref returns n's index in its Tree.
 func (n *Node) Ref() Ref { return n.r }
-
-// WithAffinity restricts the subtree to the workers in mask (bit i set
-// means worker i may execute leaves of this subtree). A zero mask means
-// unrestricted. The uint64 form only reaches workers 0..63; use
-// WithAffinityMask for larger machines.
-func (n *Node) WithAffinity(mask uint64) *Node { return n.WithAffinityMask(MaskOfBits(mask)) }
-
-// WithAffinityMask restricts the subtree to the workers in m. An empty
-// mask means unrestricted. It returns n for chaining.
-func (n *Node) WithAffinityMask(m Mask) *Node {
-	n.t.setAffinity(n.r, m)
-	return n
-}
-
-// WithAlloc records that allocBytes of temporary buffer are live while
-// this subtree executes. It returns n for chaining.
-func (n *Node) WithAlloc(bytes float64) *Node {
-	n.t.node(n.r).alloc = bytes
-	return n
-}
-
-// IsLeaf reports whether n is a leaf.
-func (n *Node) IsLeaf() bool { return n.t.IsLeaf(n.r) }
-
-// IsSeq reports whether n is a sequential composition.
-func (n *Node) IsSeq() bool { return n.t.IsSeq(n.r) }
-
-// IsPar reports whether n is a parallel composition.
-func (n *Node) IsPar() bool { return n.t.node(n.r).kind == parNode }
-
-// Work returns a copy of the leaf's work descriptor; it panics for
-// non-leaves. Reads and Writes share the tree's storage; setting the
-// copy's fields does not change the tree.
-func (n *Node) Work() *Work {
-	t := n.t
-	if !t.IsLeaf(n.r) {
-		panic("task: Work() on non-leaf node")
-	}
-	d, regionBytes, reads, writes := t.LeafInputs(n.r)
-	return &Work{
-		Label:       t.Label(n.r),
-		Kind:        d.Kind,
-		Flops:       d.Flops,
-		L3Bytes:     d.L3Bytes,
-		DRAMBytes:   d.DRAMBytes,
-		Reads:       reads,
-		Writes:      writes,
-		RegionBytes: regionBytes,
-		Run:         t.Run(n.r),
-	}
-}
-
-// Children returns handles on the node's children (nil for leaves).
-func (n *Node) Children() []*Node {
-	k := n.t.NumChildren(n.r)
-	if k == 0 {
-		return nil
-	}
-	hs := make([]Node, k)
-	out := make([]*Node, k)
-	for i := range hs {
-		hs[i] = Node{t: n.t, r: n.t.Child(n.r, i)}
-		out[i] = &hs[i]
-	}
-	return out
-}
-
-// Affinity returns the node's worker mask (empty = unrestricted).
-func (n *Node) Affinity() Mask { return n.t.Affinity(n.r) }
-
-// AllocBytes returns the temporary-buffer annotation.
-func (n *Node) AllocBytes() float64 { return n.t.AllocBytes(n.r) }
-
-// Walk visits every node in depth-first order, parents before children.
-func (n *Node) Walk(visit func(*Node)) {
-	n.t.walk(n.r, func(r Ref) { visit(&Node{t: n.t, r: r}) })
-}
-
-// Leaves returns the tree's leaves in deterministic depth-first order.
-func (n *Node) Leaves() []*Node {
-	var out []*Node
-	n.Walk(func(m *Node) {
-		if m.IsLeaf() {
-			out = append(out, m)
-		}
-	})
-	return out
-}
 
 // walk visits the subtree at r depth-first, parents before children.
 func (t *Tree) walk(r Ref, visit func(Ref)) {

@@ -7,10 +7,6 @@ import (
 	"testing/quick"
 )
 
-func leaf(flops float64) *Node {
-	return Leaf(Work{Kind: KindGEMM, Flops: flops})
-}
-
 func TestKindString(t *testing.T) {
 	if KindGEMM.String() != "gemm" || KindAdd.String() != "add" {
 		t.Fatalf("kind names wrong: %v %v", KindGEMM, KindAdd)
@@ -36,73 +32,81 @@ func TestRegionsUnique(t *testing.T) {
 }
 
 func TestNodePredicates(t *testing.T) {
-	l := leaf(1)
-	s := Seq(l)
-	p := Par(l)
-	if !l.IsLeaf() || l.IsSeq() || l.IsPar() {
+	var a Arena
+	l := a.Leaf(Work{Kind: KindGEMM, Flops: 1})
+	s, p := a.Seq(l), a.Par(l)
+	tr := a.Node(p).Tree()
+	if !tr.IsLeaf(l) || tr.IsSeq(l) || tr.NumChildren(l) != 0 {
 		t.Fatal("leaf predicates")
 	}
-	if !s.IsSeq() || s.IsLeaf() {
+	if !tr.IsSeq(s) || tr.IsLeaf(s) || tr.NumChildren(s) != 1 {
 		t.Fatal("seq predicates")
 	}
-	if !p.IsPar() || p.IsSeq() {
+	if tr.IsLeaf(p) || tr.IsSeq(p) || tr.Child(p, 0) != l {
 		t.Fatal("par predicates")
 	}
 }
 
-func TestWorkOnNonLeafPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Work() on Seq did not panic")
-		}
-	}()
-	Seq().Work()
-}
-
 func TestAffinityAndAlloc(t *testing.T) {
-	n := Seq().WithAffinity(0b1010).WithAlloc(512)
-	if n.Affinity().LowBits() != 0b1010 || !n.Affinity().Equal(MaskOf(1, 3)) {
-		t.Fatalf("affinity %v", n.Affinity())
+	var a Arena
+	n := a.WithAlloc(a.WithAffinityMask(a.Seq(), MaskOfBits(0b1010)), 512)
+	tr := a.Node(n).Tree()
+	if tr.Affinity(n).LowBits() != 0b1010 || !tr.Affinity(n).Equal(MaskOf(1, 3)) {
+		t.Fatalf("affinity %v", tr.Affinity(n))
 	}
-	if n.AllocBytes() != 512 {
-		t.Fatalf("alloc %v", n.AllocBytes())
+	if tr.AllocBytes(n) != 512 {
+		t.Fatalf("alloc %v", tr.AllocBytes(n))
 	}
-	big := Seq().WithAffinityMask(SingleWorker(4096))
-	if got := big.Affinity().Single(); got != 4096 {
+	big := a.WithAffinityMask(a.Seq(), SingleWorker(4096))
+	if got := tr.Affinity(big).Single(); got != 4096 {
 		t.Fatalf("high-worker affinity single = %d", got)
 	}
 }
 
 func TestWalkOrder(t *testing.T) {
-	a, b, c := leaf(1), leaf(2), leaf(3)
-	root := Seq(a, Par(b, c))
-	var order []*Node
-	root.Walk(func(n *Node) { order = append(order, n) })
+	var a Arena
+	x, y, z := a.Leaf(Work{Flops: 1}), a.Leaf(Work{Flops: 2}), a.Leaf(Work{Flops: 3})
+	par := a.Par(y, z)
+	root := a.Node(a.Seq(x, par))
+	var order []Ref
+	root.Tree().walk(root.Ref(), func(r Ref) { order = append(order, r) })
 	if len(order) != 5 {
 		t.Fatalf("visited %d nodes", len(order))
 	}
-	if order[1].Work().Flops != 1 || !order[2].IsPar() || order[3].Work().Flops != 2 || order[4].Work().Flops != 3 {
+	if order[0] != root.Ref() || order[1] != x || order[2] != par || order[3] != y || order[4] != z {
 		t.Fatal("walk order not depth-first")
 	}
 }
 
+// leafFlops returns the flops of the tree's leaves in walk order.
+func leafFlops(n *Node) []float64 {
+	var out []float64
+	n.t.walk(n.r, func(r Ref) {
+		if n.t.IsLeaf(r) {
+			out = append(out, n.t.Demand(r).Flops)
+		}
+	})
+	return out
+}
+
 func TestLeaves(t *testing.T) {
-	a, b, c := leaf(1), leaf(2), leaf(3)
-	root := Par(Seq(a, b), c)
-	ls := root.Leaves()
-	if len(ls) != 3 || ls[0].Work().Flops != 1 || ls[1].Work().Flops != 2 || ls[2].Work().Flops != 3 {
+	var a Arena
+	x, y, z := a.Leaf(Work{Flops: 1}), a.Leaf(Work{Flops: 2}), a.Leaf(Work{Flops: 3})
+	ls := leafFlops(a.Node(a.Par(a.Seq(x, y), z)))
+	if len(ls) != 3 || ls[0] != 1 || ls[1] != 2 || ls[2] != 3 {
 		t.Fatal("leaves wrong")
 	}
 }
 
 func TestCollectTotals(t *testing.T) {
-	root := Seq(
-		Leaf(Work{Kind: KindGEMM, Flops: 100, DRAMBytes: 10, L3Bytes: 5}),
-		Par(
-			Leaf(Work{Kind: KindAdd, Flops: 20, DRAMBytes: 40}),
-			Leaf(Work{Kind: KindAdd, Flops: 30, L3Bytes: 15}),
+	var a Arena
+	root := a.Node(a.Seq(
+		a.Leaf(Work{Kind: KindGEMM, Flops: 100, DRAMBytes: 10, L3Bytes: 5}),
+		a.Par(
+			a.Leaf(Work{Kind: KindAdd, Flops: 20, DRAMBytes: 40}),
+			a.Leaf(Work{Kind: KindAdd, Flops: 30, L3Bytes: 15}),
 		),
-	)
+	))
 	s := Collect(root)
 	if s.Leaves != 3 {
 		t.Fatalf("leaves %d", s.Leaves)
@@ -118,22 +122,20 @@ func TestCollectTotals(t *testing.T) {
 	}
 }
 
+// buffer is an empty Seq holding bytes of temporary buffer.
+func buffer(a *Arena, bytes float64) Ref { return a.WithAlloc(a.Seq(), bytes) }
+
 func TestCollectAllocPeakSeqTakesMax(t *testing.T) {
-	root := Seq(
-		Seq().WithAlloc(100),
-		Seq().WithAlloc(300),
-		Seq().WithAlloc(200),
-	)
+	var a Arena
+	root := a.Node(a.Seq(buffer(&a, 100), buffer(&a, 300), buffer(&a, 200)))
 	if s := Collect(root); s.AllocPeak != 300 {
 		t.Fatalf("seq alloc peak %v", s.AllocPeak)
 	}
 }
 
 func TestCollectAllocPeakParSums(t *testing.T) {
-	root := Par(
-		Seq().WithAlloc(100),
-		Seq().WithAlloc(300),
-	).WithAlloc(50)
+	var a Arena
+	root := a.Node(a.WithAlloc(a.Par(buffer(&a, 100), buffer(&a, 300)), 50))
 	if s := Collect(root); s.AllocPeak != 450 {
 		t.Fatalf("par alloc peak %v", s.AllocPeak)
 	}
@@ -141,10 +143,11 @@ func TestCollectAllocPeakParSums(t *testing.T) {
 
 func TestCollectAllocPeakNested(t *testing.T) {
 	// Par(Seq(100 then 400), 200) + root 10 => 10 + 400 + 200 = 610.
-	root := Par(
-		Seq(Seq().WithAlloc(100), Seq().WithAlloc(400)),
-		Seq().WithAlloc(200),
-	).WithAlloc(10)
+	var a Arena
+	root := a.Node(a.WithAlloc(a.Par(
+		a.Seq(buffer(&a, 100), buffer(&a, 400)),
+		buffer(&a, 200),
+	), 10))
 	if s := Collect(root); s.AllocPeak != 610 {
 		t.Fatalf("nested alloc peak %v", s.AllocPeak)
 	}
@@ -152,10 +155,11 @@ func TestCollectAllocPeakNested(t *testing.T) {
 
 func TestRunSerialExecutesEveryLeafOnce(t *testing.T) {
 	counts := make([]int, 4)
-	mk := func(i int) *Node {
-		return Leaf(Work{Run: func() { counts[i]++ }})
+	var a Arena
+	mk := func(i int) Ref {
+		return a.Leaf(Work{Run: func() { counts[i]++ }})
 	}
-	root := Seq(mk(0), Par(mk(1), Seq(mk(2), mk(3))))
+	root := a.Node(a.Seq(mk(0), a.Par(mk(1), a.Seq(mk(2), mk(3)))))
 	RunSerial(root)
 	for i, c := range counts {
 		if c != 1 {
@@ -166,10 +170,11 @@ func TestRunSerialExecutesEveryLeafOnce(t *testing.T) {
 
 func TestRunSerialOrderRespectsSeq(t *testing.T) {
 	var order []int
-	mk := func(i int) *Node {
-		return Leaf(Work{Run: func() { order = append(order, i) }})
+	var a Arena
+	mk := func(i int) Ref {
+		return a.Leaf(Work{Run: func() { order = append(order, i) }})
 	}
-	RunSerial(Seq(mk(1), mk(2), mk(3)))
+	RunSerial(a.Node(a.Seq(mk(1), mk(2), mk(3))))
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order %v", order)
 	}
@@ -177,36 +182,38 @@ func TestRunSerialOrderRespectsSeq(t *testing.T) {
 
 func TestRunSerialNilRunSkipped(t *testing.T) {
 	// Must not panic on leaves without closures.
-	RunSerial(Seq(leaf(1), Par(leaf(2))))
+	var a Arena
+	RunSerial(a.Node(a.Seq(a.Leaf(Work{Flops: 1}), a.Par(a.Leaf(Work{Flops: 2})))))
 }
 
-// randomTree builds an arbitrary tree and returns it with its expected
-// leaf count and flop total.
-func randomTree(rng *rand.Rand, depth int) (*Node, int, float64) {
+// randomTree builds an arbitrary tree in a and returns its root with
+// its expected leaf count and flop total.
+func randomTree(a *Arena, rng *rand.Rand, depth int) (Ref, int, float64) {
 	if depth == 0 || rng.Intn(3) == 0 {
 		f := float64(rng.Intn(100))
-		return leaf(f), 1, f
+		return a.Leaf(Work{Kind: KindGEMM, Flops: f}), 1, f
 	}
 	n := 1 + rng.Intn(4)
-	children := make([]*Node, n)
+	children := make([]Ref, n)
 	leaves, flops := 0, 0.0
 	for i := range children {
-		c, l, f := randomTree(rng, depth-1)
+		c, l, f := randomTree(a, rng, depth-1)
 		children[i] = c
 		leaves += l
 		flops += f
 	}
 	if rng.Intn(2) == 0 {
-		return Seq(children...), leaves, flops
+		return a.Seq(children...), leaves, flops
 	}
-	return Par(children...), leaves, flops
+	return a.Par(children...), leaves, flops
 }
 
 func TestPropertyCollectMatchesConstruction(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		root, leaves, flops := randomTree(rng, 4)
-		s := Collect(root)
+		var a Arena
+		root, leaves, flops := randomTree(&a, rng, 4)
+		s := Collect(a.Node(root))
 		return s.Leaves == leaves && s.Flops == flops
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -217,8 +224,9 @@ func TestPropertyCollectMatchesConstruction(t *testing.T) {
 func TestPropertyLeavesMatchesCollect(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		root, _, _ := randomTree(rng, 5)
-		return len(root.Leaves()) == Collect(root).Leaves
+		var a Arena
+		root, _, _ := randomTree(&a, rng, 5)
+		return len(leafFlops(a.Node(root))) == Collect(a.Node(root)).Leaves
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -122,13 +122,10 @@ func (s *blocks[T]) push(v T) int32 {
 }
 
 // Tree is the storage of one built task tree. Trees come out of an
-// Arena (or the package-level constructors, which use one); a *Node is
-// a handle on one of their nodes. The accessors below read a node by
-// Ref and are what the engines' hot loops use; the methods of Node are
-// the slower, allocating view for tests and analysis.
+// Arena; a *Node is a handle on one of their nodes. The accessors below
+// read a node by Ref, and are the only way to read a tree.
 //
-// A Tree is immutable once built, apart from the With* annotations,
-// and safe for concurrent readers.
+// A Tree is immutable once built and safe for concurrent readers.
 type Tree struct {
 	nodes  blocks[nodeRec]
 	leaves blocks[leafRec]

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"capscale/internal/cluster"
 	"capscale/internal/hw"
 	"capscale/internal/matrix"
+	"capscale/internal/model"
 	"capscale/internal/mpi"
 	"capscale/internal/obs"
 	"capscale/internal/sim"
@@ -21,15 +21,31 @@ import (
 	"capscale/internal/task"
 )
 
+// walkTree visits the tree at root depth-first, parents before
+// children.
+func walkTree(root *task.Node, visit func(t *task.Tree, r task.Ref)) {
+	t := root.Tree()
+	var rec func(r task.Ref)
+	rec = func(r task.Ref) {
+		visit(t, r)
+		for i := 0; i < t.NumChildren(r); i++ {
+			rec(t.Child(r, i))
+		}
+	}
+	rec(root.Ref())
+}
+
 // labelDigest hashes the depth-first leaf label sequence, one label per
 // line. Leaf labels feed the Gantt and Perfetto exports, so a builder
 // change that alters one byte of them changes every exported trace.
 func labelDigest(root *task.Node) string {
 	h := sha256.New()
-	for _, l := range root.Leaves() {
-		io.WriteString(h, l.Work().Label)
-		io.WriteString(h, "\n")
-	}
+	walkTree(root, func(t *task.Tree, r task.Ref) {
+		if t.IsLeaf(r) {
+			io.WriteString(h, t.Label(r))
+			io.WriteString(h, "\n")
+		}
+	})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -39,21 +55,16 @@ func labelDigest(root *task.Node) string {
 // pattern. Run closures are not hashed; the numerics tests cover them.
 func treeDigest(root *task.Node) string {
 	h := sha256.New()
-	var rec func(n *task.Node, h hash.Hash)
-	rec = func(n *task.Node, h hash.Hash) {
-		fmt.Fprintf(h, "%t %t %d %s %x\n", n.IsLeaf(), n.IsSeq(), len(n.Children()),
-			n.Affinity(), math.Float64bits(n.AllocBytes()))
-		if n.IsLeaf() {
-			w := n.Work()
-			fmt.Fprintf(h, "%q %d %x %x %x %x %v %v\n", w.Label, w.Kind,
-				math.Float64bits(w.Flops), math.Float64bits(w.L3Bytes), math.Float64bits(w.DRAMBytes),
-				math.Float64bits(w.RegionBytes), w.Reads, w.Writes)
+	walkTree(root, func(t *task.Tree, r task.Ref) {
+		fmt.Fprintf(h, "%t %t %d %s %x\n", t.IsLeaf(r), t.IsSeq(r), t.NumChildren(r),
+			t.Affinity(r), math.Float64bits(t.AllocBytes(r)))
+		if t.IsLeaf(r) {
+			d, regionBytes, reads, writes := t.LeafInputs(r)
+			fmt.Fprintf(h, "%q %d %x %x %x %x %v %v\n", t.Label(r), d.Kind,
+				math.Float64bits(d.Flops), math.Float64bits(d.L3Bytes), math.Float64bits(d.DRAMBytes),
+				math.Float64bits(regionBytes), reads, writes)
 		}
-		for _, c := range n.Children() {
-			rec(c, h)
-		}
-	}
-	rec(root, h)
+	})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -146,17 +157,78 @@ func TestBuildTreeDigestsStable(t *testing.T) {
 	for _, tc := range cases {
 		root := tc.build()
 		if !strings.Contains(tc.name, "-math") {
-			for _, l := range root.Leaves() {
-				if l.Work().Run != nil {
-					t.Fatalf("%s: shape-only leaf %q carries a Run closure", tc.name, l.Work().Label)
+			walkTree(root, func(tr *task.Tree, r task.Ref) {
+				if tr.IsLeaf(r) && tr.Run(r) != nil {
+					t.Fatalf("%s: shape-only leaf %q carries a Run closure", tc.name, tr.Label(r))
 				}
-			}
+			})
 		}
 		if got := labelDigest(root); got != tc.labels {
 			t.Errorf("%s: leaf label digest %s, want %s", tc.name, got, tc.labels)
 		}
 		if got := treeDigest(root); got != tc.tree {
 			t.Errorf("%s: tree digest %s, want %s", tc.name, got, tc.tree)
+		}
+	}
+}
+
+// walkPin renders the three tree walks' results: FromTree's Family,
+// Workers and Cores, then by bit pattern SerialTime, CriticalPath and
+// FromTree's float fields in declaration order.
+func walkPin(m *hw.Machine, root *task.Node, f model.Family, workers int) string {
+	tm := model.FromTree(m, f, root, workers)
+	bits := []float64{m.SerialTime(root), m.CriticalPath(root), tm.CompSeconds, tm.Flops, tm.DRAMBytes,
+		tm.L3Bytes, tm.Leaves, tm.SpanSeconds, tm.BusySeconds, tm.WireBytes, tm.Messages, tm.CommSeconds}
+	s := fmt.Sprintf("%d %d %d", tm.Family, tm.Workers, tm.Cores)
+	for _, x := range bits {
+		s += fmt.Sprintf(" %x", math.Float64bits(x))
+	}
+	return s
+}
+
+// The tree walks of hw and model sum leaf costs in depth-first order;
+// any other order or grouping changes the low bits. These strings were
+// recorded from the walks over the allocating *task.Node view, before
+// they moved to reading the tree by Ref.
+func TestTreeWalksBitStable(t *testing.T) {
+	m := hw.HaswellE31225()
+	want := map[string]string{
+		"OpenBLAS/128/1": "0 1 0 3f2a205b4349734e 3f2a205b4349734e 3f27579b4ee6db34 4150000000000000 4120000000000000 4110000000000000 4000000000000000 3f2a205b4349734e 3f2a205b4349734e 0 0 0",
+		"OpenBLAS/128/3": "0 3 0 3f2a70e31b19a95c 3f287c8600503e32 3f27579b4ee6db34 4150000000000000 4120000000000000 4110000000000000 4010000000000000 3f287c8600503e32 3f2a70e31b19a95c 0 0 0",
+		"OpenBLAS/256/1": "0 1 0 3f58ace1d0a11d1e 3f58ace1d0a11d1e 3f57579b4ee6db34 4180000000000000 4140000000000000 4144000000000000 4014000000000000 3f58ace1d0a11d1e 3f58ace1d0a11d1e 0 0 0",
+		"OpenBLAS/256/3": "0 3 0 3f58b6f2cb9b23e0 3f484a31196e1c69 3f57579b4ee6db34 4180000000000000 4140000000000000 4144000000000000 401c000000000000 3f484a31196e1c69 3f58b6f2cb9b23e0 0 0 0",
+		"Strassen/128/1": "1 1 0 3f40ffbdcc0f1de6 3f138e246d9ab54b 3f3f84223cd467e9 414c900000000000 0 4142800000000000 4035000000000000 3f138e246d9ab54b 3f40ffbdcc0f1de6 0 0 0",
+		"Strassen/128/3": "1 3 0 3f40ffbdcc0f1de6 3f138e246d9ab54b 3f3f84223cd467e9 414c900000000000 0 4142800000000000 4035000000000000 3f138e246d9ab54b 3f40ffbdcc0f1de6 0 0 0",
+		"Strassen/256/1": "1 1 0 3f6e667deeceb5b7 3f170c3619419a7f 3f6bad0c3960a8a8 4179460000000000 0 4175f00000000000 4064200000000000 3f170c3619419a7f 3f6e667deeceb5b7 0 0 0",
+		"Strassen/256/3": "1 3 0 3f6e667deeceb5b7 3f170c3619419a7f 3f6bad0c3960a8a8 4179460000000000 0 4175f00000000000 4064200000000000 3f170c3619419a7f 3f6e667deeceb5b7 0 0 0",
+		"Winograd/128/1": "1 1 0 3f40f726c61b0a7b 3f15cc3c7b7dc723 3f3f7ba8261cce03 414c780000000000 0 4141c00000000000 4035000000000000 3f15cc3c7b7dc723 3f40f726c61b0a7b 0 0 0",
+		"Winograd/128/3": "1 3 0 3f40f726c61b0a7b 3f15cc3c7b7dc723 3f3f7ba8261cce03 414c780000000000 0 4141c00000000000 4035000000000000 3f15cc3c7b7dc723 3f40f726c61b0a7b 0 0 0",
+		"Winograd/256/1": "1 1 0 3f6e4ede9e6f804f 3f1e7c5040ee6b10 3f6ba1645a24350c 4179250000000000 0 4174e80000000000 4064200000000000 3f1e7c5040ee6b10 3f6e4ede9e6f804f 0 0 0",
+		"Winograd/256/3": "1 3 0 3f6e4ede9e6f804f 3f1e7c5040ee6b10 3f6ba1645a24350c 4179250000000000 0 4174e80000000000 4064200000000000 3f1e7c5040ee6b10 3f6e4ede9e6f804f 0 0 0",
+		"CAPS/128/1":     "2 1 0 3f41ad76c075f6a2 3f140c7c652b52ea 3f3f84223cd467e9 414c900000000000 0 4148000000000000 4040000000000000 3f140c7c652b52ea 3f41ad76c075f6a2 0 0 0",
+		"CAPS/128/3":     "2 3 0 3f41fdfe98462cb2 3f13c021859550f7 3f3f84223cd467eb 414c900000000002 0 4148000000000002 4044000000000000 3f13c021859550f7 3f41fdfe98462cb2 0 0 0",
+		"CAPS/256/1":     "2 1 0 3f6ff12e785ad1ff 3f18925667a40c72 3f6bad0c3960a8a8 4179460000000000 0 417d800000000000 406f200000000000 3f18925667a40c72 3f6ff12e785ad1ff 0 0 0",
+		"CAPS/256/3":     "2 3 0 3f700f3d70dff835 3f1760eae94c04a8 3f6bad0c3960a8a6 417945fffffffffe 0 417d7ffffffffffe 4070b00000000000 3f1760eae94c04a8 3f700f3d70dff835 0 0 0",
+		"SpMV/128/1":     "4 1 0 3f303573f1dbec99 3f303573f1dbec99 3ee224a3c9cb79f0 4109af0000000000 41346f4000000000 4129af0000000000 4049000000000000 3f303573f1dbec99 3f303573f1dbec99 0 0 0",
+		"SpMV/128/3":     "4 3 0 3f3812b8053133f8 3f202e2ecad2042d 3ee224a3c9cb79eb 4109af0000000000 41346f4000000000 4129af0000000000 4062c00000000000 3f202e2ecad2042d 3f3812b8053133f8 0 0 0",
+		"SpMV/256/1":     "4 1 0 3f3ce1f15a841359 3f3ce1f15a841359 3ef2741c5ec4bcc6 411a1f8000000000 4144c3a000000000 413a1f8000000000 4049000000000000 3f3ce1f15a841359 3f3ce1f15a841359 0 0 0",
+		"SpMV/256/3":     "4 3 0 3f425f9ab6ecad5b 3f28b2130d22fe31 3ef2741c5ec4bcb7 411a1f8000000000 4144c3a000000000 413a1f8000000000 4062c00000000000 3f28b2130d22fe31 3f425f9ab6ecad5b 0 0 0",
+		"CG/128/1":       "4 1 0 3f27fca3d7e3da0a 3f27fca3d7e3da0a 3ed35efde98eafbf 40fb6c0000000000 412e190000000000 41148c0000000000 4044000000000000 3f27fca3d7e3da0a 3f27fca3d7e3da0a 0 0 0",
+		"CG/128/3":       "4 3 0 3f3248eec8362616 3f187c34dda2c515 3ed35efde98eafbf 40fb6bfffffffff9 412e190000000008 41148c0000000000 405e000000000000 3f187c34dda2c515 3f3248eec8362616 0 0 0",
+		"CG/256/1":       "4 1 0 3f35000069f1496b 3f35000069f1496b 3ee39e9193efb202 410bc60000000000 413e5c8000000000 4124e60000000000 4044000000000000 3f35000069f1496b 3f35000069f1496b 0 0 0",
+		"CG/256/3":       "4 3 0 3f3b4a9d4635828b 3f2245fbd2803e18 3ee39e9193efb1ff 410bc5fffffffff9 413e5c8000000008 4124e60000000000 405e000000000000 3f2245fbd2803e18 3f3b4a9d4635828b 0 0 0",
+	}
+	families := map[Algorithm]model.Family{AlgOpenBLAS: model.FamilyClassic, AlgStrassen: model.FamilyStrassen,
+		AlgWinograd: model.FamilyStrassen, AlgCAPS: model.FamilyCAPS, AlgSpMV: model.FamilySparse, AlgCG: model.FamilySparse}
+	for _, alg := range []Algorithm{AlgOpenBLAS, AlgStrassen, AlgWinograd, AlgCAPS, AlgSpMV, AlgCG} {
+		for _, n := range []int{128, 256} {
+			for _, workers := range []int{1, 3} {
+				name := fmt.Sprintf("%v/%d/%d", alg, n, workers)
+				got := walkPin(m, BuildTree(m, alg, n, workers), families[alg], workers)
+				if got != want[name] {
+					t.Errorf("%s:\n got %s\nwant %s", name, got, want[name])
+				}
+			}
 		}
 	}
 }
