@@ -71,6 +71,7 @@ var sweepFlags = map[string]bool{
 // studyFlags lists, for each artifact that reads no sweep matrix, the
 // flags it takes; every other flag shapes, saves or renders a matrix.
 var studyFlags = map[string][]string{
+	"fig1":          {"what", "threads", "csv", "cpuprofile", "memprofile"},
 	"fig2":          {"what", "cpuprofile", "memprofile"},
 	"future-sparse": {"what", "csv", "cpuprofile", "memprofile"},
 	"platforms":     {"what", "csv", "cpuprofile", "memprofile", "j"},
@@ -188,6 +189,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printFigure2(stdout)
 		return 0
 	}
+	cfg := workload.PaperConfig()
+	if *nodes < 1 {
+		fmt.Fprintf(stderr, "epscale: -nodes must be >= 1, got %d\n", *nodes)
+		return 2
+	}
+	if *nodes > 1 {
+		cfg.Machine = hw.Cluster(cfg.Machine, *nodes)
+	}
+	if *threads != "" {
+		if cfg.Threads, err = parseInts(*threads); err != nil {
+			fmt.Fprintf(stderr, "epscale: -threads: %v\n", err)
+			return 2
+		}
+		if max := cfg.Machine.Cores; maxOf(cfg.Threads) > max {
+			fmt.Fprintf(stderr, "epscale: -threads %d exceeds the %d cores of %q\n",
+				maxOf(cfg.Threads), max, cfg.Machine.Name)
+			return 2
+		}
+	}
+	// Figure 1 is conceptual: it reads only the largest thread count.
+	if *what == "fig1" {
+		return emit(report.Figure1(maxOf(cfg.Threads)), *csv, stdout, stderr)
+	}
 	// Matrix artifacts that need a cluster axis fill the axes the user
 	// left unset.
 	if *load == "" {
@@ -211,31 +235,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	cfg := workload.PaperConfig()
-	if *nodes < 1 {
-		fmt.Fprintf(stderr, "epscale: -nodes must be >= 1, got %d\n", *nodes)
-		return 2
-	}
-	if *nodes > 1 {
-		cfg.Machine = hw.Cluster(cfg.Machine, *nodes)
-	}
 	if *quick {
 		cfg.Sizes = []int{512, 1024}
 	}
 	if *sizes != "" {
 		if cfg.Sizes, err = parseInts(*sizes); err != nil {
 			fmt.Fprintf(stderr, "epscale: -sizes: %v\n", err)
-			return 2
-		}
-	}
-	if *threads != "" {
-		if cfg.Threads, err = parseInts(*threads); err != nil {
-			fmt.Fprintf(stderr, "epscale: -threads: %v\n", err)
-			return 2
-		}
-		if max := cfg.Machine.Cores; maxOf(cfg.Threads) > max {
-			fmt.Fprintf(stderr, "epscale: -threads %d exceeds the %d cores of %q\n",
-				maxOf(cfg.Threads), max, cfg.Machine.Name)
 			return 2
 		}
 	}
@@ -381,7 +386,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"table2":    func() *report.Table { return report.Table2(mx) },
 		"table3":    func() *report.Table { return report.Table3(mx) },
 		"table4":    func() *report.Table { return report.Table4(mx) },
-		"fig1":      func() *report.Table { return report.Figure1(maxOf(cfg.Threads)) },
 		"fig3":      func() *report.Table { return report.Figure3(mx) },
 		"fig4":      func() *report.Table { return report.PowerScalingFigure(mx, workload.AlgOpenBLAS, 4) },
 		"fig5":      func() *report.Table { return report.PowerScalingFigure(mx, workload.AlgStrassen, 5) },

@@ -59,6 +59,8 @@ func TestFlagValidation(t *testing.T) {
 		{"study with sweep flags", []string{"-what", "future-sparse", "-sizes", "64", "-save", out("x.json"), "-trace-out", out("t.json"),
 			"-checkpoint", "/nonexistent/ck.jsonl", "-faults", "3"}, "-what future-sparse reads no sweep matrix; drop -checkpoint -faults -save -sizes -trace-out\n"},
 		{"fig2 with save", []string{"-what", "fig2", "-sizes", "64", "-save", out("y.json")}, "-what fig2 reads no sweep matrix; drop -save -sizes\n"},
+		{"fig1 with sweep flags", []string{"-what", "fig1", "-threads", "1,2", "-sizes", "64", "-algs", "CAPS", "-j", "2", "-save", out("f.json")},
+			"-what fig1 reads no sweep matrix; drop -algs -j -save -sizes\n"},
 		{"study with load", []string{"-what", "future-sparse", "-load", out("m.json")}, "drop -load\n"},
 		{"platforms with metrics", []string{"-what", "platforms", "-j", "2", "-csv", "-metrics"}, "drop -metrics\n"},
 		{"fault tuning without faults", []string{"-what", "table3", "-sizes", "64", "-threads", "1", "-fault-rate", "0.9", "-cell-retries", "3",
@@ -136,6 +138,22 @@ func TestTinyMatrixRuns(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "Table III") {
 		t.Fatalf("stdout lacks Table III:\n%s", stdout.String())
+	}
+}
+
+// TestFigure1RunsNoSweep: Figure 1 is conceptual. It prints one row per
+// thread count up to the largest -threads value and simulates nothing.
+func TestFigure1RunsNoSweep(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-what", "fig1", "-threads", "1,2", "-csv"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
+	}
+	want := "P,linear threshold,ideal example,superlinear example\n1,1.000,1.000,1.000\n2,2.000,1.720,3.850\n"
+	if got := stdout.String(); got != want {
+		t.Errorf("fig1 printed\n%s\nwant\n%s", got, want)
+	}
+	if stderr.Len() > 0 {
+		t.Errorf("fig1 wrote to stderr:\n%s", stderr.String())
 	}
 }
 

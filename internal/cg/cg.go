@@ -118,7 +118,9 @@ func BuildEnergyTree(m *hw.Machine, a *sparse.CSR, format sparse.Format, workers
 	// Every iteration runs the same SpMV: its subtree is stored once and
 	// shared by all of them.
 	var ar task.Arena
-	spmv := ar.Import(sparse.BuildSpMV(m, a, format, sparse.Options{Workers: workers}).Root)
+	src := sparse.BuildSpMV(m, a, format, sparse.Options{Workers: workers}).Root
+	spmv := ar.Import(src)
+	src.Tree().Release() // the import is a copy
 	iters := make([]task.Ref, 0, iterations)
 	for it := 0; it < iterations; it++ {
 		// Vector phase: 11n flops, all streaming, split across workers.

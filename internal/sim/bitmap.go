@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // hbitmap is a hierarchical bitmap over a fixed universe [0, n): each
 // level-k+1 bit summarizes whether the corresponding level-k word is
@@ -12,14 +15,19 @@ type hbitmap struct {
 	levels [][]uint64
 }
 
-// newHbitmap returns an empty bitmap over [0, n), n ≥ 1.
-func newHbitmap(n int) *hbitmap {
-	b := &hbitmap{}
-	for {
+// reset empties the bitmap and resizes it to [0, n), n ≥ 1, reusing
+// the words it has.
+func (b *hbitmap) reset(n int) {
+	for lv := 0; ; lv++ {
 		words := (n + 63) >> 6
-		b.levels = append(b.levels, make([]uint64, words))
+		if lv == len(b.levels) {
+			b.levels = append(b.levels, nil)
+		}
+		b.levels[lv] = slices.Grow(b.levels[lv][:0], words)[:words]
+		clear(b.levels[lv])
 		if words == 1 {
-			return b
+			b.levels = b.levels[:lv+1]
+			return
 		}
 		n = words
 	}

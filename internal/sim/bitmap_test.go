@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// newHbitmap returns an empty bitmap over [0, n), n ≥ 1.
+func newHbitmap(n int) *hbitmap {
+	b := &hbitmap{}
+	b.reset(n)
+	return b
+}
+
 func TestHbitmapLevels(t *testing.T) {
 	cases := []struct{ n, levels int }{
 		{1, 1}, {64, 1}, {65, 2}, {4096, 2}, {4097, 3}, {1 << 18, 3}, {1 << 20, 4},

@@ -29,6 +29,9 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"unsafe"
 
 	"capscale/internal/hw"
 	"capscale/internal/obs"
@@ -168,49 +171,64 @@ func safeDiv(a, b float64) float64 {
 }
 
 // nodeState is per-node runtime bookkeeping for node n of the run's
-// tree: 32 bytes, since a paper-size CAPS run starts about 700,000.
+// tree: 32 bytes and no pointers, since a paper-size CAPS run starts
+// about 700,000. States live in executor.states and name each other by
+// index there.
 type nodeState struct {
-	parent *nodeState
-	n      task.Ref
+	n task.Ref
+	// parent is the index of the parent's state; −1 for the root.
+	parent int32
 	// mask is the effective affinity inherited from ancestors: −1−w
 	// when it names exactly worker w, else an index in executor.masks.
 	mask      int32
 	pending   int32 // outstanding children (Par) — Seq uses nextChild
 	nextChild int32 // next child index to start (Seq)
 	// ready is the leaf's place in global ready order (leaves in a
-	// readyQueue). It stays an int: a shared subtree launched again in
-	// every iteration must not wrap the order.
+	// mask's ready queue). It stays an int: a shared subtree launched
+	// again in every iteration must not wrap the order.
 	ready int
 }
 
-// runningLeaf is one dispatched leaf awaiting its virtual finish time.
+// runningLeaf is the leaf a worker runs, awaiting its virtual finish
+// time.
 type runningLeaf struct {
-	state    *nodeState
-	worker   int
 	finish   float64
 	seq      int // dispatch order, for deterministic tie-breaks
 	activity hw.Activity
+	state    int32 // index in executor.states
 }
 
-// leafHeap is the running leaves as a min-heap on (finish, seq). push
-// and pop take container/heap's exact up and down steps: the ≤ 64-worker
-// power sum iterates the heap in array order, so its layout is part of
-// the float-sum order the seed scheduler pinned.
-type leafHeap []*runningLeaf
+// leafHeap is the running leaves as a min-heap on (finish, seq). A
+// worker runs one leaf at a time, so order holds workers and leaf each
+// worker's running leaf. push and pop take container/heap's exact up
+// and down steps: the ≤ 64-worker power sum iterates the heap in array
+// order, so its layout is part of the float-sum order the seed
+// scheduler pinned.
+type leafHeap struct {
+	order []int32
+	leaf  []runningLeaf
+}
 
-func (h leafHeap) less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
+func (h *leafHeap) len() int { return len(h.order) }
+
+// top returns the running leaf that finishes first.
+func (h *leafHeap) top() *runningLeaf { return &h.leaf[h.order[0]] }
+
+func (h *leafHeap) less(i, j int) bool {
+	a, b := &h.leaf[h.order[i]], &h.leaf[h.order[j]]
+	if a.finish != b.finish {
+		return a.finish < b.finish
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h *leafHeap) push(rl *runningLeaf) {
-	*h = append(*h, rl)
-	q := *h
+// push adds worker w, whose leaf[w] holds the leaf it starts.
+func (h *leafHeap) push(w int) {
+	h.order = append(h.order, int32(w))
+	q := h.order
 	for j := len(q) - 1; ; {
 		i := (j - 1) / 2 // parent
-		if i == j || !q.less(j, i) {
+		if i == j || !h.less(j, i) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]
@@ -218,8 +236,10 @@ func (h *leafHeap) push(rl *runningLeaf) {
 	}
 }
 
-func (h *leafHeap) pop() *runningLeaf {
-	q := *h
+// pop removes the leaf that finishes first and returns its worker; the
+// leaf stays readable at leaf[w] until the worker's next push.
+func (h *leafHeap) pop() int {
+	q := h.order
 	n := len(q) - 1
 	q[0], q[n] = q[n], q[0]
 	for i := 0; ; {
@@ -227,40 +247,38 @@ func (h *leafHeap) pop() *runningLeaf {
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && q.less(j2, j) {
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
 			j = j2
 		}
-		if !q.less(j, i) {
+		if !h.less(j, i) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]
 		i = j
 	}
-	rl := q[n]
-	q[n] = nil
-	*h = q[:n]
-	return rl
+	h.order = q[:n]
+	return int(q[n])
 }
 
-// fifo is a queue of ready leaves consumed from head, so pops are O(1).
-// Popped slots are cleared, and reclaimed once the queue drains or they
-// fill more than half the backing array, so a queue that never drains
-// stays proportional to the leaves it holds. Reclaiming keeps the
-// backing array: a fifo retains the capacity of its peak occupancy.
+// fifo is a queue of ready leaves, by state index, consumed from head
+// so pops are O(1). Popped slots are reclaimed once the queue drains or
+// they fill more than half the backing array, so a queue that never
+// drains stays proportional to the leaves it holds. Reclaiming keeps
+// the backing array: a fifo retains the capacity of its peak occupancy,
+// across runs too.
 type fifo struct {
-	items []*nodeState
+	items []int32
 	head  int
 }
 
 func (f *fifo) len() int { return len(f.items) - f.head }
 
-func (f *fifo) front() *nodeState { return f.items[f.head] }
+func (f *fifo) front() int32 { return f.items[f.head] }
 
-func (f *fifo) push(s *nodeState) { f.items = append(f.items, s) }
+func (f *fifo) push(s int32) { f.items = append(f.items, s) }
 
-func (f *fifo) pop() *nodeState {
+func (f *fifo) pop() int32 {
 	s := f.items[f.head]
-	f.items[f.head] = nil
 	f.head++
 	if f.head == len(f.items) {
 		f.items, f.head = f.items[:0], 0
@@ -270,6 +288,9 @@ func (f *fifo) pop() *nodeState {
 	}
 	return s
 }
+
+// reset empties the queue, keeping its backing array.
+func (f *fifo) reset() { f.items, f.head = f.items[:0], 0 }
 
 // workerState shards the scheduler's per-worker bookkeeping into one
 // cache-friendly record: accumulated busy time, the FIFO of leaves
@@ -283,37 +304,37 @@ type workerState struct {
 	queues int32
 }
 
-// readyQueue is the FIFO of ready leaves whose effective mask is one
-// multi-worker set. Whether a leaf can be placed depends only on its
-// mask, so the queue's head stands for all of it: when the head finds
-// no idle worker, no leaf behind it can either until a worker of the
-// mask turns idle.
-type readyQueue struct {
-	fifo
-	// queued reports whether the queue is in the candidate heap.
-	queued bool
-}
-
-// candidate is a non-empty ready queue in the dispatch heap, keyed by
-// its head's place in ready order. A queue's head changes only while
-// it is out of the heap, so the key stays valid.
+// candidate is a non-empty ready queue in the dispatch heap, named by
+// its mask's index and keyed by its head's place in ready order. A
+// queue's head changes only while it is out of the heap, so the key
+// stays valid.
 type candidate struct {
 	ready int
-	q     *readyQueue
+	mask  int32
 }
 
-// queueReg links a ready queue into one worker's list.
+// queueReg links a mask's ready queue into one worker's list.
 type queueReg struct {
-	q    *readyQueue
+	mask int32
 	next int32 // 1 + index of the worker's next registration; 0 ends
 }
 
 // maskEntry is one distinct multi-worker effective mask of a run, in
-// the mask table node states index.
+// the mask table node states index, with the FIFO of ready leaves
+// whose effective mask it is. Whether a leaf can be placed depends
+// only on its mask, so the queue's head stands for all of it: when the
+// head finds no idle worker, no leaf behind it can either until a
+// worker of the mask turns idle.
 type maskEntry struct {
 	mask task.Mask
-	// q is the mask's ready queue, created when its first leaf is ready.
-	q *readyQueue
+	q    fifo
+	// bucket is 1 + the index of the next entry under the same maskKey
+	// in executor.maskIdx; 0 ends the bucket.
+	bucket int32
+	// registered reports whether the queue is linked into its workers'
+	// lists, which happens when its first leaf is ready; queued whether
+	// it is in the candidate heap.
+	registered, queued bool
 }
 
 // maskKey buckets masks for interning; Mask.Equal tells apart the
@@ -364,65 +385,23 @@ type executor struct {
 	// place, by the Refs its node states hold.
 	t *task.Tree
 
-	// masks is the run's mask table: every distinct multi-worker
-	// effective mask, interned once (maskIdx buckets the entries by
-	// maskKey), and node states hold an index into it. A mask naming one
-	// worker needs no entry: its index encodes the worker. meets
-	// memoizes effectiveMask's multi-worker results per (inherited
-	// index, child affinity key) pair, behind the one-entry lastMeet
-	// cache, so Mask.Intersect and interning run only on a memo miss.
-	// The memo holds one entry per distinct pair with a multi-worker
-	// meet: at most one per annotated node of the tree, unless a shared
-	// subtree runs under several masks, which adds one per further
-	// mask. The table holds at most one entry more, the root's.
-	masks       []maskEntry
-	maskIdx     map[maskKey][]int32
-	meets       map[meetKey]int32
+	buffers
+
 	lastMeet    meetKey
 	lastMeetIdx int32
 
-	// Ready leaves whose mask permits more than one worker wait in the
-	// readyQueue of their mask's table entry. cands is a min-heap of the
-	// queues that may place their head, ordered by the head's ready
-	// sequence, so dispatch takes queue heads in global ready order. A
-	// queue whose head finds no idle worker leaves the heap; wake puts
-	// it back when a worker of its mask turns idle. A queue registers
-	// once with every worker of its mask (regs, linked from
-	// workerState.queues), so registrations total the sizes of the
-	// distinct multi-worker masks a run sees — about workers × BFS
-	// levels for CAPS ownership ranges — and a retiring worker visits
-	// only the queues whose mask holds it. Queues live for the run and
-	// each keeps the capacity of its peak occupancy, so queue state is
-	// the sum of those peaks over the tree's distinct masks: bounded by
-	// the tree's leaves, not by the live frontier.
-	cands    []candidate
-	regs     []queueReg
 	readySeq int
 	// checks counts pickWorker calls of the shared pass: one per leaf
 	// launched from a queue, plus one per queue found blocked.
 	checks int
 
-	workers []workerState
-	// idle marks workers with no running leaf; dispatchable marks the
-	// subset of idle workers whose pinned FIFO is non-empty, so the
-	// pinned dispatch pass visits exactly the workers it will serve
-	// instead of scanning all of them.
-	idle         *hbitmap
-	dispatchable *hbitmap
-	idleCount    int
-
-	running leafHeap
-	now     float64
-	seq     int
+	idleCount int
+	now       float64
+	seq       int
 
 	// kinds holds each leaf kind's compute rate and busy time; Run
 	// copies the busy time of the kinds that ran into Result.BusyByKind.
 	kinds [256]kindStats
-
-	// lastWriter maps RegionID → last-writing worker (-1 unknown).
-	// Regions allocators issue dense IDs from 1, so a flat slice beats
-	// a map on the scheduler hot path; it grows by doubling on demand.
-	lastWriter []int32
 
 	// Power integration mode. With ≤ 64 workers (exact=true) each
 	// segment iterates the running heap in array order — bounded work,
@@ -431,25 +410,140 @@ type executor struct {
 	// incrementally (aggUtil/aggL3/aggDRAM, utilization pre-clamped),
 	// making each segment O(1) regardless of how many leaves run.
 	exact                   bool
-	actsBuf                 []hw.Activity
 	aggCount                int
 	aggUtil, aggL3, aggDRAM ksum
-
-	// Hot-loop scratch, reused across events so the steady-state
-	// scheduling loop performs no allocation: leafFree recycles
-	// runningLeaf records, stateFree recycles the nodeStates complete
-	// retires, and stateArena block-allocates the rest in blocks that
-	// double from 32 to 512 states. Node state is therefore bounded by
-	// the live frontier of the tree, not its size.
-	leafFree   []*runningLeaf
-	stateFree  []*nodeState
-	stateArena []nodeState
-	stateBlock int
 
 	liveAlloc float64
 	segCount  int
 	res       Result
 }
+
+// buffers is the storage an executor keeps from run to run: Run takes
+// an executor from a pool and puts it back, so a warm run allocates
+// none of this. Its records name each other by index and hold no
+// pointers; only the mask table's masks do. reset empties each buffer
+// by what the last run used, not by its capacity.
+type buffers struct {
+	// states holds node states by index: those of started, unfinished
+	// nodes, and the retired ones free lists, which newState reuses
+	// first, so states stays bounded by the tree's live frontier, not
+	// its size.
+	states []nodeState
+	free   []int32
+
+	// masks is the run's mask table: every distinct multi-worker
+	// effective mask, interned once (maskIdx maps a maskKey to its
+	// bucket of entries), and node states hold an index into it. A mask
+	// naming one worker needs no entry: its index encodes the worker.
+	// meets memoizes effectiveMask's multi-worker results per
+	// (inherited index, child affinity key) pair, behind the one-entry
+	// lastMeet cache, so Mask.Intersect and interning run only on a
+	// memo miss. The memo holds one entry per distinct pair with a
+	// multi-worker meet: at most one per annotated node of the tree,
+	// unless a shared subtree runs under several masks, which adds one
+	// per further mask. The table holds at most one entry more, the
+	// root's. Entries past the table's length keep their queue's
+	// backing array for the next run's masks.
+	masks   []maskEntry
+	maskIdx map[maskKey]int32
+	meets   map[meetKey]int32
+
+	// Ready leaves whose mask permits more than one worker wait in the
+	// queue of their mask's table entry. cands is a min-heap of the
+	// queues that may place their head, ordered by the head's ready
+	// sequence, so dispatch takes queue heads in global ready order. A
+	// queue whose head finds no idle worker leaves the heap; wake puts
+	// it back when a worker of its mask turns idle. A queue registers
+	// once with every worker of its mask (regs, linked from
+	// workerState.queues), so registrations total the sizes of the
+	// distinct multi-worker masks a run sees — about workers × BFS
+	// levels for CAPS ownership ranges — and a retiring worker visits
+	// only the queues whose mask holds it. Each queue keeps the
+	// capacity of its peak occupancy, across runs too, so queue state is
+	// bounded by the leaves of the trees run, not by the live frontier.
+	cands []candidate
+	regs  []queueReg
+
+	workers []workerState
+	// idle marks workers with no running leaf; dispatchable marks the
+	// subset of idle workers whose pinned FIFO is non-empty, so the
+	// pinned dispatch pass visits exactly the workers it will serve
+	// instead of scanning all of them.
+	idle, dispatchable hbitmap
+
+	running leafHeap
+	actsBuf []hw.Activity
+
+	// lastWriter maps RegionID → last-writing worker (-1 unknown).
+	// Regions allocators issue dense IDs from 1, so a flat slice beats
+	// a map on the scheduler hot path. Its length is the extent the run
+	// has written, grown by doubling; entries past it are unknown.
+	lastWriter []int32
+}
+
+// reset empties the buffers for a run on the given number of workers.
+func (b *buffers) reset(workers int) {
+	b.states, b.free = b.states[:0], b.free[:0]
+	b.masks = b.masks[:0]
+	clear(b.maskIdx)
+	clear(b.meets)
+	b.cands, b.regs = b.cands[:0], b.regs[:0]
+	if cap(b.workers) < workers {
+		b.workers = make([]workerState, workers)
+	}
+	b.workers = b.workers[:workers]
+	for i := range b.workers {
+		ws := &b.workers[i]
+		ws.busyTotal, ws.queues = 0, 0
+		ws.pinned.reset()
+	}
+	b.idle.reset(workers)
+	b.dispatchable.reset(workers)
+	b.running.order = b.running.order[:0]
+	if cap(b.running.leaf) < workers {
+		b.running.leaf = make([]runningLeaf, workers)
+	}
+	b.running.leaf = b.running.leaf[:workers]
+	b.actsBuf = b.actsBuf[:0]
+	b.lastWriter = b.lastWriter[:0]
+}
+
+// bytes returns the capacity the buffers hold, in bytes.
+func (b *buffers) bytes() int {
+	items := 0
+	for _, me := range b.masks[:cap(b.masks)] {
+		items += cap(me.q.items)
+	}
+	for _, ws := range b.workers {
+		items += cap(ws.pinned.items)
+	}
+	return int(unsafe.Sizeof(nodeState{}))*cap(b.states) +
+		int(unsafe.Sizeof(maskEntry{}))*cap(b.masks) +
+		int(unsafe.Sizeof(workerState{}))*cap(b.workers) +
+		int(unsafe.Sizeof(runningLeaf{}))*cap(b.running.leaf) +
+		4*(items+cap(b.free)+cap(b.lastWriter))
+}
+
+// executors holds the executors of finished runs for the next Run: as
+// many as ran at once at the busiest moment, each within
+// maxPooledBytes. Like mpi's log pool it holds memory, never results:
+// Run resets an executor before it reads one. It is a locked list, not
+// a sync.Pool: a sync.Pool drops a quarter of its Puts under the race
+// detector, and collections empty it while a large tree builds, so
+// runs started on fresh executors at random.
+var executors struct {
+	sync.Mutex
+	free []*executor
+}
+
+// maxPooledBytes bounds the buffers a finished run may pool. Pooled
+// buffers stay live, and the collector lets the heap grow to twice
+// what is live before it runs, so a pooled byte can cost two of peak
+// memory. On 4 threads, Strassen's buffers at n = 2048 (1.7 MB) and
+// CAPS's at n = 4096 (2.3 MB) pool; Strassen at n = 4096, whose
+// frontier of 210,000 node states takes 6.7 of its 10.6 MB, leaves its
+// buffers to the collector, and runs long enough to pay for fresh ones.
+const maxPooledBytes = 4 << 20
 
 // Simulation throughput metrics, batched into the registry once per
 // Run so the event loop itself stays untouched.
@@ -460,23 +554,21 @@ var (
 	simChecks   = obs.GetCounter("sim.dispatch.checks")
 )
 
-// newState reuses a retired nodeState or carves one out of the arena,
-// amortizing one allocation over a block of nodes.
-func (e *executor) newState(n task.Ref, parent *nodeState, mask int32) *nodeState {
-	var s *nodeState
-	if k := len(e.stateFree); k > 0 {
-		s = e.stateFree[k-1]
-		e.stateFree = e.stateFree[:k-1]
+// newState starts bookkeeping for node n and returns its state's
+// index, reusing a retired state's slot when there is one.
+func (e *executor) newState(n task.Ref, parent, mask int32) int32 {
+	var i int32
+	if k := len(e.free); k > 0 {
+		i = e.free[k-1]
+		e.free = e.free[:k-1]
 	} else {
-		if len(e.stateArena) == 0 {
-			e.stateBlock = min(max(2*e.stateBlock, 32), 512)
-			e.stateArena = make([]nodeState, e.stateBlock)
-		}
-		s = &e.stateArena[0]
-		e.stateArena = e.stateArena[1:]
+		i = int32(len(e.states))
+		e.states = append(e.states, nodeState{})
 	}
-	*s = nodeState{n: n, parent: parent, mask: mask}
-	return s
+	// Written in place: composing the state first and copying it in
+	// measured slower.
+	e.states[i] = nodeState{n: n, parent: parent, mask: mask}
+	return i
 }
 
 // writerOf returns the last worker to write region r, or -1.
@@ -488,17 +580,12 @@ func (e *executor) writerOf(r task.RegionID) int {
 }
 
 func (e *executor) setWriter(r task.RegionID, worker int) {
-	if int(r) >= len(e.lastWriter) {
-		size := 2 * len(e.lastWriter)
-		if size <= int(r) {
-			size = int(r) + 1
+	if n := len(e.lastWriter); int(r) >= n {
+		size := max(2*n, int(r)+1, 1024)
+		e.lastWriter = slices.Grow(e.lastWriter, size-n)[:size]
+		for i := n; i < size; i++ {
+			e.lastWriter[i] = -1
 		}
-		grown := make([]int32, size)
-		copy(grown, e.lastWriter)
-		for i := len(e.lastWriter); i < size; i++ {
-			grown[i] = -1
-		}
-		e.lastWriter = grown
 	}
 	e.lastWriter[r] = int32(worker)
 }
@@ -507,28 +594,23 @@ func (e *executor) setWriter(r task.RegionID, worker int) {
 // It panics on invalid configuration (see Config.Validate for the
 // checkable form); algorithmic errors in tree construction (e.g.
 // impossible affinity) degrade to unrestricted placement rather than
-// deadlock.
+// deadlock. Runs may proceed concurrently, on one tree or many.
 func Run(m *hw.Machine, root *task.Node, cfg Config) *Result {
 	if err := cfg.Validate(m); err != nil {
 		panic(err.Error())
 	}
-	e := &executor{
-		m:            m,
-		cfg:          cfg,
-		t:            root.Tree(),
-		workers:      make([]workerState, cfg.Workers),
-		idle:         newHbitmap(cfg.Workers),
-		dispatchable: newHbitmap(cfg.Workers),
-		lastWriter:   make([]int32, 1024),
-		running:      make(leafHeap, 0, min(cfg.Workers, 4096)),
-		exact:        cfg.Workers <= 64,
+	executors.Lock()
+	var e *executor
+	if k := len(executors.free); k > 0 {
+		e = executors.free[k-1]
+		executors.free = executors.free[:k-1]
+	} else {
+		e = new(executor)
 	}
-	for i := range e.lastWriter {
-		e.lastWriter[i] = -1
-	}
-	if e.exact {
-		e.actsBuf = make([]hw.Activity, 0, cfg.Workers)
-	}
+	executors.Unlock()
+	b := e.buffers
+	*e = executor{m: m, cfg: cfg, t: root.Tree(), buffers: b, exact: cfg.Workers <= 64}
+	e.reset(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		e.idle.set(i)
 	}
@@ -540,36 +622,49 @@ func Run(m *hw.Machine, root *task.Node, cfg Config) *Result {
 		sp.ArgInt("workers", cfg.Workers)
 	}
 
-	e.startNode(e.newState(root.Ref(), nil, e.intern(e.allMask())))
+	e.startNode(e.newState(root.Ref(), -1, e.intern(e.allMask())))
 	e.dispatch()
-	for len(e.running) > 0 {
+	for e.running.len() > 0 {
 		e.advance()
 		e.dispatch()
 	}
-	e.res.Makespan = e.now
-	busy := make([]float64, cfg.Workers)
+	res := new(Result)
+	*res = e.res
+	res.Makespan = e.now
+	res.WorkerBusy = make([]float64, cfg.Workers)
 	for i := range e.workers {
-		busy[i] = e.workers[i].busyTotal
+		res.WorkerBusy[i] = e.workers[i].busyTotal
 	}
-	e.res.WorkerBusy = busy
-	e.res.BusyByKind = make(map[task.Kind]float64)
+	res.BusyByKind = make(map[task.Kind]float64)
 	for k := range e.kinds {
 		if ks := &e.kinds[k]; ks.seen {
-			e.res.BusyByKind[task.Kind(k)] = ks.busy
+			res.BusyByKind[task.Kind(k)] = ks.busy
 		}
 	}
 
 	simRuns.Inc()
-	simLeaves.Add(int64(e.res.Leaves))
+	simLeaves.Add(int64(res.Leaves))
 	simSegments.Add(int64(e.segCount))
 	simChecks.Add(int64(e.checks))
 	if sp.Live() {
-		sp.ArgInt("leaves", e.res.Leaves)
+		sp.ArgInt("leaves", res.Leaves)
 		sp.ArgInt("segments", e.segCount)
-		sp.ArgFloat("makespan_s", e.res.Makespan)
+		sp.ArgFloat("makespan_s", res.Makespan)
 	}
 	sp.End()
-	return &e.res
+
+	// Pool the buffers without what the caller owns: the machine, the
+	// config's callback, the tree and its masks, and the result.
+	for i := range e.masks {
+		e.masks[i].mask = task.Mask{}
+	}
+	e.m, e.cfg, e.t, e.res = nil, Config{}, nil, Result{}
+	if e.bytes() <= maxPooledBytes {
+		executors.Lock()
+		executors.free = append(executors.free, e)
+		executors.Unlock()
+	}
+	return res
 }
 
 // allMask is the root's inherited affinity: every configured worker.
@@ -587,17 +682,22 @@ func (e *executor) intern(m task.Mask) int32 {
 		return int32(-1 - w)
 	}
 	key := maskKey{lo: m.LowBits(), min: m.Min(), max: m.Max(), count: m.Count()}
-	for _, i := range e.maskIdx[key] {
-		if e.masks[i].mask.Equal(m) {
-			return i
+	head := e.maskIdx[key]
+	for i := head; i != 0; i = e.masks[i-1].bucket {
+		if e.masks[i-1].mask.Equal(m) {
+			return i - 1
 		}
 	}
 	i := int32(len(e.masks))
-	e.masks = append(e.masks, maskEntry{mask: m})
-	if e.maskIdx == nil {
-		e.maskIdx = make(map[maskKey][]int32)
+	var items []int32 // a queue's backing array from an earlier run
+	if int(i) < cap(e.masks) {
+		items = e.masks[:i+1][i].q.items[:0]
 	}
-	e.maskIdx[key] = append(e.maskIdx[key], i)
+	e.masks = append(e.masks, maskEntry{mask: m, q: fifo{items: items}, bucket: head})
+	if e.maskIdx == nil {
+		e.maskIdx = make(map[maskKey]int32)
+	}
+	e.maskIdx[key] = i + 1
 	return i
 }
 
@@ -609,7 +709,7 @@ func (e *executor) intern(m task.Mask) int32 {
 // mask meets any affinity in its worker or in nothing, so a pinned
 // node's subtree stays pinned. Otherwise the intersection runs only
 // when the (inherited, affinity key) pair is new to the run; see
-// executor.meets.
+// buffers.meets.
 func (e *executor) effectiveMask(n task.Ref, inherited int32) int32 {
 	if e.cfg.DisableAffinity || inherited < 0 {
 		return inherited
@@ -645,11 +745,13 @@ func (e *executor) effectiveMask(n task.Ref, inherited int32) int32 {
 	return i
 }
 
-// startNode activates a node: leaves join their worker's pinned FIFO
-// or their mask's ready queue; interior nodes start their children per
-// Seq/Par semantics. Empty interior nodes complete immediately.
-func (e *executor) startNode(s *nodeState) {
+// startNode activates the node of state si: leaves join their worker's
+// pinned FIFO or their mask's ready queue; interior nodes start their
+// children per Seq/Par semantics. Empty interior nodes complete
+// immediately.
+func (e *executor) startNode(si int32) {
 	t := e.t
+	s := &e.states[si]
 	e.liveAlloc += t.AllocBytes(s.n)
 	if e.liveAlloc > e.res.AllocHighWater {
 		e.res.AllocHighWater = e.liveAlloc
@@ -658,77 +760,80 @@ func (e *executor) startNode(s *nodeState) {
 	case t.IsLeaf(s.n):
 		if s.mask < 0 {
 			w := int(-1 - s.mask)
-			ws := &e.workers[w]
-			ws.pinned.push(s)
+			e.workers[w].pinned.push(si)
 			if e.idle.has(w) {
 				e.dispatchable.set(w)
 			}
 		} else {
-			q := e.queueFor(s.mask)
 			s.ready = e.readySeq
 			e.readySeq++
-			q.push(s)
+			q := e.queueFor(s.mask)
+			q.push(si)
 			// A queue that was empty becomes a candidate; one that holds
 			// older leaves is already in the heap, or blocked until wake.
 			if q.len() == 1 {
-				e.pushCand(q)
+				e.pushCand(s.mask)
 			}
 		}
 	case t.IsSeq(s.n):
 		if t.NumChildren(s.n) == 0 {
-			e.complete(s)
+			e.complete(si)
 			return
 		}
-		e.startChild(s, 0)
+		e.startChild(si, 0)
 	default: // Par
 		k := t.NumChildren(s.n)
 		if k == 0 {
-			e.complete(s)
+			e.complete(si)
 			return
 		}
 		s.pending = int32(k)
+		// Starting a child may grow e.states, so s is not used again.
 		for i := 0; i < k; i++ {
-			e.startChild(s, i)
+			e.startChild(si, i)
 		}
 	}
 }
 
-func (e *executor) startChild(parent *nodeState, idx int) {
-	child := e.t.Child(parent.n, idx)
-	cs := e.newState(child, parent, e.effectiveMask(child, parent.mask))
-	if e.t.IsSeq(parent.n) {
-		parent.nextChild = int32(idx + 1)
+// startChild starts child idx of the node of state pi.
+func (e *executor) startChild(pi int32, idx int) {
+	p := &e.states[pi]
+	child := e.t.Child(p.n, idx)
+	mask := e.effectiveMask(child, p.mask)
+	if e.t.IsSeq(p.n) {
+		p.nextChild = int32(idx + 1)
 	}
-	e.startNode(cs)
+	e.startNode(e.newState(child, pi, mask))
 }
 
 // complete propagates a finished node up the tree and retires its
-// state. Invariant: nothing references s once complete is called — the
-// leaf has left its ready queue or pinned FIFO (both clear the slot)
-// and the running heap, and every child of an interior node has
-// completed — so s goes straight back to the free list.
-func (e *executor) complete(s *nodeState) {
-	e.liveAlloc -= e.t.AllocBytes(s.n)
-	p := s.parent
-	// Clearing the retired state drops its parent reference, and the
-	// invalid node index makes a use after retirement fail fast in the
-	// tree accessors.
-	*s = nodeState{n: -1}
-	e.stateFree = append(e.stateFree, s)
-	if p == nil {
-		return
-	}
-	if e.t.IsSeq(p.n) {
-		if k := int(p.nextChild); k < e.t.NumChildren(p.n) {
-			e.startChild(p, k)
+// state, and each ancestor's that it finishes. Invariant: nothing
+// references state si once complete is called — the leaf has left its
+// ready queue or pinned FIFO and the running heap, and every child of
+// an interior node has completed — so its index goes straight back to
+// the free list.
+func (e *executor) complete(si int32) {
+	for {
+		s := &e.states[si]
+		e.liveAlloc -= e.t.AllocBytes(s.n)
+		pi := s.parent
+		// The invalid node index makes a use after retirement fail fast
+		// in the tree accessors.
+		*s = nodeState{n: -1, parent: -1}
+		e.free = append(e.free, si)
+		if pi < 0 {
 			return
 		}
-		e.complete(p)
-		return
-	}
-	p.pending--
-	if p.pending == 0 {
-		e.complete(p)
+		p := &e.states[pi]
+		if e.t.IsSeq(p.n) {
+			if k := int(p.nextChild); k < e.t.NumChildren(p.n) {
+				e.startChild(pi, k)
+				return
+			}
+		} else if p.pending--; p.pending != 0 {
+			return
+		}
+		si = pi
 	}
 }
 
@@ -763,34 +868,36 @@ func (e *executor) dispatch() {
 	// other queues each time therefore launches the same leaves, in the
 	// same order, as a forward sweep of one shared FIFO.
 	for e.idleCount > 0 && len(e.cands) > 0 {
-		q := e.popCand()
+		mi := e.popCand()
+		q := &e.masks[mi].q
 		e.checks++
 		worker := e.pickWorker(q.front())
 		if worker < 0 {
 			continue // out of the heap until wake finds its mask a worker
 		}
-		s := q.pop()
+		si := q.pop()
 		if q.len() > 0 {
-			e.pushCand(q)
+			e.pushCand(mi)
 		}
-		e.launch(s, worker)
+		e.launch(si, worker)
 	}
 }
 
-// queueFor returns the ready queue of the mask at index i, creating it
-// and registering it with every worker of the mask on first use.
-func (e *executor) queueFor(i int32) *readyQueue {
+// queueFor returns the ready queue of the mask at index i, registering
+// it with every worker of the mask on first use. The pointer is valid
+// until the mask table grows.
+func (e *executor) queueFor(i int32) *fifo {
 	me := &e.masks[i]
-	if me.q == nil {
-		me.q = new(readyQueue)
+	if !me.registered {
+		me.registered = true
 		m := &me.mask
 		for w := m.Min(); w >= 0 && w < e.cfg.Workers; w = m.Next(w + 1) {
 			ws := &e.workers[w]
-			e.regs = append(e.regs, queueReg{q: me.q, next: ws.queues})
+			e.regs = append(e.regs, queueReg{mask: i, next: ws.queues})
 			ws.queues = int32(len(e.regs))
 		}
 	}
-	return me.q
+	return &me.q
 }
 
 // wake makes every non-empty queue whose mask holds worker w, newly
@@ -798,18 +905,19 @@ func (e *executor) queueFor(i int32) *readyQueue {
 func (e *executor) wake(w int) {
 	for i := e.workers[w].queues; i != 0; {
 		r := &e.regs[i-1]
-		if q := r.q; !q.queued && q.len() > 0 {
-			e.pushCand(q)
+		if me := &e.masks[r.mask]; !me.queued && me.q.len() > 0 {
+			e.pushCand(r.mask)
 		}
 		i = r.next
 	}
 }
 
-// pushCand adds queue q, non-empty and not queued, to the candidate
-// heap.
-func (e *executor) pushCand(q *readyQueue) {
-	q.queued = true
-	e.cands = append(e.cands, candidate{ready: q.front().ready, q: q})
+// pushCand adds the queue of the mask at index mi, non-empty and not
+// queued, to the candidate heap.
+func (e *executor) pushCand(mi int32) {
+	me := &e.masks[mi]
+	me.queued = true
+	e.cands = append(e.cands, candidate{ready: e.states[me.q.front()].ready, mask: mi})
 	h := e.cands
 	for j := len(h) - 1; j > 0; {
 		i := (j - 1) / 2
@@ -821,15 +929,14 @@ func (e *executor) pushCand(q *readyQueue) {
 	}
 }
 
-// popCand removes and returns the candidate queue with the oldest
-// head.
-func (e *executor) popCand() *readyQueue {
+// popCand removes the candidate queue with the oldest head and returns
+// its mask index.
+func (e *executor) popCand() int32 {
 	h := e.cands
-	q := h[0].q
-	q.queued = false
+	mi := h[0].mask
+	e.masks[mi].queued = false
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = candidate{}
 	h = h[:n]
 	for i := 0; ; {
 		j := 2*i + 1
@@ -846,12 +953,14 @@ func (e *executor) popCand() *readyQueue {
 		i = j
 	}
 	e.cands = h
-	return q
+	return mi
 }
 
-// pickWorker selects an idle worker permitted by the leaf's mask,
-// preferring the producer of its inputs; -1 when none is available.
-func (e *executor) pickWorker(s *nodeState) int {
+// pickWorker selects an idle worker permitted by the mask of the leaf
+// of state si, preferring the producer of its inputs; -1 when none is
+// available.
+func (e *executor) pickWorker(si int32) int {
+	s := &e.states[si]
 	m := &e.masks[s.mask].mask
 	if !e.cfg.DisableAffinity {
 		reads, _ := e.t.ReadsWrites(s.n)
@@ -883,10 +992,11 @@ func (e *executor) firstIdleIn(mask *task.Mask) int {
 	return -1
 }
 
-// launch starts a leaf on a worker at e.now.
-func (e *executor) launch(s *nodeState, worker int) {
+// launch starts the leaf of state si on a worker at e.now.
+func (e *executor) launch(si int32, worker int) {
 	t := e.t
-	d, regionBytes, reads, writes := t.LeafInputs(s.n)
+	n := e.states[si].n
+	d, regionBytes, reads, writes := t.LeafInputs(n)
 
 	remoteBytes := 0.0
 	stolen := false
@@ -905,7 +1015,7 @@ func (e *executor) launch(s *nodeState, worker int) {
 	if e.cfg.DisableContention {
 		cont = e.m.Uncontended()
 	} else {
-		cont = e.m.Shared(len(e.running) + 1)
+		cont = e.m.Shared(e.running.len() + 1)
 	}
 	ks := &e.kinds[uint8(d.Kind)] // tree records hold kinds in [0,255]
 	if !ks.seen {
@@ -914,7 +1024,7 @@ func (e *executor) launch(s *nodeState, worker int) {
 	cost := e.m.CostAt(ks.rate, d, cont, remoteBytes, stolen)
 
 	if e.cfg.VerifyNumerics {
-		if run := t.Run(s.n); run != nil {
+		if run := t.Run(n); run != nil {
 			run()
 		}
 	}
@@ -935,7 +1045,7 @@ func (e *executor) launch(s *nodeState, worker int) {
 			Start:  e.now,
 			End:    e.now + cost.Duration,
 			Kind:   d.Kind,
-			Label:  t.Label(s.n),
+			Label:  t.Label(n),
 		})
 	}
 	e.res.RemoteBytes += remoteBytes
@@ -944,49 +1054,38 @@ func (e *executor) launch(s *nodeState, worker int) {
 	}
 
 	e.seq++
-	rl := e.getLeaf()
-	rl.state = s
-	rl.worker = worker
-	rl.finish = e.now + cost.Duration
-	rl.seq = e.seq
-	rl.activity = hw.Activity{
-		Utilization: cost.Utilization,
-		DRAMRate:    cost.DRAMRate,
-		L3Rate:      cost.L3Rate,
-	}
 	if !e.exact {
 		e.aggCount++
 		e.aggUtil.add(clamp01(cost.Utilization))
 		e.aggL3.add(cost.L3Rate)
 		e.aggDRAM.add(cost.DRAMRate)
 	}
-	e.running.push(rl)
+	e.running.leaf[worker] = runningLeaf{
+		finish: e.now + cost.Duration,
+		seq:    e.seq,
+		activity: hw.Activity{
+			Utilization: cost.Utilization,
+			DRAMRate:    cost.DRAMRate,
+			L3Rate:      cost.L3Rate,
+		},
+		state: si,
+	}
+	e.running.push(worker)
 }
 
 func clamp01(x float64) float64 { return max(0, min(1, x)) }
 
-// getLeaf recycles runningLeaf records so the event loop stops
-// allocating once the heap has reached its steady size.
-func (e *executor) getLeaf() *runningLeaf {
-	if n := len(e.leafFree); n > 0 {
-		rl := e.leafFree[n-1]
-		e.leafFree = e.leafFree[:n-1]
-		return rl
-	}
-	return &runningLeaf{}
-}
-
 // advance integrates power up to the next completion time and retires
 // every leaf finishing at that instant.
 func (e *executor) advance() {
-	next := e.running[0].finish
+	next := e.running.top().finish
 	if dt := next - e.now; dt > 0 {
 		e.segCount++
 		var p hw.PlanePower
 		if e.exact {
 			acts := e.actsBuf[:0]
-			for _, rl := range e.running {
-				acts = append(acts, rl.activity)
+			for _, w := range e.running.order {
+				acts = append(acts, e.running.leaf[w].activity)
 			}
 			e.actsBuf = acts
 			p = e.m.SegmentPower(acts)
@@ -1004,9 +1103,9 @@ func (e *executor) advance() {
 		}
 	}
 	e.now = next
-	for len(e.running) > 0 && sameTime(e.running[0].finish, e.now) {
-		rl := e.running.pop()
-		worker := rl.worker
+	for e.running.len() > 0 && sameTime(e.running.top().finish, e.now) {
+		worker := e.running.pop()
+		rl := &e.running.leaf[worker]
 		e.idle.set(worker)
 		e.idleCount++
 		ws := &e.workers[worker]
@@ -1022,10 +1121,7 @@ func (e *executor) advance() {
 			e.aggL3.add(-rl.activity.L3Rate)
 			e.aggDRAM.add(-rl.activity.DRAMRate)
 		}
-		s := rl.state
-		rl.state = nil
-		e.leafFree = append(e.leafFree, rl)
-		e.complete(s)
+		e.complete(rl.state)
 	}
 	// A fully drained machine resets the aggregate sums, discarding any
 	// residual compensation error between algorithm phases.

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -554,4 +555,51 @@ func TestNodeStateLayoutBudget(t *testing.T) {
 	if s := unsafe.Sizeof(nodeState{}); s > 32 {
 		t.Errorf("node state is %d bytes, budget 32", s)
 	}
+}
+
+// The executor's per-node and per-leaf records hold no pointers: node
+// states, FIFO entries, the running heap's entries and leaf records,
+// dispatch candidates and queue registrations name each other by index,
+// so the collector never scans them and writing them needs no write
+// barrier.
+func TestExecutorRecordsHoldNoPointers(t *testing.T) {
+	records := map[string]reflect.Type{
+		"node state":         reflect.TypeOf(nodeState{}),
+		"FIFO entry":         reflect.TypeOf(fifo{}.items).Elem(),
+		"candidate":          reflect.TypeOf(candidate{}),
+		"queue registration": reflect.TypeOf(queueReg{}),
+	}
+	// The running heap's entries: the elements of every slice it holds.
+	switch heap := reflect.TypeOf(executor{}.running); heap.Kind() {
+	case reflect.Slice:
+		records["running-heap entry"] = heap.Elem()
+	case reflect.Struct:
+		for i := 0; i < heap.NumField(); i++ {
+			if f := heap.Field(i); f.Type.Kind() == reflect.Slice {
+				records["running-heap "+f.Name] = f.Type.Elem()
+			}
+		}
+	}
+	for name, typ := range records {
+		if hasPointers(typ) {
+			t.Errorf("%s (%v) holds pointers", name, typ)
+		}
+	}
+}
+
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+		reflect.Interface, reflect.Func, reflect.Chan:
+		return true
+	case reflect.Array:
+		return hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -24,7 +24,8 @@ import "fmt"
 // Regions overlap detector, panicking on concurrent use rather than
 // corrupting a record. Its lifetime is one build: region IDs run on
 // across calls and the handles it returns share its tree, so each tree
-// gets a fresh Arena. The zero value is ready to use.
+// gets a fresh Arena. The zero value is ready to use; its tree refills
+// the storage of a released one (Tree.Release) when there is one.
 type Arena struct {
 	Regions
 	t *Tree
@@ -49,6 +50,9 @@ type labelKey struct {
 func (a *Arena) tree() *Tree {
 	if a.t == nil {
 		a.t = new(Tree)
+		if st, ok := storagePool.Get().(*storage); ok {
+			a.t.adopt(st)
+		}
 	}
 	return a.t
 }

@@ -2,6 +2,7 @@ package task
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -258,4 +259,129 @@ func hasPointers(t reflect.Type) bool {
 		}
 	}
 	return false
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// Release hands on every block, and the emptied tree shares no memory
+// with the storage it handed on. A one-block array's header lives in
+// the Tree itself (blocks.b0), so the storage must hold its own copy.
+func TestReleasedStorageOutlivesTree(t *testing.T) {
+	for _, leaves := range []int{1, 2*blockLen + 3} {
+		var a Arena
+		kids := make([]Ref, leaves)
+		for i := range kids {
+			kids[i] = a.Leaf(Work{Flops: float64(i), Reads: []RegionID{a.New()}})
+		}
+		a.Seq(kids...)
+		tr := a.t
+		nodeBlocks, idBlocks := len(tr.nodes.b), len(tr.ids.b)
+		st := tr.release()
+		if !reflect.ValueOf(*tr).IsZero() {
+			t.Fatalf("%d leaves: the released tree still holds storage", leaves)
+		}
+		lo := uintptr(unsafe.Pointer(tr))
+		hi := lo + unsafe.Sizeof(*tr)
+		for name, list := range map[string]unsafe.Pointer{
+			"nodes":  unsafe.Pointer(unsafe.SliceData(st.nodes)),
+			"leaves": unsafe.Pointer(unsafe.SliceData(st.leaves)),
+			"kids":   unsafe.Pointer(unsafe.SliceData(st.kids)),
+			"ids":    unsafe.Pointer(unsafe.SliceData(st.ids)),
+		} {
+			if p := uintptr(list); p >= lo && p < hi {
+				t.Errorf("%d leaves: the storage's %s list lies inside the released Tree", leaves, name)
+			}
+		}
+		if len(st.nodes) != nodeBlocks || len(st.ids) != idBlocks || st.nodes[0] == nil || st.ids[0] == nil {
+			t.Fatalf("%d leaves: storage holds %d node and %d region blocks, want %d and %d",
+				leaves, len(st.nodes), len(st.ids), nodeBlocks, idBlocks)
+		}
+		// The next tree refills the storage from index 0.
+		b := Arena{t: new(Tree)}
+		b.t.adopt(st)
+		root := b.Node(b.Par(b.Leaf(Work{Flops: 5}), b.Leaf(Work{Flops: 6})))
+		if s := Collect(root); s.Leaves != 2 || s.Flops != 11 || root.Ref() != 2 {
+			t.Errorf("%d leaves: a tree on recycled storage collects %d leaves, %v flops, root %d",
+				leaves, s.Leaves, s.Flops, root.Ref())
+		}
+	}
+}
+
+// A tree whose storage exceeds maxPooledBytes is emptied all the same,
+// but pools nothing: its storage goes to the collector.
+func TestLargeTreeStorageIsNotPooled(t *testing.T) {
+	var a Arena
+	kids := make([]Ref, maxPooledBytes/80) // 80 bytes of records per leaf
+	for i := range kids {
+		kids[i] = a.Leaf(Work{Flops: 1})
+	}
+	a.Seq(kids...)
+	tr := a.t
+	if st := tr.release(); st != nil {
+		t.Errorf("storage of %d leaves was pooled", len(kids))
+	}
+	if !reflect.ValueOf(*tr).IsZero() {
+		t.Error("the released tree still holds storage")
+	}
+}
+
+// After Release every read through a handle on the tree panics: the
+// tree holds no record, rather than another tree's.
+func TestReleasedTreePanics(t *testing.T) {
+	// sync.Pool drops what it holds over two collections, so the
+	// storage released here reaches no later test's Arena.
+	t.Cleanup(func() { runtime.GC(); runtime.GC() })
+	var a Arena
+	leaf := a.Leaf(Work{Flops: 1, Reads: []RegionID{a.New()}})
+	root := a.Node(a.Seq(leaf))
+	tr := root.Tree()
+	tr.Release()
+	reads := map[string]func(){
+		"IsLeaf":      func() { tr.IsLeaf(root.Ref()) },
+		"Child":       func() { tr.Child(root.Ref(), 0) },
+		"Demand":      func() { tr.Demand(leaf) },
+		"ReadsWrites": func() { tr.ReadsWrites(leaf) },
+		"Collect":     func() { Collect(root) },
+	}
+	for name, read := range reads {
+		if !panics(read) {
+			t.Errorf("%s read a released tree", name)
+		}
+	}
+	if !reflect.ValueOf(*tr).IsZero() {
+		t.Error("a released tree still holds storage")
+	}
+}
+
+// A Ref at or past an array's fill panics, on fresh storage and on
+// storage a released tree handed on: blocks are full length, so
+// without the fill check a bad Ref would read a zero record, or a
+// stale one from the earlier tree.
+func TestRefPastFillPanics(t *testing.T) {
+	var old Arena
+	kids := make([]Ref, 100)
+	for i := range kids {
+		kids[i] = old.Leaf(Work{Flops: 7})
+	}
+	old.Seq(kids...)
+	recycled := Arena{t: new(Tree)}
+	recycled.t.adopt(old.t.release())
+	var fresh Arena
+	for name, a := range map[string]*Arena{"fresh": &fresh, "recycled": &recycled} {
+		root := a.Node(a.Seq(a.Leaf(Work{Flops: 1})))
+		tr := root.Tree()
+		if got := tr.Demand(tr.Child(root.Ref(), 0)).Flops; got != 1 {
+			t.Errorf("%s storage: leaf reads %v flops, want 1", name, got)
+		}
+		for _, r := range []Ref{2, 50, -1} {
+			if !panics(func() { tr.IsLeaf(r) }) {
+				t.Errorf("%s storage: Ref %d of a 2-node tree was read", name, r)
+			}
+		}
+	}
 }

@@ -1,5 +1,10 @@
 package task
 
+import (
+	"sync"
+	"unsafe"
+)
+
 // Flat tree storage. A built tree lives in four arrays of pointer-free
 // records — nodes, leaves, child lists and region lists — plus three
 // small side tables: leaf labels, affinity masks naming workers ≥ 64,
@@ -65,7 +70,9 @@ const (
 	firstBlock = 16
 )
 
-// blocks is one growable record array.
+// blocks is one growable record array. Blocks are allocated at full
+// length and n is the array's only fill mark, so an append writes its
+// record and n, never a slice header.
 type blocks[T any] struct {
 	b [][]T
 	// b0 holds the first block's header, so a one-block array needs no
@@ -76,7 +83,14 @@ type blocks[T any] struct {
 	n int32
 }
 
-func (s *blocks[T]) at(i int32) *T { return &s.b[i>>blockShift][i&blockMask] }
+// at returns element i, which must lie below the fill: a block holds
+// stale records past it once its storage has been recycled.
+func (s *blocks[T]) at(i int32) *T {
+	if uint32(i) >= uint32(s.n) {
+		panic("task: record index at or past its array's fill (a released tree has none)")
+	}
+	return &s.b[i>>blockShift][i&blockMask]
+}
 
 // carve allocates k contiguous elements inside one block and returns
 // the index of the first and the capacity-clipped slice holding them.
@@ -88,28 +102,25 @@ func (s *blocks[T]) carve(k int) (int32, []T) {
 	if off+k > blockLen {
 		bi, off = bi+1, 0
 	}
+	end := off + k
 	if bi == len(s.b) {
 		c := blockLen
 		if bi == 0 {
 			c = max(firstBlock, k)
 			s.b = s.b0[:0]
 		}
-		s.b = append(s.b, make([]T, 0, c))
-	}
-	blk := s.b[bi]
-	end := off + k
-	if end > cap(blk) { // only the first block is ever short
-		c := cap(blk)
+		s.b = append(s.b, make([]T, c))
+	} else if blk := s.b[bi]; end > len(blk) { // only the first block is ever short
+		c := len(blk)
 		for c < end {
 			c *= 2
 		}
-		grown := make([]T, off, min(c, blockLen))
-		copy(grown, blk)
-		blk = grown
+		grown := make([]T, min(c, blockLen))
+		copy(grown, blk[:off])
+		s.b[bi] = grown
 	}
-	s.b[bi] = blk[:end]
 	s.n = int32(bi<<blockShift + end)
-	return int32(bi<<blockShift + off), blk[off:end:end]
+	return int32(bi<<blockShift + off), s.b[bi][off:end:end]
 }
 
 // push appends one element and returns its index. Pushes are never
@@ -121,11 +132,53 @@ func (s *blocks[T]) push(v T) int32 {
 	return i
 }
 
+// bytes returns the size of s's blocks.
+func (s *blocks[T]) bytes() int {
+	var rec T
+	n := 0
+	for _, b := range s.b {
+		n += len(b)
+	}
+	return n * int(unsafe.Sizeof(rec))
+}
+
+// release moves every block of s into list's backing array, empties s
+// and returns the list.
+func (s *blocks[T]) release(list [][]T) [][]T {
+	list = append(list[:0], s.b...)
+	*s = blocks[T]{}
+	return list
+}
+
+// storage is the record storage of a released Tree: every block of its
+// four arrays, at full length. The next Arena adopts it and refills it
+// from index 0, so a warm build allocates no record block.
+type storage struct {
+	nodes  [][]nodeRec
+	leaves [][]leafRec
+	kids   [][]Ref
+	ids    [][]RegionID
+}
+
+// storagePool holds released trees' storage for the next Arena. Like
+// any sync.Pool it holds memory, never results: nothing reads a
+// recycled record before a new build has overwritten it.
+var storagePool sync.Pool
+
+// maxPooledBytes bounds the record storage a released tree may pool.
+// Pooled storage stays live, and the collector lets the heap grow to
+// twice what is live before it runs, so a pooled byte can cost two of
+// peak memory. Storage up to n = 1024 (CAPS: 1.5 MB) pools; Strassen
+// and CAPS trees from n = 2048 (6–50 MB) go to the collector, and
+// their cells run long enough to pay for a fresh build.
+const maxPooledBytes = 4 << 20
+
 // Tree is the storage of one built task tree. Trees come out of an
 // Arena; a *Node is a handle on one of their nodes. The accessors below
 // read a node by Ref, and are the only way to read a tree.
 //
-// A Tree is immutable once built and safe for concurrent readers.
+// A Tree is immutable once built and safe for concurrent readers until
+// Release.
 type Tree struct {
 	nodes  blocks[nodeRec]
 	leaves blocks[leafRec]
@@ -136,6 +189,49 @@ type Tree struct {
 	// runs holds Run closures by leaf index. It stays nil in
 	// shape-only builds and ends at the last leaf that has one.
 	runs []func()
+	// store is the storage the tree adopted, nil when its blocks are
+	// fresh; Release hands its block lists back in it.
+	store *storage
+}
+
+// adopt makes st's blocks the empty tree's storage.
+func (t *Tree) adopt(st *storage) {
+	t.store = st
+	t.nodes.b, t.leaves.b, t.kids.b, t.ids.b = st.nodes, st.leaves, st.kids, st.ids
+}
+
+// Release hands the tree's record storage to the next Arena, unless it
+// exceeds maxPooledBytes, and leaves the tree empty: every handle on
+// it panics from then on, rather than reading another tree's records.
+// Call it once nothing reads the tree any more — after the engines have
+// run it and no handle is used again — and never concurrently with a
+// reader. Strings and closures read from the tree (labels, Run) stay
+// valid; region lists from ReadsWrites do not.
+func (t *Tree) Release() {
+	if st := t.release(); st != nil {
+		storagePool.Put(st)
+	}
+}
+
+// release empties the tree and returns its storage, or nil when the
+// storage is too large to pool. The block lists are copied into the
+// storage's own arrays: a first block's header lives in the tree
+// (blocks.b0), which is cleared.
+func (t *Tree) release() *storage {
+	if t.nodes.bytes()+t.leaves.bytes()+t.kids.bytes()+t.ids.bytes() > maxPooledBytes {
+		*t = Tree{}
+		return nil
+	}
+	st := t.store
+	if st == nil {
+		st = new(storage)
+	}
+	st.nodes = t.nodes.release(st.nodes)
+	st.leaves = t.leaves.release(st.leaves)
+	st.kids = t.kids.release(st.kids)
+	st.ids = t.ids.release(st.ids)
+	*t = Tree{}
+	return st
 }
 
 func (t *Tree) node(r Ref) *nodeRec { return t.nodes.at(int32(r)) }

@@ -74,27 +74,6 @@ func (tr *Trace) Energy() (pkg, pp0, dram float64) {
 	return pkg, pp0, dram
 }
 
-// AvgPower returns mean plane powers over the trace duration.
-func (tr *Trace) AvgPower() (pkg, pp0, dram float64) {
-	d := tr.Duration()
-	if d == 0 {
-		return 0, 0, 0
-	}
-	e1, e2, e3 := tr.Energy()
-	return e1 / d, e2 / d, e3 / d
-}
-
-// PeakPKG returns the largest package power step in the trace.
-func (tr *Trace) PeakPKG() float64 {
-	peak := 0.0
-	for _, s := range tr.Samples {
-		if s.PKG > peak {
-			peak = s.PKG
-		}
-	}
-	return peak
-}
-
 // At returns the sample in effect at time t; ok is false outside the
 // trace extent.
 func (tr *Trace) At(t float64) (Sample, bool) {
@@ -158,81 +137,6 @@ func (tr *Trace) AppendWithGap(other *Trace, gap float64, idle hw.PlanePower) {
 		tr.Samples = append(tr.Samples, s)
 	}
 	tr.End = other.End - base + offset
-}
-
-// WindowAvgPKG returns the mean package power over [t0, t1),
-// clipped to the trace extent. It panics on an inverted window.
-func (tr *Trace) WindowAvgPKG(t0, t1 float64) float64 {
-	if t1 < t0 {
-		panic(fmt.Sprintf("trace: inverted window [%v,%v)", t0, t1))
-	}
-	if len(tr.Samples) == 0 {
-		return 0
-	}
-	start := tr.Samples[0].T
-	if t0 < start {
-		t0 = start
-	}
-	if t1 > tr.End {
-		t1 = tr.End
-	}
-	if t1 <= t0 {
-		return 0
-	}
-	energy := 0.0
-	for i, s := range tr.Samples {
-		end := tr.End
-		if i+1 < len(tr.Samples) {
-			end = tr.Samples[i+1].T
-		}
-		lo, hi := s.T, end
-		if lo < t0 {
-			lo = t0
-		}
-		if hi > t1 {
-			hi = t1
-		}
-		if hi > lo {
-			energy += s.PKG * (hi - lo)
-		}
-	}
-	return energy / (t1 - t0)
-}
-
-// QuantilePKG returns the q-quantile (0..1) of package power weighted
-// by time — e.g. QuantilePKG(0.95) is the draw exceeded only 5% of the
-// run, the figure a facility sizes its provisioning against.
-func (tr *Trace) QuantilePKG(q float64) float64 {
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("trace: quantile %v outside [0,1]", q))
-	}
-	if len(tr.Samples) == 0 {
-		return 0
-	}
-	type wp struct {
-		w float64
-		p float64
-	}
-	items := make([]wp, 0, len(tr.Samples))
-	total := 0.0
-	for i, s := range tr.Samples {
-		end := tr.End
-		if i+1 < len(tr.Samples) {
-			end = tr.Samples[i+1].T
-		}
-		dt := end - s.T
-		items = append(items, wp{w: dt, p: s.PKG})
-		total += dt
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].p < items[j].p })
-	cum := 0.0
-	for _, it := range items {
-		cum += it.w
-		if cum >= q*total {
-			return it.p
-		}
-	}
-	return items[len(items)-1].p
 }
 
 // WriteCSV emits "t,pkg_w,pp0_w,dram_w,total_w" rows. The total_w

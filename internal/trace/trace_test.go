@@ -45,24 +45,6 @@ func TestEnergyStepIntegration(t *testing.T) {
 	}
 }
 
-func TestAvgPower(t *testing.T) {
-	tr := stepTrace()
-	pkg, _, _ := tr.AvgPower()
-	if pkg != 20 {
-		t.Fatalf("avg pkg %v", pkg)
-	}
-	empty := &Trace{}
-	if p, _, _ := empty.AvgPower(); p != 0 {
-		t.Fatal("empty trace avg")
-	}
-}
-
-func TestPeakPKG(t *testing.T) {
-	if got := stepTrace().PeakPKG(); got != 30 {
-		t.Fatalf("peak %v", got)
-	}
-}
-
 func TestAt(t *testing.T) {
 	tr := stepTrace()
 	if s, ok := tr.At(0.5); !ok || s.PKG != 10 {
@@ -124,61 +106,6 @@ func TestAppendWithGap(t *testing.T) {
 	if s, ok := a.At(65); !ok || s.PKG != 50 {
 		t.Fatalf("appended sample %v %v", s, ok)
 	}
-}
-
-func TestWindowAvgPKG(t *testing.T) {
-	tr := stepTrace() // 10W on [0,1), 20W on [1,3), 30W on [3,4)
-	if got := tr.WindowAvgPKG(0, 1); got != 10 {
-		t.Fatalf("[0,1) avg %v", got)
-	}
-	if got := tr.WindowAvgPKG(0.5, 1.5); got != 15 {
-		t.Fatalf("[0.5,1.5) avg %v", got)
-	}
-	if got := tr.WindowAvgPKG(0, 4); got != 20 {
-		t.Fatalf("full avg %v", got)
-	}
-	// Clipping outside the extent.
-	if got := tr.WindowAvgPKG(3, 99); got != 30 {
-		t.Fatalf("clipped avg %v", got)
-	}
-	if got := tr.WindowAvgPKG(10, 20); got != 0 {
-		t.Fatalf("empty window avg %v", got)
-	}
-}
-
-func TestWindowInvertedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	stepTrace().WindowAvgPKG(2, 1)
-}
-
-func TestQuantilePKG(t *testing.T) {
-	tr := stepTrace() // durations: 10W×1s, 20W×2s, 30W×1s
-	if got := tr.QuantilePKG(0); got != 10 {
-		t.Fatalf("q0 %v", got)
-	}
-	if got := tr.QuantilePKG(0.5); got != 20 {
-		t.Fatalf("q50 %v", got)
-	}
-	if got := tr.QuantilePKG(1); got != 30 {
-		t.Fatalf("q100 %v", got)
-	}
-	// 80th percentile: 3s of ≤20W out of 4s → must be 30.
-	if got := tr.QuantilePKG(0.9); got != 30 {
-		t.Fatalf("q90 %v", got)
-	}
-}
-
-func TestQuantileOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	stepTrace().QuantilePKG(1.5)
 }
 
 func TestWriteCSV(t *testing.T) {

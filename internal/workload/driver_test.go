@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"capscale/internal/matrix"
@@ -223,4 +225,71 @@ func TestGetIndexAgreesWithLinearScan(t *testing.T) {
 	if mx.Get(AlgWinograd, 128, 1) != nil {
 		t.Fatal("Get found an algorithm the smoke matrix never ran")
 	}
+}
+
+// TestWarmCellAllocatesAlmostNothing: a cell hands its tree's storage
+// and the simulator's buffers back to their pools, so the next cell
+// reuses them. A cold CAPS or Strassen cell at n = 1024 on 4 threads
+// allocates about 2 MB; a warm one stays within a small fixed budget
+// for what every cell makes anew (labels, the record, the measurement
+// stream). The collector is off for the test, since a collection
+// empties the pools, and one P holds the pools' per-P caches still.
+func TestWarmCellAllocatesAlmostNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const budget = 64 << 10
+	cfg := SmokeConfig()
+	cfg.NoCache = true
+	for _, alg := range []Algorithm{AlgCAPS, AlgStrassen} {
+		ExecuteOne(cfg, alg, 1024, 4)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ExecuteOne(cfg, alg, 1024, 4)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("%v: a warm cell allocated %d KiB, budget %d KiB", alg, got>>10, budget>>10)
+		}
+	}
+}
+
+// TestPooledCellsBitIdenticalUnderConcurrency: the driver's workers
+// share the tree storage pool and the simulator's executor pool. Two
+// goroutines build, simulate and release trees of different sizes at
+// once, each taking storage another released; every Run must equal a
+// sequential reference bit for bit, its schedule's labels included.
+func TestPooledCellsBitIdenticalUnderConcurrency(t *testing.T) {
+	cfg := SmokeConfig()
+	cfg.NoCache = true
+	cfg.RecordSchedule = true
+	cells := []struct {
+		alg        Algorithm
+		n, threads int
+	}{
+		{AlgCAPS, 1024, 4}, {AlgStrassen, 128, 1}, {AlgOpenBLAS, 256, 2},
+		{AlgCG, 128, 2}, {AlgStrassen, 512, 2}, {AlgCAPS, 128, 1},
+	}
+	want := make([]Run, len(cells))
+	for i, c := range cells {
+		want[i] = ExecuteOne(cfg, c.alg, c.n, c.threads)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range cells {
+				// The goroutines walk the cells from opposite ends, so
+				// small and large trees swap storage.
+				i := k
+				if g == 1 {
+					i = len(cells) - 1 - k
+				}
+				c := cells[i]
+				if got := ExecuteOne(cfg, c.alg, c.n, c.threads); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d: %v n=%d threads=%d differs from the sequential run", g, c.alg, c.n, c.threads)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -938,6 +938,9 @@ func executeCell(cfg Config, c cell, inj *faults.Injector, tr obs.Track) Run {
 		DisableContention: cfg.DisableContention,
 		ObsTrack:          tr,
 	})
+	// Nothing reads the tree after the simulation: its storage goes to
+	// the next cell's build.
+	root.Tree().Release()
 	byKind := make(map[string]float64, len(res.BusyByKind))
 	for k, v := range res.BusyByKind {
 		byKind[k.String()] = v

@@ -43,6 +43,11 @@ go test -race -short ./internal/sim/...
 # journaled guided sweep commits through the same path as an
 # exhaustive one: both stay in the race pass.
 go test -race -run 'TestExecuteParallelBitIdenticalToSequential|TestConcurrentExecuteCacheChurnAndMetricsRace|TestChaosSweepInvariants|TestCheckpointResume|TestGuidedSweepDeterminism|TestConcurrentSweepsCommitHitsTogether|TestConcurrentExecuteSharedCheckpointPath|TestGuidedCheckpointPredictions' -count=1 ./internal/workload/
+# The driver's workers share two pools: released trees' record storage
+# (internal/task) and the simulator's executor buffers (internal/sim).
+# Cells that take and return storage at once must stay bit-identical to
+# a sequential run, so the concurrent pool test runs ten times over.
+go test -race -count=10 -run 'TestPooledCellsBitIdenticalUnderConcurrency' ./internal/workload/
 # The energy-complexity model the guided planner fits is pure math,
 # but it rides the concurrent driver: keep its own tests in the gate.
 go test -race ./internal/model/
