@@ -35,15 +35,3 @@ func ExampleSolveDense() {
 	// Output:
 	// x = [1 3]
 }
-
-// Cholesky factorization is the SPD fast path.
-func ExampleSolveSPD() {
-	a := matrix.NewFromSlice(2, 2, []float64{4, 2, 2, 3})
-	x, err := matrix.SolveSPD(a, []float64{8, 7})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("x = [%.2f %.2f]\n", x[0], x[1])
-	// Output:
-	// x = [1.25 1.50]
-}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"capscale/internal/cluster"
 	"capscale/internal/hw"
@@ -416,19 +417,71 @@ func Run(c *cluster.Cluster, ranks int, prog func(*Rank)) *Result {
 func RunTraced(c *cluster.Cluster, ranks int, prog func(*Rank)) (*Result, []sim.Segment) {
 	res, rs := run(c, ranks, prog, true)
 	segs := mergeTimeline(c, rs, res.Makespan)
-	for _, r := range rs {
-		log := r.events[:0]
-		logPool.Put(&log)
-	}
+	logs.put(rs)
 	return res, segs
 }
 
-// logPool recycles the ranks' power-event logs from one traced run to
-// the next. A DStrassen rank logs thousands of events; growing every
-// rank's log afresh in each run made allocation, garbage collection
-// and the page faults of memory handed back to the OS the bulk of a
-// traced run's cost, and its most host-dependent part.
-var logPool = sync.Pool{New: func() any { return new([]powerEvent) }}
+// logs recycles the ranks' power-event logs from one traced run to the
+// next, up to maxPooledBytes of capacity. A DStrassen rank logs
+// thousands of events; growing every rank's log afresh in each run
+// made allocation, garbage collection and the page faults of memory
+// handed back to the OS the bulk of a traced run's cost, and its most
+// host-dependent part. The list holds memory, never results: a
+// recycled log starts empty. It is a locked list with a fixed bound,
+// not a sync.Pool: a sync.Pool keeps what it holds until the second
+// collection after, so the less garbage the rest of the program made,
+// the more logs it kept live, and the collector's heap goal doubled
+// them.
+var logs logList
+
+// maxPooledBytes bounds the log capacity the list keeps. Pooled logs
+// stay live, and the collector lets the heap grow to twice what is
+// live before it runs, so a pooled byte can cost two of peak memory.
+// The logs of a dCAPS n = 2048 run on 49 ranks fit; a DStrassen
+// n = 2048 run on 64 ranks, whose logs take 12 MB, reuses what the
+// list holds and grows the rest afresh.
+const maxPooledBytes = 4 << 20
+
+type logList struct {
+	sync.Mutex
+	free  [][]powerEvent
+	bytes int // capacity of the logs in free
+}
+
+// take gives each rank of rs a recycled log while there are any.
+func (l *logList) take(rs []*Rank) {
+	l.Lock()
+	for _, r := range rs {
+		k := len(l.free)
+		if k == 0 {
+			break
+		}
+		r.events = l.free[k-1]
+		l.free[k-1] = nil
+		l.free = l.free[:k-1]
+		l.bytes -= logBytes(r.events)
+	}
+	l.Unlock()
+}
+
+// put keeps the logs of rs, emptied, while they fit maxPooledBytes,
+// and reorders rs. The smallest logs go in first, so the bound keeps as
+// many logs as it can: a run of many short logs still reuses all of
+// them after a run whose long logs filled the list.
+func (l *logList) put(rs []*Rank) {
+	slices.SortFunc(rs, func(a, b *Rank) int { return cmp.Compare(cap(a.events), cap(b.events)) })
+	l.Lock()
+	for _, r := range rs {
+		if b := logBytes(r.events); b > 0 && l.bytes+b <= maxPooledBytes {
+			l.free = append(l.free, r.events[:0])
+			l.bytes += b
+		}
+		r.events = nil
+	}
+	l.Unlock()
+}
+
+func logBytes(log []powerEvent) int { return cap(log) * int(unsafe.Sizeof(powerEvent{})) }
 
 func run(c *cluster.Cluster, ranks int, prog func(*Rank), record bool) (*Result, []*Rank) {
 	if ranks <= 0 || ranks > c.Nodes {
@@ -445,10 +498,10 @@ func run(c *cluster.Cluster, ranks int, prog func(*Rank), record bool) (*Result,
 	}
 	for i := range w.rs {
 		w.rs[i] = &Rank{w: w, id: i, size: ranks, wake: make(chan struct{})}
-		if record {
-			w.rs[i].events = *logPool.Get().(*[]powerEvent)
-		}
 		w.push(w.rs[i])
+	}
+	if record {
+		logs.take(w.rs)
 	}
 	w.resume(w.pop())
 	<-w.done

@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"capscale/internal/cluster"
@@ -75,6 +77,70 @@ func TestRunTracedDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(segs1, segs2) {
 		t.Fatalf("timelines differ (%d vs %d segments)", len(segs1), len(segs2))
 	}
+}
+
+// traceBits flattens a traced run into the bits of every float and
+// the counts it reports, so that equal runs compare equal bit for bit.
+func traceBits(res *Result, segs []sim.Segment) []uint64 {
+	var b []uint64
+	add := func(fs ...float64) {
+		for _, f := range fs {
+			b = append(b, math.Float64bits(f))
+		}
+	}
+	add(res.Makespan, res.ComputeJoules, res.NICJoules, res.IdleJoules, res.BytesSent, res.CritCommSeconds)
+	add(res.RankFinish...)
+	add(res.RankBusy...)
+	b = append(b, uint64(res.Messages), uint64(res.CritAlphaTerms))
+	for _, s := range segs {
+		p := s.Power
+		add(s.Start, s.End, p.PKG, p.PP0, p.DRAM, p.NIC, p.Switch)
+	}
+	return b
+}
+
+// ringProg logs thousands of power events per rank, about 5 MB of
+// logs on 6 ranks: more than the recycled-log list keeps.
+func ringProg(r *Rank) {
+	next, prev := (r.ID()+1)%r.Size(), (r.ID()+r.Size()-1)%r.Size()
+	for i := 0; i < 500; i++ {
+		for k := 0; k < 12; k++ {
+			r.Compute(ComputeWork{Kind: task.KindGEMM, Flops: 1e6 * float64(1+r.ID()+k), DRAMBytes: 1e4})
+		}
+		r.Send(next, 1, 4096)
+		r.Recv(prev, 1)
+	}
+}
+
+// TestConcurrentRunTracedShareLogs: traced runs on two goroutines take
+// and return recycled logs at once, and each still equals a sequential
+// run bit for bit.
+func TestConcurrentRunTracedShareLogs(t *testing.T) {
+	c := testCluster(8)
+	progs := []struct {
+		ranks int
+		prog  func(*Rank)
+	}{{8, traceProg}, {6, ringProg}}
+	want := make([][]uint64, len(progs))
+	for i, p := range progs {
+		want[i] = traceBits(RunTraced(c, p.ranks, p.prog))
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, p := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for rep := 0; rep < 2; rep++ {
+				if got := traceBits(RunTraced(c, p.ranks, p.prog)); !slices.Equal(got, want[i]) {
+					t.Errorf("%d ranks, run %d: differs from the sequential run", p.ranks, rep)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }
 
 // TestRunMatchesRunTraced pins that tracing is observation only: the

@@ -1,6 +1,10 @@
 package task
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Arena builds one Tree; it is the only way to build one. The recursive
 // builders emit hundreds of thousands of leaves per tree; building
@@ -8,7 +12,9 @@ import "fmt"
 // per formatted label into one allocation per block of records:
 //
 //   - Leaf, Seq and Par append flat records and return the new node's
-//     Ref; WithAffinityMask and WithAlloc annotate a node by Ref;
+//     Ref; WithAffinityMask and WithAlloc annotate a node by Ref. A
+//     leaf's demand and a node's annotation are interned: the tree
+//     stores each distinct one once, and records name it by index;
 //   - ReadsWrites stores a leaf's Reads and Writes in the tree's region
 //     array, as one span; a Leaf given that pair references the span in
 //     place, and copies any other region lists;
@@ -16,8 +22,9 @@ import "fmt"
 //     formatted once per build instead of once per leaf;
 //   - Node returns the *Node handle the engines take, typically once,
 //     for the root;
-//   - Import copies another arena's tree in, so a subtree built apart
-//     can be placed under this tree's nodes.
+//   - Import copies another arena's tree in, re-interning its demands
+//     and annotations, so a subtree built apart can be placed under
+//     this tree's nodes.
 //
 // An Arena issues RegionIDs too (it embeds Regions) and obeys the same
 // contract: a build is single-threaded, and every method shares the
@@ -37,6 +44,69 @@ type Arena struct {
 	// rw is the span the last ReadsWrites call stored, at index rwAt.
 	rw   []RegionID
 	rwAt int32
+	// demands and anns intern the tree's leaf demands and node
+	// annotations.
+	demands interner[demandRec]
+	anns    interner[annRec]
+}
+
+// internable is a record an interner can hold: its floats are held as
+// bits, so == compares bit patterns.
+type internable interface {
+	comparable
+	hash() uint64
+}
+
+// interner hands out the index of a record in a table of distinct
+// records, appending the record when it is new. A lookup tries the
+// index it handed out last, which builders emitting runs of alike
+// leaves hit most often, then probes an open-addressed set of table
+// indices kept at most half full. The set starts in the interner's own
+// 64 slots, so a tree with a few dozen distinct records, as every
+// paper tree is, interns them without allocating.
+type interner[R internable] struct {
+	// last and the slots hold 1 + a table index; 0 is empty.
+	last  int32
+	small [64]int32
+	// big replaces small once the table outgrows half of it.
+	big []int32
+}
+
+// intern returns the index of r in *table, appending r when it is new.
+func (in *interner[R]) intern(table *[]R, r R) int32 {
+	tab := *table
+	if i := in.last; i > 0 && tab[i-1] == r {
+		return i - 1
+	}
+	slots := in.big
+	if slots == nil {
+		slots = in.small[:]
+	}
+	s := probe(slots, tab, r)
+	if slots[s] == 0 {
+		tab = append(tab, r)
+		*table = tab
+		slots[s] = int32(len(tab))
+		if 2*len(tab) > len(slots) {
+			in.big = make([]int32, 2*len(slots))
+			for k, x := range tab {
+				in.big[probe(in.big, tab, x)] = int32(k + 1)
+			}
+		}
+	}
+	in.last = slots[s]
+	return in.last - 1
+}
+
+// probe returns the slot of slots that holds r, or the empty slot
+// where r goes. len(slots) is a power of two.
+func probe[R internable](slots []int32, tab []R, r R) int {
+	mask := len(slots) - 1
+	for s := int(r.hash() >> (64 - bits.TrailingZeros(uint(len(slots))))); ; s = (s + 1) & mask {
+		if i := slots[s]; i == 0 || tab[i-1] == r {
+			return s
+		}
+	}
 }
 
 // labelKey identifies one interned label: a format and up to two
@@ -50,9 +120,8 @@ type labelKey struct {
 func (a *Arena) tree() *Tree {
 	if a.t == nil {
 		a.t = new(Tree)
-		if st, ok := storagePool.Get().(*storage); ok {
-			a.t.adopt(st)
-		}
+		st, _ := storagePool.Get().(*storage)
+		a.t.adopt(st)
 	}
 	return a.t
 }
@@ -78,9 +147,11 @@ func (a *Arena) leaf(kind Kind, flops, l3, dram, regionBytes float64, reads, wri
 	if nr+nw > blockLen {
 		panic(fmt.Sprintf("task: leaf lists %d regions, at most %d", nr+nw, blockLen))
 	}
+	d := demandRec{flops: math.Float64bits(flops), l3: math.Float64bits(l3), dram: math.Float64bits(dram),
+		regionBytes: math.Float64bits(regionBytes), kind: uint8(kind)}
 	li, rec := t.leaves.carve(1)
-	rec[0] = leafRec{flops: flops, l3: l3, dram: dram, regionBytes: regionBytes,
-		label: a.labelIndex(label), nReads: uint16(nr), nWrites: uint16(nw), kind: uint8(kind)}
+	rec[0] = leafRec{label: a.labelIndex(label), nReads: uint16(nr), nWrites: uint16(nw),
+		demand: a.demands.intern(&t.demands, d)}
 	if k := nr + nw; k == len(a.rw) && (nr == 0 || &reads[0] == &a.rw[0]) && (nw == 0 || &writes[0] == &a.rw[nr]) {
 		rec[0].regions = a.rwAt
 	} else if k > 0 {
@@ -117,10 +188,21 @@ func (a *Arena) interior(op string, kind nodeKind, children []Ref) Ref {
 }
 
 // WithAffinityMask restricts subtree r to the workers in m (empty:
-// unrestricted) and returns r.
+// unrestricted) and returns r. Masks naming workers ≥ 64 go to the
+// tree's wide table; consecutive equal masks share one entry.
 func (a *Arena) WithAffinityMask(r Ref, m Mask) Ref {
 	a.enter("Arena.WithAffinityMask")
-	a.tree().setAffinity(r, m)
+	t := a.tree()
+	nd := t.node(r)
+	an := t.anns[nd.ann]
+	an.lo, an.wide = m.lo, 0
+	if len(m.words) > 0 {
+		if k := len(t.wide); k == 0 || !t.wide[k-1].Equal(m) {
+			t.wide = append(t.wide, m)
+		}
+		an.wide = int32(len(t.wide))
+	}
+	nd.ann = a.annIndex(an)
 	a.exit()
 	return r
 }
@@ -129,9 +211,21 @@ func (a *Arena) WithAffinityMask(r Ref, m Mask) Ref {
 // subtree r executes, and returns r.
 func (a *Arena) WithAlloc(r Ref, bytes float64) Ref {
 	a.enter("Arena.WithAlloc")
-	a.tree().node(r).alloc = bytes
+	t := a.tree()
+	nd := t.node(r)
+	an := t.anns[nd.ann]
+	an.alloc = math.Float64bits(bytes)
+	nd.ann = a.annIndex(an)
 	a.exit()
 	return r
+}
+
+// annIndex interns annotation an; the zero annotation is index 0.
+func (a *Arena) annIndex(an annRec) int32 {
+	if an == (annRec{}) {
+		return 0
+	}
+	return a.anns.intern(&a.t.anns, an)
 }
 
 // ReadsWrites stores a leaf's region lists in the tree as one span and
@@ -219,6 +313,19 @@ func (a *Arena) Import(n *Node) Ref {
 	wideBase, labelBase := int32(len(t.wide)), int32(len(t.labels))
 	t.wide = append(t.wide, src.wide...)
 	t.labels = append(t.labels, src.labels...)
+	// demand[i] and ann[i] are the indices here of src's demand and
+	// annotation i.
+	demand := make([]int32, len(src.demands))
+	for i, d := range src.demands {
+		demand[i] = a.demands.intern(&t.demands, d)
+	}
+	ann := make([]int32, len(src.anns))
+	for i, an := range src.anns {
+		if an.wide > 0 {
+			an.wide += wideBase
+		}
+		ann[i] = a.annIndex(an)
+	}
 	for i := int32(0); i < src.kids.n; i++ {
 		t.kids.push(*src.kids.at(i) + Ref(nodeBase))
 	}
@@ -233,6 +340,7 @@ func (a *Arena) Import(n *Node) Ref {
 		if l.label > 0 {
 			l.label += labelBase
 		}
+		l.demand = demand[l.demand]
 		t.leaves.push(l)
 	}
 	if len(src.runs) > 0 {
@@ -248,9 +356,7 @@ func (a *Arena) Import(n *Node) Ref {
 		} else {
 			nd.span += kidBase
 		}
-		if nd.wide > 0 {
-			nd.wide += wideBase
-		}
+		nd.ann = ann[nd.ann]
 		t.nodes.push(nd)
 	}
 	return Ref(nodeBase) + n.r

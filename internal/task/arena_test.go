@@ -1,6 +1,7 @@
 package task
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -165,6 +166,51 @@ func TestAffinityKeysNameEqualMasks(t *testing.T) {
 	}
 }
 
+// Interning compares demands and annotations by bit pattern: −0 is not
+// the +0 interned just before it, a NaN keeps its payload and shares
+// one entry with an equal NaN, and Import re-interns them the same way
+// into a tree that already holds +0.
+func TestInterningKeepsFloatBits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan1 := math.Float64frombits(0x7ff8000000000001)
+	nan2 := math.Float64frombits(0x7ff8000000000002)
+	values := []float64{0, negZero, nan1, nan1, nan2, negZero}
+	check := func(how string, tr *Tree, leaves []Ref) {
+		t.Helper()
+		for i, r := range leaves {
+			want := math.Float64bits(values[i])
+			d, regionBytes, _, _ := tr.LeafInputs(r)
+			for name, got := range map[string]float64{
+				"Demand.Flops": tr.Demand(r).Flops, "LeafInputs flops": d.Flops,
+				"LeafInputs regionBytes": regionBytes, "AllocBytes": tr.AllocBytes(r),
+			} {
+				if math.Float64bits(got) != want {
+					t.Errorf("%s, leaf %d: %s has bits %#x, want %#x", how, i, name, math.Float64bits(got), want)
+				}
+			}
+		}
+		// +0, −0 and the two NaNs; the zero annotation is +0's.
+		if len(tr.demands) != 4 || len(tr.anns) != 4 {
+			t.Errorf("%s: %d demands and %d annotations interned, want 4 and 4", how, len(tr.demands), len(tr.anns))
+		}
+	}
+	var a Arena
+	leaves := make([]Ref, len(values))
+	for i, v := range values {
+		leaves[i] = a.WithAlloc(a.Leaf(Work{Flops: v, RegionBytes: v}), v)
+	}
+	check("Arena.Leaf", a.t, leaves)
+
+	var b Arena
+	b.Leaf(Work{})
+	root := b.Import(a.Node(a.Seq(leaves...)))
+	imported := make([]Ref, len(values))
+	for i := range imported {
+		imported[i] = b.t.Child(root, i)
+	}
+	check("Import", b.t, imported)
+}
+
 // Child lists hold indices: a subtree under several parents is stored
 // once, and so is an imported subtree whose Ref is reused.
 func TestSharedSubtreesStayShared(t *testing.T) {
@@ -221,24 +267,29 @@ func TestRecordsSpanBlocks(t *testing.T) {
 	}
 }
 
-// The layout budget: a node record fits 32 bytes and a leaf record 48,
-// and no record, child-list or region-list array holds a pointer, so
-// the GC never scans a tree's bulk.
+// The layout budget: a node record and a leaf record fit 16 bytes
+// each, and no record, child-list, region-list or interned-table array
+// holds a pointer, so the GC never scans a tree's bulk.
 func TestRecordLayoutBudget(t *testing.T) {
-	if s := unsafe.Sizeof(nodeRec{}); s > 32 {
-		t.Errorf("node record is %d bytes, budget 32", s)
+	if s := unsafe.Sizeof(nodeRec{}); s > 16 {
+		t.Errorf("node record is %d bytes, budget 16", s)
 	}
-	if s := unsafe.Sizeof(leafRec{}); s > 48 {
-		t.Errorf("leaf record is %d bytes, budget 48", s)
+	if s := unsafe.Sizeof(leafRec{}); s > 16 {
+		t.Errorf("leaf record is %d bytes, budget 16", s)
 	}
 	tree := reflect.TypeOf(Tree{})
-	for _, name := range []string{"nodes", "leaves", "kids", "ids"} {
+	for _, name := range []string{"nodes", "leaves", "kids", "ids", "anns", "demands"} {
 		f, ok := tree.FieldByName(name)
 		if !ok {
 			t.Fatalf("Tree has no %s array", name)
 		}
-		b, _ := f.Type.FieldByName("b")
-		if elem := b.Type.Elem().Elem(); hasPointers(elem) {
+		elem := f.Type // a blocks list or a table slice
+		if elem.Kind() == reflect.Struct {
+			b, _ := elem.FieldByName("b")
+			elem = b.Type.Elem()
+		}
+		elem = elem.Elem()
+		if hasPointers(elem) {
 			t.Errorf("Tree.%s elements (%v) hold pointers", name, elem)
 		}
 	}
@@ -316,7 +367,9 @@ func TestReleasedStorageOutlivesTree(t *testing.T) {
 // but pools nothing: its storage goes to the collector.
 func TestLargeTreeStorageIsNotPooled(t *testing.T) {
 	var a Arena
-	kids := make([]Ref, maxPooledBytes/80) // 80 bytes of records per leaf
+	// A node and a leaf record per leaf fill the bound; the root's node
+	// and child list take the tree past it.
+	kids := make([]Ref, maxPooledBytes/(unsafe.Sizeof(nodeRec{})+unsafe.Sizeof(leafRec{})))
 	for i := range kids {
 		kids[i] = a.Leaf(Work{Flops: 1})
 	}

@@ -186,7 +186,7 @@ func Collect(n *Node) Stats {
 			s.Depth = depth
 		}
 		nd := t.node(r)
-		live := nd.alloc
+		live := t.AllocBytes(r)
 		switch nd.kind {
 		case leafNode:
 			d := t.Demand(r)

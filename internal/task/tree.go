@@ -1,21 +1,27 @@
 package task
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 	"unsafe"
 )
 
 // Flat tree storage. A built tree lives in four arrays of pointer-free
-// records — nodes, leaves, child lists and region lists — plus three
-// small side tables: leaf labels, affinity masks naming workers ≥ 64,
-// and the Run closures of builds with real arithmetic. The GC never
-// scans the record arrays, and writing them needs no write barriers.
+// records — nodes, leaves, child lists and region lists — plus two
+// small tables of the distinct node annotations and leaf demands the
+// records name, and three small side tables: leaf labels, affinity
+// masks naming workers ≥ 64, and the Run closures of builds with real
+// arithmetic. The GC never scans the record arrays, and writing them
+// needs no write barriers.
 //
 // Records refer to each other by index. A node's children are a span
 // of the child-list array, a leaf node points at its leaf record, and
 // a leaf's Reads and Writes are one span of the region array. Child
 // lists hold indices, so a subtree under several parents is stored
-// once.
+// once. A paper tree's hundreds of thousands of nodes carry a few
+// dozen distinct annotations and demands, so records hold an index
+// into those tables instead of a copy.
 
 // Ref is the index of a node in its tree's node array.
 type Ref int32
@@ -28,35 +34,71 @@ const (
 	parNode
 )
 
-// nodeRec is the record of one tree node: 32 bytes, no pointers.
+// nodeRec is the record of one tree node: 16 bytes, no pointers.
 type nodeRec struct {
-	// alloc is the temporary-buffer memory live while the subtree
-	// executes; the simulator tracks its high-water mark.
-	alloc float64
-	// lo is the affinity over workers 0..63 (bit w = worker w).
-	lo uint64
 	// span is, for interior nodes, the index of the first child in the
 	// child-list array; for leaves, the index of the leaf record.
 	span int32
 	// n is the number of children.
 	n int32
-	// wide is 1 + the index of the node's mask in Tree.wide when the
-	// mask names workers ≥ 64; 0 when lo is the whole mask.
-	wide int32
+	// ann is the index of the node's annotation in Tree.anns; 0 is the
+	// zero annotation: no temporaries, unrestricted.
+	ann  int32
 	kind nodeKind
 }
 
-// leafRec is the record of one leaf's Work: 48 bytes, no pointers.
+// annRec is one distinct node annotation. Its float is held as bits,
+// so == compares bit patterns, as interning needs.
+type annRec struct {
+	// alloc is the temporary-buffer memory live while the subtree
+	// executes (float64 bits); the simulator tracks its high-water
+	// mark.
+	alloc uint64
+	// lo is the affinity over workers 0..63 (bit w = worker w).
+	lo uint64
+	// wide is 1 + the index of the node's mask in Tree.wide when the
+	// mask names workers ≥ 64; 0 when lo is the whole mask.
+	wide int32
+}
+
+func (an annRec) hash() uint64 {
+	return mix(an.alloc ^ bits.RotateLeft64(an.lo, 21) ^ uint64(an.wide)<<43)
+}
+
+// leafRec is the record of one leaf's Work: 16 bytes, no pointers.
 type leafRec struct {
-	flops, l3, dram, regionBytes float64
 	// regions is the index of the leaf's first region ID: its Reads,
 	// then its Writes, contiguous in one block.
 	regions int32
 	// label is 1 + the index of the label in Tree.labels; 0 for "".
 	label           int32
 	nReads, nWrites uint16
-	kind            uint8
+	// demand is the index of the leaf's demand in Tree.demands.
+	demand int32
 }
+
+// demandRec is one distinct leaf demand: the Demand and per-region
+// footprint a scheduler charges. Its floats are held as bits, so ==
+// compares bit patterns: interning keeps −0 apart from +0 and matches
+// a NaN to itself.
+type demandRec struct {
+	flops, l3, dram, regionBytes uint64
+	kind                         uint8
+}
+
+func (d demandRec) hash() uint64 {
+	return mix(d.flops ^ bits.RotateLeft64(d.l3, 16) ^ bits.RotateLeft64(d.dram, 32) ^
+		bits.RotateLeft64(d.regionBytes, 48) ^ uint64(d.kind))
+}
+
+func (d *demandRec) demand() Demand {
+	return Demand{Kind: Kind(d.kind), Flops: math.Float64frombits(d.flops),
+		L3Bytes: math.Float64frombits(d.l3), DRAMBytes: math.Float64frombits(d.dram)}
+}
+
+// mix spreads a record's bits into the high bits an interner's slot
+// index is taken from.
+func mix(h uint64) uint64 { return h * 0x9e3779b97f4a7c15 }
 
 // Block sizing. Each array is a list of blocks of blockLen elements.
 // The first block starts at firstBlock elements and doubles in place
@@ -151,13 +193,16 @@ func (s *blocks[T]) release(list [][]T) [][]T {
 }
 
 // storage is the record storage of a released Tree: every block of its
-// four arrays, at full length. The next Arena adopts it and refills it
-// from index 0, so a warm build allocates no record block.
+// four arrays, at full length, and its two interned tables. The next
+// Arena adopts it and refills it from index 0, so a warm build
+// allocates no record block.
 type storage struct {
-	nodes  [][]nodeRec
-	leaves [][]leafRec
-	kids   [][]Ref
-	ids    [][]RegionID
+	nodes   [][]nodeRec
+	leaves  [][]leafRec
+	kids    [][]Ref
+	ids     [][]RegionID
+	anns    []annRec
+	demands []demandRec
 }
 
 // storagePool holds released trees' storage for the next Arena. Like
@@ -168,9 +213,10 @@ var storagePool sync.Pool
 // maxPooledBytes bounds the record storage a released tree may pool.
 // Pooled storage stays live, and the collector lets the heap grow to
 // twice what is live before it runs, so a pooled byte can cost two of
-// peak memory. Storage up to n = 1024 (CAPS: 1.5 MB) pools; Strassen
-// and CAPS trees from n = 2048 (6–50 MB) go to the collector, and
-// their cells run long enough to pay for a fresh build.
+// peak memory. Storage up to n = 2048 (Strassen and CAPS on 4 threads:
+// 3.0 and 3.8 MB) pools; their n = 4096 trees (20.7 and 25.6 MB) go to
+// the collector, and their cells run long enough to pay for a fresh
+// build.
 const maxPooledBytes = 4 << 20
 
 // Tree is the storage of one built task tree. Trees come out of an
@@ -184,8 +230,13 @@ type Tree struct {
 	leaves blocks[leafRec]
 	kids   blocks[Ref]
 	ids    blocks[RegionID]
-	labels []string
-	wide   []Mask
+	// anns and demands are the distinct node annotations and leaf
+	// demands, as the Arena interned them; anns[0] is the zero
+	// annotation.
+	anns    []annRec
+	demands []demandRec
+	labels  []string
+	wide    []Mask
 	// runs holds Run closures by leaf index. It stays nil in
 	// shape-only builds and ends at the last leaf that has one.
 	runs []func()
@@ -194,10 +245,15 @@ type Tree struct {
 	store *storage
 }
 
-// adopt makes st's blocks the empty tree's storage.
+// adopt makes st the empty tree's storage (fresh storage when st is
+// nil) and stores the zero annotation.
 func (t *Tree) adopt(st *storage) {
-	t.store = st
-	t.nodes.b, t.leaves.b, t.kids.b, t.ids.b = st.nodes, st.leaves, st.kids, st.ids
+	if st != nil {
+		t.store = st
+		t.nodes.b, t.leaves.b, t.kids.b, t.ids.b = st.nodes, st.leaves, st.kids, st.ids
+		t.anns, t.demands = st.anns[:0], st.demands[:0]
+	}
+	t.anns = append(t.anns, annRec{})
 }
 
 // Release hands the tree's record storage to the next Arena, unless it
@@ -218,7 +274,7 @@ func (t *Tree) Release() {
 // storage's own arrays: a first block's header lives in the tree
 // (blocks.b0), which is cleared.
 func (t *Tree) release() *storage {
-	if t.nodes.bytes()+t.leaves.bytes()+t.kids.bytes()+t.ids.bytes() > maxPooledBytes {
+	if t.bytes() > maxPooledBytes {
 		*t = Tree{}
 		return nil
 	}
@@ -230,8 +286,15 @@ func (t *Tree) release() *storage {
 	st.leaves = t.leaves.release(st.leaves)
 	st.kids = t.kids.release(st.kids)
 	st.ids = t.ids.release(st.ids)
+	st.anns, st.demands = t.anns, t.demands
 	*t = Tree{}
 	return st
+}
+
+// bytes returns the size of the storage release would pool.
+func (t *Tree) bytes() int {
+	return t.nodes.bytes() + t.leaves.bytes() + t.kids.bytes() + t.ids.bytes() +
+		cap(t.anns)*int(unsafe.Sizeof(annRec{})) + cap(t.demands)*int(unsafe.Sizeof(demandRec{}))
 }
 
 func (t *Tree) node(r Ref) *nodeRec { return t.nodes.at(int32(r)) }
@@ -250,17 +313,20 @@ func (t *Tree) NumChildren(r Ref) int { return int(t.node(r).n) }
 // Child returns the k-th child of interior node r.
 func (t *Tree) Child(r Ref, k int) Ref { return *t.kids.at(t.node(r).span + int32(k)) }
 
+// ann returns node r's annotation.
+func (t *Tree) ann(r Ref) *annRec { return &t.anns[t.node(r).ann] }
+
 // Affinity returns node r's worker mask (empty = unrestricted).
 func (t *Tree) Affinity(r Ref) Mask {
-	nd := t.node(r)
-	if nd.wide == 0 {
-		return Mask{lo: nd.lo}
+	an := t.ann(r)
+	if an.wide == 0 {
+		return Mask{lo: an.lo}
 	}
-	return t.wide[nd.wide-1]
+	return t.wide[an.wide-1]
 }
 
 // AffinityKey stands for a node's affinity without copying its Mask:
-// the node record's low word and wide-table index. Within one tree,
+// its annotation's low word and wide-table index. Within one tree,
 // nodes with equal keys have equal masks (equal masks may still have
 // different keys), and the zero key means unrestricted.
 type AffinityKey struct {
@@ -270,19 +336,15 @@ type AffinityKey struct {
 
 // AffinityKey returns node r's affinity key.
 func (t *Tree) AffinityKey(r Ref) AffinityKey {
-	nd := t.node(r)
-	return AffinityKey{lo: nd.lo, wide: nd.wide}
+	an := t.ann(r)
+	return AffinityKey{lo: an.lo, wide: an.wide}
 }
 
 // AllocBytes returns node r's temporary-buffer annotation.
-func (t *Tree) AllocBytes(r Ref) float64 { return t.node(r).alloc }
+func (t *Tree) AllocBytes(r Ref) float64 { return math.Float64frombits(t.ann(r).alloc) }
 
 // Demand returns the cost-model inputs of leaf node r.
-func (t *Tree) Demand(r Ref) Demand { return t.leaf(r).demand() }
-
-func (l *leafRec) demand() Demand {
-	return Demand{Kind: Kind(l.kind), Flops: l.flops, L3Bytes: l.l3, DRAMBytes: l.dram}
-}
+func (t *Tree) Demand(r Ref) Demand { return t.demands[t.leaf(r).demand].demand() }
 
 // ReadsWrites returns leaf node r's region lists. They share the
 // tree's storage and must not be modified.
@@ -294,7 +356,8 @@ func (t *Tree) ReadsWrites(r Ref) (reads, writes []RegionID) { return t.regions(
 func (t *Tree) LeafInputs(r Ref) (d Demand, regionBytes float64, reads, writes []RegionID) {
 	l := t.leaf(r)
 	reads, writes = t.regions(l)
-	return l.demand(), l.regionBytes, reads, writes
+	dr := &t.demands[l.demand]
+	return dr.demand(), math.Float64frombits(dr.regionBytes), reads, writes
 }
 
 func (t *Tree) regions(l *leafRec) (reads, writes []RegionID) {
@@ -322,18 +385,4 @@ func (t *Tree) Run(r Ref) func() {
 		return t.runs[i]
 	}
 	return nil
-}
-
-// setAffinity stores m as node r's affinity. Masks naming workers ≥ 64
-// go to the wide table; consecutive equal masks share one entry.
-func (t *Tree) setAffinity(r Ref, m Mask) {
-	nd := t.node(r)
-	nd.lo, nd.wide = m.lo, 0
-	if len(m.words) == 0 {
-		return
-	}
-	if k := len(t.wide); k == 0 || !t.wide[k-1].Equal(m) {
-		t.wide = append(t.wide, m)
-	}
-	nd.wide = int32(len(t.wide))
 }

@@ -2,12 +2,14 @@
 # Settles a capbench gain claim between two commits with alternating
 # pairs of runs:
 #
-#   scripts/pairs.sh PARENT CHANGE WORKLOAD N [SECONDS]
+#   scripts/pairs.sh PARENT CHANGE WORKLOAD N [SECONDS [METRIC]]
 #
 # PARENT and CHANGE are commits of this repository; WORKLOAD is a
 # capbench workload (paper-sweep, scale-sweep, serve-cold, serve-hot);
 # N is the number of pairs, fixed before the first run; SECONDS is each
-# run's window (default 20).
+# run's window (default 20); METRIC is the claimed end-to-end metric
+# (sweep_s_p50, cells_per_s, setup_s or peak_rss_mb; default
+# sweep_s_p50).
 #
 # Each commit is checked out once, into sibling directories whose
 # names have the same length (parent-<hash12>, change-<hash12>), since
@@ -25,9 +27,10 @@
 # the quartile spread relative to the side's median, and two verdicts.
 # BASE comes from the clock and is printed with the seeds.
 #
-# The claim verdict is on sweep_s_p50 (lower is better): the change
-# wins at least 9 pairs in 10, and its median is below the parent's by
-# more than the parent's quartile spread (q3 - q1).
+# The claim verdict is on METRIC, in the direction ("better")
+# BENCHMARK.json gives it: the change is better in at least 9 pairs in
+# 10, and its median is better than the parent's by more than the
+# parent's quartile spread (q3 - q1).
 #
 # The bounds verdict is on every end-to-end metric, with the direction
 # ("better") and relative bound ("bound") BENCHMARK.json gives it. Each
@@ -48,13 +51,16 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/pairs.sh PARENT CHANGE WORKLOAD N [SECONDS]" >&2
+    echo "usage: scripts/pairs.sh PARENT CHANGE WORKLOAD N [SECONDS [METRIC]]" >&2
     exit 2
 }
-[ $# -ge 4 ] && [ $# -le 5 ] || usage
+[ $# -ge 4 ] && [ $# -le 6 ] || usage
 workload=$3
 pairs=$4
 seconds=${5:-20}
+claim=${6:-sweep_s_p50}
+metrics="sweep_s_p50 cells_per_s setup_s peak_rss_mb"
+[[ " $metrics " == *" $claim "* ]] || usage
 [[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
 case $workload in
 paper-sweep | scale-sweep | serve-cold | serve-hot) ;;
@@ -86,7 +92,6 @@ checkout() {
 pdir=$(checkout parent "$parent")
 cdir=$(checkout change "$change")
 
-metrics="sweep_s_p50 cells_per_s setup_s peak_rss_mb"
 results=$dir/logs/results.tsv
 
 # bounds holds "metric:better:bound;" for each end-to-end metric of
@@ -151,7 +156,7 @@ run() {
     }' >>"$results"
 }
 
-echo "pairs.sh: $workload, $pairs pairs of ${seconds}s windows, seeds $((base + 1))..$((base + pairs)), claimed metric sweep_s_p50"
+echo "pairs.sh: $workload, $pairs pairs of ${seconds}s windows, seeds $((base + 1))..$((base + pairs)), claimed metric $claim"
 echo "  parent $parent  $pdir"
 echo "  change $change  $cdir"
 run parent warm-up "$base"
@@ -168,7 +173,7 @@ for ((i = 1; i <= pairs; i++)); do
     done
 done
 
-awk -F '\t' -v metrics="$metrics" -v bounds="$bounds" -v claim=sweep_s_p50 -v pairs="$pairs" '
+awk -F '\t' -v metrics="$metrics" -v bounds="$bounds" -v claim="$claim" -v pairs="$pairs" '
 function quantile(a, n, p,    h, lo) {
     h = (n - 1) * p
     lo = int(h)
@@ -232,14 +237,18 @@ END {
         }
         printf "%-12s %-7s %6.2f %14.3f  %s\n", ms[k], better[ms[k]], b, ratio, status
     }
+    # The claim, in the direction of the claimed metric: the change
+    # better in 9 pairs of 10, and its median better by more than the
+    # parent quartile spread.
+    lower = better[claim] == "lower"
     wins = 0; both = 0
     for (i = 1; i <= pairs; i++) {
         if (!((i, "parent") in val) || !((i, "change") in val)) continue
         both++
         p = val[i, "parent", ccol]; c = val[i, "change", ccol]
-        if (c < p) wins++
+        if (lower ? c < p : c > p) wins++
     }
-    gap = m["parent"] - m["change"]
+    gap = lower ? m["parent"] - m["change"] : m["change"] - m["parent"]
     printf "\n%s: change better in %d of %d pairs; median %g -> %g (%+.1f%%), parent quartile spread %g\n",
         claim, wins, both, m["parent"], m["change"], m["parent"] ? 100 * (m["change"] - m["parent"]) / m["parent"] : 0, iqr["parent"]
     ok = 1
