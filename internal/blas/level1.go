@@ -3,13 +3,10 @@ package blas
 import (
 	"fmt"
 	"math"
-
-	"capscale/internal/matrix"
 )
 
-// Level-1 and level-2 routines. The paper's study is level-3, but a
-// usable dense-linear-algebra substrate needs the vector and
-// matrix-vector layers too; they follow reference-BLAS semantics with
+// Level-1 routines. The paper's study is level-3, but the CG solver
+// needs the vector layer too; it follows reference-BLAS semantics with
 // Go slices.
 
 // Daxpy computes y += alpha·x. Lengths must match.
@@ -71,88 +68,4 @@ func Dnrm2(x []float64) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// Dasum returns Σ|xᵢ|.
-func Dasum(x []float64) float64 {
-	sum := 0.0
-	for _, v := range x {
-		sum += math.Abs(v)
-	}
-	return sum
-}
-
-// Idamax returns the index of the first element of maximum absolute
-// value, or -1 for an empty vector.
-func Idamax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, bestAbs := 0, math.Abs(x[0])
-	for i := 1; i < len(x); i++ {
-		if a := math.Abs(x[i]); a > bestAbs {
-			best, bestAbs = i, a
-		}
-	}
-	return best
-}
-
-// Dgemv computes y = alpha·A·x + beta·y (no transpose) or
-// y = alpha·Aᵀ·x + beta·y (transposed).
-func Dgemv(trans bool, alpha float64, a *matrix.Dense, x []float64, beta float64, y []float64) {
-	rows, cols := a.Rows(), a.Cols()
-	if trans {
-		rows, cols = cols, rows
-	}
-	if len(x) != cols || len(y) != rows {
-		panic(fmt.Sprintf("blas: dgemv %dx%d (trans=%v) with x=%d y=%d",
-			a.Rows(), a.Cols(), trans, len(x), len(y)))
-	}
-	if beta != 1 {
-		Dscal(beta, y)
-	}
-	if alpha == 0 {
-		return
-	}
-	if !trans {
-		for i := 0; i < a.Rows(); i++ {
-			row := a.Row(i)
-			sum := 0.0
-			for j, v := range row {
-				sum += v * x[j]
-			}
-			y[i] += alpha * sum
-		}
-		return
-	}
-	for i := 0; i < a.Rows(); i++ {
-		row := a.Row(i)
-		xi := alpha * x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, v := range row {
-			y[j] += xi * v
-		}
-	}
-}
-
-// Dger computes the rank-1 update A += alpha·x·yᵀ.
-func Dger(alpha float64, x, y []float64, a *matrix.Dense) {
-	if len(x) != a.Rows() || len(y) != a.Cols() {
-		panic(fmt.Sprintf("blas: dger %dx%d with x=%d y=%d", a.Rows(), a.Cols(), len(x), len(y)))
-	}
-	if alpha == 0 {
-		return
-	}
-	for i := 0; i < a.Rows(); i++ {
-		row := a.Row(i)
-		ax := alpha * x[i]
-		if ax == 0 {
-			continue
-		}
-		for j, v := range y {
-			row[j] += ax * v
-		}
-	}
 }

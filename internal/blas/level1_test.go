@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"capscale/internal/matrix"
 )
 
 func randVec(rng *rand.Rand, n int) []float64 {
@@ -79,67 +77,6 @@ func TestDnrm2(t *testing.T) {
 	}
 }
 
-func TestDasumIdamax(t *testing.T) {
-	x := []float64{1, -5, 3}
-	if Dasum(x) != 9 {
-		t.Fatal("dasum")
-	}
-	if Idamax(x) != 1 {
-		t.Fatal("idamax")
-	}
-	if Idamax(nil) != -1 {
-		t.Fatal("idamax empty")
-	}
-	// First maximal element wins on ties.
-	if Idamax([]float64{2, -2}) != 0 {
-		t.Fatal("idamax tie")
-	}
-}
-
-func TestDgemvNoTrans(t *testing.T) {
-	a := matrix.NewFromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	x := []float64{1, 1, 1}
-	y := []float64{100, 100}
-	Dgemv(false, 1, a, x, 0, y)
-	if y[0] != 6 || y[1] != 15 {
-		t.Fatalf("dgemv %v", y)
-	}
-	// beta keeps prior contents.
-	Dgemv(false, 1, a, x, 1, y)
-	if y[0] != 12 || y[1] != 30 {
-		t.Fatalf("dgemv beta %v", y)
-	}
-}
-
-func TestDgemvTrans(t *testing.T) {
-	a := matrix.NewFromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	x := []float64{1, 2}
-	y := make([]float64, 3)
-	Dgemv(true, 1, a, x, 0, y)
-	// Aᵀx = [1+8, 2+10, 3+12]
-	if y[0] != 9 || y[1] != 12 || y[2] != 15 {
-		t.Fatalf("dgemv trans %v", y)
-	}
-}
-
-func TestDgemvShapePanics(t *testing.T) {
-	a := matrix.New(2, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Dgemv(false, 1, a, make([]float64, 2), 0, make([]float64, 2))
-}
-
-func TestDger(t *testing.T) {
-	a := matrix.New(2, 2)
-	Dger(2, []float64{1, 2}, []float64{3, 4}, a)
-	if a.At(0, 0) != 6 || a.At(0, 1) != 8 || a.At(1, 0) != 12 || a.At(1, 1) != 16 {
-		t.Fatalf("dger %v", a)
-	}
-}
-
 func TestPropertyDdotSymmetry(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -160,60 +97,6 @@ func TestPropertyCauchySchwarz(t *testing.T) {
 		return math.Abs(Ddot(x, y)) <= Dnrm2(x)*Dnrm2(y)+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyDgemvMatchesMulNaive(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r, c := 1+rng.Intn(20), 1+rng.Intn(20)
-		a := matrix.Rand(rng, r, c)
-		x := randVec(rng, c)
-		y := make([]float64, r)
-		Dgemv(false, 1, a, x, 0, y)
-		// Compare against MulNaive with x as an c×1 matrix.
-		xm := matrix.NewFromSlice(c, 1, append([]float64(nil), x...))
-		ym := matrix.New(r, 1)
-		matrix.MulNaive(ym, a, xm)
-		for i := range y {
-			if math.Abs(y[i]-ym.At(i, 0)) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyDgerThenDgemv(t *testing.T) {
-	// (A + αxyᵀ)z == Az + αx(yᵀz)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r, c := 1+rng.Intn(15), 1+rng.Intn(15)
-		a := matrix.Rand(rng, r, c)
-		x, y, z := randVec(rng, r), randVec(rng, c), randVec(rng, c)
-		alpha := rng.Float64()
-
-		before := make([]float64, r)
-		Dgemv(false, 1, a, z, 0, before)
-		yz := Ddot(y, z)
-
-		Dger(alpha, x, y, a)
-		after := make([]float64, r)
-		Dgemv(false, 1, a, z, 0, after)
-
-		for i := range after {
-			want := before[i] + alpha*x[i]*yz
-			if math.Abs(after[i]-want) > 1e-10 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

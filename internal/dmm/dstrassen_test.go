@@ -1,6 +1,8 @@
 package dmm
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"capscale/internal/cluster"
@@ -76,5 +78,26 @@ func TestDistributedStrassenFabricDecidesScaling(t *testing.T) {
 	}
 	if ibSpeedup < 2 {
 		t.Fatalf("DFS Strassen speedup %v too low even on InfiniBand", ibSpeedup)
+	}
+}
+
+// TestTracedRunAllocationBudget: a traced run folds its ranks' power
+// deltas into the timeline as it proceeds, so its logs are bounded by
+// how far the ranks drift apart, not by how many deltas it emits.
+// DStrassen at n = 2048 on 64 ranks emits 207,104 deltas, 9.9 MB of
+// log, more than the budget: a run that kept them all until its end
+// fails. It allocates about 4.5 MB in all: its message queues, the
+// logs between folds and the timeline. The collector is off for the
+// test, as in the warm-cell gate.
+func TestTracedRunAllocationBudget(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const budget = 9 << 20
+	cl := fdrCluster(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mpi.RunTraced(cl, cl.Nodes, Strassen(2048, 0))
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("a traced DStrassen n=2048 run on 64 ranks allocated %.1f MiB, budget %d MiB", float64(got)/(1<<20), budget>>20)
 	}
 }

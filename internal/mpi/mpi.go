@@ -15,17 +15,17 @@
 // per queue and receives always name their source, so every rank sees
 // the same messages in the same order under any schedule, and the
 // results do not depend on it. When no rank is runnable but one has
-// not returned, the run is deadlocked. Traced runs merge the ranks'
-// power logs in (time, rank, emission) order, so the timeline does not
-// depend on the schedule either.
+// not returned, the run is deadlocked. The ranks' power deltas fold
+// into one cluster timeline as the run proceeds, in (time, rank,
+// emission) order, so the timeline depends neither on the schedule nor
+// on when the folds happen.
 package mpi
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sync"
-	"unsafe"
 
 	"capscale/internal/cluster"
 	"capscale/internal/hw"
@@ -93,7 +93,7 @@ type message struct {
 	arrive float64
 }
 
-// world is the shared state of one Run. Only the rank holding the
+// world is the shared state of one run. Only the rank holding the
 // baton touches it; the channel hand-off that passes the baton orders
 // every access.
 type world struct {
@@ -110,13 +110,55 @@ type world struct {
 	panicked any
 	// done receives once every rank goroutine has returned or unwound.
 	done chan struct{}
-	// record arms per-rank power-event collection so the run can be
-	// rendered as a cluster power timeline (RunTraced).
-	record bool
+
+	// The timeline folded so far: its segments, and the draw cur since
+	// prev, the time of the last folded delta. The ranks' logs hold the
+	// logged deltas not yet folded; the next fold comes once they reach
+	// foldAt.
+	segs           []sim.Segment
+	cur            hw.PlanePower
+	prev           float64
+	logged, foldAt int
+	merge          rankMerge
+}
+
+// minFold is the fewest logged deltas that trigger a fold, so a run
+// that logs fewer folds once, at its end.
+const minFold = 4096
+
+// newWorld sets up a run of prog with one rank on each of `ranks`
+// nodes of c, every rank runnable and the timeline starting at their
+// idle draw.
+func newWorld(c *cluster.Cluster, ranks int, prog func(*Rank)) *world {
+	idle := c.Node.IdlePower()
+	n := float64(ranks)
+	w := &world{
+		c:      c,
+		prog:   prog,
+		rs:     make([]*Rank, ranks),
+		queues: make(map[msgKey][]message),
+		runq:   make([]*Rank, ranks),
+		done:   make(chan struct{}),
+		cur: hw.PlanePower{
+			PKG:    idle.PKG * n,
+			PP0:    idle.PP0 * n,
+			DRAM:   idle.DRAM * n,
+			NIC:    c.Fabric.NICIdleWatts * n,
+			Switch: c.Fabric.SwitchIdleWatts,
+		},
+		foldAt: minFold,
+		merge:  rankMerge{logs: make([][]powerEvent, ranks)},
+	}
+	for i := range w.rs {
+		w.rs[i] = &Rank{w: w, id: i, size: ranks, wake: make(chan struct{})}
+		w.push(w.rs[i])
+	}
+	return w
 }
 
 // unwinding is the private panic value that unwinds a suspended
-// rank's goroutine after another rank panicked. It never escapes Run.
+// rank's goroutine after another rank panicked. It never escapes
+// RunTraced.
 type unwinding struct{}
 
 func (w *world) push(r *Rank) {
@@ -156,9 +198,10 @@ func (w *world) main(r *Rank) {
 
 // exit retires a rank whose program returned (v == nil) or panicked,
 // and hands the baton on: to the next runnable rank, or, once the run
-// is over, back to Run. A panic — or a deadlock, found here when the
-// last runnable rank returns while another is suspended — unwinds the
-// suspended ranks one at a time before Run gets the baton back.
+// is over, back to RunTraced. A panic — or a deadlock, found here when
+// the last runnable rank returns while another is suspended — unwinds
+// the suspended ranks one at a time before RunTraced gets the baton
+// back.
 func (w *world) exit(r *Rank, v any) {
 	r.done = true
 	// Ranks unwind only after panicked is set, so the first panic
@@ -216,7 +259,7 @@ type Rank struct {
 	alphaStalls int     // receives that stalled this rank's clock
 	commSec     float64 // overheads + exposed wire stalls
 
-	// Power-event log (RunTraced only).
+	// The power deltas not yet folded into the timeline.
 	events []powerEvent
 
 	// Scheduling state. wake carries the baton to a suspended rank;
@@ -226,13 +269,18 @@ type Rank struct {
 	started, suspended, done bool
 }
 
-// emit records one constant-power contribution over [start, end).
+// emit logs one constant-power contribution over [start, end), start
+// being the rank's clock, and folds the logs once they have doubled
+// since the last fold.
 func (r *Rank) emit(start, end float64, pw hw.PlanePower) {
-	if !r.w.record || end <= start {
+	if end <= start {
 		return
 	}
-	r.events = append(r.events, powerEvent{t: start, pw: pw})
-	r.events = append(r.events, powerEvent{t: end, pw: hw.PlanePower{}.Sub(pw)})
+	r.events = append(r.events, powerEvent{t: start, pw: pw}, powerEvent{t: end, pw: hw.PlanePower{}.Sub(pw)})
+	w := r.w
+	if w.logged += 2; w.logged >= w.foldAt {
+		w.fold(w.horizon())
+	}
 }
 
 // ID returns the rank's index in [0, Size).
@@ -401,108 +449,25 @@ func (r *Rank) chargeOverhead() {
 	r.energyJ += premium * o
 }
 
-// Run executes prog on `ranks` ranks of cluster c (one rank per node)
-// and integrates cluster energy over the run. It panics on invalid
-// rank counts and propagates the first rank panic.
+// Run is RunTraced without the timeline.
 func Run(c *cluster.Cluster, ranks int, prog func(*Rank)) *Result {
-	res, _ := run(c, ranks, prog, false)
+	res, _ := RunTraced(c, ranks, prog)
 	return res
 }
 
-// RunTraced is Run plus a cluster power timeline: the piecewise-
-// constant per-plane draw (node PKG/PP0/DRAM summed over ranks, NIC,
-// switch) over the run's virtual time. The timeline integrates
-// exactly to Result.TotalJoules(), so it can drive the monitor stack
-// (rapl.Device.Advance per segment) and reconcile against the run.
+// RunTraced executes prog on `ranks` ranks of cluster c (one rank per
+// node) and integrates cluster energy over the run. It panics on
+// invalid rank counts and propagates the first rank panic. Its
+// timeline is the piecewise-constant per-plane draw (node PKG/PP0/DRAM
+// summed over ranks, NIC, switch) over the run's virtual time, and
+// integrates exactly to Result.TotalJoules(), so it can drive the
+// monitor stack (rapl.Device.Advance per segment) and reconcile against
+// the run.
 func RunTraced(c *cluster.Cluster, ranks int, prog func(*Rank)) (*Result, []sim.Segment) {
-	res, rs := run(c, ranks, prog, true)
-	segs := mergeTimeline(c, rs, res.Makespan)
-	logs.put(rs)
-	return res, segs
-}
-
-// logs recycles the ranks' power-event logs from one traced run to the
-// next, up to maxPooledBytes of capacity. A DStrassen rank logs
-// thousands of events; growing every rank's log afresh in each run
-// made allocation, garbage collection and the page faults of memory
-// handed back to the OS the bulk of a traced run's cost, and its most
-// host-dependent part. The list holds memory, never results: a
-// recycled log starts empty. It is a locked list with a fixed bound,
-// not a sync.Pool: a sync.Pool keeps what it holds until the second
-// collection after, so the less garbage the rest of the program made,
-// the more logs it kept live, and the collector's heap goal doubled
-// them.
-var logs logList
-
-// maxPooledBytes bounds the log capacity the list keeps. Pooled logs
-// stay live, and the collector lets the heap grow to twice what is
-// live before it runs, so a pooled byte can cost two of peak memory.
-// The logs of a dCAPS n = 2048 run on 49 ranks fit; a DStrassen
-// n = 2048 run on 64 ranks, whose logs take 12 MB, reuses what the
-// list holds and grows the rest afresh.
-const maxPooledBytes = 4 << 20
-
-type logList struct {
-	sync.Mutex
-	free  [][]powerEvent
-	bytes int // capacity of the logs in free
-}
-
-// take gives each rank of rs a recycled log while there are any.
-func (l *logList) take(rs []*Rank) {
-	l.Lock()
-	for _, r := range rs {
-		k := len(l.free)
-		if k == 0 {
-			break
-		}
-		r.events = l.free[k-1]
-		l.free[k-1] = nil
-		l.free = l.free[:k-1]
-		l.bytes -= logBytes(r.events)
-	}
-	l.Unlock()
-}
-
-// put keeps the logs of rs, emptied, while they fit maxPooledBytes,
-// and reorders rs. The smallest logs go in first, so the bound keeps as
-// many logs as it can: a run of many short logs still reuses all of
-// them after a run whose long logs filled the list.
-func (l *logList) put(rs []*Rank) {
-	slices.SortFunc(rs, func(a, b *Rank) int { return cmp.Compare(cap(a.events), cap(b.events)) })
-	l.Lock()
-	for _, r := range rs {
-		if b := logBytes(r.events); b > 0 && l.bytes+b <= maxPooledBytes {
-			l.free = append(l.free, r.events[:0])
-			l.bytes += b
-		}
-		r.events = nil
-	}
-	l.Unlock()
-}
-
-func logBytes(log []powerEvent) int { return cap(log) * int(unsafe.Sizeof(powerEvent{})) }
-
-func run(c *cluster.Cluster, ranks int, prog func(*Rank), record bool) (*Result, []*Rank) {
 	if ranks <= 0 || ranks > c.Nodes {
 		panic(fmt.Sprintf("mpi: %d ranks on %d nodes", ranks, c.Nodes))
 	}
-	w := &world{
-		c:      c,
-		prog:   prog,
-		rs:     make([]*Rank, ranks),
-		queues: make(map[msgKey][]message),
-		runq:   make([]*Rank, ranks),
-		done:   make(chan struct{}),
-		record: record,
-	}
-	for i := range w.rs {
-		w.rs[i] = &Rank{w: w, id: i, size: ranks, wake: make(chan struct{})}
-		w.push(w.rs[i])
-	}
-	if record {
-		logs.take(w.rs)
-	}
+	w := newWorld(c, ranks, prog)
 	w.resume(w.pop())
 	<-w.done
 	if w.panicked != nil {
@@ -531,54 +496,51 @@ func run(c *cluster.Cluster, ranks int, prog func(*Rank), record bool) (*Result,
 		}
 	}
 	res.IdleJoules = c.IdlePowerFor(ranks) * res.Makespan
-	return res, w.rs
+	return res, w.timeline(res.Makespan)
 }
 
-// mergeTimeline folds every rank's signed power deltas, plus the
-// cluster idle baseline over [0, makespan), into a piecewise-constant
-// per-plane timeline. Deltas apply in (time, rank, emission) order, so
-// equal-time deltas add in a fixed order and the timeline is
-// deterministic. That is the order of a stable time sort over the
-// rank-ordered concatenation of the logs, built cheaper: each rank's
-// log is nearly sorted already (its clock only moves forward; only
-// wire-window ends run ahead), so it is stable-sorted on its own, and
-// a heap of the ranks' heads merges them, ties going to the lower rank.
-func mergeTimeline(c *cluster.Cluster, rs []*Rank, makespan float64) []sim.Segment {
-	if makespan <= 0 {
-		return nil
+// horizon is the least clock of the ranks still running. A rank's
+// deltas start at its clock, which only moves forward, so no rank
+// emits a delta before the horizon again.
+func (w *world) horizon() float64 {
+	h := math.Inf(1)
+	for _, r := range w.rs {
+		if !r.done && r.now < h {
+			h = r.now
+		}
 	}
-	idle := c.Node.IdlePower()
-	n := float64(len(rs))
-	base := hw.PlanePower{
-		PKG:    idle.PKG * n,
-		PP0:    idle.PP0 * n,
-		DRAM:   idle.DRAM * n,
-		NIC:    c.Fabric.NICIdleWatts * n,
-		Switch: c.Fabric.SwitchIdleWatts,
-	}
-	m := rankMerge{logs: make([][]powerEvent, len(rs))}
-	for i, r := range rs {
+	return h
+}
+
+// fold adds every logged delta earlier than h to the timeline in
+// (time, rank, emission) order, and keeps the rest in their ranks'
+// logs. That order is a stable time sort of the rank-ordered
+// concatenation of the logs, built cheaper: each rank's log is nearly
+// sorted already (its clock only moves forward; only wire-window ends
+// run ahead), so it is stable-sorted on its own, and a heap of the
+// ranks' heads merges the parts before h, ties going to the lower
+// rank. No delta before h is emitted after the fold and none at or
+// after h was folded before it, so folds at any horizons add the
+// deltas in the order one fold at the end of the run would.
+func (w *world) fold(h float64) {
+	m := &w.merge
+	for i, r := range w.rs {
 		slices.SortStableFunc(r.events, func(a, b powerEvent) int { return cmp.Compare(a.t, b.t) })
-		m.logs[i] = r.events
-		if len(r.events) > 0 {
+		if m.logs[i] = r.events[:before(r.events, h)]; len(m.logs[i]) > 0 {
 			m.heap = append(m.heap, i)
 		}
 	}
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
 		m.down(i)
 	}
-
-	var segs []sim.Segment
-	cur := base
-	prev := 0.0
 	for len(m.heap) > 0 {
 		top := m.heap[0]
 		e := m.logs[top][0]
-		if e.t > prev {
-			segs = append(segs, sim.Segment{Start: prev, End: e.t, Power: cur})
-			prev = e.t
+		if e.t > w.prev {
+			w.segs = append(w.segs, sim.Segment{Start: w.prev, End: e.t, Power: w.cur})
+			w.prev = e.t
 		}
-		cur = cur.Add(e.pw)
+		w.cur = w.cur.Add(e.pw)
 		if m.logs[top] = m.logs[top][1:]; len(m.logs[top]) == 0 {
 			last := len(m.heap) - 1
 			m.heap[0] = m.heap[last]
@@ -586,14 +548,33 @@ func mergeTimeline(c *cluster.Cluster, rs []*Rank, makespan float64) []sim.Segme
 		}
 		m.down(0)
 	}
-	if makespan > prev {
-		segs = append(segs, sim.Segment{Start: prev, End: makespan, Power: cur})
+	w.logged = 0
+	for _, r := range w.rs {
+		rest := r.events[before(r.events, h):]
+		r.events = r.events[:copy(r.events, rest)]
+		w.logged += len(r.events)
 	}
-	return segs
+	w.foldAt = max(minFold, 2*w.logged)
 }
 
-// rankMerge is a binary min-heap of the ranks whose sorted logs still
-// hold events, keyed by (head event time, rank).
+// before returns how many deltas of a time-sorted log fall before h.
+func before(log []powerEvent, h float64) int {
+	k, _ := slices.BinarySearchFunc(log, h, func(e powerEvent, h float64) int { return cmp.Compare(e.t, h) })
+	return k
+}
+
+// timeline folds what the logs still hold once every rank has
+// returned, and closes the timeline at the makespan.
+func (w *world) timeline(makespan float64) []sim.Segment {
+	w.fold(math.Inf(1))
+	if makespan > w.prev {
+		w.segs = append(w.segs, sim.Segment{Start: w.prev, End: makespan, Power: w.cur})
+	}
+	return w.segs
+}
+
+// rankMerge is a binary min-heap of the ranks whose cut logs still
+// hold deltas, keyed by (head delta time, rank).
 type rankMerge struct {
 	logs [][]powerEvent
 	heap []int

@@ -99,8 +99,8 @@ func traceBits(res *Result, segs []sim.Segment) []uint64 {
 	return b
 }
 
-// ringProg logs thousands of power events per rank, about 5 MB of
-// logs on 6 ranks: more than the recycled-log list keeps.
+// ringProg logs thousands of power deltas per rank, so its run folds
+// them many times.
 func ringProg(r *Rank) {
 	next, prev := (r.ID()+1)%r.Size(), (r.ID()+r.Size()-1)%r.Size()
 	for i := 0; i < 500; i++ {
@@ -112,10 +112,9 @@ func ringProg(r *Rank) {
 	}
 }
 
-// TestConcurrentRunTracedShareLogs: traced runs on two goroutines take
-// and return recycled logs at once, and each still equals a sequential
-// run bit for bit.
-func TestConcurrentRunTracedShareLogs(t *testing.T) {
+// TestConcurrentRunTracedMatchesSequential: traced runs on two
+// goroutines at once each equal a sequential run bit for bit.
+func TestConcurrentRunTracedMatchesSequential(t *testing.T) {
 	c := testCluster(8)
 	progs := []struct {
 		ranks int
@@ -141,17 +140,6 @@ func TestConcurrentRunTracedShareLogs(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-}
-
-// TestRunMatchesRunTraced pins that tracing is observation only: the
-// untraced path returns the same Result.
-func TestRunMatchesRunTraced(t *testing.T) {
-	c := testCluster(8)
-	plain := Run(c, 8, traceProg)
-	traced, _ := RunTraced(c, 8, traceProg)
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatalf("Run and RunTraced disagree:\n%+v\n%+v", plain, traced)
-	}
 }
 
 // TestTimelineReconcilesThroughMonitor closes the distributed
@@ -212,13 +200,13 @@ func TestCriticalPathMetrics(t *testing.T) {
 
 // stableSortTimeline is the reference merge: every rank's deltas
 // concatenated in rank order and stable-sorted by time, then swept into
-// segments. mergeTimeline must reproduce it bit for bit.
-func stableSortTimeline(c *cluster.Cluster, rs []*Rank, makespan float64) []sim.Segment {
+// segments. The folded timeline must reproduce it bit for bit.
+func stableSortTimeline(c *cluster.Cluster, logs [][]powerEvent, makespan float64) []sim.Segment {
 	if makespan <= 0 {
 		return nil
 	}
 	idle := c.Node.IdlePower()
-	n := float64(len(rs))
+	n := float64(len(logs))
 	base := hw.PlanePower{
 		PKG:    idle.PKG * n,
 		PP0:    idle.PP0 * n,
@@ -227,8 +215,8 @@ func stableSortTimeline(c *cluster.Cluster, rs []*Rank, makespan float64) []sim.
 		Switch: c.Fabric.SwitchIdleWatts,
 	}
 	var events []powerEvent
-	for _, r := range rs {
-		events = append(events, r.events...)
+	for _, log := range logs {
+		events = append(events, log...)
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].t < events[j].t })
 
@@ -252,39 +240,72 @@ func stableSortTimeline(c *cluster.Cluster, rs []*Rank, makespan float64) []sim.
 	return segs
 }
 
-// TestMergeTimelineMatchesStableSort checks the per-rank sort plus
-// k-way merge against the stable sort of the concatenated logs, on
-// random logs shaped the way emit writes them: start times never
-// decrease within a rank, wire-window ends run ahead of later starts,
-// and times come from a small grid so deltas tie within and across
-// ranks. Powers are arbitrary floats, so any change in the order the
+// TestMergeTimelineMatchesStableSort checks the folded timeline against
+// the stable sort of the concatenated logs, on random logs shaped the
+// way emit writes them: start times never decrease within a rank,
+// wire-window ends run ahead of later starts, and times come from a
+// small grid so deltas tie within and across ranks. The ranks emit in a
+// random interleaving, as a schedule would run them. Besides the folds
+// emit starts itself, the test folds at random points, at the horizon
+// of the ranks not yet finished, so cuts fall inside runs of equal-time
+// deltas. Powers are arbitrary floats, so any change in the order the
 // deltas are added shows in the bits.
 func TestMergeTimelineMatchesStableSort(t *testing.T) {
+	type emission struct {
+		start, end float64
+		clock      float64 // the rank's clock after the emission
+		pw         hw.PlanePower
+	}
 	c := testCluster(70)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 80; trial++ {
 		ranks := 1 + rng.Intn(70)
-		rs := make([]*Rank, ranks)
+		emissions := make([][]emission, ranks)
+		logs := make([][]powerEvent, ranks)
 		makespan := 0.0
-		for i := range rs {
-			r := &Rank{id: i, size: ranks}
+		for i := range emissions {
 			now := 0.0
 			for pairs := rng.Intn(251); pairs > 0; pairs-- {
 				now += 0.25 * float64(rng.Intn(3))
-				end := now + 0.25*float64(1+rng.Intn(8))
-				pw := hw.PlanePower{PKG: rng.Float64() * 40, PP0: rng.Float64() * 30, DRAM: rng.Float64(), NIC: rng.Float64() * 5}
-				r.events = append(r.events, powerEvent{t: now, pw: pw}, powerEvent{t: end, pw: hw.PlanePower{}.Sub(pw)})
-				makespan = math.Max(makespan, end)
+				e := emission{start: now, end: now + 0.25*float64(1+rng.Intn(8)), clock: now}
+				e.pw = hw.PlanePower{PKG: rng.Float64() * 40, PP0: rng.Float64() * 30, DRAM: rng.Float64(), NIC: rng.Float64() * 5}
 				if rng.Intn(2) == 0 { // a compute phase: the clock follows it
-					now = end
+					e.clock = e.end
 				}
+				now = e.clock
+				emissions[i] = append(emissions[i], e)
+				logs[i] = append(logs[i], powerEvent{t: e.start, pw: e.pw}, powerEvent{t: e.end, pw: hw.PlanePower{}.Sub(e.pw)})
+				makespan = math.Max(makespan, e.end)
 			}
-			rs[i] = r
 		}
 		makespan += 0.25 * float64(rng.Intn(2))
-		want := stableSortTimeline(c, rs, makespan)
-		if got := mergeTimeline(c, rs, makespan); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (%d ranks): merged timeline differs from the stable sort (%d vs %d segments)",
+
+		w := newWorld(c, ranks, nil)
+		var live []*Rank
+		for _, r := range w.rs {
+			if r.done = len(emissions[r.id]) == 0; !r.done {
+				live = append(live, r)
+			}
+		}
+		for len(live) > 0 {
+			k := rng.Intn(len(live))
+			r := live[k]
+			e := emissions[r.id][0]
+			emissions[r.id] = emissions[r.id][1:]
+			r.now = e.start
+			r.emit(e.start, e.end, e.pw)
+			r.now = e.clock
+			if len(emissions[r.id]) == 0 {
+				r.done = true
+				live = slices.Delete(live, k, k+1)
+			}
+			if rng.Intn(40) == 0 {
+				w.fold(w.horizon())
+			}
+		}
+		want := stableSortTimeline(c, logs, makespan)
+		if got := w.timeline(makespan); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d ranks): folded timeline differs from the stable sort (%d vs %d segments)",
 				trial, ranks, len(got), len(want))
 		}
 	}

@@ -51,10 +51,10 @@ const maxRequestCells = 4096
 // maxRequestSize and maxRequestNodes bound one cell's cost, which the
 // cell count does not, so a single POST cannot run the server out of
 // memory. Measured on a 2-vCPU VM with 7 GB: a Strassen tree at
-// n = 16384 is 2 GB of heap, and DStrassen needs about 4× the memory
-// per doubling of ranks (3.5 GB at n = 8192 on 128). The dearest cell
-// admitted, DStrassen at n = 8192 on 64 nodes, takes about 0.9 GB and
-// 4.4 s. Larger cells run through the epscale CLI.
+// n = 16384 is 2 GB of heap. The dearest cell admitted, DStrassen at
+// n = 8192 on 64 nodes, peaks at about 33 MB resident and takes about
+// 2 s as the one cell of an epscale run; its message count grows as
+// P(P−1) with the ranks. Larger cells run through the epscale CLI.
 const (
 	maxRequestSize  = 8192
 	maxRequestNodes = 64

@@ -526,8 +526,8 @@ func (b *buffers) bytes() int {
 
 // executors holds the executors of finished runs for the next Run: as
 // many as ran at once at the busiest moment, each within
-// maxPooledBytes. Like mpi's log pool it holds memory, never results:
-// Run resets an executor before it reads one. It is a locked list, not
+// maxPooledBytes. It holds memory, never results: Run resets an
+// executor before it reads one. It is a locked list, not
 // a sync.Pool: a sync.Pool drops a quarter of its Puts under the race
 // detector, and collections empty it while a large tree builds, so
 // runs started on fresh executors at random.

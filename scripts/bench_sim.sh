@@ -15,7 +15,7 @@
 #   - BenchmarkRunTraced, mpi.RunTraced on DStrassen (64 ranks) and
 #     dCAPS (49 ranks) at n=2048 on a 64-node FDR cluster: ns/message is
 #     what a distributed cell pays per message to schedule its ranks and
-#     merge their power logs.
+#     fold their power deltas into the timeline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

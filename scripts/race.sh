@@ -21,11 +21,6 @@ go test -race ./internal/rapl/... ./internal/papi/... ./internal/trace/... ./int
 # and the comms/cluster model feed the same concurrent driver, so they
 # get the same race pass.
 go test -race ./internal/mpi/... ./internal/dmm/... ./internal/cluster/...
-# Concurrent traced runs share one list of recycled rank logs: runs that
-# take and return logs at once, one of them beyond the list's bound,
-# must each stay bit-identical to a sequential run, so that test runs
-# ten times over.
-go test -race -count=10 -run 'TestConcurrentRunTracedShareLogs' ./internal/mpi/
 # The sweep server: concurrent HTTP subscribers, sweep-level
 # single-flight and the drain path all live on shared state — and the
 # store it persists to: journals and lease claim files are mutated by
